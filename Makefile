@@ -2,9 +2,10 @@
 # tests, the SEC001-SEC010 interprocedural static-analysis gate (fails on
 # any finding not recorded in .analysis-baseline.json), the chaos sweep
 # (drop/duplicate/crash faults over every migration message; R3/R4 must hold
-# after recovery), and the smoke slices of the disk-fault, fleet-kill and
+# after recovery), the smoke slices of the disk-fault, fleet-kill and
 # clone-campaign grids (the full grids run via `make chaos-disk`,
-# `make chaos-fleet` and `make chaos-clone`).
+# `make chaos-fleet` and `make chaos-clone`), and the end-to-end benchmark's
+# smoke test.
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -12,7 +13,7 @@ export PYTHONPATH := src
 .PHONY: test analyze analyze-json analyze-sarif analyze-changed baseline \
 	chaos chaos-disk chaos-disk-smoke chaos-fleet chaos-fleet-smoke \
 	chaos-clone chaos-clone-smoke chaos-smoke-all \
-	bench-fleet bench-fleet-smoke bench-scale-smoke ci
+	bench-fleet bench-fleet-smoke bench-scale-smoke bench-e2e-smoke ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -30,6 +31,11 @@ bench-fleet-smoke:
 # sweep plus the planner heap-vs-scan microbench, in seconds not minutes.
 bench-scale-smoke:
 	$(PYTHON) benchmarks/bench_fleet.py --smoke --scale-only --output /tmp/BENCH_scale_smoke.json
+
+# The repo benchmark (benchmarks/e2e, see BENCHMARK.json) at smoke size:
+# every workload builds, runs and passes its correctness checks.
+bench-e2e-smoke:
+	$(PYTHON) -m pytest -q benchmarks/e2e
 
 analyze:
 	$(PYTHON) -m repro.analysis --format text src/repro examples benchmarks
@@ -92,4 +98,5 @@ chaos-clone-smoke:
 # One scenario per cell of every adversarial grid — the CI slice.
 chaos-smoke-all: chaos-disk-smoke chaos-fleet-smoke chaos-clone-smoke
 
-ci: test analyze chaos chaos-smoke-all bench-fleet-smoke bench-scale-smoke
+ci: test analyze chaos chaos-smoke-all bench-fleet-smoke bench-scale-smoke \
+	bench-e2e-smoke

@@ -1,18 +1,10 @@
 """End-to-end reproductions of the paper's Section III attacks."""
 
 from repro.attacks.cloning import (
-    CloneCampaignReport,
-    CloneWorld,
-    build_clone_world,
-    check_clone_invariants,
+    campaign_world,
     launch_clone,
-    probe_restore_trace,
-    probe_stale_session_trace,
-    probe_wave_trace,
-    run_healed_disk_campaign,
-    run_restore_window_campaign,
-    run_stale_session_replay_campaign,
-    run_wave_double_join_campaign,
+    probe_window_trace,
+    run_campaign,
 )
 from repro.attacks.fork import (
     ForkAttackResult,
@@ -26,22 +18,14 @@ from repro.attacks.rollback import (
 )
 
 __all__ = [
-    "CloneCampaignReport",
-    "CloneWorld",
     "ForkAttackResult",
     "RollbackAttackResult",
-    "build_clone_world",
-    "check_clone_invariants",
+    "campaign_world",
     "launch_clone",
-    "probe_restore_trace",
-    "probe_stale_session_trace",
-    "probe_wave_trace",
+    "probe_window_trace",
+    "run_campaign",
     "run_fork_attack_defended",
     "run_fork_attack_vulnerable",
-    "run_healed_disk_campaign",
-    "run_restore_window_campaign",
     "run_rollback_attack_defended",
     "run_rollback_attack_vulnerable",
-    "run_stale_session_replay_campaign",
-    "run_wave_double_join_campaign",
 ]

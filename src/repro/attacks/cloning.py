@@ -10,12 +10,15 @@ the destination ME was reinstalled), into a batched ``transfer_batch`` wave
 tombstone recovery (the backup restores a pre-freeze blob the freeze flag
 never marked).
 
-This module scripts those campaigns as deterministic adversary schedules
-over the :mod:`repro.faults` hooks, so they compose with network faults at
-exact message positions: a :meth:`~repro.faults.plan.FaultPlan.hook` rule
-launches the clone at the ``seq``-th observed message of the victim
-migration, optionally while another rule drops an earlier protocol leg and
-the retry/resume machinery is mid-recovery.
+This module is the adversary of the chaos harness's clone family
+(:class:`~repro.faults.chaos.CloneScenario`): it scripts those campaigns as
+deterministic schedules over the :mod:`repro.faults` hooks, so they compose
+with network faults at exact message positions — a
+:meth:`~repro.faults.plan.FaultPlan.hook` rule launches the clone at the
+``seq``-th observed message of the victim migration, optionally while
+another rule drops an earlier protocol leg and the retry/resume machinery is
+mid-recovery.  The world, the recovery routine and the R3/R4 oracle are the
+harness's.
 
 The defense under test is the epoch/heartbeat clone detection of
 :mod:`repro.fleet.registry`:
@@ -29,26 +32,18 @@ The defense under test is the epoch/heartbeat clone detection of
 * a fenced clone is terminated (graceful degradation) while the legitimate
   instance keeps serving; an unreachable registry denies by default.
 
-Every campaign returns a :class:`CloneCampaignReport` carrying the clone's
-fate, whether the registry *detected* (recorded an incident) and *fenced*
-it, the detection latency in virtual seconds, and the R3/R4 verdict.
+Every campaign fills the harness's
+:class:`~repro.faults.chaos.ScenarioReport` with the clone's fate, whether
+the registry *detected* (recorded an incident) and *fenced* it, and the
+detection latency in virtual seconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro import wire
 from repro.apps.counter_app import MigratableBenchEnclave
-from repro.cloud.datacenter import DataCenter
 from repro.cloud.network import Endpoint
-from repro.core.protocol import (
-    LIBRARY_STATE_PATH,
-    MigratableApp,
-    install_all_migration_enclaves,
-    reinstall_migration_enclave,
-)
-from repro.core.result import MigrationOutcome
-from repro.core.retry import RetryPolicy
+from repro.core.protocol import LIBRARY_STATE_PATH, MigratableApp
 from repro.errors import (
     CloneDetectedError,
     FencedInstanceError,
@@ -56,196 +51,76 @@ from repro.errors import (
     ReproError,
     TransientError,
 )
-from repro.faults.injector import FaultInjector, ObservedMessage
+from repro.faults.chaos import (
+    DESTINATION,
+    SOURCE,
+    ScenarioReport,
+    World,
+    attach_injector,
+    build_world,
+    migrate,
+    probe_trace,
+    recover,
+    reinstall_me,
+)
+from repro.faults.injector import ObservedMessage
 from repro.faults.plan import FaultPlan
-from repro.fleet.registry import SingleInstanceRegistry
-from repro.sgx.identity import SigningKey
-from repro import wire
 
-SOURCE = "machine-a"
-DESTINATION = "machine-b"
-CONTROL = "machine-ctl"
-
-#: Counter targets per deployed app (padded ids, same trick as the chaos
-#: batched world): distinct values so a cross-instance mix-up shows as R4.
+#: Counter targets per deployed app (padded ids, as in every harness
+#: world): distinct values so a cross-instance mix-up shows as R4.
 CLONE_COUNTER_TARGETS = (3, 5)
-
-#: Small retry budget: scenarios where retries cannot help fail fast into
-#: the resume path instead of burning sweep wall-clock.
-ATTACK_POLICY = RetryPolicy(max_attempts=2, base_delay=0.05)
 
 #: How many times the adversary re-presses a claim that was denied only
 #: transiently (deny-by-default while the registry/network was unreachable).
 ADVERSARY_RETRIES = 3
 
-
-@dataclass
-class CloneWorld:
-    """A data center with guarded apps, registry-attached MEs, and a
-    dedicated control machine holding the single-instance registry."""
-
-    dc: DataCenter
-    apps: list[MigratableApp]
-    counter_ids: list
-    me_signer: SigningKey
-    dev_key: SigningKey
-    registry: SingleInstanceRegistry
-    session_resumption: bool = False
-
-    @property
-    def app(self) -> MigratableApp:
-        return self.apps[0]
-
-    @property
-    def counter_id(self):
-        return self.counter_ids[0]
-
-
-@dataclass
-class CloneCampaignReport:
-    """Outcome of one scripted cloning campaign."""
-
-    campaign: str
-    window: str
-    fault: str
-    clone_outcome: str = "not-attempted"
-    detected: bool = False
-    fenced: bool = False
-    #: Virtual seconds from the clone's first claim attempt to the first
-    #: registry incident it caused; negative when never detected.
-    detection_latency: float = -1.0
-    migrate_outcome: str = ""
-    recovery_outcome: str = "not-needed"
-    violations: list[str] = field(default_factory=list)
-    timeline: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+#: Name stem of the clones each message-window campaign launches.
+_CLONE_LABELS = {
+    "restore-window": "restore-clone",
+    "wave-double-join": "wave-clone",
+    "stale-session-replay": "replay-clone",
+}
 
 
 # ------------------------------------------------------------------ worlds
-def build_clone_world(
-    seed: int = 2018, *, apps: int = 1, session_resumption: bool = False
-) -> CloneWorld:
-    """Source + destination machines with durable, registry-attached MEs, a
-    control machine owning the :class:`SingleInstanceRegistry`, and
-    ``apps`` clone-guarded counter enclaves on the source."""
-    dc = DataCenter(name="clone", seed=seed)
-    dc.add_machine(SOURCE)
-    dc.add_machine(DESTINATION)
-    control = dc.add_machine(CONTROL)
-    registry = SingleInstanceRegistry(control.storage, dc.clock)
-    me_signer = SigningKey.generate(dc.rng.child("clone-me-signer"))
-    install_all_migration_enclaves(
-        dc,
-        me_signer,
-        durable=True,
-        session_resumption=session_resumption,
-        registry=registry,
-    )
-    dev_key = SigningKey.generate(dc.rng.child("clone-dev"))
-    deployed: list[MigratableApp] = []
-    counter_ids = []
-    for index in range(apps):
-        app = MigratableApp.deploy(
-            dc,
-            dc.machine(SOURCE),
-            MigratableBenchEnclave,
-            dev_key,
-            vm_name=f"clone-vm-{index}",
-            app_name=f"clone-app-{index}",
-        )
-        app.retry_policy = ATTACK_POLICY
-        app.registry = registry
-        app.clone_guard = True
-        enclave = app.start_new()
-        # Pad counter ids so each app's tracked id is unique fleet-wide and
-        # the invariant check can attribute a surviving instance to its app.
-        for _ in range(index):
-            enclave.ecall("create_counter")
-        counter_id, _ = enclave.ecall("create_counter")
-        for _ in range(CLONE_COUNTER_TARGETS[index]):
-            enclave.ecall("increment_counter", counter_id)
-        deployed.append(app)
-        counter_ids.append(counter_id)
-    return CloneWorld(
-        dc=dc,
-        apps=deployed,
-        counter_ids=counter_ids,
-        me_signer=me_signer,
-        dev_key=dev_key,
-        registry=registry,
-        session_resumption=session_resumption,
+def campaign_world(campaign: str, seed: int = 2018) -> World:
+    """The guarded world a campaign attacks: source and destination with
+    durable, registry-attached MEs, the control machine holding the
+    :class:`SingleInstanceRegistry`, and clone-guarded counter enclaves on
+    the source — two for the wave and the stale-session replay (which also
+    caches attested ME sessions), one otherwise."""
+    apps = 2 if campaign in ("wave-double-join", "stale-session-replay") else 1
+    return build_world(
+        seed,
+        campaign == "stale-session-replay",
+        targets=CLONE_COUNTER_TARGETS[:apps],
+        name="clone",
+        label="clone",
+        app_prefix="clone",
+        guarded=True,
     )
 
 
-def _attach_injector(world: CloneWorld, plan: FaultPlan) -> FaultInjector:
-    injector = FaultInjector(
-        plan=plan,
-        rng=world.dc.rng.child("clone-faults"),
-        machines=dict(world.dc.machines),
-        meter=world.dc.meter,
-    )
-    world.dc.network.fault_injector = injector
-    return injector
+def _victims(world: World, campaign: str) -> list[MigratableApp]:
+    """The apps the campaign's victim migration moves.  The stale-session
+    replay's victim is the *second* migration: app 0 migrates fault-free
+    (warming the source ME's cached attested session), then the
+    destination ME is reinstalled so that session points at a stale ME
+    epoch, and app 1 migrates."""
+    if campaign != "stale-session-replay":
+        return world.apps
+    outcome, completed = migrate(world, world.apps[:1])
+    if not completed:
+        raise AssertionError(f"warm-up migration failed: {outcome}")
+    reinstall_me(world, DESTINATION)
+    return world.apps[1:]
 
 
-# ------------------------------------------------------------------ probes
-def probe_restore_trace(seed: int = 2018) -> list[ObservedMessage]:
-    """Message trace of one fault-free *guarded* migration: every request
-    leg is a cloning window the restore campaign races."""
-    world = build_clone_world(seed)
-    injector = _attach_injector(world, FaultPlan())
-    result = world.app.migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    world.dc.network.fault_injector = None
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"probe migration did not complete: {result.outcome}")
-    return list(injector.trace)
-
-
-def probe_wave_trace(seed: int = 2018) -> list[ObservedMessage]:
-    """Message trace of one fault-free guarded two-member wave."""
-    world = build_clone_world(seed, apps=2)
-    injector = _attach_injector(world, FaultPlan())
-    results = MigratableApp.migrate_group(
-        world.apps, world.dc.machine(DESTINATION), migrate_vm=False
-    )
-    world.dc.network.fault_injector = None
-    for result in results:
-        if result.outcome is not MigrationOutcome.COMPLETED:
-            raise AssertionError(f"probe wave did not complete: {result.outcome}")
-    return list(injector.trace)
-
-
-def probe_stale_session_trace(seed: int = 2018) -> list[ObservedMessage]:
-    """Message trace of the second migration in the stale-session world:
-    app 0 migrated (warming the source ME's cached attested session), the
-    destination ME was reinstalled (fresh epoch), then app 1 migrates."""
-    world = build_clone_world(seed, apps=2, session_resumption=True)
-    _warm_and_reinstall(world)
-    injector = _attach_injector(world, FaultPlan())
-    result = world.apps[1].migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    world.dc.network.fault_injector = None
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"probe migration did not complete: {result.outcome}")
-    return list(injector.trace)
-
-
-def _warm_and_reinstall(world: CloneWorld) -> None:
-    """Migrate app 0 fault-free, then reinstall the destination ME so the
-    source ME's cached session points at a stale ME epoch."""
-    result = world.apps[0].migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"warm-up migration failed: {result.outcome}")
-    reinstall_migration_enclave(
-        world.dc,
-        world.dc.machine(DESTINATION),
-        world.me_signer,
-        durable=True,
-        session_resumption=world.session_resumption,
-        registry=world.registry,
-    )
+def probe_window_trace(campaign: str, seed: int = 2018) -> list[ObservedMessage]:
+    """Message trace of a window campaign's victim migration, fault-free:
+    every request leg is a cloning window the campaign races."""
+    world = campaign_world(campaign, seed)
+    return probe_trace(world, _victims(world, campaign))
 
 
 # ------------------------------------------------------------- clone moves
@@ -258,7 +133,7 @@ def _terminate(app, enclave) -> None:
 
 
 def launch_clone(
-    world: CloneWorld, machine, stale_buffer: bytes, label: str
+    world: World, machine, stale_buffer: bytes, label: str
 ) -> tuple[str, object, object]:
     """One clone-launch attempt from a sealed library snapshot.
 
@@ -302,7 +177,7 @@ class _CloneCampaignState:
     """Shared mutable state between the hook, the press-home retries, and
     the report: the attacker's first-attempt timestamp and latest result."""
 
-    def __init__(self, world: CloneWorld, machine, stale_buffer: bytes, label: str):
+    def __init__(self, world: World, machine, stale_buffer: bytes, label: str):
         self.world = world
         self.machine = machine
         self.stale_buffer = stale_buffer
@@ -351,7 +226,7 @@ class _CloneCampaignState:
             retries += 1
 
 
-def _resolve_clone(state: _CloneCampaignState, report: CloneCampaignReport) -> None:
+def _resolve_clone(state: _CloneCampaignState, report: ScenarioReport) -> None:
     """Fence-and-terminate resolution: a clone the registry accepted but
     later fenced is destroyed; an accepted, *unfenced* clone is left alive
     so the R3 check convicts the defense."""
@@ -378,7 +253,7 @@ def _resolve_clone(state: _CloneCampaignState, report: CloneCampaignReport) -> N
 
 def _score_detection(
     state: _CloneCampaignState,
-    report: CloneCampaignReport,
+    report: ScenarioReport,
     incidents_before: int,
 ) -> None:
     registry = state.world.registry
@@ -399,213 +274,60 @@ def _score_detection(
         report.violations.append("defense: detected clone was never fenced")
 
 
-# --------------------------------------------------------------- invariants
-def check_clone_invariants(world: CloneWorld) -> list[str]:
-    """R3/R4 per app, ECALL-only, clones included: every alive bench
-    enclave anywhere in the data center is probed, and an instance belongs
-    to app ``i`` when it serves app ``i``'s tracked counter id but no
-    higher tracked id (ids are padded to be strictly increasing)."""
-    violations: list[str] = []
-    readings: list[dict[int, int]] = []
-    for machine in world.dc.machines.values():
-        for enclave in machine.enclaves:
-            if enclave.enclave_class is not MigratableBenchEnclave:
-                continue
-            if not enclave.alive:
-                continue
-            served: dict[int, int] = {}
-            for counter_id in world.counter_ids:
-                try:
-                    served[counter_id] = enclave.ecall("read_counter", counter_id)
-                except ReproError:
-                    continue
-            if served:
-                readings.append(served)
-    for index, counter_id in enumerate(world.counter_ids):
-        target = CLONE_COUNTER_TARGETS[index]
-        higher = set(world.counter_ids[index + 1 :])
-        serving = [
-            served[counter_id]
-            for served in readings
-            if counter_id in served and not (higher & served.keys())
-        ]
-        label = f"enclave {index}"
-        if len(serving) > 1:
-            violations.append(
-                f"R3: {len(serving)} operational instances serve {label}"
-            )
-        if not serving:
-            violations.append(f"liveness: no operational instance serves {label}")
-        else:
-            value = serving[0]
-            if value < target:
-                violations.append(
-                    f"R4: {label} counter regressed to {value} (expected {target})"
-                )
-            elif value > target:
-                violations.append(
-                    f"{label} counter advanced to {value} without increments "
-                    f"(expected {target})"
-                )
-    return violations
-
-
-def _recover(world: CloneWorld, report: CloneCampaignReport) -> None:
-    """Drive every interrupted member to completion (bounded resumes)."""
-    outcomes: list[str] = []
-    for app in world.apps:
-        state = "ok"
-        for _ in range(3):
-            try:
-                result = app.resume(migrate_vm=False)
-            except ReproError as exc:
-                state = f"error:{type(exc).__name__}"
-                break
-            state = result.outcome.name
-            if result.outcome is MigrationOutcome.COMPLETED:
-                break
-        outcomes.append(state)
-    report.recovery_outcome = ",".join(outcomes)
-
-
 # ---------------------------------------------------------------- campaigns
-def _window_plan(
-    state: _CloneCampaignState, window_seq: int, fault: str, fault_seq: int
-) -> FaultPlan:
-    """The campaign's fault plan: optionally drop an earlier protocol leg
-    (rules are listed first so the drop is adjudicated before the hook on
-    a shared message), then launch the clone at ``window_seq``."""
-    plan = FaultPlan()
-    if fault == "drop" and fault_seq >= 0:
-        plan = plan.drop(nth=fault_seq)
-    return plan.hook(state.hook, nth=window_seq)
+def run_campaign(scenario, world: World, report: ScenarioReport) -> None:
+    """Run one :class:`~repro.faults.chaos.CloneScenario` on its
+    :func:`campaign_world`."""
+    if scenario.campaign == "healed-disk":
+        _run_healed_disk(scenario, world, report)
+    else:
+        _run_window(scenario, world, report)
 
 
-def run_restore_window_campaign(
-    window_seq: int,
-    fault: str = "none",
-    fault_seq: int = -1,
-    seed: int = 2018,
-    window_label: str = "",
-) -> CloneCampaignReport:
-    """Second instance during the RESTORE window: at message ``window_seq``
-    of a guarded migration, a clone restores the adversary's pre-migration
-    snapshot of the sealed library state on the source machine."""
-    report = CloneCampaignReport(
-        campaign="restore-window",
-        window=window_label or str(window_seq),
-        fault=fault,
-    )
-    world = build_clone_world(seed)
+def _run_window(scenario, world: World, report: ScenarioReport) -> None:
+    """The three message-window campaigns, one script: at message
+    ``window_seq`` of the victim migration a clone claims RESTORE on the
+    source from the adversary's pre-migration snapshot of app 0.
+
+    * ``restore-window`` — the second instance races one guarded migration;
+    * ``wave-double-join`` — it double-joins a two-member batched wave (one
+      staged ``transfer_batch`` exchange);
+    * ``stale-session-replay`` — it claims the already-migrated app 0's old
+      identity while app 1's migration must fall back to full remote
+      attestation against the reinstalled destination ME.
+
+    With ``fault="drop"`` an earlier protocol leg is lost first (the drop
+    rule is listed first, so it is adjudicated before the hook on a shared
+    message).
+    """
     dc = world.dc
-    stale_buffer = world.app.stored_library_buffer()
+    stale_buffer = world.apps[0].stored_library_buffer()
+    victims = _victims(world, scenario.campaign)
+    if scenario.campaign == "stale-session-replay":
+        report.timeline.append(
+            "app 0 migrated; destination ME reinstalled (cached session is "
+            "now bound to a stale ME epoch)"
+        )
     state = _CloneCampaignState(
-        world, dc.machine(SOURCE), stale_buffer, "restore-clone"
+        world, dc.machine(SOURCE), stale_buffer, _CLONE_LABELS[scenario.campaign]
     )
     incidents_before = world.registry.incident_count()
-    _attach_injector(world, _window_plan(state, window_seq, fault, fault_seq))
-    try:
-        result = world.app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-        report.migrate_outcome = result.outcome.name
-    except ReproError as exc:
-        report.migrate_outcome = f"error:{type(exc).__name__}"
+    plan = FaultPlan()
+    if scenario.fault == "drop" and scenario.fault_seq >= 0:
+        plan.drop(nth=scenario.fault_seq)
+    injector = attach_injector(world, plan.hook(state.hook, nth=scenario.window_seq))
+    report.migrate_outcome, completed = migrate(world, victims)
     # Keep the injector installed while recovering: occurrence counting
     # continues, so a window later than the fault position opens during the
     # resume pass — the clone races the *recovery*, not just the protocol.
-    if report.migrate_outcome != "COMPLETED":
-        _recover(world, report)
+    if not completed:
+        recover(world, report)
     dc.network.fault_injector = None
     state.press_home()
     _resolve_clone(state, report)
     _score_detection(state, report, incidents_before)
-    report.violations.extend(check_clone_invariants(world))
-    return report
-
-
-def run_wave_double_join_campaign(
-    window_seq: int,
-    fault: str = "none",
-    fault_seq: int = -1,
-    seed: int = 2018,
-    window_label: str = "",
-) -> CloneCampaignReport:
-    """Double-join a batched wave: while two members move through one
-    staged ``transfer_batch`` exchange, a clone of member 0 (pre-wave
-    snapshot) claims RESTORE on the source at message ``window_seq``."""
-    report = CloneCampaignReport(
-        campaign="wave-double-join",
-        window=window_label or str(window_seq),
-        fault=fault,
-    )
-    world = build_clone_world(seed, apps=2)
-    dc = world.dc
-    stale_buffer = world.apps[0].stored_library_buffer()
-    state = _CloneCampaignState(
-        world, dc.machine(SOURCE), stale_buffer, "wave-clone"
-    )
-    incidents_before = world.registry.incident_count()
-    _attach_injector(world, _window_plan(state, window_seq, fault, fault_seq))
-    try:
-        results = MigratableApp.migrate_group(
-            world.apps, dc.machine(DESTINATION), migrate_vm=False
-        )
-        report.migrate_outcome = ",".join(r.outcome.name for r in results)
-    except ReproError as exc:
-        report.migrate_outcome = f"error:{type(exc).__name__}"
-    if report.migrate_outcome != "COMPLETED,COMPLETED":
-        _recover(world, report)
-    dc.network.fault_injector = None
-    state.press_home()
-    _resolve_clone(state, report)
-    _score_detection(state, report, incidents_before)
-    report.violations.extend(check_clone_invariants(world))
-    return report
-
-
-def run_stale_session_replay_campaign(
-    window_seq: int,
-    fault: str = "none",
-    fault_seq: int = -1,
-    seed: int = 2018,
-    window_label: str = "",
-) -> CloneCampaignReport:
-    """Replay against a stale ME epoch: the source ME holds a cached
-    attested session to the destination ME, the destination ME is
-    reinstalled (fresh epoch invalidates the session), and a second
-    migration must fall back to full remote attestation — while a clone of
-    the already-migrated app 0 claims its old identity on the source."""
-    report = CloneCampaignReport(
-        campaign="stale-session-replay",
-        window=window_label or str(window_seq),
-        fault=fault,
-    )
-    world = build_clone_world(seed, apps=2, session_resumption=True)
-    dc = world.dc
-    # Adversary snapshot of app 0 before it migrates away.
-    stale_buffer = world.apps[0].stored_library_buffer()
-    _warm_and_reinstall(world)
-    report.timeline.append(
-        "app 0 migrated; destination ME reinstalled (cached session is "
-        "now bound to a stale ME epoch)"
-    )
-    state = _CloneCampaignState(
-        world, dc.machine(SOURCE), stale_buffer, "replay-clone"
-    )
-    incidents_before = world.registry.incident_count()
-    injector = _attach_injector(
-        world, _window_plan(state, window_seq, fault, fault_seq)
-    )
-    try:
-        result = world.apps[1].migrate(dc.machine(DESTINATION), migrate_vm=False)
-        report.migrate_outcome = result.outcome.name
-    except ReproError as exc:
-        report.migrate_outcome = f"error:{type(exc).__name__}"
-    if report.migrate_outcome != "COMPLETED":
-        _recover(world, report)
-    dc.network.fault_injector = None
-    state.press_home()
-    _resolve_clone(state, report)
-    _score_detection(state, report, incidents_before)
+    if scenario.campaign != "stale-session-replay":
+        return
     # The stale cached session must NOT have been accepted: the second
     # migration re-runs the full remote-attestation handshake.
     if not any(leg.msg_type == "ra_msg1" for leg in injector.trace):
@@ -617,18 +339,12 @@ def run_stale_session_replay_campaign(
         report.timeline.append(
             "full remote attestation re-ran against the reinstalled ME"
         )
-    report.violations.extend(check_clone_invariants(world))
-    return report
 
 
-def run_healed_disk_campaign(
-    window: str,
-    fault: str = "none",
-    seed: int = 2018,
-) -> CloneCampaignReport:
+def _run_healed_disk(scenario, world: World, report: ScenarioReport) -> None:
     """Relaunch from a healed disk image after tombstone recovery.
 
-    ``window`` selects the artifact the backup restores:
+    ``scenario.window`` selects the artifact the backup restores:
 
     * ``"tombstone-heal"`` — after a completed migration the source's
       sealed library blob is healed from the archive; the newest copy is
@@ -641,29 +357,24 @@ def run_healed_disk_campaign(
       rolled back below already-reported heartbeats; the reinstalled ME
       regresses on its first beat and fences itself.
     """
-    report = CloneCampaignReport(
-        campaign="healed-disk", window=window, fault=fault
-    )
-    world = build_clone_world(seed)
     dc = world.dc
-    source = dc.machine(SOURCE)
-    result = world.app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-    report.migrate_outcome = result.outcome.name
-    if result.outcome is not MigrationOutcome.COMPLETED:
+    report.migrate_outcome, completed = migrate(world, world.apps)
+    if not completed:
         report.violations.append("setup migration did not complete")
-        return report
+        return
     incidents_before = world.registry.incident_count()
-    plan = FaultPlan().drop(nth=1) if fault == "drop" else FaultPlan()
-    _attach_injector(world, plan)
-    if window == "me-checkpoint":
+    attach_injector(
+        world, FaultPlan().drop(nth=1) if scenario.fault == "drop" else FaultPlan()
+    )
+    if scenario.window == "me-checkpoint":
         beat_at = _healed_me_checkpoint(world, report)
         dc.network.fault_injector = None
         _score_me_detection(world, report, incidents_before, beat_at)
     else:
-        _healed_library_blob(world, source, window, report, incidents_before)
+        _healed_library_blob(
+            world, dc.machine(SOURCE), scenario.window, report, incidents_before
+        )
         dc.network.fault_injector = None
-    report.violations.extend(check_clone_invariants(world))
-    return report
 
 
 def _library_blob_path(app: MigratableApp) -> str:
@@ -671,15 +382,14 @@ def _library_blob_path(app: MigratableApp) -> str:
 
 
 def _healed_library_blob(
-    world: CloneWorld,
+    world: World,
     source,
     window: str,
-    report: CloneCampaignReport,
+    report: ScenarioReport,
     incidents_before: int,
 ) -> None:
     """Heal/replay the migrated-away library blob and press clones from
     progressively older versions until the registry adjudicates."""
-    dc = world.dc
     path = _library_blob_path(world.app)
     if window == "tombstone-heal":
         source.storage.heal(path + "*")
@@ -707,7 +417,7 @@ def _healed_library_blob(
     _score_detection(state, report, incidents_before)
 
 
-def _beat_destination(world: CloneWorld) -> dict:
+def _beat_destination(world: World) -> dict:
     """One heartbeat against the destination ME over the network (the
     durable path: the ME checkpoints after every handled message)."""
     reply = world.app.app.send(
@@ -717,7 +427,7 @@ def _beat_destination(world: CloneWorld) -> dict:
     return wire.decode(reply)
 
 
-def _healed_me_checkpoint(world: CloneWorld, report: CloneCampaignReport) -> float:
+def _healed_me_checkpoint(world: World, report: ScenarioReport) -> float:
     """Roll the destination ME's sealed checkpoint back below heartbeats
     the registry has already seen, then power-cycle and reinstall."""
     dc = world.dc
@@ -752,21 +462,14 @@ def _healed_me_checkpoint(world: CloneWorld, report: CloneCampaignReport) -> flo
     report.timeline.append(
         "machine crashed; ME checkpoint blobs replayed to the pre-beat image"
     )
-    host = reinstall_migration_enclave(
-        dc,
-        destination,
-        world.me_signer,
-        durable=True,
-        session_resumption=world.session_resumption,
-        registry=world.registry,
-    )
+    host = reinstall_me(world, DESTINATION)
     # The app enclave died with the machine; its guarded relaunch is the
     # legitimate takeover (dead holder, fresh epoch claim).
     try:
         world.app.restart()
         report.recovery_outcome = "restarted"
     except ReproError as exc:
-        report.recovery_outcome = f"error:{type(exc).__name__}"
+        report.recovery_outcome = f"raised:{type(exc).__name__}"
     # First beat from the rolled-back ME: direct ECALL, so the regression
     # surfaces as a typed CloneDetectedError to the operator.
     beat_at = dc.clock.now
@@ -789,8 +492,8 @@ def _healed_me_checkpoint(world: CloneWorld, report: CloneCampaignReport) -> flo
 
 
 def _score_me_detection(
-    world: CloneWorld,
-    report: CloneCampaignReport,
+    world: World,
+    report: ScenarioReport,
     incidents_before: int,
     beat_at: float,
 ) -> None:

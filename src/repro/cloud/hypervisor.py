@@ -55,7 +55,7 @@ class Hypervisor:
         if source is destination:
             raise InvalidParameterError("source and destination machines are identical")
         model = self.meter.model
-        start = self.meter.clock.now
+        start = self.meter.now
 
         # Pre-copy rounds: each round re-copies the fraction of memory
         # dirtied while the previous round was in flight.  The copied bytes
@@ -99,5 +99,5 @@ class Hypervisor:
             destination=destination.name,
             rounds=rounds,
             bytes_copied=bytes_copied,
-            duration=self.meter.clock.now - start,
+            duration=self.meter.now - start,
         )

@@ -152,7 +152,7 @@ class Network:
         the deadline; the request may still have been processed.
         """
         dst = str(dst)
-        started = self.meter.clock.now
+        started = self.meter.now
         payload = self._apply_faults(src, dst, payload, "request")
         handler = self._endpoints.get(dst)
         if handler is None:
@@ -211,7 +211,7 @@ class Network:
             self.meter.charge_exact(
                 "net_transfer", self.meter.model.transfer_time(len(response))
             )
-        if timeout is not None and self.meter.clock.now - started > timeout:
+        if timeout is not None and self.meter.now - started > timeout:
             raise NetworkTimeoutError(
                 f"{src} -> {dst} round trip exceeded timeout of {timeout}s"
             )

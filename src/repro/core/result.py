@@ -42,7 +42,7 @@ class CostSnapshot:
     @classmethod
     def capture(cls, datacenter: "DataCenter") -> "CostSnapshot":
         return cls(
-            virtual_time=datacenter.clock.now,
+            virtual_time=datacenter.meter.now,
             messages_sent=datacenter.network.messages_sent,
             bytes_sent=datacenter.network.bytes_sent,
         )

@@ -9,10 +9,9 @@ injects the identical fault at the identical protocol step.  The same
 injector also attaches to each machine's
 :class:`~repro.cloud.storage.UntrustedStorage` to drive the disk fault
 model (torn/lost writes, bit rot, stale reads).  The
-:mod:`repro.faults.chaos` harness builds on this to sweep drop and crash
-faults over every message of a full enclave migration — and, with
-``--disk``, every storage fault over every persisted artifact — and check
-the paper's R3/R4 invariants after recovery.
+:mod:`repro.faults.chaos` harness builds on this: one scenario loop sweeps
+message, wave, disk, planner-kill and cloning faults and checks the paper's
+R3/R4 invariants after recovery.
 """
 
 from repro.faults.injector import (

@@ -1,4 +1,4 @@
-"""Chaos harness: sweep faults over every message of a migration.
+"""Chaos harness: one scenario loop and one R3/R4 oracle for every fault family.
 
 The paper's correctness argument (Section VI-C) is that the migration
 protocol preserves two invariants *no matter where it is interrupted*:
@@ -8,67 +8,64 @@ protocol preserves two invariants *no matter where it is interrupted*:
 * **R4** — the enclave's monotonic counters never regress (no rollback via
   migration).
 
-This module turns that argument into an executable experiment.  A fault-free
-probe run records the complete message sequence of one enclave migration
-(local attestation, ME-to-ME transfer, destination fetch, confirmation).
-The sweep then replays the scenario once per (message, fault) pair — drop
-the message, duplicate the request, or crash the source/destination machine
-at that exact instant — lets the retry/resume machinery recover, and checks
-R3 and R4 through ECALLs alone.
+This module turns that argument into executable sweeps.  Every fault family
+plugs into the same harness as a :class:`Scenario`: a frozen record of one
+grid point (its fields are the seeded grid coordinates the goldens pin) that
+builds a fresh :class:`World` with :func:`build_world` and runs itself on
+it — attach its fault plan with :func:`attach_injector`, drive the faulted
+operation, bring the world back with :func:`recover`, and add whatever check
+only its family needs.  :func:`run_scenario` then applies the one oracle,
+:func:`check_invariants`, which probes every live enclave through ECALLs
+alone.
 
 Run it as a module::
 
-    PYTHONPATH=src python -m repro.faults.chaos
-    PYTHONPATH=src python -m repro.faults.chaos --batched
-    PYTHONPATH=src python -m repro.faults.chaos --disk
-    PYTHONPATH=src python -m repro.faults.chaos --fleet
-    PYTHONPATH=src python -m repro.faults.chaos --clone
+    PYTHONPATH=src python -m repro.faults.chaos [SEED] [--session-resumption]
+    PYTHONPATH=src python -m repro.faults.chaos --batched [--session-resumption]
+    PYTHONPATH=src python -m repro.faults.chaos --disk [--smoke]
+    PYTHONPATH=src python -m repro.faults.chaos --fleet [--smoke]
+    PYTHONPATH=src python -m repro.faults.chaos --clone [--smoke]
 
-``--disk`` sweeps the *storage* fault model instead of the network one:
-every persisted artifact (source/destination migration journals, the ME's
-A/B checkpoint, the sealed counter bundle, the application's sealed state)
-crossed with every disk fault kind (torn write, lost write, bit rot, stale
-read) at every protocol phase a matching disk op was observed in.  Each
-scenario must end with R3/R4 intact AND a recoverable world: resume/restart
-— with bounded heal-from-archive retries — reaches a serving instance that
-reads back the newest sealed app state.  ``--smoke`` keeps one scenario per
-(artifact, kind) cell, the slice ``make ci`` runs.
+The five families:
 
-``--batched`` sweeps the migration-wave path instead: two enclaves move as
-one ``migrate_group`` wave (stage, one ``flush_staged``/``transfer_batch``
-exchange, per-enclave completion), and every leg — including the batch
-transfer itself and mid-batch machine crashes — takes every fault kind.
-R3/R4 are then checked *per enclave*: each counter must be served by exactly
-one instance at exactly its pre-migration value.
+* **messages** (default) — a fault-free probe records the complete message
+  sequence of one enclave migration (local attestation, ME-to-ME transfer,
+  destination fetch, confirmation); every leg is then dropped, duplicated
+  (request legs), or has the source/destination machine crash at that
+  exact instant.
+* **batched** — the same over a two-enclave ``migrate_group`` wave (stage,
+  one ``flush_staged``/``transfer_batch`` exchange, per-enclave
+  completion), mid-batch crashes included.
+* **disk** — every persisted artifact (migration journals, the ME's A/B
+  checkpoint, the sealed counter bundle, the app's sealed state) crossed
+  with every disk fault kind (torn write, lost write, bit rot, stale read)
+  at every protocol phase a matching disk op was observed in.  Recovery may
+  heal from the storage archive within a bound, and the survivor must read
+  back the newest sealed app state.
+* **fleet** — a four-machine fleet of eight enclaves runs a multi-wave drain
+  through :class:`~repro.fleet.service.FleetService`, and the planner is
+  killed at every journal boundary (plus ``parked`` variants where the
+  network blackholes the wave first, and concurrent/pipelined dispatch).  A
+  fresh planner must ``resume_plan()`` from the durable fleet journal alone,
+  reach the planned placement and clear the journal.
+* **clone** — the adversary of :mod:`repro.attacks.cloning` launches a
+  second instance at every request leg of the guarded protocol (RESTORE
+  window, double-joined wave, stale-ME-epoch session replay), optionally
+  composed with a dropped message, and from healed disk images.  Every
+  clone must be detected and fenced by the single-instance registry; the
+  per-scenario detection latency (virtual seconds) is reported.
 
-``--fleet`` attacks the *control plane*: a four-machine fleet of eight
-enclaves runs a multi-wave drain plan through
-:class:`~repro.fleet.service.FleetService`, and the planner process is
-killed at every journal boundary (plan persisted, wave started, wave
-dispatched, wave marked done, plan complete) — plus ``parked`` variants
-where the network blackholes the wave first, so the planner dies on top of
-members stuck mid-transaction.  A fresh planner must then
-``resume_plan()`` from the durable fleet journal alone and finish the
-drain with R3/R4 intact per enclave, every member at its planned
-destination, and the fleet journal cleared.
-
-``--clone`` runs the *adversary*: the scripted cloning campaigns of
-:mod:`repro.attacks.cloning` (second instance in the RESTORE window, a
-stale-ME-epoch session replay, a double-joined ``transfer_batch`` wave, a
-relaunch from a healed disk image) at every request leg of the guarded
-protocol, optionally composed with a dropped message.  Every scenario must
-end with R3/R4 intact, the clone detected AND fenced by the
-single-instance registry, and the per-scenario detection latency (virtual
-seconds) is reported in the summary.
-
-Exit status 1 means at least one swept scenario violated an invariant.
+``--smoke`` keeps the first scenario per grid cell of the disk, fleet and
+clone families — the slice ``make ci`` runs.  Exit status: 0 clean, 1 when
+a scenario violated an invariant, 2 on a usage error.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
+from typing import ClassVar, Protocol
 
 from repro.apps.counter_app import MigratableBenchEnclave
 from repro.cloud.datacenter import DataCenter
@@ -83,10 +80,13 @@ from repro.errors import MigrationError, ReproError
 from repro.faults.injector import FaultInjector, ObservedMessage
 from repro.faults.plan import DISK_FAULT_KINDS, FaultPlan
 from repro.fleet import FleetConstraints, FleetService
+from repro.fleet.registry import SingleInstanceRegistry
 from repro.sgx.identity import SigningKey
 
 SOURCE = "machine-a"
 DESTINATION = "machine-b"
+#: The guarded world's control machine, whose disk holds the registry.
+CONTROL = "machine-ctl"
 
 #: The counter value the enclave reaches before migrating; R4 requires the
 #: surviving instance to read back exactly this value.
@@ -104,319 +104,327 @@ SWEEP_POLICY = RetryPolicy(max_attempts=2, base_delay=0.05)
 #: only make sense on request legs (the network layer re-delivers requests).
 DEFAULT_KINDS = ("drop", "duplicate", "crash-source", "crash-dest")
 
+#: Bounded self-healing: how many restore-newest-archive-and-retry rounds
+#: recovery may take before the scenario counts as unrecoverable.
+HEAL_ATTEMPTS = 3
 
+#: Shared wording of the R3/R4 summary lines.
+_R3_R4 = "(R3: never two live instances; R4: counters never regress)"
+
+
+# -------------------------------------------------------------------- world
 @dataclass
-class ChaosWorld:
-    """One freshly built two-machine data center ready to migrate."""
-
-    dc: DataCenter
-    app: MigratableApp
-    counter_id: int
-    me_signer: SigningKey
-    session_resumption: bool = False
-
-
-@dataclass
-class BatchChaosWorld:
-    """Two machines, two migratable enclaves staged for one wave."""
+class World:
+    """One freshly built data center: durable MEs on every machine and one
+    counter enclave per app, app ``i`` serving tracked counter
+    ``counter_ids[i]`` at ``counter_targets[i]``."""
 
     dc: DataCenter
     apps: list[MigratableApp]
-    counter_ids: list
+    counter_ids: list[int]
+    counter_targets: list[int]
     me_signer: SigningKey
+    dev_key: SigningKey
+    #: Prefix of the world's RNG child labels (``<label>-faults``, ...).
+    label: str = "chaos"
     session_resumption: bool = False
+    #: The single-instance registry of a guarded world.
+    registry: SingleInstanceRegistry | None = None
+    #: The control plane of a fleet world.
+    service: FleetService | None = None
+
+    @property
+    def app(self) -> MigratableApp:
+        return self.apps[0]
+
+    @property
+    def counter_id(self) -> int:
+        return self.counter_ids[0]
 
 
+def build_world(
+    seed: int = 2018,
+    session_resumption: bool = False,
+    *,
+    targets: tuple[int, ...] = (COUNTER_TARGET,),
+    name: str = "chaos",
+    label: str = "chaos",
+    app_prefix: str | None = None,
+    machines: tuple[str, ...] = (SOURCE, DESTINATION),
+    guarded: bool = False,
+    dispatch: str | None = None,
+) -> World:
+    """The world builder every family shares.
+
+    Every machine gets a durable ME.  One :class:`MigratableBenchEnclave` app
+    per entry of ``targets`` starts on the first machine (a fleet world
+    places them round-robin) with its tracked counter at that target.  Apps
+    are named ``<app_prefix>-vm-<i>`` / ``<app_prefix>-app-<i>``, or keep the
+    SDK defaults when ``app_prefix`` is None.  ``guarded`` adds the
+    :data:`CONTROL` machine with a :class:`SingleInstanceRegistry` that the
+    MEs report to and the clone-guarded apps claim through; ``dispatch``
+    registers the apps with a :class:`FleetService` of that dispatch mode.
+    ``name`` seeds the data center and ``label`` its RNG children.
+    """
+    dc = DataCenter(name=name, seed=seed)
+    for machine in machines:
+        dc.add_machine(machine)
+    registry = None
+    if guarded:
+        registry = SingleInstanceRegistry(dc.add_machine(CONTROL).storage, dc.clock)
+    me_signer = SigningKey.generate(dc.rng.child(f"{label}-me-signer"))
+    hosts = install_all_migration_enclaves(
+        dc,
+        me_signer,
+        durable=True,
+        session_resumption=session_resumption,
+        registry=registry,
+    )
+    service = None
+    if dispatch is not None:
+        # Serial dispatch caps every wave at one move per machine, so the
+        # drain has genuinely distinct wave boundaries to die at; the
+        # overlapping modes lift the caps so the drain is ONE wave of several
+        # destination groups, recorded and replayed on the scheduler.
+        n_apps = len(targets)
+        constraints = (
+            FleetConstraints(machine_capacity=n_apps, max_moves_per_machine=1)
+            if dispatch == "serial"
+            else FleetConstraints(
+                machine_capacity=n_apps,
+                max_moves_per_machine=n_apps,
+                tenant_wave_quota=n_apps,
+            )
+        )
+        service = FleetService(
+            dc=dc,
+            hosts=hosts,
+            constraints=constraints,
+            retry_policy=SWEEP_POLICY,
+            dispatch=dispatch,
+        )
+    dev_key = SigningKey.generate(dc.rng.child(f"{label}-dev"))
+    homes = machines if service is not None else machines[:1]
+    world = World(
+        dc=dc,
+        apps=[],
+        counter_ids=[],
+        counter_targets=list(targets),
+        me_signer=me_signer,
+        dev_key=dev_key,
+        label=label,
+        session_resumption=session_resumption,
+        registry=registry,
+        service=service,
+    )
+    for index, target in enumerate(targets):
+        names = (
+            {}
+            if app_prefix is None
+            else {
+                "vm_name": f"{app_prefix}-vm-{index}",
+                "app_name": f"{app_prefix}-app-{index}",
+            }
+        )
+        app = MigratableApp.deploy(
+            dc,
+            dc.machine(homes[index % len(homes)]),
+            MigratableBenchEnclave,
+            dev_key,
+            **names,
+        )
+        app.retry_policy = SWEEP_POLICY
+        if registry is not None:
+            app.registry = registry
+            app.clone_guard = True
+        enclave = app.start_new()
+        # Counter ids are sequential *per enclave*, so every app would get
+        # id 0; padding app ``index`` with ``index`` extra counters makes its
+        # tracked id unique, letting the oracle attribute a surviving
+        # instance to its app by the id set it serves.
+        for _ in range(index):
+            enclave.ecall("create_counter")
+        counter_id, _ = enclave.ecall("create_counter")
+        for _ in range(target):
+            enclave.ecall("increment_counter", counter_id)
+        if service is not None:
+            service.register(
+                app,
+                tenant=f"tenant-{index % 2}",
+                anti_affinity_group="chaos-pair" if index < 2 else None,
+            )
+        world.apps.append(app)
+        world.counter_ids.append(counter_id)
+    return world
+
+
+def attach_injector(world: World, plan: FaultPlan) -> FaultInjector:
+    """Put ``plan`` on the world's network, replacing any earlier injector;
+    ``world.dc.network.fault_injector = None`` heals the network again."""
+    injector = FaultInjector(
+        plan=plan,
+        rng=world.dc.rng.child(f"{world.label}-faults"),
+        machines=dict(world.dc.machines),
+        meter=world.dc.meter,
+    )
+    world.dc.network.fault_injector = injector
+    return injector
+
+
+def migrate(world: World, apps: list[MigratableApp]) -> tuple[str, bool]:
+    """Move ``apps`` to :data:`DESTINATION`: one app alone, several as one
+    ``migrate_group`` wave.  Returns the outcome (the members' outcomes
+    joined by ``+``, or ``raised:<error>``) and whether all completed."""
+    destination = world.dc.machine(DESTINATION)
+    try:
+        if len(apps) == 1:
+            results = [apps[0].migrate(destination, migrate_vm=False)]
+        else:
+            results = MigratableApp.migrate_group(
+                apps, destination, migrate_vm=False
+            )
+    except ReproError as exc:
+        return f"raised:{type(exc).__name__}", False
+    outcome = "+".join(result.outcome.value for result in results)
+    return outcome, all(
+        result.outcome is MigrationOutcome.COMPLETED for result in results
+    )
+
+
+def probe_trace(
+    world: World, apps: list[MigratableApp] | None = None
+) -> list[ObservedMessage]:
+    """Message trace of one fault-free :func:`migrate` of ``apps`` (default:
+    every app of the world)."""
+    injector = attach_injector(world, FaultPlan())
+    outcome, completed = migrate(world, apps or world.apps)
+    world.dc.network.fault_injector = None
+    if not completed:
+        raise AssertionError(f"probe migration did not complete: {outcome}")
+    return list(injector.trace)
+
+
+def reinstall_me(world: World, machine: str):
+    """Bring ``machine``'s ME back the way the world installed it; its
+    durable checkpoint survives on disk."""
+    return reinstall_migration_enclave(
+        world.dc,
+        world.dc.machine(machine),
+        world.me_signer,
+        durable=True,
+        session_resumption=world.session_resumption,
+        registry=world.registry,
+    )
+
+
+# ------------------------------------------------------------------- report
 @dataclass
 class ScenarioReport:
-    """Outcome of one (message, fault) scenario."""
+    """What one scenario did, whatever its family."""
 
-    kind: str
-    seq: int
-    msg_type: str | None
-    direction: str
-    migrate_outcome: str
-    recovery_outcome: str
+    scenario: Scenario
+    #: The faulted operation's outcome (the fleet family: the planner's).
+    migrate_outcome: str = ""
+    recovery_outcome: str = "not-needed"
     violations: list[str] = field(default_factory=list)
+    timeline: list[str] = field(default_factory=list)
+    #: Disk family: armed disk faults that fired, and unparseable journal
+    #: reads on any disk.
+    fired: int = 0
+    corrupt_reads: int = 0
+    #: Clone family: the clone's last launch result, whether the registry
+    #: detected it (recorded an incident) and fenced it, and the virtual
+    #: seconds from its first claim attempt to that incident (-1: never).
+    clone_outcome: str = "not-attempted"
+    detected: bool = False
+    fenced: bool = False
+    detection_latency: float = -1.0
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def build_world(seed: int = 2018, session_resumption: bool = False) -> ChaosWorld:
-    """Two machines, durable MEs on both, one counter enclave at
-    ``COUNTER_TARGET`` on the source."""
-    dc = DataCenter(name="chaos", seed=seed)
-    dc.add_machine(SOURCE)
-    dc.add_machine(DESTINATION)
-    me_signer = SigningKey.generate(dc.rng.child("chaos-me-signer"))
-    install_all_migration_enclaves(
-        dc, me_signer, durable=True, session_resumption=session_resumption
-    )
-    dev_key = SigningKey.generate(dc.rng.child("chaos-dev"))
-    app = MigratableApp.deploy(
-        dc, dc.machine(SOURCE), MigratableBenchEnclave, dev_key
-    )
-    app.retry_policy = SWEEP_POLICY
-    enclave = app.start_new()
-    counter_id, _ = enclave.ecall("create_counter")
-    for _ in range(COUNTER_TARGET):
-        enclave.ecall("increment_counter", counter_id)
-    return ChaosWorld(
-        dc=dc,
-        app=app,
-        counter_id=counter_id,
-        me_signer=me_signer,
-        session_resumption=session_resumption,
-    )
+# ----------------------------------------------------------------- recovery
+def recover(
+    world: World,
+    report: ScenarioReport,
+    crashed: list[str] | tuple[str, ...] = (),
+    heal: tuple[str, str] | None = None,
+) -> None:
+    """The one recovery routine: reinstall the ME on every crashed machine,
+    then drive each app's journal forward.
+
+    ``resume`` finishes an interrupted migration.  An app with no migration
+    in progress already finished (the fault hit a sibling's leg); a live
+    instance is accepted as is, a dead one (its new host crashed after the
+    protocol ended) restarts from sealed state.  With ``heal=(machine,
+    pattern)``, a step that dies with a typed error restores that artifact's
+    newest archived version (the backup an operator would reach for) and
+    retries, at most :data:`HEAL_ATTEMPTS` rounds.  Intermediate raises are
+    fine; an app whose *last* step raised leaves the world unrecovered."""
+    for name in crashed:
+        reinstall_me(world, name)
+    steps: list[str] = []
+    failed = False
+    for app in world.apps:
+        app_steps = _recover_app(world, app, heal)
+        steps.extend(app_steps)
+        failed = failed or app_steps[-1].startswith("raised:")
+    report.recovery_outcome = "+".join(steps)
+    if failed:
+        report.violations.append(f"recovery failed: {report.recovery_outcome}")
 
 
-def probe_message_sequence(
-    seed: int = 2018, session_resumption: bool = False
-) -> list[ObservedMessage]:
-    """Record the full message trace of one fault-free migration."""
-    world = build_world(seed, session_resumption)
-    injector = FaultInjector(
-        plan=FaultPlan(),
-        rng=world.dc.rng.child("chaos-faults"),
-        machines=dict(world.dc.machines),
-        meter=world.dc.meter,
-    )
-    world.dc.network.fault_injector = injector
-    result = world.app.migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    world.dc.network.fault_injector = None
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"probe migration did not complete: {result.outcome}")
-    return list(injector.trace)
-
-
-def _plan_for(
-    kind: str, leg: ObservedMessage, request_ordinal: int
-) -> tuple[FaultPlan, list[str]]:
-    """Build the one-fault plan for this scenario; returns the plan plus the
-    machines it will crash (so recovery knows which MEs to reinstall).
-
-    Drop/crash rules match every leg and fire on the ``seq``-th occurrence,
-    which with a wildcard predicate is exactly the probe's global sequence
-    number; duplicate rules match request legs only, so they count by the
-    request's ordinal among requests.
-    """
-    plan = FaultPlan()
-    if kind == "drop":
-        return plan.drop(nth=leg.seq), []
-    if kind == "duplicate":
-        return plan.duplicate(direction="request", nth=request_ordinal), []
-    if kind == "crash-source":
-        return plan.crash_machine(SOURCE, nth=leg.seq), [SOURCE]
-    if kind == "crash-dest":
-        return plan.crash_machine(DESTINATION, nth=leg.seq), [DESTINATION]
-    raise ValueError(f"unknown fault kind {kind!r}")
-
-
-def _serving_instances(world: ChaosWorld) -> list[tuple]:
-    """Every ``(enclave, counter value)`` currently serving the tracked
-    counter — the ECALL-only probe R3/R4 and the app-state check share."""
-    serving: list[tuple] = []
-    for machine in world.dc.machines.values():
-        for enclave in machine.enclaves:
-            if enclave.enclave_class is not MigratableBenchEnclave:
-                continue
-            if not enclave.alive:
-                continue
-            try:
-                value = enclave.ecall("read_counter", world.counter_id)
-            except ReproError:
-                continue
-            serving.append((enclave, value))
-    return serving
-
-
-def check_invariants(world: ChaosWorld) -> list[str]:
-    """R3/R4 via ECALLs only: an *operational instance* is a loaded, alive
-    enclave of the application class that serves the counter read.  Frozen,
-    uninitialized, or crashed instances refuse the read and do not count."""
-    violations: list[str] = []
-    serving = [value for _, value in _serving_instances(world)]
-    if len(serving) > 1:
-        violations.append(f"R3: {len(serving)} operational instances survive")
-    if not serving:
-        violations.append("liveness: no operational instance after recovery")
-    else:
-        value = serving[0]
-        if value < COUNTER_TARGET:
-            violations.append(
-                f"R4: counter regressed to {value} (expected {COUNTER_TARGET})"
-            )
-        elif value > COUNTER_TARGET:
-            violations.append(
-                f"counter advanced to {value} without increments "
-                f"(expected {COUNTER_TARGET})"
-            )
-    return violations
-
-
-def run_scenario(
-    kind: str,
-    leg: ObservedMessage,
-    request_ordinal: int,
-    seed: int = 2018,
-    session_resumption: bool = False,
-) -> ScenarioReport:
-    """Fresh world, one fault at ``leg``, recovery, invariant check."""
-    world = build_world(seed, session_resumption)
-    dc, app = world.dc, world.app
-    plan, crashed = _plan_for(kind, leg, request_ordinal)
-    dc.network.fault_injector = FaultInjector(
-        plan=plan,
-        rng=dc.rng.child("chaos-faults"),
-        machines=dict(dc.machines),
-        meter=dc.meter,
-    )
-    try:
-        result = app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-        migrate_outcome = result.outcome.value
-        completed = result.outcome is MigrationOutcome.COMPLETED
-    except ReproError as exc:
-        migrate_outcome = f"raised:{type(exc).__name__}"
-        completed = False
-
-    # Recovery: the fault window is over, the operator reinstalls the ME on
-    # any crashed machine (its durable checkpoint survives on disk), and the
-    # application resumes the journalled migration.
-    dc.network.fault_injector = None
-    recovery_outcome = "not-needed"
-    if not completed:
-        for name in crashed:
-            reinstall_migration_enclave(
-                dc,
-                dc.machine(name),
-                world.me_signer,
-                session_resumption=world.session_resumption,
-            )
+def _recover_app(
+    world: World, app: MigratableApp, heal: tuple[str, str] | None
+) -> list[str]:
+    steps: list[str] = []
+    for attempt in range(HEAL_ATTEMPTS if heal else 1):
         try:
-            resumed = app.resume(migrate_vm=False)
-            recovery_outcome = resumed.outcome.value
+            steps.append(app.resume(migrate_vm=False).outcome.value)
+            return steps
+        except MigrationError as exc:
+            failure: ReproError = exc
+            if "no migration in progress" in str(exc):
+                if app.enclave is not None and app.enclave.alive:
+                    steps.append("already-complete")
+                    return steps
+                try:
+                    app.restart()
+                    steps.append("restarted")
+                    return steps
+                except ReproError as restart_exc:
+                    failure = restart_exc
         except ReproError as exc:
-            recovery_outcome = f"raised:{type(exc).__name__}"
-
-    report = ScenarioReport(
-        kind=kind,
-        seq=leg.seq,
-        msg_type=leg.msg_type,
-        direction=leg.direction,
-        migrate_outcome=migrate_outcome,
-        recovery_outcome=recovery_outcome,
-    )
-    if recovery_outcome.startswith("raised:"):
-        report.violations.append(f"recovery failed: {recovery_outcome}")
-    report.violations.extend(check_invariants(world))
-    return report
-
-
-def sweep(
-    seed: int = 2018,
-    kinds: tuple[str, ...] = DEFAULT_KINDS,
-    session_resumption: bool = False,
-) -> list[ScenarioReport]:
-    """Every message of the migration sequence under every fault kind."""
-    trace = probe_message_sequence(seed, session_resumption)
-    reports: list[ScenarioReport] = []
-    request_ordinal = 0
-    for leg in trace:
-        for kind in kinds:
-            if kind == "duplicate" and leg.direction != "request":
-                continue
-            reports.append(
-                run_scenario(kind, leg, request_ordinal, seed, session_resumption)
-            )
-        if leg.direction == "request":
-            request_ordinal += 1
-    return reports
+            failure = exc
+        label = f"raised:{type(failure).__name__}"
+        healed: list[str] = []
+        if heal is not None:
+            machine, pattern = heal
+            healed = world.dc.machine(machine).storage.heal(pattern)
+            if healed:
+                label += f"->healed[{len(healed)}]"
+                if "me_checkpoint" in pattern:
+                    # A healed checkpoint only helps a *freshly booted* ME.
+                    reinstall_me(world, machine)
+        steps.append(label)
+        if not healed and attempt > 0:
+            break  # nothing left to heal and retrying alone did not help
+    return steps
 
 
-# ------------------------------------------------------------------ batched
-def build_batched_world(
-    seed: int = 2018, session_resumption: bool = False
-) -> BatchChaosWorld:
-    """Two machines, durable MEs, two counter enclaves on the source with
-    distinct counter values (``BATCH_COUNTER_TARGETS``)."""
-    dc = DataCenter(name="chaos", seed=seed)
-    dc.add_machine(SOURCE)
-    dc.add_machine(DESTINATION)
-    me_signer = SigningKey.generate(dc.rng.child("chaos-me-signer"))
-    install_all_migration_enclaves(
-        dc, me_signer, durable=True, session_resumption=session_resumption
-    )
-    dev_key = SigningKey.generate(dc.rng.child("chaos-dev"))
-    apps: list[MigratableApp] = []
-    counter_ids = []
-    for index, target in enumerate(BATCH_COUNTER_TARGETS):
-        app = MigratableApp.deploy(
-            dc,
-            dc.machine(SOURCE),
-            MigratableBenchEnclave,
-            dev_key,
-            vm_name=f"chaos-vm-{index}",
-            app_name=f"chaos-app-{index}",
-        )
-        app.retry_policy = SWEEP_POLICY
-        enclave = app.start_new()
-        # Counter ids are sequential *per enclave*, so both apps would get
-        # id 0; padding app ``index`` with ``index`` extra counters makes its
-        # tracked counter id unique, letting the invariant check attribute a
-        # surviving instance to its app by the id set it serves.
-        for _ in range(index):
-            enclave.ecall("create_counter")
-        counter_id, _ = enclave.ecall("create_counter")
-        for _ in range(target):
-            enclave.ecall("increment_counter", counter_id)
-        apps.append(app)
-        counter_ids.append(counter_id)
-    return BatchChaosWorld(
-        dc=dc,
-        apps=apps,
-        counter_ids=counter_ids,
-        me_signer=me_signer,
-        session_resumption=session_resumption,
-    )
+# ------------------------------------------------------------------- oracle
+def serving_instances(world: World) -> list[list[tuple]]:
+    """Per app, every operational instance as ``(enclave, counter value)``.
 
-
-def probe_batched_message_sequence(
-    seed: int = 2018, session_resumption: bool = False
-) -> list[ObservedMessage]:
-    """Record the full message trace of one fault-free migration wave."""
-    world = build_batched_world(seed, session_resumption)
-    injector = FaultInjector(
-        plan=FaultPlan(),
-        rng=world.dc.rng.child("chaos-faults"),
-        machines=dict(world.dc.machines),
-        meter=world.dc.meter,
-    )
-    world.dc.network.fault_injector = injector
-    results = MigratableApp.migrate_group(
-        world.apps, world.dc.machine(DESTINATION), migrate_vm=False
-    )
-    world.dc.network.fault_injector = None
-    for result in results:
-        if result.outcome is not MigrationOutcome.COMPLETED:
-            raise AssertionError(
-                f"probe wave did not complete: {result.outcome}"
-            )
-    return list(injector.trace)
-
-
-def check_batched_invariants(world: BatchChaosWorld) -> list[str]:
-    """R3/R4 per wave member: each app's counter must be served by exactly
-    one operational instance, at exactly its pre-migration value.
-
-    An instance belongs to app ``i`` when it serves app ``i``'s tracked
-    counter id but no *higher* tracked id (ids are padded to be strictly
-    increasing across apps, so the highest readable id identifies the app).
-    """
-    violations: list[str] = []
-    # Probe every alive enclave once for each tracked id.
-    readings: list[dict[int, int]] = []
+    An *operational instance* is a loaded, alive enclave of the application
+    class that serves a tracked counter read; frozen, uninitialized or
+    crashed instances refuse the read and do not count.  Every such enclave
+    anywhere in the data center is probed (clones included), and it belongs
+    to app ``i`` when it serves app ``i``'s tracked counter id but no
+    *higher* tracked id (ids are padded to strictly increase across apps)."""
+    readings: list[tuple] = []
     for machine in world.dc.machines.values():
         for enclave in machine.enclaves:
             if enclave.enclave_class is not MigratableBenchEnclave:
@@ -430,26 +438,35 @@ def check_batched_invariants(world: BatchChaosWorld) -> list[str]:
                 except ReproError:
                     continue
             if served:
-                readings.append(served)
+                readings.append((enclave, served))
+    per_app: list[list[tuple]] = []
     for index, counter_id in enumerate(world.counter_ids):
-        target = BATCH_COUNTER_TARGETS[index]
         higher = set(world.counter_ids[index + 1 :])
-        serving = [
-            served[counter_id]
-            for served in readings
-            if counter_id in served and not (higher & served.keys())
-        ]
+        per_app.append(
+            [
+                (enclave, served[counter_id])
+                for enclave, served in readings
+                if counter_id in served and not (higher & served.keys())
+            ]
+        )
+    return per_app
+
+
+def check_invariants(world: World) -> list[str]:
+    """The one R3/R4 oracle, via ECALLs only: each app's counter must be
+    served by exactly one operational instance, and *every* serving
+    instance must read back exactly the app's pre-migration value."""
+    violations: list[str] = []
+    for index, serving in enumerate(serving_instances(world)):
         label = f"enclave {index}"
+        target = world.counter_targets[index]
         if len(serving) > 1:
             violations.append(
                 f"R3: {len(serving)} operational instances serve {label}"
             )
         if not serving:
-            violations.append(
-                f"liveness: no operational instance serves {label}"
-            )
-        else:
-            value = serving[0]
+            violations.append(f"liveness: no operational instance serves {label}")
+        for _, value in serving:
             if value < target:
                 violations.append(
                     f"R4: {label} counter regressed to {value} (expected {target})"
@@ -462,112 +479,189 @@ def check_batched_invariants(world: BatchChaosWorld) -> list[str]:
     return violations
 
 
-def run_batched_scenario(
-    kind: str,
-    leg: ObservedMessage,
-    request_ordinal: int,
-    seed: int = 2018,
-    session_resumption: bool = False,
-) -> ScenarioReport:
-    """Fresh world, one fault somewhere in the wave, per-app recovery,
-    per-app invariant check."""
-    world = build_batched_world(seed, session_resumption)
-    dc = world.dc
-    plan, crashed = _plan_for(kind, leg, request_ordinal)
-    dc.network.fault_injector = FaultInjector(
-        plan=plan,
-        rng=dc.rng.child("chaos-faults"),
-        machines=dict(dc.machines),
-        meter=dc.meter,
-    )
-    try:
-        results = MigratableApp.migrate_group(
-            world.apps, dc.machine(DESTINATION), migrate_vm=False
-        )
-        outcomes = [r.outcome for r in results]
-        migrate_outcome = "+".join(o.value for o in outcomes)
-        completed = all(o is MigrationOutcome.COMPLETED for o in outcomes)
-    except ReproError as exc:
-        migrate_outcome = f"raised:{type(exc).__name__}"
-        completed = False
+# --------------------------------------------------------------------- loop
+class Scenario(Protocol):
+    """One grid point of a fault family.
 
-    # Recovery mirrors the sequential sweep, but drives each wave member's
-    # journal individually — a crash mid-batch must leave every transaction
-    # independently resumable.
-    dc.network.fault_injector = None
-    recovery_outcome = "not-needed"
-    if not completed:
-        for name in crashed:
-            reinstall_migration_enclave(
-                dc,
-                dc.machine(name),
-                world.me_signer,
-                session_resumption=world.session_resumption,
-            )
-        per_app: list[str] = []
-        for app in world.apps:
-            try:
-                resumed = app.resume(migrate_vm=False)
-                per_app.append(resumed.outcome.value)
-            except MigrationError as exc:
-                # A member whose migration already finished (e.g. the fault
-                # hit a sibling's leg) has a cleared journal; that is success,
-                # not a recovery failure.  If the fault then killed its new
-                # host, the enclave died *after* the protocol ended — an
-                # ordinary enclave crash, recovered by a restart from sealed
-                # state, not by migration resume.
-                if "no migration in progress" in str(exc):
-                    if app.enclave is not None and app.enclave.alive:
-                        per_app.append("already-complete")
-                    else:
-                        try:
-                            app.restart()
-                            per_app.append("restarted")
-                        except ReproError as restart_exc:
-                            per_app.append(
-                                f"raised:{type(restart_exc).__name__}"
-                            )
-                else:
-                    per_app.append(f"raised:{type(exc).__name__}")
-            except ReproError as exc:
-                per_app.append(f"raised:{type(exc).__name__}")
-        recovery_outcome = "+".join(per_app)
+    Implementations are frozen dataclasses whose fields are the grid
+    coordinates.  ``build`` makes a fresh :class:`World` (one
+    :func:`build_world` call plus any pre-fault setup); ``run`` attaches the
+    fault plan, drives the faulted operation, recovers, and records the
+    outcomes and any check only its family needs.  ``row`` formats the
+    scenario's CLI line; the classmethods ``header`` and ``summary`` frame
+    the whole sweep.  ``--smoke`` keeps the first scenario per ``cell`` of
+    families with a ``smoke_note``.
+    """
 
-    report = ScenarioReport(
-        kind=kind,
-        seq=leg.seq,
-        msg_type=leg.msg_type,
-        direction=leg.direction,
-        migrate_outcome=migrate_outcome,
-        recovery_outcome=recovery_outcome,
-    )
-    if "raised:" in recovery_outcome:
-        report.violations.append(f"recovery failed: {recovery_outcome}")
-    report.violations.extend(check_batched_invariants(world))
+    smoke_note: ClassVar[str]
+
+    @property
+    def cell(self) -> tuple: ...
+
+    def build(self, seed: int) -> World: ...
+
+    def run(self, world: World, report: ScenarioReport) -> None: ...
+
+    def row(self, report: ScenarioReport) -> str: ...
+
+    @classmethod
+    def header(cls, scenarios: list, seed: int) -> str: ...
+
+    @classmethod
+    def summary(cls, reports: list[ScenarioReport]) -> list[str]: ...
+
+
+def run_scenario(scenario: Scenario, seed: int = 2018) -> ScenarioReport:
+    """Fresh world, the scenario's faulted run and recovery, then the oracle."""
+    world = scenario.build(seed)
+    report = ScenarioReport(scenario)
+    scenario.run(world, report)
+    report.violations.extend(check_invariants(world))
     return report
 
 
-def sweep_batched(
-    seed: int = 2018,
-    kinds: tuple[str, ...] = DEFAULT_KINDS,
-    session_resumption: bool = False,
+def sweep(
+    scenarios: list, seed: int = 2018, smoke: bool = False
 ) -> list[ScenarioReport]:
-    """Every message of the wave sequence under every fault kind."""
-    trace = probe_batched_message_sequence(seed, session_resumption)
-    reports: list[ScenarioReport] = []
+    """Run every scenario; ``smoke`` keeps the first scenario per cell of a
+    family that has a smoke slice."""
+    if smoke and scenarios and scenarios[0].smoke_note:
+        first: dict[tuple, Scenario] = {}
+        for scenario in scenarios:
+            first.setdefault(scenario.cell, scenario)
+        scenarios = list(first.values())
+    return [run_scenario(scenario, seed) for scenario in scenarios]
+
+
+def _failures(reports: list[ScenarioReport]) -> int:
+    return sum(1 for report in reports if not report.ok)
+
+
+# ----------------------------------------------------------------- messages
+@dataclass(frozen=True)
+class MessageScenario:
+    """One (message leg, fault kind) cell of a migration, or of a
+    two-enclave wave when ``batched``.
+
+    Drop/crash rules match every leg and fire on the ``seq``-th occurrence,
+    which with a wildcard predicate is exactly the probe's global sequence
+    number; duplicate rules match request legs only, so they count by the
+    request's ordinal among requests."""
+
+    kind: str
+    seq: int
+    msg_type: str | None
+    direction: str
+    request_ordinal: int
+    batched: bool = False
+    session_resumption: bool = False
+
+    smoke_note = ""
+
+    @property
+    def cell(self) -> tuple:
+        return ()
+
+    def build(self, seed: int) -> World:
+        return _message_world(seed, self.session_resumption, self.batched)
+
+    def run(self, world: World, report: ScenarioReport) -> None:
+        crashed = {"crash-source": [SOURCE], "crash-dest": [DESTINATION]}.get(
+            self.kind, []
+        )
+        plan = FaultPlan()
+        if self.kind == "drop":
+            plan.drop(nth=self.seq)
+        elif self.kind == "duplicate":
+            plan.duplicate(direction="request", nth=self.request_ordinal)
+        elif crashed:
+            plan.crash_machine(crashed[0], nth=self.seq)
+        else:
+            raise ValueError(f"unknown fault kind {self.kind!r}")
+        attach_injector(world, plan)
+        report.migrate_outcome, completed = migrate(world, world.apps)
+        # The fault window is over: the operator reinstalls the ME on any
+        # crashed machine and every member's journal is driven individually
+        # (a crash mid-batch must leave each transaction resumable).
+        world.dc.network.fault_injector = None
+        if not completed:
+            recover(world, report, crashed)
+
+    def row(self, report: ScenarioReport) -> str:
+        step = f"{self.msg_type or 'reply'}/{self.direction}"
+        return (
+            f"seq {self.seq:>2} {step:<22} {self.kind:<13} "
+            f"migrate={report.migrate_outcome:<28} "
+            f"recovery={report.recovery_outcome}"
+        )
+
+    @classmethod
+    def header(cls, scenarios: list, seed: int) -> str:
+        first = scenarios[0]
+        shape = "wave (batched)" if first.batched else "migration"
+        mode = "on" if first.session_resumption else "off"
+        legs = len({scenario.seq for scenario in scenarios})
+        return (
+            f"{shape} message sequence: {legs} legs "
+            f"(seed {seed}, session resumption {mode})"
+        )
+
+    @classmethod
+    def summary(cls, reports: list[ScenarioReport]) -> list[str]:
+        return [
+            f"{len(reports)} scenarios, {_failures(reports)} invariant "
+            f"violations {_R3_R4}"
+        ]
+
+
+def _message_world(seed: int, session_resumption: bool, batched: bool) -> World:
+    """One enclave at :data:`COUNTER_TARGET` on the source, or (batched) two
+    at :data:`BATCH_COUNTER_TARGETS` staged for one wave."""
+    if batched:
+        return build_world(
+            seed,
+            session_resumption,
+            targets=BATCH_COUNTER_TARGETS,
+            app_prefix="chaos",
+        )
+    return build_world(seed, session_resumption)
+
+
+def probe_message_sequence(
+    seed: int = 2018, session_resumption: bool = False, batched: bool = False
+) -> list[ObservedMessage]:
+    """Record the full message trace of one fault-free migration (or wave)."""
+    return probe_trace(_message_world(seed, session_resumption, batched))
+
+
+def enumerate_message_scenarios(
+    seed: int = 2018,
+    session_resumption: bool = False,
+    batched: bool = False,
+    kinds: tuple[str, ...] = DEFAULT_KINDS,
+) -> list[MessageScenario]:
+    """Every message of the migration (or wave) sequence under every fault
+    kind."""
+    scenarios: list[MessageScenario] = []
     request_ordinal = 0
-    for leg in trace:
+    for leg in probe_message_sequence(seed, session_resumption, batched):
         for kind in kinds:
             if kind == "duplicate" and leg.direction != "request":
                 continue
-            reports.append(
-                run_batched_scenario(
-                    kind, leg, request_ordinal, seed, session_resumption
+            scenarios.append(
+                MessageScenario(
+                    kind,
+                    leg.seq,
+                    leg.msg_type,
+                    leg.direction,
+                    request_ordinal,
+                    batched,
+                    session_resumption,
                 )
             )
         if leg.direction == "request":
             request_ordinal += 1
-    return reports
+    return scenarios
 
 
 # --------------------------------------------------------------------- disk
@@ -592,9 +686,14 @@ APP_STATE_PATH = "app_state"
 APP_STATE_V1 = b"app-state-v1"
 APP_STATE_V2 = b"app-state-v2-durable"
 
-#: Bounded self-healing: how many restore-newest-archive-and-retry rounds
-#: recovery may take before the scenario counts as unrecoverable.
-HEAL_ATTEMPTS = 3
+
+def _store_app_state(world: World, plaintext: bytes) -> None:
+    blob = world.app.enclave.ecall("seal", plaintext)
+    world.app.app.store(APP_STATE_PATH, blob)
+
+
+def _all_storages(world: World) -> list:
+    return [machine.storage for machine in world.dc.machines.values()]
 
 
 @dataclass(frozen=True)
@@ -614,33 +713,106 @@ class DiskScenario:
     crash_at: int | None
     post_crash: bool
 
-
-@dataclass
-class DiskScenarioReport:
-    """Outcome of one (artifact, fault kind, protocol phase) scenario."""
-
-    artifact: str
-    kind: str
-    phase: str
-    nth: int
-    fired: int
-    migrate_outcome: str
-    recovery_outcome: str
-    corrupt_reads: int = 0
-    violations: list[str] = field(default_factory=list)
+    smoke_note = " (smoke slice: first scenario per cell)"
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def cell(self) -> tuple:
+        return (self.artifact, self.kind)
+
+    def build(self, seed: int) -> World:
+        world = build_world(seed)
+        _store_app_state(world, APP_STATE_V1)
+        return world
+
+    def run(self, world: World, report: ScenarioReport) -> None:
+        plan = FaultPlan()
+        getattr(plan, self.kind)(self.pattern, machine=self.machine, nth=self.nth)
+        if self.crash_at is not None:
+            plan.crash_machine(self.machine, nth=self.crash_at)
+        storages = _all_storages(world)
+        injector = attach_injector(world, plan)
+        injector.attach_disk(storages)
+        _store_app_state(world, APP_STATE_V2)
+        report.migrate_outcome, completed = migrate(world, world.apps)
+        world.dc.network.fault_injector = None
+        if self.post_crash:
+            # The marked write had no later protocol step to crash at: pull
+            # the plug the instant the protocol finishes.
+            world.dc.machine(self.machine).crash()
+            completed = False
+        if DISK_FAULT_KINDS[self.kind] != "read":
+            # Write-side damage is already recorded in the storage state; the
+            # disk hook stays attached only for read kinds, whose whole point
+            # is that *recovery* reads through the armed fault.
+            injector.detach_disk(storages)
+        if not completed:
+            crashed = self.crash_at is not None or self.post_crash
+            recover(
+                world,
+                report,
+                [self.machine] if crashed else [],
+                heal=(self.machine, self.pattern),
+            )
+        report.fired = len(injector.disk_fired)
+        report.corrupt_reads = sum(
+            machine.storage.journal_corruption_count
+            for machine in world.dc.machines.values()
+        )
+        report.violations.extend(_check_app_state(world))
+        injector.detach_disk(storages)
+
+    def row(self, report: ScenarioReport) -> str:
+        extras = (
+            f" corrupt-reads={report.corrupt_reads}" if report.corrupt_reads else ""
+        )
+        return (
+            f"{self.artifact:<20} {self.kind:<11} @ {self.phase:<24} "
+            f"fired={report.fired} migrate={report.migrate_outcome:<28} "
+            f"recovery={report.recovery_outcome}{extras}"
+        )
+
+    @classmethod
+    def header(cls, scenarios: list, seed: int) -> str:
+        return (
+            f"disk fault sweep: {len(scenarios)} scenarios over "
+            f"{len(DISK_ARTIFACTS)} artifacts x {len(DISK_FAULT_KINDS)} fault "
+            f"kinds (seed {seed})"
+        )
+
+    @classmethod
+    def summary(cls, reports: list[ScenarioReport]) -> list[str]:
+        failures = _failures(reports)
+        if failures:
+            return [f"{len(reports)} scenarios, {failures} invariant violations"]
+        unfired = sum(1 for report in reports if not report.fired)
+        return [
+            f"{len(reports)} scenarios, 0 invariant violations, {unfired} armed "
+            f"faults never reached (R3/R4 intact and world recoverable in "
+            f"every scenario)"
+        ]
 
 
-def _store_app_state(world: ChaosWorld, plaintext: bytes) -> None:
-    blob = world.app.enclave.ecall("seal", plaintext)
-    world.app.app.store(APP_STATE_PATH, blob)
-
-
-def _all_storages(world: ChaosWorld) -> list:
-    return [machine.storage for machine in world.dc.machines.values()]
+def _check_app_state(world: World) -> list[str]:
+    """The sealed app blob must decrypt, on the one surviving instance, to
+    the *newest* write — healing the disk when the fault ate it.  Skipped
+    when R3/liveness already failed (those violations say it all)."""
+    serving = serving_instances(world)[0]
+    if len(serving) != 1:
+        return []
+    enclave = serving[0][0]
+    storage = world.dc.machine(SOURCE).storage
+    path = f"app/{APP_STATE_PATH}"
+    failure = "app state: never checked"
+    for _ in range(HEAL_ATTEMPTS):
+        try:
+            plaintext, _ = enclave.ecall("unseal", storage.read(path))
+            if plaintext == APP_STATE_V2:
+                return []
+            failure = "app state reads back an old version, not the newest write"
+        except ReproError as exc:
+            failure = f"app state unreadable: {type(exc).__name__}"
+        storage.heal(f"{path}*")
+    return [failure]
 
 
 def _phase_of(msg_seq: int, trace: list[ObservedMessage]) -> str:
@@ -654,7 +826,7 @@ def _phase_of(msg_seq: int, trace: list[ObservedMessage]) -> str:
     if msg_seq >= len(trace):
         return "post-protocol"
     leg = trace[msg_seq]
-    if leg.msg_type is None and leg.direction == "response" and msg_seq > 0:
+    if leg.msg_type is None and leg.direction == "response":
         prev = trace[msg_seq - 1]
         return f"{prev.msg_type or 'reply'}/handling"
     return f"{leg.msg_type or 'reply'}/{leg.direction}"
@@ -666,23 +838,18 @@ def probe_disk_operations(seed: int = 2018) -> tuple[list[ObservedMessage], list
     trace and every disk op observed inside the window."""
     world = build_world(seed)
     _store_app_state(world, APP_STATE_V1)
-    injector = FaultInjector(
-        plan=FaultPlan(),
-        rng=world.dc.rng.child("chaos-faults"),
-        machines=dict(world.dc.machines),
-        meter=world.dc.meter,
-    )
-    world.dc.network.fault_injector = injector
-    injector.attach_disk(_all_storages(world))
+    storages = _all_storages(world)
+    injector = attach_injector(world, FaultPlan())
+    injector.attach_disk(storages)
     _store_app_state(world, APP_STATE_V2)
-    result = world.app.migrate(world.dc.machine(DESTINATION), migrate_vm=False)
-    if result.outcome is not MigrationOutcome.COMPLETED:
-        raise AssertionError(f"disk probe migration did not complete: {result.outcome}")
+    outcome, completed = migrate(world, world.apps)
+    if not completed:
+        raise AssertionError(f"disk probe migration did not complete: {outcome}")
     # The verification read is part of the probed script, so read-kind
     # scenarios can target it (phase "post-protocol").
     world.dc.machine(SOURCE).storage.read(f"app/{APP_STATE_PATH}")
     world.dc.network.fault_injector = None
-    injector.detach_disk(_all_storages(world))
+    injector.detach_disk(storages)
     return list(injector.trace), list(injector.disk_trace)
 
 
@@ -752,162 +919,7 @@ def enumerate_disk_scenarios(seed: int = 2018) -> list[DiskScenario]:
                             post_crash=False,
                         )
                     )
-    return scenarios
-
-
-def _build_disk_plan(scenario: DiskScenario) -> FaultPlan:
-    plan = FaultPlan()
-    getattr(plan, scenario.kind)(
-        scenario.pattern, machine=scenario.machine, nth=scenario.nth
-    )
-    if scenario.crash_at is not None:
-        plan.crash_machine(scenario.machine, nth=scenario.crash_at)
-    return plan
-
-
-def _recover_world(
-    world: ChaosWorld, crashed: list[str], scenario: DiskScenario
-) -> list[str]:
-    """Reinstall MEs on crashed machines, then resume/restart with bounded
-    self-healing: when a step dies with a typed error, restore the faulted
-    artifact's newest archived version (the backup/scrub an operator would
-    reach for) and try again."""
-    dc, app = world.dc, world.app
-    steps: list[str] = []
-    for name in crashed:
-        reinstall_migration_enclave(
-            dc,
-            dc.machine(name),
-            world.me_signer,
-            session_resumption=world.session_resumption,
-        )
-    for attempt in range(HEAL_ATTEMPTS):
-        try:
-            steps.append(app.resume(migrate_vm=False).outcome.value)
-            return steps
-        except MigrationError as exc:
-            failure: ReproError = exc
-            if "no migration in progress" in str(exc):
-                if app.enclave is not None and app.enclave.alive:
-                    steps.append("already-complete")
-                    return steps
-                try:
-                    app.restart()
-                    steps.append("restarted")
-                    return steps
-                except ReproError as restart_exc:
-                    failure = restart_exc
-        except ReproError as exc:
-            failure = exc
-        storage = dc.machine(scenario.machine).storage
-        healed = storage.heal(scenario.pattern)
-        if healed and "me_checkpoint" in scenario.pattern:
-            # A healed checkpoint only helps a *freshly booted* ME.
-            reinstall_migration_enclave(
-                dc,
-                dc.machine(scenario.machine),
-                world.me_signer,
-                session_resumption=world.session_resumption,
-            )
-        label = f"raised:{type(failure).__name__}"
-        if healed:
-            label += f"->healed[{len(healed)}]"
-        steps.append(label)
-        if not healed and attempt > 0:
-            break  # nothing left to heal and retrying alone did not help
-    return steps
-
-
-def _check_app_state(world: ChaosWorld) -> list[str]:
-    """The sealed app blob must decrypt, on the one surviving instance, to
-    the *newest* write — healing the disk when the fault ate it.  Skipped
-    when R3/liveness already failed (those violations say it all)."""
-    serving = _serving_instances(world)
-    if len(serving) != 1:
-        return []
-    enclave = serving[0][0]
-    storage = world.dc.machine(SOURCE).storage
-    path = f"app/{APP_STATE_PATH}"
-    failure = "app state: never checked"
-    for _ in range(HEAL_ATTEMPTS):
-        try:
-            plaintext, _ = enclave.ecall("unseal", storage.read(path))
-            if plaintext == APP_STATE_V2:
-                return []
-            failure = "app state reads back an old version, not the newest write"
-        except ReproError as exc:
-            failure = f"app state unreadable: {type(exc).__name__}"
-        storage.heal(f"{path}*")
-    return [failure]
-
-
-def run_disk_scenario(scenario: DiskScenario, seed: int = 2018) -> DiskScenarioReport:
-    """Fresh world, one armed disk fault (plus its crash, for write-side
-    kinds), recovery with bounded healing, R3/R4 + recoverability checks."""
-    world = build_world(seed)
-    dc, app = world.dc, world.app
-    _store_app_state(world, APP_STATE_V1)
-    injector = FaultInjector(
-        plan=_build_disk_plan(scenario),
-        rng=dc.rng.child("chaos-faults"),
-        machines=dict(dc.machines),
-        meter=dc.meter,
-    )
-    dc.network.fault_injector = injector
-    injector.attach_disk(_all_storages(world))
-    _store_app_state(world, APP_STATE_V2)
-    crashed: list[str] = [scenario.machine] if scenario.crash_at is not None else []
-    try:
-        result = app.migrate(dc.machine(DESTINATION), migrate_vm=False)
-        migrate_outcome = result.outcome.value
-        completed = result.outcome is MigrationOutcome.COMPLETED
-    except ReproError as exc:
-        migrate_outcome = f"raised:{type(exc).__name__}"
-        completed = False
-    dc.network.fault_injector = None
-    if scenario.post_crash:
-        # The marked write had no later protocol step to crash at: pull the
-        # plug the instant the protocol finishes.
-        dc.machine(scenario.machine).crash()
-        crashed = [scenario.machine]
-        completed = False
-    if DISK_FAULT_KINDS[scenario.kind] != "read":
-        # Write-side damage is already recorded in the storage state; the
-        # disk hook stays attached only for read kinds, whose whole point is
-        # that *recovery* reads through the armed fault.
-        injector.detach_disk(_all_storages(world))
-    recovery_outcome = "not-needed"
-    if not completed:
-        recovery_outcome = "+".join(_recover_world(world, crashed, scenario))
-    report = DiskScenarioReport(
-        artifact=scenario.artifact,
-        kind=scenario.kind,
-        phase=scenario.phase,
-        nth=scenario.nth,
-        fired=len(injector.disk_fired),
-        migrate_outcome=migrate_outcome,
-        recovery_outcome=recovery_outcome,
-        corrupt_reads=sum(
-            machine.storage.journal_corruption_count
-            for machine in dc.machines.values()
-        ),
-    )
-    # Intermediate raises are fine — that is what the heal-and-retry loop is
-    # for; only a *final* raise means the world stayed unrecovered.
-    if recovery_outcome.split("+")[-1].startswith("raised:"):
-        report.violations.append(f"recovery failed: {recovery_outcome}")
-    report.violations.extend(check_invariants(world))
-    report.violations.extend(_check_app_state(world))
-    injector.detach_disk(_all_storages(world))
-    return report
-
-
-def sweep_disk(seed: int = 2018, smoke: bool = False) -> list[DiskScenarioReport]:
-    """Every persisted artifact x every disk fault kind x every protocol
-    phase the probe saw.  ``smoke`` keeps only the first scenario per
-    (artifact, kind) cell — the CI slice."""
-    scenarios = enumerate_disk_scenarios(seed)
-    covered = {(s.artifact, s.kind) for s in scenarios}
+    covered = {scenario.cell for scenario in scenarios}
     missing = [
         (artifact, kind)
         for artifact, _, _ in DISK_ARTIFACTS
@@ -916,44 +928,7 @@ def sweep_disk(seed: int = 2018, smoke: bool = False) -> list[DiskScenarioReport
     ]
     if missing:
         raise AssertionError(f"disk sweep lost (artifact, kind) coverage: {missing}")
-    if smoke:
-        first: dict[tuple[str, str], DiskScenario] = {}
-        for scenario in scenarios:
-            first.setdefault((scenario.artifact, scenario.kind), scenario)
-        scenarios = list(first.values())
-    return [run_disk_scenario(scenario, seed) for scenario in scenarios]
-
-
-def _main_disk(seed: int, smoke: bool) -> int:
-    scenarios = enumerate_disk_scenarios(seed)
-    slice_note = " (smoke slice: first scenario per cell)" if smoke else ""
-    print(
-        f"disk fault sweep: {len(scenarios)} scenarios over "
-        f"{len(DISK_ARTIFACTS)} artifacts x {len(DISK_FAULT_KINDS)} fault kinds "
-        f"(seed {seed}){slice_note}"
-    )
-    reports = sweep_disk(seed, smoke=smoke)
-    failures = [r for r in reports if not r.ok]
-    unfired = sum(1 for r in reports if not r.fired)
-    for report in reports:
-        marker = "FAIL" if report.violations else "ok"
-        extras = f" corrupt-reads={report.corrupt_reads}" if report.corrupt_reads else ""
-        print(
-            f"  [{marker:>4}] {report.artifact:<20} {report.kind:<11} "
-            f"@ {report.phase:<24} fired={report.fired} "
-            f"migrate={report.migrate_outcome:<28} "
-            f"recovery={report.recovery_outcome}{extras}"
-        )
-        for violation in report.violations:
-            print(f"         !! {violation}")
-    print(
-        f"{len(reports)} scenarios, {len(failures)} invariant violations, "
-        f"{unfired} armed faults never reached "
-        f"(R3/R4 intact and world recoverable in every scenario)"
-        if not failures
-        else f"{len(reports)} scenarios, {len(failures)} invariant violations"
-    )
-    return 1 if failures else 0
+    return scenarios
 
 
 # -------------------------------------------------------------------- fleet
@@ -961,137 +936,19 @@ FLEET_MACHINES = 4
 FLEET_APPS = 8
 FLEET_DRAIN_TARGET = "fleet-0"
 
+#: :func:`build_world` layout of the fleet world: app ``i`` starts on
+#: ``fleet-<i mod FLEET_MACHINES>`` with its counter at ``2 + i``.
+FLEET_WORLD = dict(
+    targets=tuple(2 + index for index in range(FLEET_APPS)),
+    name="chaos-fleet",
+    app_prefix="chaos-fleet",
+    machines=tuple(f"fleet-{index}" for index in range(FLEET_MACHINES)),
+)
+
 
 class _PlannerKilled(Exception):
     """The simulated planner-process death (not a ReproError: the planner
     dying is an infrastructure event, not a protocol outcome)."""
-
-
-@dataclass
-class FleetChaosWorld:
-    dc: DataCenter
-    service: FleetService
-    apps: list[MigratableApp]
-    counter_ids: list[int]
-    counter_targets: list[int]
-
-
-def build_fleet_world(seed: int = 2018, dispatch: str = "serial") -> FleetChaosWorld:
-    """Four machines, durable MEs everywhere, eight counter enclaves placed
-    round-robin and registered with a :class:`FleetService` whose per-wave
-    cap of one move forces the drain into multiple waves (so there are
-    genuinely distinct wave boundaries to die at).
-
-    ``dispatch="concurrent"`` (or ``"pipelined"``) builds the
-    overlapping-group variant instead: the per-wave caps are relaxed so the
-    whole drain is ONE wave with several destination groups, and the service
-    records/replays them on the discrete-event scheduler — the planner then
-    dies *between group dispatches* (the record phase's journal boundaries).
-    """
-    dc = DataCenter(name="chaos-fleet", seed=seed)
-    for index in range(FLEET_MACHINES):
-        dc.add_machine(f"fleet-{index}")
-    me_signer = SigningKey.generate(dc.rng.child("chaos-me-signer"))
-    hosts = install_all_migration_enclaves(dc, me_signer, durable=True)
-    constraints = (
-        FleetConstraints(machine_capacity=FLEET_APPS, max_moves_per_machine=1)
-        if dispatch == "serial"
-        else FleetConstraints(
-            machine_capacity=FLEET_APPS,
-            max_moves_per_machine=FLEET_APPS,
-            tenant_wave_quota=FLEET_APPS,
-        )
-    )
-    service = FleetService(
-        dc=dc,
-        hosts=hosts,
-        constraints=constraints,
-        retry_policy=SWEEP_POLICY,
-        dispatch=dispatch,
-    )
-    dev_key = SigningKey.generate(dc.rng.child("chaos-dev"))
-    apps: list[MigratableApp] = []
-    counter_ids: list[int] = []
-    counter_targets: list[int] = []
-    for index in range(FLEET_APPS):
-        app = MigratableApp.deploy(
-            dc,
-            dc.machine(f"fleet-{index % FLEET_MACHINES}"),
-            MigratableBenchEnclave,
-            dev_key,
-            vm_name=f"chaos-fleet-vm-{index}",
-            app_name=f"chaos-fleet-app-{index}",
-        )
-        app.retry_policy = SWEEP_POLICY
-        enclave = app.start_new()
-        # Same padded-id trick as the batched world, fleet-wide: app
-        # ``index`` serves tracked counter id ``index`` and nothing higher.
-        for _ in range(index):
-            enclave.ecall("create_counter")
-        counter_id, _ = enclave.ecall("create_counter")
-        target = 2 + index
-        for _ in range(target):
-            enclave.ecall("increment_counter", counter_id)
-        service.register(
-            app,
-            tenant=f"tenant-{index % 2}",
-            anti_affinity_group="chaos-pair" if index < 2 else None,
-        )
-        apps.append(app)
-        counter_ids.append(counter_id)
-        counter_targets.append(target)
-    return FleetChaosWorld(
-        dc=dc,
-        service=service,
-        apps=apps,
-        counter_ids=counter_ids,
-        counter_targets=counter_targets,
-    )
-
-
-def check_fleet_invariants(world: FleetChaosWorld) -> list[str]:
-    """R3/R4 per fleet member, via the padded-counter-id attribution used by
-    :func:`check_batched_invariants`, generalized to eight enclaves."""
-    violations: list[str] = []
-    readings: list[dict[int, int]] = []
-    for machine in world.dc.machines.values():
-        for enclave in machine.enclaves:
-            if enclave.enclave_class is not MigratableBenchEnclave:
-                continue
-            if not enclave.alive:
-                continue
-            served: dict[int, int] = {}
-            for counter_id in world.counter_ids:
-                try:
-                    served[counter_id] = enclave.ecall("read_counter", counter_id)
-                except ReproError:
-                    continue
-            if served:
-                readings.append(served)
-    for index, counter_id in enumerate(world.counter_ids):
-        target = world.counter_targets[index]
-        higher = set(world.counter_ids[index + 1 :])
-        serving = [
-            served[counter_id]
-            for served in readings
-            if counter_id in served and not (higher & served.keys())
-        ]
-        label = f"enclave {index}"
-        if len(serving) > 1:
-            violations.append(
-                f"R3: {len(serving)} operational instances serve {label}"
-            )
-        if not serving:
-            violations.append(
-                f"liveness: no operational instance serves {label}"
-            )
-        elif serving[0] != target:
-            word = "regressed" if serving[0] < target else "advanced"
-            violations.append(
-                f"R4: {label} counter {word} to {serving[0]} "
-                f"(expected {target})"
-            )
-    return violations
 
 
 @dataclass(frozen=True)
@@ -1103,13 +960,18 @@ class FleetScenario:
     can die between its second and third group, not only its first).
     ``parked`` additionally blackholes the network from the wave's start,
     so the planner dies on top of members whose transactions are stuck
-    mid-flight.  ``dispatch`` picks the world variant to kill."""
+    mid-flight.  ``dispatch`` picks the world variant to kill: serial
+    caps force the drain into several waves, while concurrent/pipelined
+    dispatch drains in ONE wave of several destination groups, so the
+    planner dies between group dispatches."""
 
     stage: str
     wave: int
     parked: bool = False
     dispatch: str = "serial"
     skip: int = 0
+
+    smoke_note = " (smoke slice: first scenario per boundary kind)"
 
     @property
     def label(self) -> str:
@@ -1120,26 +982,103 @@ class FleetScenario:
             suffix += f"+{self.dispatch}"
         return f"{self.stage}:{self.wave}{suffix}"
 
-
-@dataclass
-class FleetScenarioReport:
-    scenario: FleetScenario
-    apply_outcome: str
-    recovery_outcome: str
-    violations: list[str] = field(default_factory=list)
-
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def cell(self) -> tuple:
+        return (self.stage, self.parked, self.dispatch)
+
+    def build(self, seed: int) -> World:
+        return build_world(seed, dispatch=self.dispatch, **FLEET_WORLD)
+
+    def run(self, world: World, report: ScenarioReport) -> None:
+        """Drain plan, planner killed at the boundary, a fresh planner
+        resumes from the durable fleet journal; then every member must sit
+        at its planned destination and the journal must be cleared."""
+        dc, service = world.dc, world.service
+        plan = service.plan_drain(FLEET_DRAIN_TARGET)
+        matched = 0
+
+        def boundary_hook(stage: str, wave: int) -> None:
+            nonlocal matched
+            if self.parked and stage == "started" and wave == self.wave:
+                attach_injector(world, FaultPlan().drop(max_triggers=1_000_000))
+            if stage == self.stage and wave == self.wave:
+                matched += 1
+                if matched > self.skip:
+                    raise _PlannerKilled(self.label)
+
+        try:
+            service.apply(plan, boundary_hook=boundary_hook)
+            report.migrate_outcome = "completed-unexpectedly"
+            report.violations.append("planner kill hook never fired")
+        except _PlannerKilled:
+            report.migrate_outcome = f"killed@{self.label}"
+        except ReproError as exc:
+            report.migrate_outcome = f"raised:{type(exc).__name__}"
+        finally:
+            # The planner is dead; the network partition (if any) heals
+            # before the operator restarts it.
+            dc.network.fault_injector = None
+
+        # Planner restart: a brand-new service over the same data center
+        # (same durable disks, same member registry) — nothing survives from
+        # the dead process but what the fleet journal persisted.
+        restarted = FleetService(
+            dc=dc,
+            hosts=service.hosts,
+            constraints=service.constraints,
+            retry_policy=SWEEP_POLICY,
+            members=dict(service.members),
+            dispatch=service.dispatch,
+        )
+        try:
+            result = restarted.resume_plan()
+            report.recovery_outcome = (
+                f"resumed:{len(result.waves)}-waves"
+                f"+{result.skipped_waves}-skipped"
+            ) + ("" if result.completed else ":INCOMPLETE")
+        except ReproError as exc:
+            report.recovery_outcome = f"raised:{type(exc).__name__}"
+        if report.recovery_outcome.startswith(
+            "raised:"
+        ) or report.recovery_outcome.endswith(":INCOMPLETE"):
+            report.violations.append(f"recovery failed: {report.recovery_outcome}")
+        for move in plan.moves:
+            actual = service.members[move.app_name].machine
+            if actual != move.destination:
+                report.violations.append(
+                    f"placement: {move.app_name} at {actual}, "
+                    f"plan said {move.destination}"
+                )
+        if restarted.journal().read() is not None:
+            report.violations.append("fleet journal not cleared after resume")
+
+    def row(self, report: ScenarioReport) -> str:
+        return (
+            f"kill@{self.label:<20} apply={report.migrate_outcome:<28} "
+            f"recovery={report.recovery_outcome}"
+        )
+
+    @classmethod
+    def header(cls, scenarios: list, seed: int) -> str:
+        return (
+            f"fleet planner-kill sweep: {len(scenarios)} boundaries over a "
+            f"{FLEET_MACHINES}-machine / {FLEET_APPS}-enclave drain (seed {seed})"
+        )
+
+    @classmethod
+    def summary(cls, reports: list[ScenarioReport]) -> list[str]:
+        return [
+            f"{len(reports)} scenarios, {_failures(reports)} invariant violations "
+            f"(R3/R4 per member, planned placement reached, journal cleared)"
+        ]
 
 
 def enumerate_fleet_scenarios(seed: int = 2018) -> list[FleetScenario]:
     """One scenario per journal boundary of the drain plan, plus a parked
     variant per wave, plus concurrent- and pipelined-dispatch variants where
-    the planner dies mid-overlapping-wave (the relaxed-cap world drains in
-    one wave with several destination groups) — for pipelined, between the
+    the planner dies mid-overlapping-wave — for pipelined, between the
     per-group journal boundaries the record phase writes."""
-    world = build_fleet_world(seed)
+    world = build_world(seed, dispatch="serial", **FLEET_WORLD)
     n_waves = len(world.service.plan_drain(FLEET_DRAIN_TARGET).waves)
     scenarios = [FleetScenario("planned", -1)]
     for wave in range(n_waves):
@@ -1163,130 +1102,6 @@ def enumerate_fleet_scenarios(seed: int = 2018) -> list[FleetScenario]:
     return scenarios
 
 
-def run_fleet_scenario(
-    scenario: FleetScenario, seed: int = 2018
-) -> FleetScenarioReport:
-    """Fresh fleet, drain plan, planner killed at the scenario's boundary,
-    fresh planner resumes from the durable fleet journal; then R3/R4 per
-    member, planned placement reached, and journal cleared."""
-    world = build_fleet_world(seed, dispatch=scenario.dispatch)
-    dc, service = world.dc, world.service
-    plan = service.plan_drain(FLEET_DRAIN_TARGET)
-    destinations = {move.app_name: move.destination for move in plan.moves}
-    matched = 0
-
-    def boundary_hook(stage: str, wave: int) -> None:
-        nonlocal matched
-        if scenario.parked and stage == "started" and wave == scenario.wave:
-            dc.network.fault_injector = FaultInjector(
-                plan=FaultPlan().drop(max_triggers=1_000_000),
-                rng=dc.rng.child("chaos-faults"),
-                machines=dict(dc.machines),
-                meter=dc.meter,
-            )
-        if stage == scenario.stage and wave == scenario.wave:
-            matched += 1
-            if matched > scenario.skip:
-                raise _PlannerKilled(scenario.label)
-
-    try:
-        service.apply(plan, boundary_hook=boundary_hook)
-        apply_outcome = "completed-unexpectedly"
-    except _PlannerKilled:
-        apply_outcome = f"killed@{scenario.label}"
-    except ReproError as exc:
-        apply_outcome = f"raised:{type(exc).__name__}"
-    finally:
-        # The planner is dead; the network partition (if any) heals before
-        # the operator restarts it.
-        dc.network.fault_injector = None
-
-    # Planner restart: a brand-new service over the same data center (same
-    # durable disks, same member registry) — nothing survives from the dead
-    # process but what the fleet journal persisted.
-    restarted = FleetService(
-        dc=dc,
-        hosts=service.hosts,
-        constraints=service.constraints,
-        retry_policy=SWEEP_POLICY,
-        members=dict(service.members),
-        dispatch=service.dispatch,
-    )
-    try:
-        result = restarted.resume_plan()
-        recovery_outcome = (
-            f"resumed:{len(result.waves)}-waves"
-            f"+{result.skipped_waves}-skipped"
-        )
-        if not result.completed:
-            recovery_outcome += ":INCOMPLETE"
-    except ReproError as exc:
-        recovery_outcome = f"raised:{type(exc).__name__}"
-
-    report = FleetScenarioReport(
-        scenario=scenario,
-        apply_outcome=apply_outcome,
-        recovery_outcome=recovery_outcome,
-    )
-    if apply_outcome == "completed-unexpectedly":
-        report.violations.append("planner kill hook never fired")
-    if recovery_outcome.startswith("raised:") or recovery_outcome.endswith(
-        ":INCOMPLETE"
-    ):
-        report.violations.append(f"recovery failed: {recovery_outcome}")
-    report.violations.extend(check_fleet_invariants(world))
-    for move in plan.moves:
-        actual = service.members[move.app_name].machine
-        if actual != move.destination:
-            report.violations.append(
-                f"placement: {move.app_name} at {actual}, "
-                f"plan said {move.destination}"
-            )
-    if restarted.journal().read() is not None:
-        report.violations.append("fleet journal not cleared after resume")
-    return report
-
-
-def sweep_fleet(seed: int = 2018, smoke: bool = False) -> list[FleetScenarioReport]:
-    """Every planner-kill boundary of the drain plan; ``smoke`` keeps the
-    first scenario per (stage, parked, concurrent) kind — the CI slice."""
-    scenarios = enumerate_fleet_scenarios(seed)
-    if smoke:
-        first: dict[tuple[str, bool, str], FleetScenario] = {}
-        for scenario in scenarios:
-            first.setdefault(
-                (scenario.stage, scenario.parked, scenario.dispatch), scenario
-            )
-        scenarios = list(first.values())
-    return [run_fleet_scenario(scenario, seed) for scenario in scenarios]
-
-
-def _main_fleet(seed: int, smoke: bool) -> int:
-    scenarios = enumerate_fleet_scenarios(seed)
-    slice_note = " (smoke slice: first scenario per boundary kind)" if smoke else ""
-    print(
-        f"fleet planner-kill sweep: {len(scenarios)} boundaries over a "
-        f"{FLEET_MACHINES}-machine / {FLEET_APPS}-enclave drain "
-        f"(seed {seed}){slice_note}"
-    )
-    reports = sweep_fleet(seed, smoke=smoke)
-    failures = [r for r in reports if not r.ok]
-    for report in reports:
-        marker = "FAIL" if report.violations else "ok"
-        print(
-            f"  [{marker:>4}] kill@{report.scenario.label:<20} "
-            f"apply={report.apply_outcome:<28} "
-            f"recovery={report.recovery_outcome}"
-        )
-        for violation in report.violations:
-            print(f"         !! {violation}")
-    print(
-        f"{len(reports)} scenarios, {len(failures)} invariant violations "
-        f"(R3/R4 per member, planned placement reached, journal cleared)"
-    )
-    return 1 if failures else 0
-
-
 # -------------------------------------------------------------------- clone
 @dataclass(frozen=True)
 class CloneScenario:
@@ -1302,6 +1117,65 @@ class CloneScenario:
     fault: str
     fault_seq: int
 
+    smoke_note = " (smoke slice: first scenario per campaign x fault cell)"
+
+    @property
+    def cell(self) -> tuple:
+        return (self.campaign, self.fault)
+
+    def build(self, seed: int) -> World:
+        from repro.attacks import cloning
+
+        return cloning.campaign_world(self.campaign, seed)
+
+    def run(self, world: World, report: ScenarioReport) -> None:
+        from repro.attacks import cloning
+
+        cloning.run_campaign(self, world, report)
+
+    def row(self, report: ScenarioReport) -> str:
+        fate = "fenced" if report.fenced else (
+            "detected" if report.detected else "UNDETECTED"
+        )
+        latency = (
+            f"latency={report.detection_latency:.6f}s"
+            if report.detected and report.detection_latency >= 0
+            else "latency=n/a"
+        )
+        return (
+            f"{self.campaign:<20} window={self.window:<16} fault={self.fault:<5} "
+            f"clone={report.clone_outcome:<28} {fate:<10} {latency}"
+        )
+
+    @classmethod
+    def header(cls, scenarios: list, seed: int) -> str:
+        return (
+            f"cloning-campaign sweep: {len(scenarios)} scenarios "
+            f"(campaign x protocol window x fault, seed {seed})"
+        )
+
+    @classmethod
+    def summary(cls, reports: list[ScenarioReport]) -> list[str]:
+        lines = []
+        latencies = [
+            report.detection_latency
+            for report in reports
+            if report.detected and report.detection_latency >= 0
+        ]
+        if latencies:
+            lines.append(
+                f"detection latency (virtual): mean "
+                f"{sum(latencies) / len(latencies):.6f}s, "
+                f"max {max(latencies):.6f}s over {len(latencies)} detections"
+            )
+        detected = sum(1 for report in reports if report.detected)
+        fenced = sum(1 for report in reports if report.fenced)
+        lines.append(
+            f"{len(reports)} scenarios, {detected} clones detected, "
+            f"{fenced} fenced, {_failures(reports)} invariant violations {_R3_R4}"
+        )
+        return lines
+
 
 def enumerate_clone_scenarios(seed: int = 2018) -> list[CloneScenario]:
     """The full clone-campaign grid for one seed.
@@ -1316,204 +1190,87 @@ def enumerate_clone_scenarios(seed: int = 2018) -> list[CloneScenario]:
     from repro.attacks import cloning
 
     scenarios: list[CloneScenario] = []
-
-    restore = [
-        leg for leg in cloning.probe_restore_trace(seed) if leg.direction == "request"
-    ]
-    for index, leg in enumerate(restore):
-        label = f"{leg.seq}:{leg.msg_type or 'msg'}"
-        scenarios.append(
-            CloneScenario("restore-window", label, leg.seq, "none", -1)
-        )
-        if index > 0:
-            scenarios.append(
-                CloneScenario(
-                    "restore-window", label, leg.seq, "drop", restore[index - 1].seq
+    for campaign in ("restore-window", "wave-double-join", "stale-session-replay"):
+        legs = [
+            leg
+            for leg in cloning.probe_window_trace(campaign, seed)
+            if leg.direction == "request"
+        ]
+        for index, leg in enumerate(legs):
+            label = f"{leg.seq}:{leg.msg_type or 'msg'}"
+            scenarios.append(CloneScenario(campaign, label, leg.seq, "none", -1))
+            if index > 0 and campaign != "stale-session-replay":
+                scenarios.append(
+                    CloneScenario(campaign, label, leg.seq, "drop", legs[index - 1].seq)
                 )
-            )
-
-    wave = [
-        leg for leg in cloning.probe_wave_trace(seed) if leg.direction == "request"
-    ]
-    for index, leg in enumerate(wave):
-        label = f"{leg.seq}:{leg.msg_type or 'msg'}"
-        scenarios.append(
-            CloneScenario("wave-double-join", label, leg.seq, "none", -1)
-        )
-        if index > 0:
-            scenarios.append(
-                CloneScenario(
-                    "wave-double-join", label, leg.seq, "drop", wave[index - 1].seq
-                )
-            )
-
-    stale = [
-        leg
-        for leg in cloning.probe_stale_session_trace(seed)
-        if leg.direction == "request"
-    ]
-    for leg in stale:
-        label = f"{leg.seq}:{leg.msg_type or 'msg'}"
-        scenarios.append(
-            CloneScenario("stale-session-replay", label, leg.seq, "none", -1)
-        )
-
     for window in ("tombstone-heal", "replay-prefreeze", "me-checkpoint"):
         for fault in ("none", "drop"):
             scenarios.append(CloneScenario("healed-disk", window, -1, fault, -1))
     return scenarios
 
 
-def run_clone_scenario(scenario: CloneScenario, seed: int = 2018):
-    """Fresh world, one scripted campaign, detection + invariant verdict.
-    Returns a :class:`repro.attacks.cloning.CloneCampaignReport`."""
-    from repro.attacks import cloning
-
-    if scenario.campaign == "restore-window":
-        return cloning.run_restore_window_campaign(
-            scenario.window_seq,
-            fault=scenario.fault,
-            fault_seq=scenario.fault_seq,
-            seed=seed,
-            window_label=scenario.window,
-        )
-    if scenario.campaign == "wave-double-join":
-        return cloning.run_wave_double_join_campaign(
-            scenario.window_seq,
-            fault=scenario.fault,
-            fault_seq=scenario.fault_seq,
-            seed=seed,
-            window_label=scenario.window,
-        )
-    if scenario.campaign == "stale-session-replay":
-        return cloning.run_stale_session_replay_campaign(
-            scenario.window_seq,
-            fault=scenario.fault,
-            fault_seq=scenario.fault_seq,
-            seed=seed,
-            window_label=scenario.window,
-        )
-    if scenario.campaign == "healed-disk":
-        return cloning.run_healed_disk_campaign(
-            scenario.window, fault=scenario.fault, seed=seed
-        )
-    raise ValueError(f"unknown campaign {scenario.campaign!r}")
-
-
-def sweep_clone(seed: int = 2018, smoke: bool = False) -> list:
-    """Every clone campaign at every window; ``smoke`` keeps the first
-    scenario per (campaign, fault) cell — the ``make ci`` slice."""
-    scenarios = enumerate_clone_scenarios(seed)
-    if smoke:
-        first: dict[tuple[str, str], CloneScenario] = {}
-        for scenario in scenarios:
-            first.setdefault((scenario.campaign, scenario.fault), scenario)
-        scenarios = list(first.values())
-    return [run_clone_scenario(scenario, seed) for scenario in scenarios]
-
-
-def _main_clone(seed: int, smoke: bool) -> int:
-    scenarios = enumerate_clone_scenarios(seed)
-    slice_note = (
-        " (smoke slice: first scenario per campaign x fault cell)" if smoke else ""
+# ---------------------------------------------------------------------- CLI
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.faults.chaos",
+        description=(
+            "Sweep faults over the migration protocol and check R3/R4 after "
+            "recovery (default family: every message of one migration)."
+        ),
     )
-    print(
-        f"cloning-campaign sweep: {len(scenarios)} scenarios "
-        f"(campaign x protocol window x fault, seed {seed}){slice_note}"
+    parser.add_argument("seed", nargs="?", type=int, default=2018)
+    family = parser.add_mutually_exclusive_group()
+    for flag, help_text in (
+        ("batched", "every message of a two-enclave migration wave"),
+        ("disk", "every disk fault on every persisted artifact"),
+        ("fleet", "planner kills at every fleet journal boundary"),
+        ("clone", "cloning campaigns against the single-instance registry"),
+    ):
+        family.add_argument(
+            f"--{flag}", dest="family", action="store_const", const=flag,
+            help=help_text,
+        )
+    parser.add_argument(
+        "--session-resumption",
+        action="store_true",
+        help="message families: MEs cache attested sessions",
     )
-    reports = sweep_clone(seed, smoke=smoke)
-    failures = [r for r in reports if not r.ok]
-    latencies = [
-        r.detection_latency for r in reports if r.detected and r.detection_latency >= 0
-    ]
-    for report in reports:
-        marker = "FAIL" if report.violations else "ok"
-        fate = "fenced" if report.fenced else (
-            "detected" if report.detected else "UNDETECTED"
-        )
-        latency = (
-            f"latency={report.detection_latency:.6f}s"
-            if report.detected and report.detection_latency >= 0
-            else "latency=n/a"
-        )
-        print(
-            f"  [{marker:>4}] {report.campaign:<20} "
-            f"window={report.window:<16} fault={report.fault:<5} "
-            f"clone={report.clone_outcome:<28} {fate:<10} {latency}"
-        )
-        for violation in report.violations:
-            print(f"         !! {violation}")
-    detected = sum(1 for r in reports if r.detected)
-    fenced = sum(1 for r in reports if r.fenced)
-    if latencies:
-        mean = sum(latencies) / len(latencies)
-        print(
-            f"detection latency (virtual): mean {mean:.6f}s, "
-            f"max {max(latencies):.6f}s over {len(latencies)} detections"
-        )
-    print(
-        f"{len(reports)} scenarios, {detected} clones detected, "
-        f"{fenced} fenced, {len(failures)} invariant violations "
-        f"(R3: never two live instances; R4: counters never regress)"
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="disk/fleet/clone: only the first scenario per grid cell",
     )
-    return 1 if failures else 0
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    session_resumption = "--session-resumption" in args
-    batched = "--batched" in args
-    disk = "--disk" in args
-    fleet = "--fleet" in args
-    clone = "--clone" in args
-    smoke = "--smoke" in args
-    args = [
-        a
-        for a in args
-        if a
-        not in (
-            "--session-resumption",
-            "--batched",
-            "--disk",
-            "--fleet",
-            "--clone",
-            "--smoke",
+    args = _parser().parse_args(argv)
+    if args.family in (None, "batched"):
+        scenarios: list = enumerate_message_scenarios(
+            args.seed, args.session_resumption, batched=args.family == "batched"
         )
-    ]
-    seed = int(args[0]) if args else 2018
-    if disk:
-        return _main_disk(seed, smoke)
-    if fleet:
-        return _main_fleet(seed, smoke)
-    if clone:
-        return _main_clone(seed, smoke)
-    probe = probe_batched_message_sequence if batched else probe_message_sequence
-    trace = probe(seed, session_resumption)
-    mode = "on" if session_resumption else "off"
-    shape = "wave (batched)" if batched else "migration"
+    else:
+        enumerate_family = {
+            "disk": enumerate_disk_scenarios,
+            "fleet": enumerate_fleet_scenarios,
+            "clone": enumerate_clone_scenarios,
+        }[args.family]
+        scenarios = enumerate_family(args.seed)
+    family = type(scenarios[0])
     print(
-        f"{shape} message sequence: {len(trace)} legs "
-        f"(seed {seed}, session resumption {mode})"
+        family.header(scenarios, args.seed)
+        + (family.smoke_note if args.smoke else "")
     )
-    run_sweep = sweep_batched if batched else sweep
-    reports = run_sweep(seed, session_resumption=session_resumption)
-    failures = [r for r in reports if not r.ok]
+    reports = sweep(scenarios, args.seed, smoke=args.smoke)
     for report in reports:
         marker = "FAIL" if report.violations else "ok"
-        step = f"{report.msg_type or 'reply'}/{report.direction}"
-        print(
-            f"  [{marker:>4}] seq {report.seq:>2} {step:<22} "
-            f"{report.kind:<13} migrate={report.migrate_outcome:<28} "
-            f"recovery={report.recovery_outcome}"
-        )
+        print(f"  [{marker:>4}] {report.scenario.row(report)}")
         for violation in report.violations:
             print(f"         !! {violation}")
-    print(
-        f"{len(reports)} scenarios, {len(failures)} invariant violations "
-        f"(R3: never two live instances; R4: counters never regress)"
-    )
-    return 1 if failures else 0
+    for line in family.summary(reports):
+        print(line)
+    return 1 if _failures(reports) else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -133,6 +133,16 @@ class CostMeter:
     #: Directed link ``(src_machine, dst_machine)`` accountable for network
     #: charges (recording only).
     link: tuple[str, str] | None = None
+    #: Seconds charged into the attached recorder so far (recording only).
+    recorded: float = field(default=0.0, init=False)
+
+    @property
+    def now(self) -> float:
+        """Virtual time as the running protocol sees it: the clock plus what
+        the attached recorder captured while the clock stands still.  Every
+        elapsed-time reader (timeouts, cost snapshots, durations) uses this,
+        so recorded runs measure the same intervals as sequential ones."""
+        return self.clock.now + self.recorded
 
     def charge(self, label: str, mean_cost: float) -> float:
         """Charge a noisy sample of ``mean_cost``; returns the charged time."""
@@ -152,6 +162,7 @@ class CostMeter:
     def _commit(self, label: str, cost: float) -> None:
         if self.recorder is not None:
             self.recorder.record(label, cost, self.location, self.link)
+            self.recorded += cost
         else:
             self.clock.advance(cost)
         self.charges.append((label, cost))
@@ -170,10 +181,12 @@ class CostMeter:
         if self.recorder is not None:
             raise InvalidStateError("a trace recording is already in progress")
         self.recorder = recorder
+        self.recorded = 0.0
         try:
             yield recorder
         finally:
             self.recorder = None
+            self.recorded = 0.0
             self.location = None
             self.link = None
 

@@ -10,11 +10,17 @@ correctness argument executable.
 
 import pytest
 
+from repro.apps.counter_app import MigratableBenchEnclave
+from repro.core.protocol import MigratableApp
 from repro.faults.chaos import (
     DEFAULT_KINDS,
-    probe_batched_message_sequence,
+    DESTINATION,
+    MessageScenario,
+    build_world,
+    check_invariants,
+    enumerate_message_scenarios,
+    main,
     probe_message_sequence,
-    run_batched_scenario,
     run_scenario,
     sweep,
 )
@@ -31,7 +37,10 @@ def trace():
 def reports(trace):
     # Drop + both crash kinds at every message; duplicates are exercised
     # separately (they only apply to request legs).
-    return sweep(SEED, kinds=("drop", "crash-source", "crash-dest"))
+    return sweep(
+        enumerate_message_scenarios(SEED, kinds=("drop", "crash-source", "crash-dest")),
+        SEED,
+    )
 
 
 class TestProbe:
@@ -48,7 +57,7 @@ class TestProbe:
 class TestSweepCoverage:
     def test_every_message_swept_with_drop_and_both_crashes(self, trace, reports):
         for kind in ("drop", "crash-source", "crash-dest"):
-            swept = {r.seq for r in reports if r.kind == kind}
+            swept = {r.scenario.seq for r in reports if r.scenario.kind == kind}
             assert swept == set(range(len(trace))), f"{kind} sweep has gaps"
 
     def test_duplicate_is_part_of_the_default_sweep(self):
@@ -59,8 +68,7 @@ class TestInvariants:
     def test_no_scenario_violates_r3_or_r4(self, reports):
         failures = [r for r in reports if r.violations]
         details = "\n".join(
-            f"seq {r.seq} {r.msg_type}/{r.direction} {r.kind}: {r.violations}"
-            for r in failures
+            f"{r.scenario.row(r)}: {r.violations}" for r in failures
         )
         assert not failures, f"invariant violations:\n{details}"
 
@@ -69,15 +77,38 @@ class TestInvariants:
         # sweep implies recovery always produced exactly one serving enclave.
         for report in reports:
             assert report.recovery_outcome in ("not-needed", "resumed"), (
-                f"seq {report.seq} {report.kind}: "
-                f"unexpected recovery {report.recovery_outcome}"
+                report.scenario.row(report)
             )
 
     def test_duplicate_request_is_harmless(self, trace):
         first_request = next(m for m in trace if m.direction == "request")
-        report = run_scenario("duplicate", first_request, 0, SEED)
+        scenario = MessageScenario(
+            "duplicate", first_request.seq, first_request.msg_type, "request", 0
+        )
+        report = run_scenario(scenario, SEED)
         assert report.ok
         assert report.migrate_outcome == "completed"
+
+    def test_r4_is_checked_on_every_serving_instance(self):
+        """A second instance serving the tracked counter at a regressed value
+        is both an R3 and an R4 violation, not only R3."""
+        world = build_world(SEED)
+        rogue = MigratableApp.deploy(
+            world.dc,
+            world.dc.machine(DESTINATION),
+            MigratableBenchEnclave,
+            world.dev_key,
+            vm_name="rogue-vm",
+            app_name="rogue-app",
+        )
+        enclave = rogue.start_new()
+        counter_id, _ = enclave.ecall("create_counter")
+        assert counter_id == world.counter_id
+        enclave.ecall("increment_counter", counter_id)
+        assert check_invariants(world) == [
+            "R3: 2 operational instances serve enclave 0",
+            "R4: enclave 0 counter regressed to 1 (expected 3)",
+        ]
 
 
 class TestBatchedSweep:
@@ -87,7 +118,7 @@ class TestBatchedSweep:
 
     @pytest.fixture(scope="class")
     def batched_trace(self):
-        return probe_batched_message_sequence(SEED)
+        return probe_message_sequence(SEED, batched=True)
 
     def test_probe_records_the_wave_protocol(self, batched_trace):
         types = [m.msg_type for m in batched_trace if m.msg_type]
@@ -119,9 +150,31 @@ class TestBatchedSweep:
             ("crash-dest", batch_legs[-1]),
         ]
         for kind, leg in scenarios:
-            report = run_batched_scenario(
-                kind, leg, request_ordinals.get(leg.seq, 0), SEED
+            scenario = MessageScenario(
+                kind,
+                leg.seq,
+                leg.msg_type,
+                leg.direction,
+                request_ordinals.get(leg.seq, 0),
+                batched=True,
             )
+            report = run_scenario(scenario, SEED)
             assert report.ok, (
                 f"{kind} at seq {leg.seq} ({leg.msg_type}): {report.violations}"
             )
+
+
+class TestCli:
+    def test_unknown_flag_is_a_usage_error_not_a_violation(self, capsys):
+        """Exit 1 means "a scenario violated an invariant"; a mistyped flag
+        must exit 2 with usage instead of reading as a safety failure."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--clones"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_one_family_per_run(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--disk", "--fleet"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err

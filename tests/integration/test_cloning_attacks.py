@@ -14,6 +14,13 @@ from repro.attacks import cloning
 from repro.cloud.storage import UntrustedStorage
 from repro.core.result import MigrationOutcome
 from repro.errors import CloneDetectedError, PreflightError
+from repro.faults.chaos import (
+    DESTINATION,
+    SOURCE,
+    CloneScenario,
+    check_invariants,
+    run_scenario,
+)
 from repro.fleet.demo import build_demo_fleet
 from repro.fleet.registry import SingleInstanceRegistry
 from repro.sim.clock import VirtualClock
@@ -25,43 +32,55 @@ class TestCampaigns:
         advance: the classic cloning window.  The registry accepts the
         clone (holder looks dead, epoch is fresh enough) and fences it
         retroactively when the legitimate shipment lands."""
-        report = cloning.run_restore_window_campaign(0, window_label="0:la_rec")
+        report = run_scenario(
+            CloneScenario("restore-window", "0:la_rec", 0, "none", -1)
+        )
         assert report.clone_outcome == "accepted"
         assert report.detected and report.fenced
         assert report.detection_latency > 0
-        assert report.migrate_outcome == "COMPLETED"
+        assert report.migrate_outcome == "completed"
         assert report.ok, report.violations
 
     def test_restore_window_late_clone_is_denied_outright(self):
         """By the destination's install the registry records a live holder
         at the new epoch; a stale claim is denied before any state loads."""
-        report = cloning.run_restore_window_campaign(16, window_label="16:la_rec")
+        report = run_scenario(
+            CloneScenario("restore-window", "16:la_rec", 16, "none", -1)
+        )
         assert report.clone_outcome == "denied:CloneDetectedError"
         assert report.detected and report.fenced
         assert report.ok, report.violations
 
     def test_wave_double_join_is_fenced(self):
         trace = [
-            leg for leg in cloning.probe_wave_trace(2018)
+            leg for leg in cloning.probe_window_trace("wave-double-join", 2018)
             if leg.direction == "request"
         ]
-        report = cloning.run_wave_double_join_campaign(trace[len(trace) // 2].seq)
+        seq = trace[len(trace) // 2].seq
+        report = run_scenario(
+            CloneScenario("wave-double-join", str(seq), seq, "none", -1)
+        )
         assert report.detected and report.fenced
-        assert report.migrate_outcome == "COMPLETED,COMPLETED"
+        assert report.migrate_outcome == "completed+completed"
         assert report.ok, report.violations
 
     def test_stale_session_replay_falls_back_and_fences(self):
         trace = [
-            leg for leg in cloning.probe_stale_session_trace(2018)
+            leg for leg in cloning.probe_window_trace("stale-session-replay", 2018)
             if leg.direction == "request"
         ]
-        report = cloning.run_stale_session_replay_campaign(trace[2].seq)
+        seq = trace[2].seq
+        report = run_scenario(
+            CloneScenario("stale-session-replay", str(seq), seq, "none", -1)
+        )
         assert report.detected and report.fenced
         assert any("full remote attestation" in line for line in report.timeline)
         assert report.ok, report.violations
 
     def test_healed_disk_relaunch_is_fenced_by_stale_epoch(self):
-        report = cloning.run_healed_disk_campaign("tombstone-heal")
+        report = run_scenario(
+            CloneScenario("healed-disk", "tombstone-heal", -1, "none", -1)
+        )
         # Defense in depth: the newest healed blob is frozen (refused by
         # the freeze flag), the deeper pre-freeze replay reaches the
         # registry and is fenced for epoch regression.
@@ -71,7 +90,9 @@ class TestCampaigns:
         assert report.ok, report.violations
 
     def test_rolled_back_me_checkpoint_fences_on_first_beat(self):
-        report = cloning.run_healed_disk_campaign("me-checkpoint")
+        report = run_scenario(
+            CloneScenario("healed-disk", "me-checkpoint", -1, "none", -1)
+        )
         assert report.clone_outcome == "denied:CloneDetectedError"
         assert report.detected and report.fenced
         assert report.recovery_outcome == "restarted"
@@ -80,11 +101,11 @@ class TestCampaigns:
 
 class TestDenyByDefault:
     def test_offline_registry_denies_clone_but_legit_keeps_serving(self):
-        world = cloning.build_clone_world(2018)
+        world = cloning.campaign_world("restore-window", 2018)
         stale = world.app.stored_library_buffer()
         world.registry.offline = True
         outcome, clone, _ = cloning.launch_clone(
-            world, world.dc.machine(cloning.SOURCE), stale, "offline-clone"
+            world, world.dc.machine(SOURCE), stale, "offline-clone"
         )
         assert outcome.startswith("denied-transient")
         assert clone is None
@@ -96,16 +117,16 @@ class TestDenyByDefault:
         """An unreachable registry must never silently open a migration
         window: the freeze advance is denied (retryably), the transaction
         parks, and resume finishes once the registry is back."""
-        world = cloning.build_clone_world(2018)
-        destination = world.dc.machine(cloning.DESTINATION)
+        world = cloning.campaign_world("restore-window", 2018)
+        destination = world.dc.machine(DESTINATION)
         world.registry.offline = True
         result = world.app.migrate(destination, migrate_vm=False)
         assert result.outcome is MigrationOutcome.PENDING_RETRY
         world.registry.offline = False
         result = world.app.resume(migrate_vm=False)
         assert result.outcome is MigrationOutcome.RESUMED
-        assert result.machine_name == cloning.DESTINATION
-        assert cloning.check_clone_invariants(world) == []
+        assert result.machine_name == DESTINATION
+        assert check_invariants(world) == []
 
 
 class TestFreezeFlagBelowRegistry:
@@ -114,12 +135,12 @@ class TestFreezeFlagBelowRegistry:
         that is *frozen* is refused inside the library before any claim is
         made, so no incident is recorded (and the chaos sweep's windows
         therefore exclude this non-adjudicated refusal)."""
-        world = cloning.build_clone_world(2018)
+        world = cloning.campaign_world("healed-disk", 2018)
         result = world.app.migrate(
-            world.dc.machine(cloning.DESTINATION), migrate_vm=False
+            world.dc.machine(DESTINATION), migrate_vm=False
         )
         assert result.outcome is MigrationOutcome.COMPLETED
-        source = world.dc.machine(cloning.SOURCE)
+        source = world.dc.machine(SOURCE)
         path = cloning._library_blob_path(world.app)
         source.storage.heal(path + "*")
         buffer = source.storage.read(path)

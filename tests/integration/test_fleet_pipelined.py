@@ -70,26 +70,43 @@ def _snapshot(demo):
 
 
 class TestSerialEquivalence:
-    @pytest.mark.parametrize("intent", ["drain", "evacuate", "rebalance"])
+    @pytest.mark.parametrize(
+        "intent", ["drain", "evacuate", "rebalance", "delayed-drain"]
+    )
     def test_pipelined_matches_serial_state_bytes_and_outcomes(self, intent):
-        worlds, results, elapsed = {}, {}, {}
+        worlds, results, costs, elapsed = {}, {}, {}, {}
         for mode in ("serial", "pipelined"):
             demo = build_demo_fleet(seed=0, n_enclaves=8, dispatch=mode)
             base = demo.dc.clock.now
-            if intent == "drain":
-                plan = demo.service.plan_drain("fleet-0")
-            elif intent == "evacuate":
+            if intent == "evacuate":
                 plan = demo.service.plan_evacuate("tenant-a")
-            else:
+            elif intent == "rebalance":
                 # Drain first so the rebalance actually has work to do.
                 demo.service.apply(demo.service.plan_drain("fleet-0"))
                 plan = demo.service.plan_rebalance()
+            else:
+                plan = demo.service.plan_drain("fleet-0")
+            if intent == "delayed-drain":
+                # One exchange outlives ME_REQUEST_TIMEOUT (30 s): the sender
+                # must time out and retry while the group records, too, even
+                # though the clock stands still until replay.
+                demo.dc.network.fault_injector = FaultInjector(
+                    plan=FaultPlan().delay(31.0, msg_type="ra_msg1"),
+                    rng=demo.dc.rng.child("delayed-drain"),
+                    machines=dict(demo.dc.machines),
+                    meter=demo.dc.meter,
+                )
             assert plan.moves, f"empty {intent} plan defeats the test"
             result = demo.service.apply(plan)
+            demo.dc.network.fault_injector = None
             assert result.completed
             worlds[mode] = _snapshot(demo)
             results[mode] = {
                 move.app_name: result.result_for(move.app_name).outcome
+                for move in plan.moves
+            }
+            costs[mode] = {
+                move.app_name: result.result_for(move.app_name).cost
                 for move in plan.moves
             }
             elapsed[mode] = demo.dc.clock.now - base
@@ -98,6 +115,14 @@ class TestSerialEquivalence:
         # never re-runs the protocol.
         assert worlds["serial"] == worlds["pipelined"]
         assert results["serial"] == results["pipelined"]
+        # Per-member costs read the protocol's view of virtual time, so the
+        # frozen clock of the record phase does not zero them.
+        for name, serial in costs["serial"].items():
+            pipelined = costs["pipelined"][name]
+            assert serial.virtual_time > 0
+            assert pipelined.virtual_time == pytest.approx(serial.virtual_time)
+            assert pipelined.messages_sent == serial.messages_sent
+            assert pipelined.bytes_sent == serial.bytes_sent
         # Only virtual time may differ — never against pipelined.
         assert elapsed["pipelined"] <= elapsed["serial"]
 

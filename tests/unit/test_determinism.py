@@ -1,7 +1,10 @@
 """Reproducibility: every experiment is a pure function of its seed."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
+
+import pytest
 
 from repro.bench.harness import run_fig3, run_fleet_bench, run_migration_bench
 from repro.cloud.datacenter import DataCenter
@@ -84,65 +87,69 @@ class TestSeedDeterminism:
             s["virtual_seconds_total"] for s in singles
         )
 
-    def test_chaos_disk_enumeration_matches_golden_file(self):
-        """The disk sweep's scenario grid is part of the contract: silently
-        losing a (artifact x fault x phase) cell means silently losing
-        coverage.  The golden file pins the full seed-2018 enumeration."""
-        from dataclasses import asdict
+    @pytest.mark.parametrize(
+        "family", ["messages", "batched", "disk", "fleet", "clone"]
+    )
+    def test_chaos_enumeration_matches_golden_file(self, family):
+        """Every chaos sweep's scenario grid is part of the contract:
+        silently losing a cell (a message leg, an artifact x fault x phase,
+        a planner-kill boundary, a cloning window) means silently losing
+        coverage.  The golden files pin the full seed-2018 enumerations;
+        the message grids in both session-resumption modes."""
+        from repro.faults import chaos
 
-        from repro.faults.chaos import enumerate_disk_scenarios
+        def grid(scenarios):
+            rows = [asdict(scenario) for scenario in scenarios]
+            return {"scenario_count": len(rows), "scenarios": rows}
 
-        golden = json.loads((GOLDEN_DIR / "chaos_disk_seed2018.json").read_text())
-        scenarios = [asdict(s) for s in enumerate_disk_scenarios(2018)]
-        assert len(scenarios) == golden["scenario_count"]
-        assert scenarios == golden["scenarios"]
+        golden = json.loads(
+            (GOLDEN_DIR / f"chaos_{family}_seed2018.json").read_text()
+        )
+        if family in ("messages", "batched"):
+            actual = {
+                f"session_resumption_{'on' if resumption else 'off'}": grid(
+                    chaos.enumerate_message_scenarios(
+                        2018, resumption, batched=family == "batched"
+                    )
+                )
+                for resumption in (False, True)
+            }
+            assert actual == golden["modes"]
+        else:
+            enumerate_family = getattr(chaos, f"enumerate_{family}_scenarios")
+            actual = grid(enumerate_family(2018))
+            assert actual["scenario_count"] == golden["scenario_count"]
+            assert actual["scenarios"] == golden["scenarios"]
 
     def test_chaos_disk_scenario_report_identical_under_seed(self):
         """One full fault scenario (injected tear + machine crash + healing
         recovery) replayed twice from the same seed must produce the
         identical report — the sweep's reproducibility in miniature."""
-        from dataclasses import asdict
-
-        from repro.faults.chaos import enumerate_disk_scenarios, run_disk_scenario
+        from repro.faults.chaos import enumerate_disk_scenarios, run_scenario
 
         scenario = next(
             s
             for s in enumerate_disk_scenarios(2018)
             if s.artifact == "journal-source" and s.kind == "torn_write"
         )
-        a = run_disk_scenario(scenario, seed=2018)
-        b = run_disk_scenario(scenario, seed=2018)
+        a = run_scenario(scenario, seed=2018)
+        b = run_scenario(scenario, seed=2018)
         assert asdict(a) == asdict(b)
-
-    def test_chaos_clone_enumeration_matches_golden_file(self):
-        """The clone sweep's scenario grid (campaign x protocol window x
-        fault) is pinned: silently losing a cloning window means silently
-        losing adversarial coverage."""
-        from dataclasses import asdict
-
-        from repro.faults.chaos import enumerate_clone_scenarios
-
-        golden = json.loads((GOLDEN_DIR / "chaos_clone_seed2018.json").read_text())
-        scenarios = [asdict(s) for s in enumerate_clone_scenarios(2018)]
-        assert len(scenarios) == golden["scenario_count"]
-        assert scenarios == golden["scenarios"]
 
     def test_chaos_clone_scenario_report_identical_under_seed(self):
         """One full cloning campaign (clone launched mid-window, fenced by
         the registry, invariants checked) replayed twice from the same
         seed must produce the identical report — detection latency in
         virtual time included."""
-        from dataclasses import asdict
-
-        from repro.faults.chaos import enumerate_clone_scenarios, run_clone_scenario
+        from repro.faults.chaos import enumerate_clone_scenarios, run_scenario
 
         scenario = next(
             s
             for s in enumerate_clone_scenarios(2018)
             if s.campaign == "restore-window" and s.fault == "drop"
         )
-        a = run_clone_scenario(scenario, seed=2018)
-        b = run_clone_scenario(scenario, seed=2018)
+        a = run_scenario(scenario, seed=2018)
+        b = run_scenario(scenario, seed=2018)
         assert asdict(a) == asdict(b)
 
     def test_datacenter_key_material_deterministic(self):

@@ -8,6 +8,8 @@ from repro.cloud.network import Endpoint
 from repro.core.migration_enclave import MigrationEnclave
 from repro.core.protocol import reinstall_migration_enclave
 from repro.core.result import MigrationOutcome
+from repro.faults.chaos import DESTINATION, SOURCE, attach_injector
+from repro.faults.plan import FaultPlan
 
 
 def _beat(world, machine_name):
@@ -23,18 +25,18 @@ class TestFreshEpochOnReinstall:
         """The session epoch is *never* restored from the sealed checkpoint
         (that is what invalidates cached sessions); the heartbeat *is*
         restored (that is what catches checkpoint rollbacks)."""
-        world = cloning.build_clone_world(2018)
-        first = _beat(world, cloning.SOURCE)
+        world = cloning.campaign_world("restore-window", 2018)
+        first = _beat(world, SOURCE)
         assert first["status"] == "ok"
         assert first["heartbeat"] == 1
         reinstall_migration_enclave(
             world.dc,
-            world.dc.machine(cloning.SOURCE),
+            world.dc.machine(SOURCE),
             world.me_signer,
             durable=True,
             registry=world.registry,
         )
-        second = _beat(world, cloning.SOURCE)
+        second = _beat(world, SOURCE)
         assert second["status"] == "ok"
         # Fresh epoch: the reinstalled instance is a different session peer.
         assert second["epoch"] != first["epoch"]
@@ -44,8 +46,8 @@ class TestFreshEpochOnReinstall:
         assert world.registry.incident_count() == 0
 
     def test_me_enclave_epoch_differs_after_reinstall(self):
-        world = cloning.build_clone_world(2018)
-        machine = world.dc.machine(cloning.SOURCE)
+        world = cloning.campaign_world("restore-window", 2018)
+        machine = world.dc.machine(SOURCE)
 
         def me_enclave():
             return next(
@@ -57,7 +59,7 @@ class TestFreshEpochOnReinstall:
         old = me_enclave()
         # Beat through the message path (it checkpoints the counter) so the
         # reinstalled ME continues the sequence instead of regressing.
-        old_epoch = _beat(world, cloning.SOURCE)["epoch"]
+        old_epoch = _beat(world, SOURCE)["epoch"]
         reinstall_migration_enclave(
             world.dc, machine, world.me_signer, durable=True,
             registry=world.registry,
@@ -75,18 +77,18 @@ class TestStaleCachedSession:
         """After the destination ME is reinstalled, the source ME's cached
         attested session points at a dead epoch: the next migration must
         re-run the full remote-attestation handshake (ra_msg1 reappears)."""
-        trace = cloning.probe_stale_session_trace(2018)
+        trace = cloning.probe_window_trace("stale-session-replay", 2018)
         assert any(leg.msg_type == "ra_msg1" for leg in trace)
 
     def test_warm_cached_session_is_resumed_without_full_ra(self):
         """Control: with session resumption on and no reinstall, the second
         migration to the same destination resumes the cached session and
         never sends ra_msg1."""
-        world = cloning.build_clone_world(2018, apps=2, session_resumption=True)
-        destination = world.dc.machine(cloning.DESTINATION)
+        world = cloning.campaign_world("stale-session-replay", 2018)
+        destination = world.dc.machine(DESTINATION)
         result = world.apps[0].migrate(destination, migrate_vm=False)
         assert result.outcome is MigrationOutcome.COMPLETED
-        injector = cloning._attach_injector(world, cloning.FaultPlan())
+        injector = attach_injector(world, FaultPlan())
         result = world.apps[1].migrate(destination, migrate_vm=False)
         world.dc.network.fault_injector = None
         assert result.outcome is MigrationOutcome.COMPLETED
