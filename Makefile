@@ -2,9 +2,10 @@
 # tests, the SEC001-SEC010 interprocedural static-analysis gate (fails on
 # any finding not recorded in .analysis-baseline.json), the chaos sweep
 # (drop/duplicate/crash faults over every migration message; R3/R4 must hold
-# after recovery), the smoke slices of the disk-fault, fleet-kill and
-# clone-campaign grids (the full grids run via `make chaos-disk`,
-# `make chaos-fleet` and `make chaos-clone`), and the end-to-end benchmark's
+# after recovery), the full fleet-kill grid (every planner-kill boundary of
+# the fleet executor, serial and pipelined), the smoke slices of the
+# disk-fault and clone-campaign grids (the full grids run via
+# `make chaos-disk` and `make chaos-clone`), and the end-to-end benchmark's
 # smoke test.
 
 PYTHON ?= python
@@ -27,7 +28,7 @@ bench-fleet:
 bench-fleet-smoke:
 	$(PYTHON) benchmarks/bench_fleet.py --smoke --output /tmp/BENCH_fleet_smoke.json
 
-# Discrete-event concurrency guard: a tiny serial-vs-concurrent dispatch
+# Discrete-event concurrency guard: a tiny serial-vs-pipelined dispatch
 # sweep plus the planner heap-vs-scan microbench, in seconds not minutes.
 bench-scale-smoke:
 	$(PYTHON) benchmarks/bench_fleet.py --smoke --scale-only --output /tmp/BENCH_scale_smoke.json
@@ -95,8 +96,9 @@ chaos-clone:
 chaos-clone-smoke:
 	$(PYTHON) -m repro.faults.chaos --clone --smoke
 
-# One scenario per cell of every adversarial grid — the CI slice.
+# One scenario per cell of every adversarial grid (`make ci` runs this
+# slice for disk and clone, and the full fleet grid).
 chaos-smoke-all: chaos-disk-smoke chaos-fleet-smoke chaos-clone-smoke
 
-ci: test analyze chaos chaos-smoke-all bench-fleet-smoke bench-scale-smoke \
-	bench-e2e-smoke
+ci: test analyze chaos chaos-disk-smoke chaos-fleet chaos-clone-smoke \
+	bench-fleet-smoke bench-scale-smoke bench-e2e-smoke

@@ -5,7 +5,7 @@ end-to-end migrations per *wall-clock* second the simulator sustains — the
 gauge for simulator-throughput work, where the seeded virtual-time output
 must stay byte-identical while the wall cost drops.
 
-Seven sweeps are recorded:
+Six sweeps are recorded:
 
 - ``baseline``            ring plan, one ``migrate`` per app, full RA per
                           migration (the paper's protocol).
@@ -18,13 +18,10 @@ Seven sweeps are recorded:
                           control plane (planner + pre-flight + journaled
                           waves), so the control plane's overhead is priced
                           against ``wave_batched``.
-- ``workers_1`` / ``workers_N``  the same set of independent seeded shard
-                          worlds run on 1 process vs ``--workers`` processes;
-                          wall migrations/sec is the multiprocess gauge.
 - ``scale``               orchestrator-scale scaling curve: serial vs
-                          concurrent vs pipelined dispatch at growing fleet
-                          sizes (up to 64 machines x 512 enclaves) over
-                          three shapes — a multi-round maintenance-window
+                          pipelined dispatch at growing fleet sizes (up
+                          to 64 machines x 512 enclaves) over three
+                          shapes — a multi-round maintenance-window
                           ``drain`` (``apply_many`` plan factories), a
                           cap-split ``evacuate`` (many small waves), and a
                           ``multi_tenant`` row (two pod-confined tenants'
@@ -37,7 +34,7 @@ Usage::
     python benchmarks/bench_fleet.py                 # full run, writes JSON
     python benchmarks/bench_fleet.py --smoke         # tiny run for CI
     python benchmarks/bench_fleet.py --smoke --scale-only -o /tmp/scale.json
-    python benchmarks/bench_fleet.py -o out.json --enclaves 16 --workers 8
+    python benchmarks/bench_fleet.py -o out.json --enclaves 16
 """
 
 from __future__ import annotations
@@ -63,44 +60,36 @@ PLANNER_SCALE = (6400, 512)
 SMOKE_PLANNER_SCALE = (400, 64)
 
 
-def _scale_scenarios(n_machines: int) -> list[tuple[str, dict, tuple[str, ...]]]:
-    """The scale sweep's (scenario, config knobs, dispatch modes) rows.
+def _scale_scenarios(n_machines: int) -> list[tuple[str, dict]]:
+    """The scale sweep's (scenario, config knobs) rows, each run under
+    serial and pipelined dispatch.
 
     * ``drain`` — a multi-round maintenance window via ``apply_many`` plan
       factories: each round drains one machine, every round's machine is
       excluded from destinations (so drained hosts stay empty and the
       rounds' claims stay mostly disjoint — the shape where pipelined
-      admission lifts the curve past concurrent's per-wave bound).
+      admission overlaps rounds across the wave barrier).
     * ``evacuate`` — one tenant's evacuation split into many small waves by
       ``wave_caps=4``; pipelined overlaps the claim-disjoint waves the caps
       artificially serialized.
     * ``multi_tenant`` — ``apply_many`` of two tenants' evacuations with
-      pod-confined tenants (disjoint source claims); concurrent vs
-      pipelined only, since plan-level overlap is the whole point.
+      pod-confined tenants (disjoint source claims), where plan-level
+      overlap is the whole point.
     """
     drain_reps = min(4, max(2, n_machines // 2))
     pods = 2 if n_machines < 16 else 8
     return [
-        (
-            "drain",
-            dict(plan="drain", reps=drain_reps, multi_plan=True),
-            ("serial", "concurrent", "pipelined"),
-        ),
-        (
-            "evacuate",
-            dict(plan="evacuate", reps=1, wave_caps=4),
-            ("serial", "concurrent", "pipelined"),
-        ),
+        ("drain", dict(plan="drain", reps=drain_reps, multi_plan=True)),
+        ("evacuate", dict(plan="evacuate", reps=1, wave_caps=4)),
         (
             "multi_tenant",
             dict(plan="evacuate", reps=2, multi_plan=True, tenant_pods=pods),
-            ("concurrent", "pipelined"),
         ),
     ]
 
 
 def run_scale_sweep(seed: int, configs) -> dict:
-    """Serial vs concurrent vs pipelined dispatch across fleet sizes.
+    """Serial vs pipelined dispatch across fleet sizes.
 
     For each (machines, enclaves) row and each workload shape (see
     :func:`_scale_scenarios`), runs the orchestrated fleet bench once per
@@ -110,13 +99,13 @@ def run_scale_sweep(seed: int, configs) -> dict:
     """
     rows = []
     for n_machines, n_enclaves in configs:
-        for scenario, knobs, modes in _scale_scenarios(n_machines):
+        for scenario, knobs in _scale_scenarios(n_machines):
             row: dict = {
                 "n_machines": n_machines,
                 "n_enclaves": n_enclaves,
                 "scenario": scenario,
             }
-            for dispatch in modes:
+            for dispatch in ("serial", "pipelined"):
                 result = run_fleet_bench(
                     FleetBenchConfig(
                         n_enclaves=n_enclaves,
@@ -133,29 +122,17 @@ def run_scale_sweep(seed: int, configs) -> dict:
                     "wall_seconds": result["wall_seconds"],
                     "utilization": result["utilization"],
                 }
-            concurrent = row["concurrent"]["virtual_seconds_total"]
+            serial = row["serial"]["virtual_seconds_total"]
             pipelined = row["pipelined"]["virtual_seconds_total"]
-            row["pipelined_vs_concurrent"] = (
-                concurrent / pipelined if pipelined else 0.0
+            row["pipelined_virtual_speedup"] = (
+                serial / pipelined if pipelined else 0.0
             )
-            if "serial" in row:
-                serial = row["serial"]["virtual_seconds_total"]
-                row["virtual_speedup"] = (
-                    serial / concurrent if concurrent else 0.0
-                )
-                row["pipelined_virtual_speedup"] = (
-                    serial / pipelined if pipelined else 0.0
-                )
-                base = f"serial {serial:.3f}s -> "
-            else:
-                base = ""
             rows.append(row)
             print(
                 f"  scale {n_machines:>3}m x {n_enclaves:>4}e "
-                f"{scenario:>12}: {row['concurrent']['migrations']} moves, "
-                f"{base}concurrent {concurrent:.3f}s -> pipelined "
-                f"{pipelined:.3f}s virtual "
-                f"({row['pipelined_vs_concurrent']:.2f}x over concurrent)"
+                f"{scenario:>12}: {row['serial']['migrations']} moves, "
+                f"serial {serial:.3f}s -> pipelined {pipelined:.3f}s virtual "
+                f"({row['pipelined_virtual_speedup']:.2f}x)"
             )
     return {"rows": rows}
 
@@ -168,6 +145,7 @@ def run_planner_throughput(n_machines: int, n_moves: int) -> dict:
     sits on every other machine.  Asserts both paths produce the identical
     plan before reporting their wall times.
     """
+    import gc
     import time
     from types import SimpleNamespace
 
@@ -194,6 +172,10 @@ def run_planner_throughput(n_machines: int, n_moves: int) -> dict:
         max_moves_per_machine=n_moves,
         tenant_wave_quota=n_moves,
     )
+    # Collect the earlier sweeps' garbage first: otherwise a full collection
+    # can fire inside the ~10 ms heap run and dominate it (0.17 s measured
+    # after the full sweep set on the 2-CPU bench host).
+    gc.collect()
     start = time.perf_counter()
     heap_plan = plan_drain(members, machines, machines[0], constraints)
     heap_seconds = time.perf_counter() - start
@@ -236,16 +218,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=3, help="migration rounds (ring: each app moves once per round; drain: one machine evacuated per round)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--workers", type=int, default=4,
-        help="process count for the sharded run (also the shard count)",
-    )
-    parser.add_argument(
         "--smoke", action="store_true",
-        help="tiny configuration for CI (2 enclaves, 2 machines, 1 round, 2 workers)",
+        help="tiny configuration for CI (2 enclaves, 2 machines, 1 round)",
     )
     parser.add_argument(
         "--scale-only", action="store_true",
-        help="run only the scale sweep + planner microbench (skip the seven "
+        help="run only the scale sweep + planner microbench (skip the five "
         "throughput sweeps); with --smoke this is `make bench-scale-smoke`",
     )
     parser.add_argument(
@@ -256,7 +234,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.smoke:
         args.enclaves, args.machines, args.reps = 2, 2, 1
-        args.workers = min(args.workers, 2)
 
     report = {
         "benchmark": "fleet_migration_throughput",
@@ -275,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     planner_scale = SMOKE_PLANNER_SCALE if args.smoke else PLANNER_SCALE
 
     if args.scale_only:
-        print("scale sweep (serial vs concurrent vs pipelined dispatch):")
+        print("scale sweep (serial vs pipelined dispatch):")
         report["runs"]["scale"] = run_scale_sweep(args.seed, scale_configs)
         report["runs"]["planner_throughput"] = run_planner_throughput(*planner_scale)
         _summarize_scale(report)
@@ -289,8 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         ("wave_sequential", dict(plan="drain")),
         ("wave_batched", dict(plan="drain", batch=True)),
         ("orchestrated", dict(plan="drain", orchestrated=True)),
-        ("workers_1", dict(workers=1, shards=args.workers)),
-        ("workers_%d" % args.workers, dict(workers=args.workers, shards=args.workers)),
     )
     for label, extra in sweeps:
         result = run_fleet_bench(FleetBenchConfig.from_args(args, **extra))
@@ -332,18 +307,8 @@ def main(argv: list[str] | None = None) -> int:
             f"control-plane virtual overhead vs wave_batched: "
             f"{report['orchestration_virtual_overhead']:.2f}x"
         )
-    workers_label = "workers_%d" % args.workers
-    if runs["workers_1"]["wall_migrations_per_sec"] > 0:
-        report["workers_wall_speedup"] = (
-            runs[workers_label]["wall_migrations_per_sec"]
-            / runs["workers_1"]["wall_migrations_per_sec"]
-        )
-        print(
-            f"--workers {args.workers} wall speedup over --workers 1 "
-            f"(same {args.workers} shards): {report['workers_wall_speedup']:.2f}x"
-        )
 
-    print("scale sweep (serial vs concurrent vs pipelined dispatch):")
+    print("scale sweep (serial vs pipelined dispatch):")
     report["runs"]["scale"] = run_scale_sweep(args.seed, scale_configs)
     report["runs"]["planner_throughput"] = run_planner_throughput(*planner_scale)
     _summarize_scale(report)
@@ -361,23 +326,13 @@ def _summarize_scale(report: dict) -> None:
         if row["n_machines"] * row["n_enclaves"] != largest:
             continue
         scenario = row["scenario"]
-        report[f"scale_{scenario}_pipelined_vs_concurrent"] = row[
-            "pipelined_vs_concurrent"
+        report[f"scale_{scenario}_pipelined_speedup"] = row[
+            "pipelined_virtual_speedup"
         ]
-        if "virtual_speedup" in row:
-            report[f"scale_{scenario}_virtual_speedup"] = row["virtual_speedup"]
-            report[f"scale_{scenario}_pipelined_speedup"] = row[
-                "pipelined_virtual_speedup"
-            ]
-            detail = (
-                f"{row['virtual_speedup']:.2f}x concurrent, "
-                f"{row['pipelined_virtual_speedup']:.2f}x pipelined vs serial"
-            )
-        else:
-            detail = f"{row['pipelined_vs_concurrent']:.2f}x pipelined vs concurrent"
         print(
-            f"dispatch virtual speedup at "
-            f"{row['n_machines']}x{row['n_enclaves']} ({scenario}): {detail}"
+            f"pipelined virtual speedup over serial at "
+            f"{row['n_machines']}x{row['n_enclaves']} ({scenario}): "
+            f"{row['pipelined_virtual_speedup']:.2f}x"
         )
     planner = report["runs"]["planner_throughput"]
     report["planner_wall_speedup"] = planner["planner_wall_speedup"]

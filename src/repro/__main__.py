@@ -78,10 +78,10 @@ def _run_fleet(argv: list[str]) -> int:
         "(default drain:fleet-0)",
     )
     parser.add_argument(
-        "--dispatch", choices=["serial", "concurrent", "pipelined"],
+        "--dispatch", choices=["serial", "pipelined"],
         default="serial",
-        help="wave execution mode: serial groups, per-wave concurrent "
-        "replay, or plan-wide pipelined admission (default serial)",
+        help="group execution mode: serial groups on the virtual clock, or "
+        "plan-wide pipelined admission on the scheduler (default serial)",
     )
     args = parser.parse_args(argv)
 

@@ -11,7 +11,7 @@ ECALLs", repeated 1000 times.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from repro.apps.counter_app import BaselineBenchEnclave, MigratableBenchEnclave
 from repro.cloud.datacenter import DataCenter
@@ -220,13 +220,12 @@ class FleetBenchConfig:
     journaled waves) instead of hand-rolled ``migrate_group`` calls,
     benchmarking the control plane's overhead on the same workload.
 
-    ``dispatch`` (orchestrated only) selects the control plane's wave
+    ``dispatch`` (orchestrated only) selects the control plane's group
     execution mode: ``"serial"`` sums the per-destination groups on the
-    virtual clock, ``"concurrent"`` replays them as overlapping
-    discrete-event processes (same bytes, contended virtual time), and
-    ``"pipelined"`` additionally drops the wave (and plan) barrier —
-    groups admit the moment their machine/link claims are free — the
-    three-way comparison behind the ``scale`` sweep.
+    virtual clock, and ``"pipelined"`` replays them as overlapping
+    discrete-event processes with no wave (or plan) barrier — groups admit
+    the moment their machine/link claims are free (same bytes, contended
+    virtual time) — the comparison behind the ``scale`` sweep.
 
     ``wave_caps`` (orchestrated only) tightens ``max_moves_per_machine``
     and ``tenant_wave_quota`` to that value so plans split into many small
@@ -255,8 +254,6 @@ class FleetBenchConfig:
     session_resumption: bool = False
     batch: bool = False
     plan: str = "ring"
-    workers: int = 1
-    shards: int | None = None
     orchestrated: bool = False
     dispatch: str = "serial"
     wave_caps: int | None = None
@@ -270,7 +267,7 @@ class FleetBenchConfig:
             raise ValueError("orchestrated fleet bench requires plan='drain' or 'evacuate'")
         if self.plan == "evacuate" and not self.orchestrated:
             raise ValueError("plan='evacuate' requires orchestrated=True")
-        if self.dispatch not in ("serial", "concurrent", "pipelined"):
+        if self.dispatch not in ("serial", "pipelined"):
             raise ValueError(f"unknown dispatch mode: {self.dispatch!r}")
         if self.dispatch != "serial" and not self.orchestrated:
             raise ValueError(
@@ -317,71 +314,11 @@ class FleetBenchConfig:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    @property
-    def effective_shards(self) -> int:
-        if self.shards is not None:
-            return self.shards
-        return self.workers if self.workers > 1 else 1
-
 
 def _require_completed(results) -> None:
     for result in results:
         if result.outcome.name != "COMPLETED":
             raise RuntimeError(f"fleet migration failed: {result.outcome}")
-
-
-def _fleet_shard_worker(config: "FleetBenchConfig") -> dict:
-    """Run one independent seeded fleet world; module-level so it pickles."""
-    return run_fleet_bench(config)
-
-
-def _run_fleet_shards(config: "FleetBenchConfig") -> dict:
-    """Run ``shards`` independent fleet worlds, optionally across processes.
-
-    Shard ``i`` runs with ``seed + i`` so every shard is a byte-deterministic
-    world of its own; the aggregate merges wall throughput (the quantity that
-    scales with cores) and sums virtual time (each shard has its own virtual
-    clock — virtual totals are additive work, not elapsed time).
-    """
-    workers, shards = config.workers, config.effective_shards
-    shard_configs = [
-        replace(config, seed=config.seed + index, workers=1, shards=1)
-        for index in range(shards)
-    ]
-    wall_start = time.perf_counter()
-    if workers <= 1:
-        shard_results = [_fleet_shard_worker(sc) for sc in shard_configs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shard_results = list(pool.map(_fleet_shard_worker, shard_configs))
-    wall_seconds = time.perf_counter() - wall_start
-    migrations = sum(r["migrations"] for r in shard_results)
-    return {
-        "n_enclaves": config.n_enclaves,
-        "n_machines": config.n_machines,
-        "reps": config.reps,
-        "seed": config.seed,
-        "session_resumption": config.session_resumption,
-        "batch": config.batch,
-        "plan": config.plan,
-        "workers": workers,
-        "shards": shards,
-        "config": config.as_dict(),
-        "shard_seeds": [sc.seed for sc in shard_configs],
-        "migrations": migrations,
-        "wall_seconds": wall_seconds,
-        "wall_migrations_per_sec": migrations / wall_seconds if wall_seconds else 0.0,
-        "virtual_seconds_total": sum(r["virtual_seconds_total"] for r in shard_results),
-        "virtual_seconds_mean": (
-            sum(r["virtual_seconds_mean"] * r["migrations"] for r in shard_results)
-            / migrations
-            if migrations
-            else 0.0
-        ),
-        "shard_wall_seconds": [r["wall_seconds"] for r in shard_results],
-    }
 
 
 def run_fleet_bench(config: "FleetBenchConfig | None" = None, **kwargs) -> dict:
@@ -408,7 +345,7 @@ def run_fleet_bench(config: "FleetBenchConfig | None" = None, **kwargs) -> dict:
     - ``"evacuate"`` (orchestrated only): round ``r`` relocates every app of
       tenant ``r`` — one member per machine, so the wave's moves have
       distinct sources *and* destinations.  This is the shape where
-      concurrent dispatch pays off most: a drain is inherently bottlenecked
+      pipelined dispatch pays off most: a drain is inherently bottlenecked
       on the drained machine's CPU (speedup caps near 2x), while an
       evacuation wave parallelizes across the whole fleet.
 
@@ -416,12 +353,6 @@ def run_fleet_bench(config: "FleetBenchConfig | None" = None, **kwargs) -> dict:
     ``MigratableApp.migrate_group`` wave per (source, destination) pair; the
     wave's virtual cost is split evenly across its members so per-migration
     numbers stay comparable with the sequential path.
-
-    ``workers``/``shards`` run that many *independent* seeded fleet worlds
-    (shard ``i`` uses ``seed + i``) and merge the results;  ``workers > 1``
-    spreads the shards over a ``ProcessPoolExecutor`` so aggregate wall
-    migrations/sec can scale with cores while each shard stays
-    byte-deterministic.
 
     ``session_resumption=True`` provisions the MEs with the attested-session
     cache (an explicit ablation; it shortens repeat ME<->ME handshakes on
@@ -437,8 +368,6 @@ def run_fleet_bench(config: "FleetBenchConfig | None" = None, **kwargs) -> dict:
         config = FleetBenchConfig(**kwargs)
     elif kwargs:
         raise TypeError("pass either a FleetBenchConfig or knobs, not both")
-    if config.effective_shards > 1:
-        return _run_fleet_shards(config)
     n_enclaves, n_machines = config.n_enclaves, config.n_machines
     reps, seed = config.reps, config.seed
     session_resumption, batch, plan = (
@@ -624,8 +553,6 @@ def run_fleet_bench(config: "FleetBenchConfig | None" = None, **kwargs) -> dict:
         "session_resumption": session_resumption,
         "batch": batch,
         "plan": plan,
-        "workers": 1,
-        "shards": 1,
         "config": config.as_dict(),
         "migrations": migrations,
         "wall_seconds": wall_seconds,

@@ -45,7 +45,7 @@ The five families:
 * **fleet** — a four-machine fleet of eight enclaves runs a multi-wave drain
   through :class:`~repro.fleet.service.FleetService`, and the planner is
   killed at every journal boundary (plus ``parked`` variants where the
-  network blackholes the wave first, and concurrent/pipelined dispatch).  A
+  network blackholes the wave first, and pipelined dispatch).  A
   fresh planner must ``resume_plan()`` from the durable fleet journal alone,
   reach the planned placement and clear the journal.
 * **clone** — the adversary of :mod:`repro.attacks.cloning` launches a
@@ -56,8 +56,9 @@ The five families:
   per-scenario detection latency (virtual seconds) is reported.
 
 ``--smoke`` keeps the first scenario per grid cell of the disk, fleet and
-clone families — the slice ``make ci`` runs.  Exit status: 0 clean, 1 when
-a scenario violated an invariant, 2 on a usage error.
+clone families; ``make ci`` runs that slice for disk and clone, and the
+full fleet grid.  Exit status: 0 clean, 1 when a scenario violated an
+invariant, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def build_world(
         dc.add_machine(machine)
     registry = None
     if guarded:
-        registry = SingleInstanceRegistry(dc.add_machine(CONTROL).storage, dc.clock)
+        registry = SingleInstanceRegistry(dc.add_machine(CONTROL).storage, dc.meter)
     me_signer = SigningKey.generate(dc.rng.child(f"{label}-me-signer"))
     hosts = install_all_migration_enclaves(
         dc,
@@ -961,9 +962,9 @@ class FleetScenario:
     ``parked`` additionally blackholes the network from the wave's start,
     so the planner dies on top of members whose transactions are stuck
     mid-flight.  ``dispatch`` picks the world variant to kill: serial
-    caps force the drain into several waves, while concurrent/pipelined
-    dispatch drains in ONE wave of several destination groups, so the
-    planner dies between group dispatches."""
+    caps force the drain into several waves, while pipelined dispatch
+    drains in ONE wave of several destination groups, so the planner dies
+    between group dispatches."""
 
     stage: str
     wave: int
@@ -1075,8 +1076,8 @@ class FleetScenario:
 
 def enumerate_fleet_scenarios(seed: int = 2018) -> list[FleetScenario]:
     """One scenario per journal boundary of the drain plan, plus a parked
-    variant per wave, plus concurrent- and pipelined-dispatch variants where
-    the planner dies mid-overlapping-wave — for pipelined, between the
+    variant per wave, plus pipelined-dispatch variants where the planner
+    dies mid-overlapping-wave — at every wave boundary and between the
     per-group journal boundaries the record phase writes."""
     world = build_world(seed, dispatch="serial", **FLEET_WORLD)
     n_waves = len(world.service.plan_drain(FLEET_DRAIN_TARGET).waves)
@@ -1087,17 +1088,13 @@ def enumerate_fleet_scenarios(seed: int = 2018) -> list[FleetScenario]:
         scenarios.append(FleetScenario("dispatched", wave))
         scenarios.append(FleetScenario("done", wave))
     scenarios.append(FleetScenario("complete", -1))
-    scenarios.append(FleetScenario("started", 0, dispatch="concurrent"))
-    scenarios.append(FleetScenario("dispatched", 0, dispatch="concurrent"))
-    scenarios.append(
-        FleetScenario("dispatched", 0, parked=True, dispatch="concurrent")
-    )
     scenarios.append(FleetScenario("started", 0, dispatch="pipelined"))
     scenarios.append(FleetScenario("group", 0, dispatch="pipelined"))
     scenarios.append(FleetScenario("group", 0, skip=1, dispatch="pipelined"))
     scenarios.append(
         FleetScenario("dispatched", 0, parked=True, dispatch="pipelined")
     )
+    scenarios.append(FleetScenario("dispatched", 0, dispatch="pipelined"))
     scenarios.append(FleetScenario("done", 0, dispatch="pipelined"))
     return scenarios
 

@@ -39,7 +39,7 @@ from repro.fleet.planner import (
 )
 from repro.fleet.preflight import run_preflight
 from repro.fleet.registry import CloneIncident, SingleInstanceRegistry
-from repro.fleet.service import FleetService, resume_plan
+from repro.fleet.service import FleetService
 
 __all__ = [
     "CloneDetectedError",
@@ -63,6 +63,5 @@ __all__ = [
     "plan_drain",
     "plan_evacuate",
     "plan_rebalance",
-    "resume_plan",
     "run_preflight",
 ]

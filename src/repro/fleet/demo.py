@@ -47,8 +47,9 @@ def build_demo_fleet(
 ) -> DemoFleet:
     """Build the seeded demo world and a registered :class:`FleetService`.
 
-    ``dispatch="concurrent"`` overlaps each wave's per-destination groups on
-    the discrete-event scheduler (same bytes, contended virtual time).
+    ``dispatch="pipelined"`` replays every (wave, destination) group on the
+    discrete-event scheduler, admitted as soon as the machines and links it
+    claims are free (same bytes, contended virtual time).
     """
     dc = DataCenter(name="fleet-demo", seed=seed)
     for index in range(n_machines):

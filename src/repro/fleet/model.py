@@ -179,10 +179,6 @@ class WaveOutcome:
     index: int
     moves: tuple[PlannedMove, ...]
     results: dict[str, MigrationResult] = field(default_factory=dict)
-    #: Scheduler utilization summary for the dispatch that ran this wave
-    #: (concurrent dispatch; ``None`` for serial waves, and for pipelined
-    #: plans — there the whole-plan report lives on ``PlanResult``).
-    schedule: dict | None = None
 
     @property
     def completed(self) -> bool:
@@ -202,7 +198,8 @@ class PlanResult:
     #: Groups skipped by group-granular resume inside partially-done waves.
     skipped_groups: int = 0
     #: Scheduler utilization report for pipelined dispatch (whole plan, or
-    #: the shared schedule when executed via ``apply_many``).
+    #: the shared schedule when executed via ``apply_many``/``resume_many``;
+    #: ``None`` under serial dispatch).
     utilization: dict | None = None
 
     @property

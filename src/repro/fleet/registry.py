@@ -188,9 +188,13 @@ class _State:
 class SingleInstanceRegistry:
     """Durable at-most-one-instance arbiter for clone-guarded enclaves."""
 
-    def __init__(self, storage, clock, owner: str = "fleet"):
+    def __init__(self, storage, meter, owner: str = "fleet"):
         self.storage = storage
-        self.clock = clock
+        #: The data center's :class:`~repro.sim.costs.CostMeter`: incidents
+        #: are stamped with ``meter.now`` and offline backoff is charged
+        #: through it, so a claim made inside a recorded fleet group reads
+        #: the group's elapsed time and its backoff replays as a ``Sleep``.
+        self.meter = meter
         self.owner = owner
         #: Simulated outage switch: while True, every consultation retries
         #: with backoff and then denies (never silently accepts).
@@ -259,7 +263,7 @@ class SingleInstanceRegistry:
             return
         delay = UNAVAILABLE_RETRY_BASE_DELAY
         for _ in range(UNAVAILABLE_RETRY_ATTEMPTS):
-            self.clock.advance(delay)
+            self.meter.charge_exact("retry_backoff", delay)
             delay *= 2
             if not self.offline:
                 return
@@ -306,7 +310,7 @@ class SingleInstanceRegistry:
             machine=machine,
             kind=kind,
             reason=reason,
-            time=self.clock.now,
+            time=self.meter.now,
         )
         state.incidents.append(incident)
         return incident
@@ -510,7 +514,7 @@ class SingleInstanceRegistry:
                         f"<= recorded {record.heartbeat} — ME restored from a "
                         f"stale (healed) checkpoint"
                     ),
-                    time=self.clock.now,
+                    time=self.meter.now,
                 )
             )
             self._store(state)

@@ -3,7 +3,8 @@
 :class:`FleetService` is the control plane over a running data center.  It
 keeps a registry of fleet members (apps with tenant and anti-affinity
 metadata), turns operator intents into :class:`MigrationPlan`\\ s, and
-executes plans wave by wave:
+executes plans wave by wave through one executor (``apply``,
+``apply_many``, ``resume_plan`` and ``resume_many`` all share it):
 
 * every wave passes :func:`~repro.fleet.preflight.run_preflight` before
   anything freezes;
@@ -11,15 +12,13 @@ executes plans wave by wave:
   :meth:`MigrationRequest.wave <repro.core.api.MigrationRequest.wave>` per
   (wave, destination) group, executed by ``MigratableApp._execute`` — so the
   fleet rides the exact batched stage/flush/complete protocol the chaos
-  sweeps harden; with ``dispatch="concurrent"`` the groups of one wave
-  overlap on the discrete-event scheduler (record-then-replay, see
-  :mod:`repro.sim.scheduler`) so the wave costs its contended makespan in
-  virtual time instead of the serial sum — same bytes, same results, only
-  the timing model changes; with ``dispatch="pipelined"`` the wave barrier
-  disappears entirely: all groups of all waves (and, via
-  :meth:`FleetService.apply_many`, of multiple tenants' independent plans)
-  replay on one scheduler, each admitted as soon as the machines and links
-  it claims are free of earlier unfinished groups;
+  sweeps harden.  ``dispatch="serial"`` runs the groups one after the other
+  on the virtual clock; with ``dispatch="pipelined"`` each group is
+  recorded instead (record-then-replay, see :mod:`repro.sim.scheduler`)
+  and all groups of all waves — and, via :meth:`FleetService.apply_many`,
+  of several tenants' independent plans — replay on one scheduler, each
+  admitted as soon as the machines and links it claims are free of earlier
+  unfinished groups.  Same bytes, same results; only the timing differs;
 * members that park (``PENDING_RETRY``) get one in-line ``resume`` pass
   (the PR-2 retry/resume semantics), and stay typed-pending in the
   :class:`PlanResult` if the fault persists;
@@ -28,7 +27,7 @@ executes plans wave by wave:
   *any* instant leaves the fleet resumable via :meth:`resume_plan`.
 
 The ``boundary_hook`` parameter is the chaos harness's crash seam: it is
-called at every journal boundary (``planned``, ``started:k``,
+called at every journal boundary (``planned``, ``started:k``, ``group:k``,
 ``dispatched:k``, ``done:k``, ``complete``) and may raise to simulate the
 planner process dying right there.
 """
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.cloud.datacenter import DataCenter
 from repro.cloud.storage import MigrationJournal
@@ -51,7 +50,6 @@ from repro.fleet import planner
 from repro.fleet.journal import (
     FleetPlanIndex,
     FleetPlanJournal,
-    FleetPlanRecord,
     group_key,
 )
 from repro.fleet.model import (
@@ -76,9 +74,23 @@ BoundaryHook = Callable[[str, int], None]
 _NOOP_HOOK: BoundaryHook = lambda stage, index: None
 
 
-def _materialize(source) -> MigrationPlan:
-    """Resolve an ``apply_many`` entry: a plan, or a factory making one."""
-    return source() if callable(source) else source
+def _all_completed(results: Iterable[MigrationResult]) -> bool:
+    return all(result.outcome is MigrationOutcome.COMPLETED for result in results)
+
+
+@dataclass
+class _PlanRun:
+    """One plan inside an executor call: its journal and boundary hook, its
+    identity in the conflict graph, and the call-wide list its pipelined
+    groups are recorded into."""
+
+    journal: FleetPlanJournal
+    hook: BoundaryHook = _NOOP_HOOK
+    recorded: list[dict] = field(default_factory=list)
+    plan_id: int = 0
+    #: Scheduler process-name prefix (the plan's journal owner under
+    #: ``apply_many``/``resume_many``; empty for a single plan).
+    prefix: str = ""
 
 
 @dataclass
@@ -96,18 +108,14 @@ class FleetService:
     #: Advisory request metadata: whether the fleet's MEs were installed
     #: with the attested-session cache (recorded into every request).
     session_resumption: bool = False
-    #: ``"serial"`` executes a wave's per-destination groups one after the
-    #: other on the virtual clock (the original behavior); ``"concurrent"``
-    #: records each group's synchronous run as a segment trace and replays
-    #: all groups together on the discrete-event scheduler, so the wave's
-    #: virtual duration is the contended makespan instead of the sum;
-    #: ``"pipelined"`` goes further and drops the wave barrier itself —
-    #: every group of every wave (and of every plan in :meth:`apply_many`)
-    #: replays on one scheduler, admitted the moment no earlier group with
-    #: an intersecting machine/link resource claim is still running.  The
-    #: protocol bytes are identical in all three modes — the groups execute
-    #: in the same order with the same RNG draws; only the virtual timing
-    #: differs.
+    #: ``"serial"`` executes the (wave, destination) groups one after the
+    #: other on the virtual clock; ``"pipelined"`` records each group and
+    #: replays every group of every wave (and of every plan in
+    #: :meth:`apply_many`) on one scheduler, admitted the moment no earlier
+    #: group with an intersecting machine/link resource claim is still
+    #: running.  The protocol bytes are identical in both modes — the
+    #: groups execute in the same order with the same RNG draws; only the
+    #: virtual timing differs.
     dispatch: str = "serial"
     #: Optional :class:`~repro.fleet.registry.SingleInstanceRegistry`.
     #: When set, pre-flight refuses to dispatch while the registry is
@@ -116,12 +124,12 @@ class FleetService:
     #: clone incidents.
     registry: object = None
     members: dict[str, FleetMember] = field(default_factory=dict)
-    #: The scheduler of the most recent concurrent wave (observability:
+    #: The scheduler of the most recent pipelined replay (observability:
     #: event log, per-machine CPU busy totals, makespan).
     last_schedule: "Scheduler | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.dispatch not in ("serial", "concurrent", "pipelined"):
+        if self.dispatch not in ("serial", "pipelined"):
             raise InvalidParameterError(
                 f"unknown dispatch mode {self.dispatch!r}"
             )
@@ -151,8 +159,7 @@ class FleetService:
         return sorted(self.dc.machines)
 
     def journal(self) -> FleetPlanJournal:
-        name = self.control_machine or self.machine_names()[0]
-        return FleetPlanJournal(self.dc.machine(name).storage)
+        return FleetPlanJournal(self._control_storage())
 
     # ------------------------------------------------------------- planner
     def plan_drain(
@@ -179,10 +186,7 @@ class FleetService:
         self, plan: MigrationPlan, *, boundary_hook: BoundaryHook | None = None
     ) -> PlanResult:
         """Execute ``plan`` end to end, journaling at every boundary."""
-        hook = boundary_hook or _NOOP_HOOK
-        if self.dispatch == "pipelined":
-            return self._apply_pipelined([(plan, self.journal())], hook)[0]
-        return self._apply_plan(plan, self.journal(), hook)
+        return self._execute([(plan, self.journal())], boundary_hook)[0]
 
     def apply_many(
         self,
@@ -202,53 +206,118 @@ class FleetService:
 
         With ``dispatch="pipelined"`` all plans' groups share one conflict
         graph and one scheduler — tenants' independent work overlaps in
-        virtual time.  Other modes execute the plans back to back.
+        virtual time.  Serial dispatch executes the plans back to back.
         """
-        hook = boundary_hook or _NOOP_HOOK
         storage = self._control_storage()
         labels = [f"plan-{i}" for i in range(len(plans))]
         journals = [FleetPlanJournal(storage, owner=label) for label in labels]
         index = FleetPlanIndex(storage)
         index.write(labels)
-        items = list(zip(plans, journals))
-        if self.dispatch == "pipelined":
-            outcomes = self._apply_pipelined(items, hook, labeled=True)
-        else:
-            outcomes = [
-                self._apply_plan(_materialize(source), journal, hook)
-                for source, journal in items
-            ]
+        outcomes = self._execute(
+            list(zip(plans, journals)), boundary_hook, labeled=True
+        )
         index.clear()
         return outcomes
 
-    def _apply_plan(
-        self, plan: MigrationPlan, journal: FleetPlanJournal, hook: BoundaryHook
-    ) -> PlanResult:
-        """Serial/concurrent execution: waves run one after the other."""
-        journal.write_plan(plan)
-        hook("planned", -1)
-        outcome = PlanResult(intent=plan.intent)
-        for wave in plan.waves:
-            outcome.waves.append(self._run_wave(wave, journal, hook))
-        hook("complete", -1)
-        journal.clear()
-        return outcome
+    def _execute(
+        self,
+        items: list,
+        boundary_hook: BoundaryHook | None,
+        *,
+        labeled: bool = False,
+    ) -> list[PlanResult]:
+        """The one executor: plan → pre-flighted wave → (wave, destination)
+        group, with a journal boundary (and hook) at each step.
 
-    def _run_wave(
-        self, wave: Wave, journal: FleetPlanJournal, hook: BoundaryHook
-    ) -> WaveOutcome:
-        """One wave through the full boundary discipline (non-pipelined)."""
-        run_preflight(self, wave)
-        journal.mark_wave_started(wave.index)
-        hook("started", wave.index)
-        results, schedule = self._dispatch_wave(wave, journal=journal, hook=hook)
-        hook("dispatched", wave.index)
-        journal.mark_wave_done(wave.index)
-        hook("done", wave.index)
-        return WaveOutcome(
-            index=wave.index, moves=wave.moves, results=results,
-            schedule=schedule,
+        ``items`` pairs each plan's source with its journal.  The source is
+        a plan, a factory evaluated right before its plan runs, or ``None``
+        to resume the plan the journal holds.  A serial group charges the
+        clock as it runs.  A pipelined group runs under
+        :meth:`~repro.sim.costs.CostMeter.recording` — same calls, same RNG
+        draws, same wire bytes, clock frozen — and :meth:`_replay` then
+        advances the clock once, to the makespan of every recorded group
+        on one admission-gated scheduler.  The replay runs in a ``finally``
+        so a planner killed mid-dispatch still spends the virtual time its
+        finished groups took.
+        """
+        hook = boundary_hook or _NOOP_HOOK
+        recorded: list[dict] = []
+        outcomes: list[PlanResult] = []
+        try:
+            for plan_id, (source, journal) in enumerate(items):
+                run = _PlanRun(
+                    journal=journal, hook=hook, recorded=recorded,
+                    plan_id=plan_id, prefix=f"{journal.owner}:" if labeled else "",
+                )
+                outcome, waves = self._start_plan(run, source)
+                for wave in waves:
+                    outcome.waves.append(self._run_wave(run, wave))
+                hook("complete", -1)
+                journal.clear()
+                outcomes.append(outcome)
+        finally:
+            report = self._replay(recorded)
+        if report is not None:
+            for outcome in outcomes:
+                # Each plan gets its own copy: the report is a nested dict, and
+                # one tenant mutating its view must not leak into the others'.
+                outcome.utilization = copy.deepcopy(report)
+        return outcomes
+
+    def _start_plan(
+        self, run: _PlanRun, source
+    ) -> tuple[PlanResult, tuple[Wave, ...]]:
+        """Journal a fresh plan, or finish a resumed plan's interrupted
+        wave; returns the outcome so far and the waves left to run.
+
+        On resume, waves before the journal cursor are already done
+        (skipped); a wave marked *started* is reconciled group by group
+        (:meth:`_reconcile_wave`)."""
+        if source is not None:
+            plan = source() if callable(source) else source
+            run.journal.write_plan(plan)
+            run.hook("planned", -1)
+            return PlanResult(intent=plan.intent), plan.waves
+        record = run.journal.read()
+        if record is None:
+            raise MigrationError("no fleet plan in progress")
+        waves = record.plan_waves()
+        outcome = PlanResult(
+            intent=record.intent, resumed=True, skipped_waves=record.next_wave
         )
+        cursor = record.next_wave
+        if record.wave_started and cursor < len(waves):
+            wave = waves[cursor]
+            results, outcome.skipped_groups = self._reconcile_wave(
+                run, wave, record.done_groups
+            )
+            run.journal.mark_wave_done(wave.index)
+            run.hook("done", wave.index)
+            outcome.waves.append(
+                WaveOutcome(index=wave.index, moves=wave.moves, results=results)
+            )
+            cursor += 1
+        return outcome, waves[cursor:]
+
+    def _run_wave(self, run: _PlanRun, wave: Wave) -> WaveOutcome:
+        """One wave through the full boundary discipline: pre-flight,
+        ``started``, one ``group`` boundary per (wave, destination) group
+        (journaled done when every member completed), ``dispatched``,
+        ``done``."""
+        run_preflight(self, wave)
+        run.journal.mark_wave_started(wave.index)
+        run.hook("started", wave.index)
+        results: dict[str, MigrationResult] = {}
+        for destination, moves in self._wave_groups(wave):
+            group_results = self._dispatch_group(run, wave.index, destination, moves)
+            results.update(group_results)
+            if _all_completed(group_results.values()):
+                run.journal.mark_group_done(wave.index, destination)
+            run.hook("group", wave.index)
+        run.hook("dispatched", wave.index)
+        run.journal.mark_wave_done(wave.index)
+        run.hook("done", wave.index)
+        return WaveOutcome(index=wave.index, moves=wave.moves, results=results)
 
     def _wave_groups(self, wave: Wave) -> list[tuple[str, list[PlannedMove]]]:
         """The wave's moves grouped by destination, in the (sorted) order
@@ -258,55 +327,31 @@ class FleetService:
             groups.setdefault(move.destination, []).append(move)
         return [(destination, groups[destination]) for destination in sorted(groups)]
 
-    def _dispatch_wave(
+    def _dispatch_group(
         self,
-        wave: Wave,
-        *,
-        journal: FleetPlanJournal | None = None,
-        hook: BoundaryHook | None = None,
-    ) -> tuple[dict[str, MigrationResult], dict | None]:
-        """One batched request per (wave, destination) group.
-
-        Each group runs to completion — dispatch plus an in-line ``resume``
-        pass for members that parked — before its per-group journal boundary
-        (``mark_group_done`` when every member completed, then the ``group``
-        hook).  With concurrent (or pipelined, on the reconcile path)
-        dispatch and more than one group, the groups are recorded and then
-        replayed together on the discrete-event scheduler; returns the
-        per-member results and, for a replayed wave, the scheduler's
-        utilization summary.
-        """
-        groups = self._wave_groups(wave)
-        overlap = self.dispatch != "serial" and len(groups) > 1
-        meter = self.dc.meter
-        results: dict[str, MigrationResult] = {}
-        recorded: list[tuple[str, TraceRecorder]] = []
-        for destination, moves in groups:
-            if overlap:
-                # Record-then-replay: the protocol runs synchronously with
-                # the clock frozen (same calls, same RNG draws, same wire
-                # bytes as serial); only the virtual timing changes later.
-                recorder = TraceRecorder(home=moves[0].source)
-                with meter.recording(recorder):
-                    group_results = self._run_group(destination, moves)
-                recorded.append((destination, recorder))
-            else:
-                group_results = self._run_group(destination, moves)
-            results.update(group_results)
-            self._mark_group(journal, hook, wave.index, destination, group_results)
-        schedule = None
-        if overlap:
-            scheduler = Scheduler(self.dc.clock)
-            for destination, recorder in recorded:
-                scheduler.spawn(
-                    f"wave-{wave.index}->{destination}",
-                    recorder.replay(),
-                    home=recorder.home,
-                )
-            scheduler.run()
-            self.last_schedule = scheduler
-            schedule = scheduler.utilization_report()["summary"]
-        return results, schedule
+        run: _PlanRun,
+        wave_index: int,
+        destination: str,
+        moves: list[PlannedMove],
+    ) -> dict[str, MigrationResult]:
+        """Run one (wave, destination) group — the executor's only mode
+        branch.  Serial charges the clock live; pipelined records the group
+        for :meth:`_replay`, queued before it runs so a group cut short by
+        a crash still replays what it spent."""
+        if self.dispatch == "serial":
+            return self._run_group(destination, moves)
+        recorder = TraceRecorder(home=moves[0].source)
+        run.recorded.append(
+            {
+                "claims": planner.group_claims(moves),
+                "plan": run.plan_id,
+                "wave": wave_index,
+                "name": f"{run.prefix}wave-{wave_index}->{destination}",
+                "recorder": recorder,
+            }
+        )
+        with self.dc.meter.recording(recorder):
+            return self._run_group(destination, moves)
 
     def _run_group(
         self, destination: str, moves: list[PlannedMove]
@@ -327,21 +372,30 @@ class FleetService:
                 )
         return results
 
-    def _mark_group(
-        self,
-        journal: FleetPlanJournal | None,
-        hook: BoundaryHook | None,
-        wave_index: int,
-        destination: str,
-        group_results: dict[str, MigrationResult],
-    ) -> None:
-        if journal is not None and all(
-            result.outcome is MigrationOutcome.COMPLETED
-            for result in group_results.values()
-        ):
-            journal.mark_group_done(wave_index, destination)
-        if hook is not None:
-            hook("group", wave_index)
+    def _replay(self, recorded: list[dict]) -> dict | None:
+        """Replay every recorded group on one scheduler, each admitted the
+        instant no earlier group with an intersecting machine/link claim is
+        still running (:func:`repro.fleet.planner.build_conflict_graph`), so
+        independent waves — and independent tenants' plans — overlap across
+        the wave barrier.  Returns the utilization report, or ``None`` when
+        nothing was recorded (serial dispatch)."""
+        if not recorded:
+            return None
+        scheduler = Scheduler(self.dc.clock)
+        dependencies = planner.build_conflict_graph(recorded)
+        processes: list = []
+        for group, gates in zip(recorded, dependencies):
+            processes.append(
+                scheduler.spawn(
+                    group["name"],
+                    group["recorder"].replay(),
+                    home=group["recorder"].home,
+                    after=[processes[j] for j in gates],
+                )
+            )
+        scheduler.run()
+        self.last_schedule = scheduler
+        return scheduler.utilization_report()
 
     def _group_request(
         self, destination: str, moves: list[PlannedMove]
@@ -370,91 +424,6 @@ class FleetService:
         name = self.control_machine or self.machine_names()[0]
         return self.dc.machine(name).storage
 
-    # ---------------------------------------------------------- pipelined
-    def _apply_pipelined(
-        self,
-        items: list,
-        hook: BoundaryHook,
-        *,
-        labeled: bool = False,
-    ) -> list[PlanResult]:
-        """Record every plan's groups in serial order, then replay them all
-        on one scheduler gated by the resource-conflict graph.
-
-        The record phase is *exactly* the serial executor — same group
-        order, same journal boundaries, same in-line resume — with the
-        clock frozen and every charge captured per group.  State therefore
-        evolves identically to serial dispatch and the wire bytes are
-        byte-for-byte the same.  Replay then advances the clock once, to
-        the makespan of the admission-gated schedule: a group starts the
-        instant no earlier group holding an intersecting machine/link claim
-        is still running (see :func:`repro.fleet.planner.
-        build_conflict_graph`), so independent waves — and independent
-        tenants' plans — overlap across the old wave barrier.
-        """
-        meter = self.dc.meter
-        outcomes: list[PlanResult] = []
-        descriptors: list[dict] = []
-        for plan_id, (source, journal) in enumerate(items):
-            plan = _materialize(source)
-            journal.write_plan(plan)
-            hook("planned", -1)
-            outcome = PlanResult(intent=plan.intent)
-            prefix = f"{journal.owner}:" if labeled else ""
-            for wave in plan.waves:
-                run_preflight(self, wave)
-                journal.mark_wave_started(wave.index)
-                hook("started", wave.index)
-                results: dict[str, MigrationResult] = {}
-                for destination, moves in self._wave_groups(wave):
-                    recorder = TraceRecorder(home=moves[0].source)
-                    with meter.recording(recorder):
-                        group_results = self._run_group(destination, moves)
-                    results.update(group_results)
-                    self._mark_group(
-                        journal, hook, wave.index, destination, group_results
-                    )
-                    descriptors.append(
-                        {
-                            "claims": planner.group_claims(moves),
-                            "plan": plan_id,
-                            "wave": wave.index,
-                            "name": f"{prefix}wave-{wave.index}->{destination}",
-                            "recorder": recorder,
-                        }
-                    )
-                hook("dispatched", wave.index)
-                journal.mark_wave_done(wave.index)
-                hook("done", wave.index)
-                outcome.waves.append(
-                    WaveOutcome(
-                        index=wave.index, moves=wave.moves, results=results
-                    )
-                )
-            hook("complete", -1)
-            journal.clear()
-            outcomes.append(outcome)
-        scheduler = Scheduler(self.dc.clock)
-        dependencies = planner.build_conflict_graph(descriptors)
-        processes: list = []
-        for index, descriptor in enumerate(descriptors):
-            processes.append(
-                scheduler.spawn(
-                    descriptor["name"],
-                    descriptor["recorder"].replay(),
-                    home=descriptor["recorder"].home,
-                    after=[processes[j] for j in dependencies[index]],
-                )
-            )
-        scheduler.run()
-        self.last_schedule = scheduler
-        report = scheduler.utilization_report()
-        for outcome in outcomes:
-            # Each plan gets its own copy: the report is a nested dict, and
-            # one tenant mutating its view must not leak into the others'.
-            outcome.utilization = copy.deepcopy(report)
-        return outcomes
-
     # -------------------------------------------------------------- resume
     def resume_plan(
         self, *, boundary_hook: BoundaryHook | None = None
@@ -467,15 +436,13 @@ class FleetService:
         before the crash are recognized (cleared journal, enclave serving at
         the destination), parked members are driven by their own ``resume``,
         and members the dispatch never reached are re-dispatched.  Every
-        later wave then runs wave-at-a-time as in the non-pipelined
-        :meth:`apply` (pipelined dispatch still overlaps a wave's groups on
-        the scheduler; cross-wave overlap is not re-established on the
-        crash path).
+        later wave then runs through the same executor as :meth:`apply`, so
+        a resumed pipelined plan overlaps its remaining groups across waves
+        and reports its ``utilization`` too.
 
         Raises :class:`MigrationError` when no plan is journaled.
         """
-        hook = boundary_hook or _NOOP_HOOK
-        return self._resume_from(self.journal(), hook)
+        return self._execute([(None, self.journal())], boundary_hook)[0]
 
     def resume_many(
         self, *, boundary_hook: BoundaryHook | None = None
@@ -487,62 +454,30 @@ class FleetService:
         Raises :class:`MigrationError` when no multi-plan dispatch is in
         progress.
         """
-        hook = boundary_hook or _NOOP_HOOK
         storage = self._control_storage()
         index = FleetPlanIndex(storage)
         labels = index.read()
         if not labels:
             raise MigrationError("no multi-plan dispatch in progress")
-        outcomes: list[PlanResult] = []
-        for label in labels:
-            journal = FleetPlanJournal(storage, owner=label)
-            if journal.read() is None:
-                continue  # completed (and cleared) before the crash
-            outcomes.append(self._resume_from(journal, hook))
+        journals = [FleetPlanJournal(storage, owner=label) for label in labels]
+        outcomes = self._execute(
+            [(None, journal) for journal in journals if journal.read() is not None],
+            boundary_hook,
+            labeled=True,
+        )
         index.clear()
         return outcomes
 
-    def _resume_from(
-        self, journal: FleetPlanJournal, hook: BoundaryHook
-    ) -> PlanResult:
-        record = journal.read()
-        if record is None:
-            raise MigrationError("no fleet plan in progress")
-        waves = record.plan_waves()
-        outcome = PlanResult(
-            intent=record.intent, resumed=True, skipped_waves=record.next_wave
-        )
-        cursor = record.next_wave
-        if record.wave_started and cursor < len(waves):
-            wave = waves[cursor]
-            results, skipped = self._reconcile_wave(
-                wave, done_groups=record.done_groups, journal=journal
-            )
-            outcome.skipped_groups = skipped
-            journal.mark_wave_done(wave.index)
-            hook("done", wave.index)
-            outcome.waves.append(
-                WaveOutcome(index=wave.index, moves=wave.moves, results=results)
-            )
-            cursor += 1
-        for wave in waves[cursor:]:
-            outcome.waves.append(self._run_wave(wave, journal, hook))
-        hook("complete", -1)
-        journal.clear()
-        return outcome
-
     def _reconcile_wave(
-        self,
-        wave: Wave,
-        *,
-        done_groups: tuple[str, ...] = (),
-        journal: FleetPlanJournal | None = None,
+        self, run: _PlanRun, wave: Wave, done_groups: tuple[str, ...] = ()
     ) -> tuple[dict[str, MigrationResult], int]:
         """Sort the members of an interrupted wave into done / parked /
         never-started, and finish each class its own way (R3-safe: nothing
         is ever dispatched twice).  Groups the journal already recorded as
         done are skipped wholesale — no member journal reads, no liveness
-        probes; returns the results plus the skipped-group count.
+        probes; returns the results plus the skipped-group count.  The
+        never-started members are re-dispatched through the executor's
+        group step.
 
         Group completions are journaled here, not by the partial
         re-dispatch: a re-dispatched subset completing says nothing about
@@ -553,6 +488,7 @@ class FleetService:
         falsely report the stuck member done."""
         results: dict[str, MigrationResult] = {}
         fresh: list = []
+        pending: list[tuple[str, list[PlannedMove]]] = []
         skipped_groups = 0
         done = set(done_groups)
         for destination, moves in self._wave_groups(wave):
@@ -563,6 +499,7 @@ class FleetService:
                     )
                 skipped_groups += 1
                 continue
+            pending.append((destination, moves))
             for move in moves:
                 app = self.members[move.app_name].app
                 here = MigrationJournal(app.app.machine.storage, app.app_name)
@@ -588,19 +525,13 @@ class FleetService:
         if fresh:
             partial = Wave(index=wave.index, moves=tuple(fresh))
             run_preflight(self, partial)
-            partial_results, _ = self._dispatch_wave(partial)
-            results.update(partial_results)
-        if journal is not None:
-            for destination, moves in self._wave_groups(wave):
-                if group_key(wave.index, destination) in done:
-                    continue
-                self._mark_group(
-                    journal,
-                    None,
-                    wave.index,
-                    destination,
-                    {move.app_name: results[move.app_name] for move in moves},
+            for destination, moves in self._wave_groups(partial):
+                results.update(
+                    self._dispatch_group(run, wave.index, destination, moves)
                 )
+        for destination, moves in pending:
+            if _all_completed(results[move.app_name] for move in moves):
+                run.journal.mark_group_done(wave.index, destination)
         return results, skipped_groups
 
     # -------------------------------------------------------------- status
@@ -668,12 +599,3 @@ class FleetService:
             )
         return lines
 
-
-def resume_plan(service: FleetService) -> PlanResult:
-    """Module-level convenience: resume ``service``'s journaled plan."""
-    return service.resume_plan()
-
-
-def record_of(service: FleetService) -> FleetPlanRecord | None:
-    """The currently journaled plan record, if any (observability helper)."""
-    return service.journal().read()

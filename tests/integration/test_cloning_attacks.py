@@ -23,7 +23,6 @@ from repro.faults.chaos import (
 )
 from repro.fleet.demo import build_demo_fleet
 from repro.fleet.registry import SingleInstanceRegistry
-from repro.sim.clock import VirtualClock
 
 
 class TestCampaigns:
@@ -154,13 +153,13 @@ class TestFreezeFlagBelowRegistry:
 
 
 class TestFleetSurfaces:
-    def _registry(self):
-        return SingleInstanceRegistry(UntrustedStorage("ctl"), VirtualClock())
+    def _registry(self, demo):
+        return SingleInstanceRegistry(UntrustedStorage("ctl"), demo.dc.meter)
 
     def test_preflight_rejects_offline_registry_and_incidents(self):
         demo = build_demo_fleet(seed=0, n_enclaves=8)
         service = demo.service
-        registry = self._registry()
+        registry = self._registry(demo)
         service.registry = registry
         plan = service.plan_drain("fleet-0")
         registry.offline = True
@@ -189,7 +188,7 @@ class TestFleetSurfaces:
 
         demo = build_demo_fleet(seed=0, n_enclaves=8)
         service = demo.service
-        service.registry = self._registry()
+        service.registry = self._registry(demo)
         plan = service.plan_drain("fleet-0")
         with pytest.raises(_Killed):
             service.apply(plan, boundary_hook=kill_after_first_group)

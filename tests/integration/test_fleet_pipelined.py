@@ -7,8 +7,9 @@ Pins the contracts of ``FleetService(dispatch="pipelined")``:
   serial dispatch for every intent; only contended virtual time differs.
 * **Barrier removal** — on a shape with cross-wave independence (the
   multi-round maintenance-window drain via ``apply_many``), pipelined
-  finishes in strictly less virtual time than per-wave concurrent
-  dispatch, which itself beats serial.
+  finishes in strictly less virtual time than serial dispatch.
+* **Crash-path replay** — a planner killed mid-dispatch still spends the
+  virtual time its recorded groups took, exactly as serial dispatch does.
 * **Group-granular resume** — the v2 journal's ``done_groups`` lets a
   restarted planner skip completed (wave, destination) groups wholesale.
 * **Multi-tenant journaling** — ``apply_many`` keeps one journal per
@@ -36,6 +37,7 @@ from repro.fleet.journal import (
     FleetPlanJournal,
     group_key,
 )
+from repro.fleet.service import _PlanRun
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_TRACE = GOLDEN_DIR / "fleet_pipelined_trace_seed0.json"
@@ -153,20 +155,20 @@ class TestSerialEquivalence:
 
 
 class TestBarrierRemoval:
-    def test_window_drain_beats_concurrent_which_beats_serial(self):
+    def test_window_drain_pipelined_beats_serial(self):
         state, clocks = {}, {}
-        for mode in ("serial", "concurrent", "pipelined"):
+        for mode in ("serial", "pipelined"):
             demo = build_demo_fleet(seed=0, dispatch=mode)
             base = demo.dc.clock.now
             results = _window_drain(demo)
             assert all(r.completed for r in results)
             state[mode] = _snapshot(demo)
             clocks[mode] = demo.dc.clock.now - base
-        # Identical work in all three modes...
-        assert state["serial"] == state["concurrent"] == state["pipelined"]
+        # Identical work in both modes...
+        assert state["serial"] == state["pipelined"]
         # ...but pipelined admission overlaps the two rounds across the
-        # old wave barrier, beating the per-wave concurrent schedule.
-        assert clocks["pipelined"] < clocks["concurrent"] < clocks["serial"]
+        # wave barrier.
+        assert clocks["pipelined"] < clocks["serial"]
 
     def test_gating_actually_happens(self):
         demo = build_demo_fleet(seed=0, dispatch="pipelined")
@@ -181,12 +183,53 @@ class TestBarrierRemoval:
         assert gated and ungated
 
 
+class TestCrashPathReplay:
+    def test_killed_planner_keeps_the_recorded_virtual_time(self):
+        """A planner killed at the first ``group`` boundary has already
+        moved that group's member and sent its messages.  Pipelined
+        dispatch must spend that group's virtual time the way serial
+        dispatch does, not drop it along with the dead planner."""
+
+        def kill_at_first_group(stage, index):
+            if stage == "group":
+                raise _Killed()
+
+        elapsed, sent = {}, {}
+        for mode in ("serial", "pipelined"):
+            demo = build_demo_fleet(seed=0, n_enclaves=8, dispatch=mode)
+            base, messages = demo.dc.clock.now, demo.dc.network.messages_sent
+            with pytest.raises(_Killed):
+                demo.service.apply(
+                    demo.service.plan_drain("fleet-0"),
+                    boundary_hook=kill_at_first_group,
+                )
+            elapsed[mode] = demo.dc.clock.now - base
+            sent[mode] = demo.dc.network.messages_sent - messages
+        assert sent["pipelined"] == sent["serial"] > 0
+        assert elapsed["serial"] > 0
+        assert elapsed["pipelined"] == pytest.approx(elapsed["serial"])
+
+
 class TestDeterminismAndGolden:
-    def test_same_seed_reproduces_the_exact_admission_schedule(self):
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "drop+delay"])
+    def test_same_seed_reproduces_the_exact_admission_schedule(self, faulted):
         logs, finals = [], []
         for _ in range(2):
             demo = build_demo_fleet(seed=0, dispatch="pipelined")
-            _window_drain(demo)
+            if faulted:
+                demo.dc.network.fault_injector = FaultInjector(
+                    plan=(
+                        FaultPlan()
+                        .drop(max_triggers=2, msg_type="la_hello")
+                        .delay(0.25, max_triggers=3)
+                    ),
+                    rng=demo.dc.rng.child("pipelined-faults"),
+                    machines=dict(demo.dc.machines),
+                    meter=demo.dc.meter,
+                )
+            results = _window_drain(demo)
+            demo.dc.network.fault_injector = None
+            assert all(result.completed for result in results)
             logs.append(demo.service.last_schedule.event_log)
             finals.append(demo.dc.clock.now)
         assert logs[0] == logs[1]
@@ -278,9 +321,7 @@ class TestGroupGranularResume:
         assert result.outcome is MigrationOutcome.PENDING_RETRY
         demo.dc.network.fault_injector = None
 
-        results, skipped = service._reconcile_wave(
-            wave, done_groups=(), journal=journal
-        )
+        results, skipped = service._reconcile_wave(_PlanRun(journal), wave)
         assert skipped == 0
         assert results[parked].outcome is MigrationOutcome.RESUMED
         record = journal.read()

@@ -252,3 +252,93 @@ class TestGoldenPlan:
         )
         assert heap_plan.to_dict() == golden
         assert scan_plan.to_dict() == golden
+
+
+#: Every (dispatch mode, case) row of ``fleet_dispatch_seed0.json``.  The
+#: pipelined resume rows are absent on purpose: a resumed pipelined plan
+#: replays its groups on one gated scheduler, so its virtual time is its
+#: own, not serial's.
+DISPATCH_CASES = [
+    (mode, case)
+    for case in ("drain", "evacuate", "window-drain")
+    for mode in ("serial", "pipelined")
+] + [("serial", "resume@group:0"), ("serial", "resume@started:0")]
+
+
+def _dispatch_case(mode: str, case: str) -> dict:
+    """Run one dispatch case on the 8-enclave demo fleet and record what
+    the executor produced: clock delta (as ``repr``, so every bit counts),
+    wire odometers, placements, and per plan the per-member outcome and
+    ``cost.virtual_time`` plus the scheduler's utilization summary."""
+    demo = build_demo_fleet(seed=0, n_enclaves=8, dispatch=mode)
+    service, network = demo.service, demo.dc.network
+    clock, messages, sent = demo.dc.clock.now, network.messages_sent, network.bytes_sent
+    if case == "drain":
+        results = [service.apply(service.plan_drain("fleet-0"))]
+    elif case == "evacuate":
+        service.constraints = dataclasses.replace(
+            service.constraints, max_moves_per_machine=1, tenant_wave_quota=1
+        )
+        plan = service.plan_evacuate("tenant-a")
+        assert len(plan.waves) == 4
+        results = [service.apply(plan)]
+    elif case == "window-drain":
+        window = frozenset({"fleet-0", "fleet-1"})
+        results = service.apply_many([
+            (lambda m=machine: service.plan_drain(m, exclude=window))
+            for machine in sorted(window)
+        ])
+    else:
+        stage, _, wave = case.partition("@")[2].partition(":")
+        with pytest.raises(_Killed):
+            service.apply(
+                service.plan_drain("fleet-0"), boundary_hook=_kill_at(stage, int(wave))
+            )
+        results = [_restarted_planner(service).resume_plan()]
+    return {
+        "clock_delta": repr(demo.dc.clock.now - clock),
+        "messages": network.messages_sent - messages,
+        "bytes": network.bytes_sent - sent,
+        "placements": service.placements(),
+        "plans": [
+            {
+                "members": {
+                    name: [
+                        result.outcome.value,
+                        result.cost.virtual_time if result.cost else None,
+                    ]
+                    for wave in plan_result.waves
+                    for name, result in sorted(wave.results.items())
+                },
+                "utilization": (
+                    plan_result.utilization["summary"]
+                    if plan_result.utilization else None
+                ),
+            }
+            for plan_result in results
+        ],
+    }
+
+
+class TestDispatchGolden:
+    @pytest.mark.parametrize("mode,case", DISPATCH_CASES)
+    def test_dispatch_matches_golden_file(self, mode, case):
+        """Serial and pipelined dispatch of every entry point (``apply``,
+        ``apply_many``, ``resume_plan``) are pinned bit for bit: virtual
+        time, wire bytes, placements, per-member outcomes and costs, and
+        the pipelined schedule's utilization summary (regenerate with
+        ``PYTHONPATH=src python -m tests.integration.test_fleet_service``)."""
+        golden = json.loads((GOLDEN_DIR / "fleet_dispatch_seed0.json").read_text())
+        actual = json.loads(json.dumps(_dispatch_case(mode, case)))
+        assert actual == golden[f"{mode}/{case}"]
+
+
+def regenerate_dispatch_golden() -> None:  # pragma: no cover - maintenance helper
+    golden = {f"{mode}/{case}": _dispatch_case(mode, case) for mode, case in DISPATCH_CASES}
+    (GOLDEN_DIR / "fleet_dispatch_seed0.json").write_text(
+        json.dumps(golden, indent=1, sort_keys=True) + "\n"
+    )
+
+
+if __name__ == "__main__":  # pragma: no cover
+    regenerate_dispatch_golden()

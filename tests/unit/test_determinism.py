@@ -70,23 +70,6 @@ class TestSeedDeterminism:
         )
         assert data["virtual_seconds_total"] == golden["virtual_seconds_total"]
 
-    def test_fleet_shards_are_independent_seeded_worlds(self):
-        """Sharded runs must merge exactly the per-seed single runs: shard i
-        is the world seeded with ``seed + i``, byte-identical to running it
-        alone."""
-        merged = run_fleet_bench(
-            n_enclaves=2, n_machines=2, reps=1, seed=3, workers=1, shards=2
-        )
-        singles = [
-            run_fleet_bench(n_enclaves=2, n_machines=2, reps=1, seed=3 + i)
-            for i in range(2)
-        ]
-        assert merged["shard_seeds"] == [3, 4]
-        assert merged["migrations"] == sum(s["migrations"] for s in singles)
-        assert merged["virtual_seconds_total"] == sum(
-            s["virtual_seconds_total"] for s in singles
-        )
-
     @pytest.mark.parametrize(
         "family", ["messages", "batched", "disk", "fleet", "clone"]
     )

@@ -10,6 +10,9 @@ from repro.errors import (
 )
 from repro.fleet.registry import SingleInstanceRegistry
 from repro.sim.clock import VirtualClock
+from repro.sim.costs import CostMeter, CostModel
+from repro.sim.rng import DeterministicRng
+from repro.sim.scheduler import Sleep, TraceRecorder
 
 IDENTITY = b"enclave-identity-0123456789abcdef"
 A = b"instance-a"
@@ -17,8 +20,12 @@ B = b"instance-b"
 C = b"instance-c"
 
 
+def make_meter():
+    return CostMeter(CostModel(), VirtualClock(), DeterministicRng(0))
+
+
 def make_registry():
-    return SingleInstanceRegistry(UntrustedStorage("ctl"), VirtualClock())
+    return SingleInstanceRegistry(UntrustedStorage("ctl"), make_meter())
 
 
 class TestClaimLifecycle:
@@ -171,35 +178,67 @@ class TestAvailability:
     def test_offline_claim_denies_after_backoff(self):
         registry = make_registry()
         registry.offline = True
-        before = registry.clock.now
+        before = registry.meter.clock.now
         with pytest.raises(RegistryUnavailableError):
             registry.claim(IDENTITY, A, machine="m-a", epoch=1, kind="new")
         # 0.05 + 0.1 + 0.2 of virtual backoff elapsed before the denial.
-        assert registry.clock.now - before == pytest.approx(0.35)
+        assert registry.meter.clock.now - before == pytest.approx(0.35)
 
     def test_registry_back_mid_backoff_accepts(self):
         registry = make_registry()
         registry.offline = True
 
-        original_advance = registry.clock.advance
+        original_advance = registry.meter.clock.advance
 
         def advance_and_heal(seconds):
             original_advance(seconds)
             registry.offline = False
 
-        registry.clock.advance = advance_and_heal
+        registry.meter.clock.advance = advance_and_heal
         registry.claim(IDENTITY, A, machine="m-a", epoch=1, kind="new")
         assert registry.record_of(IDENTITY).holder == A
+
+
+class TestRecordedTime:
+    """Inside a recorded fleet group the clock stands still; the registry
+    must read elapsed time through the meter like every other reader."""
+
+    def test_fenced_claim_is_stamped_with_the_recorded_time(self):
+        registry = make_registry()
+        meter = registry.meter
+        registry.claim(IDENTITY, A, machine="m-a", epoch=1, kind="new")
+        registry.bind_liveness(IDENTITY, lambda: True)
+        with meter.recording(TraceRecorder(home="m-a")):
+            meter.charge_exact("cpu", 1.0)
+            with pytest.raises(CloneDetectedError):
+                registry.claim(IDENTITY, B, machine="m-a", epoch=2, kind="restore")
+        assert registry.incidents()[-1].time == meter.clock.now + 1.0
+
+    def test_offline_backoff_is_recorded_not_charged_to_the_clock(self):
+        registry = make_registry()
+        meter = registry.meter
+        registry.offline = True
+        before = meter.clock.now
+        recorder = TraceRecorder(home="m-a")
+        with meter.recording(recorder):
+            with pytest.raises(RegistryUnavailableError):
+                registry.claim(IDENTITY, A, machine="m-a", epoch=1, kind="new")
+        assert meter.clock.now == before
+        assert recorder.segments == [
+            Sleep(0.05, "retry_backoff"),
+            Sleep(0.1, "retry_backoff"),
+            Sleep(0.2, "retry_backoff"),
+        ]
 
 
 class TestDurability:
     def test_state_survives_reload(self):
         storage = UntrustedStorage("ctl")
-        clock = VirtualClock()
-        registry = SingleInstanceRegistry(storage, clock)
+        meter = make_meter()
+        registry = SingleInstanceRegistry(storage, meter)
         registry.claim(IDENTITY, A, machine="m-a", epoch=2, kind="new")
         registry.me_beat("m-a", A, 1)
-        reloaded = SingleInstanceRegistry(storage, clock)
+        reloaded = SingleInstanceRegistry(storage, meter)
         record = reloaded.record_of(IDENTITY)
         assert record.holder == A
         assert record.epoch == 2
@@ -210,8 +249,7 @@ class TestDurability:
 
     def test_corrupt_blob_counts_and_yields_empty_registry(self):
         storage = UntrustedStorage("ctl")
-        clock = VirtualClock()
-        registry = SingleInstanceRegistry(storage, clock)
+        registry = SingleInstanceRegistry(storage, make_meter())
         registry.claim(IDENTITY, A, machine="m-a", epoch=2, kind="new")
         storage.write(registry.path, b"\xff\xfe rotted")
         storage.sync(registry.path)

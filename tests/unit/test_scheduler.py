@@ -1,6 +1,6 @@
 """Unit tests for the discrete-event simulation core (repro.sim.scheduler).
 
-Pins the contracts the concurrent fleet dispatch rides on: stable FIFO
+Pins the contracts the pipelined fleet dispatch rides on: stable FIFO
 tie-breaking in the event queue, FIFO non-preemptive CPU contention,
 processor-sharing link math, trace-recorder segment mapping, the meter's
 recording/attribution contexts, and bit-for-bit determinism of full runs.
