@@ -211,24 +211,34 @@ class TestCrashPathReplay:
 
 
 class TestDeterminismAndGolden:
-    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "drop+delay"])
-    def test_same_seed_reproduces_the_exact_admission_schedule(self, faulted):
+    def test_same_seed_reproduces_the_exact_admission_schedule(self):
         logs, finals = [], []
         for _ in range(2):
             demo = build_demo_fleet(seed=0, dispatch="pipelined")
-            if faulted:
-                demo.dc.network.fault_injector = FaultInjector(
-                    plan=(
-                        FaultPlan()
-                        .drop(max_triggers=2, msg_type="la_hello")
-                        .delay(0.25, max_triggers=3)
-                    ),
-                    rng=demo.dc.rng.child("pipelined-faults"),
-                    machines=dict(demo.dc.machines),
-                    meter=demo.dc.meter,
-                )
-            results = _window_drain(demo)
-            demo.dc.network.fault_injector = None
+            _window_drain(demo)
+            logs.append(demo.service.last_schedule.event_log)
+            finals.append(demo.dc.clock.now)
+        assert logs[0] == logs[1]
+        assert finals[0] == finals[1]
+
+    def test_determinism_holds_under_fault_drops_and_delays(self):
+        logs, finals = [], []
+        for _ in range(2):
+            demo = build_demo_fleet(seed=0, dispatch="pipelined")
+            demo.dc.network.fault_injector = FaultInjector(
+                plan=(
+                    FaultPlan()
+                    .drop(max_triggers=2, msg_type="la_hello")
+                    .delay(0.25, max_triggers=3)
+                ),
+                rng=demo.dc.rng.child("pipelined-faults"),
+                machines=dict(demo.dc.machines),
+                meter=demo.dc.meter,
+            )
+            try:
+                results = _window_drain(demo)
+            finally:
+                demo.dc.network.fault_injector = None
             assert all(result.completed for result in results)
             logs.append(demo.service.last_schedule.event_log)
             finals.append(demo.dc.clock.now)
