@@ -1,0 +1,132 @@
+"""Golden pin for the crypto kernels every migration runs.
+
+``tests/golden/crypto_kernels_seed0.json`` holds the outputs of, for seeded
+inputs:
+
+* ``AES.encrypt_block`` under 16-, 24- and 32-byte keys;
+* ``ctr_transform`` over 0-48 blocks (whole and partial last blocks), which
+  straddles the scalar/bulk length switch, from an ordinary initial counter
+  and from one whose low 32 bits wrap mid-stream;
+* ``AesGcm.seal`` over the same lengths;
+* ``modexp.verify_product`` for seeded Schnorr signatures, for the responses
+  0, 1 and q-1, and for a short response (nonce ``k > x*e``), so both sides
+  of the generator table's short-side choice are pinned.
+
+CTR and GCM outputs are stored as SHA-256 digests.  The file was captured
+from ``kernel_outputs()`` before the T-table AES, the scalar CTR path and
+the short-side generator exponentiation landed; every value must stay
+equal.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.crypto import modexp, schnorr
+from repro.crypto.aes import AES
+from repro.crypto.ctr import ctr_transform
+from repro.crypto.dh import MODP_2048_P, MODP_2048_Q
+from repro.crypto.gcm import AesGcm
+from repro.sim.rng import DeterministicRng
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "crypto_kernels_seed0.json"
+
+KEY_SIZES = (16, 24, 32)
+# Byte lengths of 0-48 blocks, whole and with a short last block.
+LENGTHS = [16 * n for n in range(49)] + [16 * n - 5 for n in range(1, 49)]
+
+
+def _rng(label: str) -> DeterministicRng:
+    return DeterministicRng(0, "crypto-kernels").child(label)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _encrypt_block_outputs() -> dict:
+    out = {}
+    for size in KEY_SIZES:
+        rng = _rng(f"block-{size}")
+        cipher = AES(rng.random_bytes(size))
+        out[str(size)] = [cipher.encrypt_block(rng.random_bytes(16)).hex() for _ in range(8)]
+    return out
+
+
+def _ctr_outputs() -> dict:
+    out = {}
+    for size in KEY_SIZES:
+        rng = _rng(f"ctr-{size}")
+        cipher = AES(rng.random_bytes(size))
+        counters = {
+            "plain": int.from_bytes(rng.random_bytes(16), "big"),
+            # Low 32 bits wrap to zero at the ninth block.
+            "wrap": (int.from_bytes(rng.random_bytes(12), "big") << 32) | 0xFFFFFFF8,
+        }
+        for name, counter in counters.items():
+            out[f"{size}/{name}"] = {
+                str(length): _digest(ctr_transform(cipher, counter, rng.random_bytes(length)))
+                for length in LENGTHS
+            }
+    return out
+
+
+def _gcm_seal_outputs() -> dict:
+    out = {}
+    for size in (16, 32):
+        rng = _rng(f"gcm-{size}")
+        aead = AesGcm(rng.random_bytes(size))
+        out[str(size)] = {
+            str(length): _digest(
+                aead.seal(rng.random_bytes(12), rng.random_bytes(length), rng.random_bytes(20))
+            )
+            for length in LENGTHS
+        }
+    return out
+
+
+def _verify_product_outputs() -> dict:
+    p, q = MODP_2048_P, MODP_2048_Q
+    rng = _rng("schnorr")
+    signatures = []
+    for i in range(4):
+        keypair = schnorr.generate_keypair(rng.child(f"key-{i}"))
+        sig = schnorr.sign(keypair.private, rng.random_bytes(48))
+        signatures.append(
+            format(modexp.verify_product(4, sig.response, keypair.public, sig.challenge, p), "x")
+        )
+    public = schnorr.generate_keypair(rng.child("responses")).public
+    challenge = int.from_bytes(rng.random_bytes(32), "big") % q
+    responses = {
+        name: format(modexp.verify_product(4, s, public, challenge, p), "x")
+        for name, s in (("0", 0), ("1", 1), ("q-1", q - 1))
+    }
+    # A nonce larger than x*e leaves s = k - x*e short without the mod-q wrap.
+    x = int.from_bytes(rng.random_bytes(5), "big") | 1
+    e = int.from_bytes(rng.random_bytes(32), "big") % q
+    k = int.from_bytes(rng.random_bytes(40), "big") | (1 << 319)
+    assert k > x * e
+    responses["k>xe"] = format(modexp.verify_product(4, k - x * e, pow(4, x, p), e, p), "x")
+    return {"signatures": signatures, "responses": responses}
+
+
+KERNELS = {
+    "encrypt_block": _encrypt_block_outputs,
+    "ctr_transform": _ctr_outputs,
+    "gcm_seal": _gcm_seal_outputs,
+    "verify_product": _verify_product_outputs,
+}
+
+
+def kernel_outputs() -> dict:
+    return {name: compute() for name, compute in KERNELS.items()}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernel_outputs_match_golden_file(kernel):
+    golden = json.loads(GOLDEN.read_text())
+    assert KERNELS[kernel]() == golden[kernel]
