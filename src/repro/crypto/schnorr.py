@@ -28,9 +28,12 @@ _P = MODP_2048_P
 _Q = MODP_2048_Q
 _G = 4  # 2^2 is a quadratic residue, so it generates the order-q subgroup
 
-# Every sign/keygen exponentiates the fixed generator with a ~2046-bit
-# exponent; the windowed table turns each into ~340 multiplications.
-modexp.register_fixed_base(_G, _P, max_bits=_Q.bit_length() + 1)
+# Signing, key generation and verification all raise the fixed generator:
+# to 320-bit nonces and keys, and to responses s whose shorter side
+# min(s, q - s) is below 2**576 (s = k - x*e mod q with 320-bit k and x and
+# 256-bit e).  g has order q, so the order-aware table exponentiates by that
+# shorter side: at most 96 windows of 6 bits instead of 342.
+modexp.register_fixed_base(_G, _P, max_bits=_Q.bit_length() + 1, order=_Q)
 
 
 # sign() re-derives g**x on every call; the signing keys in play (ME keys,

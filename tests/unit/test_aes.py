@@ -69,11 +69,12 @@ class TestBatchPath:
             assert bytes(row) == FIPS_128_CT
 
     def test_batch_distinct_blocks(self):
-        cipher = AES(FIPS_128_KEY)
-        blocks = np.arange(16 * 32, dtype=np.uint8).reshape(-1, 16) % 251
-        out = cipher.encrypt_blocks(blocks.astype(np.uint8))
-        for i in range(32):
-            assert bytes(out[i]) == cipher.encrypt_block(bytes(blocks[i].astype(np.uint8)))
+        blocks = (np.arange(16 * 32).reshape(-1, 16) % 251).astype(np.uint8)
+        for key in (FIPS_128_KEY, APPENDIX_C_KEY_192, APPENDIX_C_KEY_256):
+            cipher = AES(key)
+            out = cipher.encrypt_blocks(blocks)
+            for i in range(32):
+                assert bytes(out[i]) == cipher.encrypt_block(bytes(blocks[i]))
 
     def test_batch_rejects_bad_shape(self):
         with pytest.raises(CryptoError):

@@ -1,5 +1,7 @@
 """Diffie-Hellman, Schnorr signatures, and the simulated EPID scheme."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto import schnorr
@@ -87,12 +89,22 @@ class TestSchnorr:
             schnorr.SchnorrSignature.from_bytes(b"\x00" * 10)
 
     def test_tampered_signature_rejected(self, rng):
-        keypair = schnorr.generate_keypair(rng.child("s"))
-        signature = schnorr.sign(keypair.private, b"m")
-        tampered = schnorr.SchnorrSignature(
-            challenge=signature.challenge ^ 1, response=signature.response
-        )
-        assert not schnorr.verify(keypair.public, b"m", tampered)
+        # Verification raises g to the shorter of s and q - s.  A 320-bit key
+        # puts x*e above the 320-bit nonce, so s = k - x*e wraps mod q and
+        # q - s is the short side; a 24-bit key leaves s itself short.
+        for private, wrapped in (
+            (schnorr.generate_keypair(rng.child("s")).private, True),
+            (0xC0FFEE, False),
+        ):
+            public = schnorr.public_key_of(private)
+            signature = schnorr.sign(private, b"m")
+            assert (schnorr._Q - signature.response < signature.response) == wrapped
+            assert schnorr.verify(public, b"m", signature)
+            for tampered in (
+                replace(signature, challenge=signature.challenge ^ 1),
+                replace(signature, response=signature.response ^ 1),
+            ):
+                assert not schnorr.verify(public, b"m", tampered)
 
     def test_degenerate_public_rejected(self, rng):
         keypair = schnorr.generate_keypair(rng.child("s"))

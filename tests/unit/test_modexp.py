@@ -3,9 +3,12 @@
 Every fast path in :mod:`repro.crypto.modexp` must be bit-exact with
 ``builtins.pow`` — these tests pin that over the RFC 3526 2048-bit group the
 simulator actually uses (Schnorr generator g=4, DH generator g=2), including
-the edge exponents 0, 1 and q-1, plus the cache bookkeeping the benchmarks
-rely on.
+the edge exponents 0, 1 and q-1, both sides of the order-aware table's
+short-side switch, and the on-demand row build, plus the cache bookkeeping
+the benchmarks rely on.
 """
+
+import random
 
 import pytest
 
@@ -21,7 +24,20 @@ from repro.errors import CryptoError
 _P = MODP_2048_P
 _Q = MODP_2048_Q
 
-EDGE_EXPONENTS = (0, 1, 2, _Q - 1, _Q, 1 << 255, (1 << 2046) - 1)
+EDGE_EXPONENTS = (
+    0,
+    1,
+    2,
+    _Q - 1,
+    _Q,
+    1 << 255,
+    (1 << 2046) - 1,
+    # Either side of the short-side switch of an order-aware table, and a
+    # random full-length exponent.
+    1 << 575,
+    _Q - (1 << 575),
+    random.Random(2046).getrandbits(2046),
+)
 
 
 class TestFixedBaseTable:
@@ -35,6 +51,27 @@ class TestFixedBaseTable:
         table = modexp.FixedBaseTable(MODP_2048_G, _P, max_bits=2048)
         assert table.pow(exponent) == pow(MODP_2048_G, exponent, _P)
 
+    @pytest.mark.parametrize("exponent", EDGE_EXPONENTS)
+    def test_matches_pow_with_generator_order(self, exponent):
+        table = modexp.FixedBaseTable(4, _P, max_bits=2048, order=_Q)
+        assert table.pow(exponent) == pow(4, exponent, _P)
+
+    def test_rows_built_on_demand(self):
+        table = modexp.FixedBaseTable(4, _P, max_bits=2048, order=_Q)
+        assert len(table._rows) == 0
+        exponent = (1 << 319) | 12345
+        assert table.pow(exponent) == pow(4, exponent, _P)
+        assert len(table._rows) == 54  # ceil(320 / 6)
+        # q - 1 takes the short side (exponent 1) and builds nothing more.
+        assert table.pow(_Q - 1) == pow(4, _Q - 1, _P)
+        assert len(table._rows) == 54
+
+    def test_order_must_annihilate_base(self):
+        with pytest.raises(CryptoError):
+            modexp.FixedBaseTable(4, _P, order=_Q - 1)
+        with pytest.raises(CryptoError):
+            modexp.FixedBaseTable(4, _P, order=0)
+
     def test_oversized_exponent_falls_back_to_pow(self):
         table = modexp.FixedBaseTable(4, _P, max_bits=16)
         exponent = 1 << 100  # way past max_bits
@@ -46,8 +83,6 @@ class TestFixedBaseTable:
             table.pow(-1)
 
     def test_random_exponents_match_pow(self):
-        import random
-
         rng = random.Random(1234)
         table = modexp.FixedBaseTable(4, _P, max_bits=2048)
         for _ in range(10):
@@ -57,8 +92,6 @@ class TestFixedBaseTable:
 
 class TestShamir:
     def test_mul2_powmod_matches_pow_product(self):
-        import random
-
         rng = random.Random(99)
         for _ in range(5):
             b1, b2 = rng.getrandbits(2040), rng.getrandbits(2040)
