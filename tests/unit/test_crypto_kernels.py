@@ -8,14 +8,19 @@ inputs:
   straddles the scalar/bulk length switch, from an ordinary initial counter
   and from one whose low 32 bits wrap mid-stream;
 * ``AesGcm.seal`` over the same lengths;
+* ``AesGcm.seal`` over long inputs (``gcm_long``): 64 consecutive block
+  counts around the GHASH lane-path switch, whole and with a short last
+  block, so every lane residue up to 64 lanes is hit, plus the sealed KV
+  store's 66,669-byte snapshot and the Fig. 4 100,000-byte payload, under
+  AES-128 and AES-256 keys with 0- and 20-byte AAD;
 * ``modexp.verify_product`` for seeded Schnorr signatures, for the responses
   0, 1 and q-1, and for a short response (nonce ``k > x*e``), so both sides
   of the generator table's short-side choice are pinned.
 
 CTR and GCM outputs are stored as SHA-256 digests.  The file was captured
 from ``kernel_outputs()`` before the T-table AES, the scalar CTR path and
-the short-side generator exponentiation landed; every value must stay
-equal.
+the short-side generator exponentiation landed, and ``gcm_long`` before the
+lane-parallel GHASH path landed; every value must stay equal.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "crypto_kernels_see
 KEY_SIZES = (16, 24, 32)
 # Byte lengths of 0-48 blocks, whole and with a short last block.
 LENGTHS = [16 * n for n in range(49)] + [16 * n - 5 for n in range(1, 49)]
+# Byte lengths of 992-1055 blocks, whole and short, then the sealed KV
+# store's snapshot and the Fig. 4 payload.
+LONG_LENGTHS = (
+    [16 * n for n in range(992, 1056)] + [16 * n - 5 for n in range(992, 1056)] + [66_669, 100_000]
+)
 
 
 def _rng(label: str) -> DeterministicRng:
@@ -89,6 +99,21 @@ def _gcm_seal_outputs() -> dict:
     return out
 
 
+def _gcm_long_outputs() -> dict:
+    out = {}
+    for size in (16, 32):
+        for aad_len in (0, 20):
+            rng = _rng(f"gcm-long-{size}-{aad_len}")
+            aead = AesGcm(rng.random_bytes(size))
+            aad = rng.random_bytes(aad_len)
+            plaintext = rng.random_bytes(max(LONG_LENGTHS))
+            out[f"{size}/aad{aad_len}"] = {
+                str(length): _digest(aead.seal(rng.random_bytes(12), plaintext[:length], aad))
+                for length in LONG_LENGTHS
+            }
+    return out
+
+
 def _verify_product_outputs() -> dict:
     p, q = MODP_2048_P, MODP_2048_Q
     rng = _rng("schnorr")
@@ -118,6 +143,7 @@ KERNELS = {
     "encrypt_block": _encrypt_block_outputs,
     "ctr_transform": _ctr_outputs,
     "gcm_seal": _gcm_seal_outputs,
+    "gcm_long": _gcm_long_outputs,
     "verify_product": _verify_product_outputs,
 }
 
