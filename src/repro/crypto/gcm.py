@@ -1,9 +1,32 @@
 """AES-GCM authenticated encryption (NIST SP 800-38D), from scratch.
 
 This is the AEAD used everywhere the paper uses ``sgx_seal_data`` or an
-attested secure channel.  GHASH is implemented over GF(2^128) with Shoup-style
-8-bit tables so that bulk payloads (the paper's 100 kB sealing benchmark) stay
-fast in pure Python; the tables are built once per key and cached.
+attested secure channel.  GHASH, over GF(2^128), is
+``X_1 * H^n + X_2 * H^(n-1) + ... + X_n * H`` for the blocks
+``AAD || pad || ciphertext || pad || lengths``.  It takes one of two paths,
+chosen by the number of blocks ``n``:
+
+* below :data:`LANE_MIN_BLOCKS` (1,024), Horner's rule one block at a time
+  with Shoup-style 8-bit tables for ``H``, built once per key and kept in a
+  512-entry LRU;
+* from there on, a numpy path that runs Horner in :data:`LANES` (32) lanes
+  at once with the multiplier ``H^32``, each step one table gather and one
+  XOR-reduce over all lanes, then folds the lanes together with 32
+  multiplications by ``H`` on the Shoup table.  Its 64 KiB position table
+  (every byte value at every byte position, times ``H^32``) lives in its own
+  LRU of :data:`_LANE_TABLE_CACHE_MAX` entries, so a stream of fresh keys
+  sealing bulk data cannot pin 64 KiB each.
+
+Both paths give the same bytes.  On a 2-vCPU x86-64 VM (CPython 3.11,
+numpy 2.4) a Shoup block costs about 2.6 us and a lane block about
+0.3 us; a lane call adds about 0.1 ms of fold and, for a key without a
+cached table, about 0.2 ms of table building.  The lanes therefore win from
+roughly 50 blocks with a cached table and 110 with a fresh one, and by ~9x
+on the sealed KV store's 4,167-block snapshot.  The switch sits well above
+that crossover so that the short-lived keys of channel records and library
+persists, whose inputs stay below 600 blocks, never build a lane table or
+evict the long-lived keys' tables from the small lane cache: only bulk
+sealed state takes the lane path.
 
 Known-answer tests against the NIST GCM vectors live in
 ``tests/unit/test_gcm.py``.
@@ -13,6 +36,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 from repro.crypto.aes import AES
 from repro.crypto.bytesutil import block_to_int, constant_time_equal, int_to_block, xor_bytes
 from repro.crypto.ctr import ctr_transform
@@ -20,6 +45,11 @@ from repro.errors import CryptoError
 
 _R = 0xE1000000000000000000000000000000  # GCM reduction polynomial (bit-reflected)
 _X8 = 1 << 119  # the field element x^8 in GCM bit order
+
+#: Shortest GHASH input, in 16-byte blocks, that takes the lane-parallel path.
+LANE_MIN_BLOCKS = 1024
+#: Horner lanes of that path.
+LANES = 32
 
 
 def gf_mult(x: int, y: int) -> int:
@@ -53,13 +83,11 @@ def _expand_byte_table(basis: list[int]) -> list[int]:
     ``basis[k]`` is the element contributed by bit ``7 - k`` of the byte
     (i.e. the byte's MSB maps to ``basis[0]``).
     """
-    table = [0] * 256
-    for b in range(256):
-        acc = 0
-        for k in range(8):
-            if (b >> (7 - k)) & 1:
-                acc ^= basis[k]
-        table[b] = acc
+    # Doubling, lowest bit first: once bit j is in, table[(1 << j) | b] is
+    # table[b] ^ basis[7 - j] for every b below 1 << j.
+    table = [0]
+    for element in reversed(basis):
+        table += [entry ^ element for entry in table]
     return table
 
 
@@ -121,8 +149,10 @@ def ghash_table_cache_stats() -> dict[str, int]:
 
 
 def clear_ghash_table_cache() -> None:
+    """Empty the Shoup and lane table caches and zero the counters."""
     global _ghash_hits, _ghash_misses
     _GHASH_TABLE_CACHE.clear()
+    _LANE_TABLE_CACHE.clear()
     _ghash_hits = 0
     _ghash_misses = 0
 
@@ -142,17 +172,85 @@ def _ghash_key_for(h: int) -> _GhashKey:
     return cached
 
 
-def _ghash(key: _GhashKey, aad: bytes, ciphertext: bytes) -> bytes:
+# H -> lane position table (see _lane_table), most-recently-used last.  Kept
+# apart from the Shoup cache and small, because each entry is 64 KiB and most
+# keys that reach the lane path (fresh native sealing keys) never recur.
+_LANE_TABLE_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
+_LANE_TABLE_CACHE_MAX = 4
+# Row offset of each byte position in the flattened (16 * 256, 2) table.
+_POSITION_OFFSETS = (np.arange(16, dtype=np.uint16) * 256)[:, None]
+
+
+def _lane_table(key: _GhashKey) -> np.ndarray:
+    """``T[256 * p + b] = (byte b at byte position p) * H^LANES``.
+
+    Rows are 16-byte field elements in block byte order, as two uint64
+    words; a product ``y * H^LANES`` is the XOR of the 16 rows picked by
+    ``y``'s bytes, with no reduction step.
+    """
+    h_k = key.h
+    for _ in range(LANES - 1):
+        h_k = key.mult(h_k)
+    # basis[p, i] = x^(8p + i) * H^LANES, the element for bit 7 - i of byte p.
+    powers = [h_k]
+    for _ in range(127):
+        powers.append(_mult_by_x(powers[-1]))
+    basis = np.frombuffer(b"".join(v.to_bytes(16, "big") for v in powers), dtype=np.uint64)
+    basis = basis.reshape(16, 8, 2)
+    table = np.zeros((16, 1, 2), dtype=np.uint64)
+    for i in range(7, -1, -1):  # the doubling of _expand_byte_table, per position
+        table = np.concatenate((table, table ^ basis[:, i, None]), axis=1)
+    return table.reshape(16 * 256, 2)
+
+
+def _lane_table_for(key: _GhashKey) -> np.ndarray:
+    table = _LANE_TABLE_CACHE.get(key.h)
+    if table is not None:
+        _LANE_TABLE_CACHE.move_to_end(key.h)
+        return table
+    table = _lane_table(key)
+    _LANE_TABLE_CACHE[key.h] = table
+    while len(_LANE_TABLE_CACHE) > _LANE_TABLE_CACHE_MAX:
+        _LANE_TABLE_CACHE.popitem(last=False)
+    return table
+
+
+def _ghash_horner(key: _GhashKey, blocks: bytes) -> int:
+    """GHASH of ``blocks`` (a whole number of 16-byte blocks), one at a time."""
     y = 0
-    for data in (aad, ciphertext):
-        for i in range(0, len(data), 16):
-            block = data[i : i + 16]
-            if len(block) < 16:
-                block = block + b"\x00" * (16 - len(block))
-            y = key.mult(y ^ block_to_int(block))
+    mult = key.mult
+    for i in range(0, len(blocks), 16):
+        y = mult(y ^ int.from_bytes(blocks[i : i + 16], "big"))
+    return y
+
+
+def _ghash_lanes(key: _GhashKey, blocks: bytes) -> int:
+    """:func:`_ghash_horner`'s result, computed in LANES lanes.
+
+    Zero blocks in front make the count a multiple of LANES without changing
+    the sum.  Lane ``j`` then holds blocks ``j, j + LANES, ...``, and Horner
+    with ``H^LANES`` weights each by ``H^LANES`` per row after it.  Horner
+    with ``H`` over the lanes, in order, weights lane ``j`` by a further
+    ``H^(LANES - j)``.
+    """
+    table = _lane_table_for(key)
+    front = -(len(blocks) // 16) % LANES
+    rows = np.frombuffer(bytes(16 * front) + blocks, dtype=np.uint64).reshape(-1, LANES, 2)
+    acc = rows[0]
+    for row in rows[1:]:
+        positions = acc.view(np.uint8).T + _POSITION_OFFSETS
+        acc = np.bitwise_xor.reduce(np.take(table, positions, axis=0), axis=0) ^ row
+    return _ghash_horner(key, acc.tobytes())
+
+
+def _ghash(key: _GhashKey, aad: bytes, ciphertext: bytes) -> bytes:
     lengths = ((len(aad) * 8) << 64) | (len(ciphertext) * 8)
-    y = key.mult(y ^ lengths)
-    return int_to_block(y)
+    blocks = b"".join((
+        aad, bytes(-len(aad) % 16), ciphertext, bytes(-len(ciphertext) % 16),
+        int_to_block(lengths),
+    ))
+    kernel = _ghash_lanes if len(blocks) >= 16 * LANE_MIN_BLOCKS else _ghash_horner
+    return int_to_block(kernel(key, blocks))
 
 
 class AesGcm:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.crypto.gcm import AesGcm, _GhashKey, gf_mult
+from repro.crypto import gcm as gcm_module
+from repro.crypto.gcm import LANE_MIN_BLOCKS, AesGcm, _GhashKey, gf_mult
 from repro.errors import CryptoError
 
 KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -16,6 +17,9 @@ CT = bytes.fromhex(
     "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
 )
 AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+# Plaintext bytes from which GHASH, with a 1-block AAD and the length block,
+# reaches LANE_MIN_BLOCKS and takes the lane path.
+LANE_BYTES = 16 * (LANE_MIN_BLOCKS - 3) + 1
 
 
 class TestKnownAnswers:
@@ -49,7 +53,10 @@ class TestKnownAnswers:
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 100, 4096])
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, 15, 16, 17, 100, 4096, LANE_BYTES - 1, LANE_BYTES, LANE_BYTES + 15, 100_000],
+    )
     def test_roundtrip_sizes(self, size):
         gcm = AesGcm(KEY)
         plaintext = bytes(range(256)) * (size // 256 + 1)
@@ -68,42 +75,66 @@ class TestRoundTrips:
 
 
 class TestTamperDetection:
-    def _encrypt(self):
-        gcm = AesGcm(KEY)
-        ciphertext, tag = gcm.encrypt(IV, b"attack at dawn!!", b"header")
-        return gcm, ciphertext, tag
+    """Each tamper case runs on a one-block payload and on a long one."""
+
+    PAYLOADS = (b"attack at dawn!!", bytes(range(256)) * (LANE_BYTES // 256 + 1))
+
+    @pytest.fixture(autouse=True)
+    def long_tags_from_lanes(self, monkeypatch):
+        """Fail if a long payload's tag, on seal or on open, skips the lane path."""
+        horner, lanes = gcm_module._ghash_horner, gcm_module._ghash_lanes
+        lane_calls = []
+
+        def horner_short_only(key, blocks):
+            assert len(blocks) < len(self.PAYLOADS[1])
+            return horner(key, blocks)
+
+        def counted_lanes(key, blocks):
+            lane_calls.append(len(blocks))
+            return lanes(key, blocks)
+
+        monkeypatch.setattr(gcm_module, "_ghash_horner", horner_short_only)
+        monkeypatch.setattr(gcm_module, "_ghash_lanes", counted_lanes)
+        yield
+        assert lane_calls
+
+    def _sealed(self):
+        for payload in self.PAYLOADS:
+            gcm = AesGcm(KEY)
+            ciphertext, tag = gcm.encrypt(IV, payload, b"header")
+            yield gcm, ciphertext, tag
 
     def test_ciphertext_tamper(self):
-        gcm, ciphertext, tag = self._encrypt()
-        bad = bytes([ciphertext[0] ^ 1]) + ciphertext[1:]
-        with pytest.raises(CryptoError):
-            gcm.decrypt(IV, bad, tag, b"header")
+        for gcm, ciphertext, tag in self._sealed():
+            bad = bytes([ciphertext[0] ^ 1]) + ciphertext[1:]
+            with pytest.raises(CryptoError):
+                gcm.decrypt(IV, bad, tag, b"header")
 
     def test_tag_tamper(self):
-        gcm, ciphertext, tag = self._encrypt()
-        bad = bytes([tag[0] ^ 1]) + tag[1:]
-        with pytest.raises(CryptoError):
-            gcm.decrypt(IV, ciphertext, bad, b"header")
+        for gcm, ciphertext, tag in self._sealed():
+            bad = bytes([tag[0] ^ 1]) + tag[1:]
+            with pytest.raises(CryptoError):
+                gcm.decrypt(IV, ciphertext, bad, b"header")
 
     def test_aad_tamper(self):
-        gcm, ciphertext, tag = self._encrypt()
-        with pytest.raises(CryptoError):
-            gcm.decrypt(IV, ciphertext, tag, b"hEader")
+        for gcm, ciphertext, tag in self._sealed():
+            with pytest.raises(CryptoError):
+                gcm.decrypt(IV, ciphertext, tag, b"hEader")
 
     def test_wrong_key(self):
-        _, ciphertext, tag = self._encrypt()
-        with pytest.raises(CryptoError):
-            AesGcm(bytes(16)).decrypt(IV, ciphertext, tag, b"header")
+        for _, ciphertext, tag in self._sealed():
+            with pytest.raises(CryptoError):
+                AesGcm(bytes(16)).decrypt(IV, ciphertext, tag, b"header")
 
     def test_wrong_iv(self):
-        gcm, ciphertext, tag = self._encrypt()
-        with pytest.raises(CryptoError):
-            gcm.decrypt(bytes(12), ciphertext, tag, b"header")
+        for gcm, ciphertext, tag in self._sealed():
+            with pytest.raises(CryptoError):
+                gcm.decrypt(bytes(12), ciphertext, tag, b"header")
 
     def test_bad_tag_length(self):
-        gcm, ciphertext, _ = self._encrypt()
-        with pytest.raises(CryptoError):
-            gcm.decrypt(IV, ciphertext, b"short", b"header")
+        for gcm, ciphertext, _ in self._sealed():
+            with pytest.raises(CryptoError):
+                gcm.decrypt(IV, ciphertext, b"short", b"header")
 
 
 class TestGhash:
@@ -166,3 +197,23 @@ class TestGhashTableCache:
         assert AesGcm(keys[0]).decrypt(iv, ciphertext, tag) == b"data"
         assert gcm.ghash_table_cache_stats()["misses"] == 4
         gcm.clear_ghash_table_cache()
+
+    def test_lane_cache_is_bounded(self):
+        from repro.crypto import gcm
+
+        gcm.clear_ghash_table_cache()
+        capacity = gcm._LANE_TABLE_CACHE_MAX
+        payload = bytes(16 * LANE_MIN_BLOCKS)
+        iv = bytes(12)
+        sealed = []
+        for i in range(capacity + 3):
+            aead = AesGcm(bytes([i]) * 16)
+            sealed.append((aead, aead.seal(iv, payload)))
+            assert len(gcm._LANE_TABLE_CACHE) == min(i + 1, capacity)
+        assert sealed[0][0]._ghash_key.h not in gcm._LANE_TABLE_CACHE
+        # Evicted keys rebuild their lane table and still round-trip.
+        for aead, blob in sealed:
+            assert aead.open(iv, blob) == payload
+            assert len(gcm._LANE_TABLE_CACHE) == capacity
+        gcm.clear_ghash_table_cache()
+        assert not gcm._LANE_TABLE_CACHE
