@@ -28,6 +28,7 @@ refuses to operate (Requirement R3 again).
 from __future__ import annotations
 
 import enum
+import functools
 
 from repro import wire
 from repro.core.datastructures import (
@@ -56,6 +57,7 @@ from repro.errors import (
     TransientError,
 )
 from repro.sgx.sdk import TrustedRuntime
+from repro.sgx.sealing import sealed_fields
 from repro.attestation.local import LocalAttestationInitiator
 
 _MSK_SIZE = 16
@@ -748,3 +750,24 @@ class MigrationLibrary:
         self._charge("lib_counter_read_wrap", "lib_counter_read_wrap")
         current = self._sdk.read_monotonic_counter(uuid)
         return current + self._state.counter_offsets[counter_id]
+
+
+def _check_sealed_fields(unseal):
+    """Reject a migratable blob with missing or mistyped fields as forged.
+
+    Applied outside the class body on purpose: the class source is part of
+    every migratable enclave's MRENCLAVE, so editing it would change the
+    identities and the wire bytes pinned in the golden traces.
+    """
+
+    @functools.wraps(unseal)
+    def checked(self: MigrationLibrary, sealed_blob: bytes) -> tuple[bytes, bytes]:
+        sealed_fields(sealed_blob, iv=bytes, ct=bytes, tag=bytes, aad=bytes)
+        return unseal(self, sealed_blob)
+
+    return checked
+
+
+MigrationLibrary.unseal_migratable_data = _check_sealed_fields(
+    MigrationLibrary.unseal_migratable_data
+)

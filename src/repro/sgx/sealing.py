@@ -54,9 +54,18 @@ class SealedData:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SealedData":
-        fields = wire.decode(data)
+        fields = sealed_fields(
+            data, key_policy=str, key_id=bytes, isv_svn=int, iv=bytes,
+            ciphertext=bytes, tag=bytes, aad=bytes,
+        )
+        try:
+            key_policy = KeyPolicy(fields["key_policy"])
+        except ValueError as exc:
+            raise MacMismatchError(f"sealed blob key policy: {exc}") from exc
+        if not 0 <= fields["isv_svn"] <= 0xFFFF:
+            raise MacMismatchError("sealed blob ISVSVN is not a 16-bit value")
         return cls(
-            key_policy=KeyPolicy(fields["key_policy"]),
+            key_policy=key_policy,
             key_id=fields["key_id"],
             isv_svn=fields["isv_svn"],
             iv=fields["iv"],
@@ -64,6 +73,20 @@ class SealedData:
             tag=fields["tag"],
             additional_mac_text=fields["aad"],
         )
+
+
+def sealed_fields(blob: bytes, **types: type) -> dict[str, wire.Value]:
+    """Decode a sealed blob from the untrusted host, checking its fields.
+
+    A blob that decodes but lacks one of the named fields, or holds another
+    type in it, is as forged as one with a bad tag and raises
+    :class:`MacMismatchError`; truncated bytes keep their ``WireError``.
+    """
+    fields = wire.decode(blob)
+    for name, kind in types.items():
+        if type(fields.get(name)) is not kind:
+            raise MacMismatchError(f"sealed blob field {name!r} is missing or not {kind.__name__}")
+    return fields
 
 
 def _charge_aead(cpu: SgxCpu, num_bytes: int) -> None:

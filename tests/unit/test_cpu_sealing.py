@@ -7,6 +7,7 @@ on the machine (and for the target) they were created on.
 
 import pytest
 
+from repro import wire
 from repro.errors import InvalidParameterError, MacMismatchError, SgxError
 from repro.sgx.cpu import KeyName, KeyRequest, SgxCpu
 from repro.sgx.identity import Attributes, EnclaveIdentity, KeyPolicy
@@ -165,23 +166,32 @@ class TestSealing:
         plaintext, _ = unseal_data(cpu, sibling, sealed)
         assert plaintext == b"secret"
 
-    def test_tampered_ciphertext_rejected(self, cpu, identity, rng):
-        import dataclasses
+    @staticmethod
+    def _unseal_blob(cpu, identity, fields):
+        return unseal_data(cpu, identity, SealedData.from_bytes(wire.encode(fields)))
 
+    def test_tampered_ciphertext_rejected(self, cpu, identity, rng):
         sealed = seal_data(cpu, identity, rng.child("s"), b"secret")
-        bad = dataclasses.replace(
-            sealed, ciphertext=bytes([sealed.ciphertext[0] ^ 1]) + sealed.ciphertext[1:]
-        )
-        with pytest.raises(MacMismatchError):
-            unseal_data(cpu, identity, bad)
+        fields = wire.decode(sealed.to_bytes())
+        flipped = bytes([sealed.ciphertext[0] ^ 1]) + sealed.ciphertext[1:]
+        for bad in (
+            {**fields, "ciphertext": flipped},
+            {k: v for k, v in fields.items() if k != "tag"},
+            {**fields, "ciphertext": 7},
+        ):
+            with pytest.raises(MacMismatchError):
+                self._unseal_blob(cpu, identity, bad)
 
     def test_tampered_mac_text_rejected(self, cpu, identity, rng):
-        import dataclasses
-
         sealed = seal_data(cpu, identity, rng.child("s"), b"secret", b"version=2")
-        bad = dataclasses.replace(sealed, additional_mac_text=b"version=9")
-        with pytest.raises(MacMismatchError):
-            unseal_data(cpu, identity, bad)
+        fields = wire.decode(sealed.to_bytes())
+        for bad in (
+            {**fields, "aad": b"version=9"},
+            {k: v for k, v in fields.items() if k != "aad"},
+            {**fields, "aad": 9},
+        ):
+            with pytest.raises(MacMismatchError):
+                self._unseal_blob(cpu, identity, bad)
 
     def test_serialization_roundtrip(self, cpu, identity, rng):
         sealed = seal_data(cpu, identity, rng.child("s"), b"secret", b"aad")

@@ -13,6 +13,7 @@ from repro.errors import (
     MigrationError,
     SgxError,
     SgxStatus,
+    WireError,
 )
 from repro.sgx.identity import SigningKey
 
@@ -107,12 +108,21 @@ class TestMigratableSealing:
         assert enclave.ecall("unseal", blob) == (b"secret", b"mac-text")
 
     def test_tamper_detected(self, world):
+        from repro import wire
+
         _, app = world
         enclave = app.start_new()
-        blob = bytearray(enclave.ecall("seal", b"secret"))
-        blob[-1] ^= 1
-        with pytest.raises((MacMismatchError, Exception)):
-            enclave.ecall("unseal", bytes(blob))
+        blob = enclave.ecall("seal", b"secret")
+        fields = wire.decode(blob)
+        flipped = bytearray(blob)
+        flipped[-1] ^= 1
+        missing_field = wire.encode({k: v for k, v in fields.items() if k != "iv"})
+        wrong_type = wire.encode({**fields, "tag": 7})
+        for bad in (bytes(flipped), missing_field, wrong_type):
+            with pytest.raises(MacMismatchError):
+                enclave.ecall("unseal", bad)
+        with pytest.raises(WireError):
+            enclave.ecall("unseal", blob[:-1])
 
     def test_mac_text_authenticated(self, world):
         from repro import wire
