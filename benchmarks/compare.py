@@ -16,6 +16,9 @@ verdict by the comparison protocol in ``benchmarks/e2e/README.md``:
   them (a pair in which either run failed is not a win), the medians differ
   by more than the base's quartile spread (q3 - q1), and in no pair did
   head fail more ops than base;
+* ``better``: not a gain, but every head run beats every base run in the
+  metric's direction and in no pair did head fail more ops than base (an
+  unclaimed improvement, however wide the base's spread);
 * ``worse``: head's median is worse than the base's by more than the
   metric's bound;
 * ``unresolved``: neither, and the base's quartile spread is wider than the
@@ -111,6 +114,8 @@ def _summarize(metric: dict, base: list[float], head: list[float], pairs: int,
     elif (pairs >= MIN_PAIRS and not more_failures and wins >= WIN_SHARE * pairs
           and sign * (h_med - b_med) > spread):
         verdict = "gain"
+    elif not more_failures and all(sign * (h - b) > 0 for h in head for b in base):
+        verdict = "better"
     elif -sign * change > metric["bound"]:
         verdict = "worse"
     elif b_med and spread / abs(b_med) > metric["bound"]:
