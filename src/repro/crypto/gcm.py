@@ -14,19 +14,20 @@ chosen by the number of blocks ``n``:
   XOR-reduce over all lanes, then folds the lanes together with 32
   multiplications by ``H`` on the Shoup table.  Its 64 KiB position table
   (every byte value at every byte position, times ``H^32``) lives in its own
-  LRU of :data:`_LANE_TABLE_CACHE_MAX` entries, so a stream of fresh keys
-  sealing bulk data cannot pin 64 KiB each.
+  4-entry LRU, so a stream of fresh keys sealing bulk data cannot pin
+  64 KiB each.
 
 Both paths give the same bytes.  On a 2-vCPU x86-64 VM (CPython 3.11,
-numpy 2.4) a Shoup block costs about 2.6 us and a lane block about
-0.3 us; a lane call adds about 0.1 ms of fold and, for a key without a
-cached table, about 0.2 ms of table building.  The lanes therefore win from
-roughly 50 blocks with a cached table and 110 with a fresh one, and by ~9x
-on the sealed KV store's 4,167-block snapshot.  The switch sits well above
-that crossover so that the short-lived keys of channel records and library
-persists, whose inputs stay below 600 blocks, never build a lane table or
-evict the long-lived keys' tables from the small lane cache: only bulk
-sealed state takes the lane path.
+numpy 2.4) a Shoup block costs about 2.5 us and a lane block about
+0.2 us; a lane call adds about 0.06 ms of fold and, for a key without a
+cached table, 0.15 ms of table building.  The lanes therefore win from
+about 35 blocks with a cached table and 100 with a fresh one, and by 11x
+(10.5 -> 0.9 ms) on the sealed KV store's 4,167-block snapshot.  The
+switch sits well above that crossover so that the short-lived keys of
+channel records and library persists (at most 512 blocks on every
+workload of the repo benchmark) never build a lane table or evict a
+long-lived key's table from the small lane cache: only bulk sealed state
+takes the lane path.
 
 Known-answer tests against the NIST GCM vectors live in
 ``tests/unit/test_gcm.py``.
@@ -195,8 +196,7 @@ def _lane_table(key: _GhashKey) -> np.ndarray:
     powers = [h_k]
     for _ in range(127):
         powers.append(_mult_by_x(powers[-1]))
-    basis = np.frombuffer(b"".join(v.to_bytes(16, "big") for v in powers), dtype=np.uint64)
-    basis = basis.reshape(16, 8, 2)
+    basis = np.frombuffer(b"".join(map(int_to_block, powers)), dtype=np.uint64).reshape(16, 8, 2)
     table = np.zeros((16, 1, 2), dtype=np.uint64)
     for i in range(7, -1, -1):  # the doubling of _expand_byte_table, per position
         table = np.concatenate((table, table ^ basis[:, i, None]), axis=1)

@@ -193,6 +193,13 @@ class TestSealing:
             with pytest.raises(MacMismatchError):
                 self._unseal_blob(cpu, identity, bad)
 
+    def test_malformed_key_request_rejected(self, cpu, identity, rng):
+        sealed = seal_data(cpu, identity, rng.child("s"), b"secret")
+        fields = wire.decode(sealed.to_bytes())
+        for bad in ({**fields, "key_policy": "MRNONE"}, {**fields, "isv_svn": -1}):
+            with pytest.raises(MacMismatchError):
+                self._unseal_blob(cpu, identity, bad)
+
     def test_serialization_roundtrip(self, cpu, identity, rng):
         sealed = seal_data(cpu, identity, rng.child("s"), b"secret", b"aad")
         restored = SealedData.from_bytes(sealed.to_bytes())
