@@ -4,17 +4,30 @@ Two encryption paths are provided, bit-identical to each other:
 
 * a scalar T-table path (:meth:`AES.encrypt_block`) for single blocks:
   CMAC chaining, GCM's hash key and tag mask, key derivation, and CTR
-  inputs of up to 16 blocks (:mod:`repro.crypto.ctr` picks the path by
+  inputs of up to 5 blocks (:mod:`repro.crypto.ctr` picks the path by
   length).  The state is four 32-bit column words; four 256-entry word
   tables fold SubBytes, ShiftRows and MixColumns into 16 lookups per
   round, against round keys cached as words.  Measured on a 2-vCPU x86-64
   VM under CPython 3.11: 13 us per AES-128 block and 17 us per AES-256
   block, against 57 us and 75 us for the byte-wise GF(2^8)-table rounds
   it replaced; and
-* a numpy-vectorised batch path (:meth:`AES.encrypt_blocks`) that encrypts
-  many blocks in parallel, used by CTR/GCM for bulk payloads such as the
-  100 kB sealing benchmark.  A call costs about 0.3-0.4 ms from one block
-  up to a few dozen, so it only pays off from about 20 blocks.
+* a numpy batch path (:meth:`AES.encrypt_blocks`) that runs the same
+  T-table rounds over many blocks at once, used by CTR/GCM for channel
+  records, library persists and bulk sealed state.  The state is an
+  (8, n) array of little-endian words: the four column words of every
+  block, stored twice over.  Viewed as (column, block, row) bytes, the
+  bytes of row r in columns r..r+3 -- ShiftRows' choice for output
+  columns 0..3 -- are one strided slice, so a round is four ``take``
+  gathers into the T-tables (their words byte-swapped so each lands in
+  memory in row order), three XORs and the XOR of the round-key words, a
+  view of the cached byte schedule.  The last round gathers from the same
+  tables masked to their S-box byte.  Against the byte-wise rounds it
+  replaced (SubBytes, ShiftRows and an XTIME MixColumns as separate numpy
+  passes), on the same VM with numpy 2.4: a call costs 0.06 ms instead of
+  0.22 ms (AES-128) and 0.08 ms instead of 0.31 ms (AES-256) up to a few
+  dozen blocks, and the sealed KV store's 4,167-block snapshot takes
+  0.87 ms instead of 4.26 ms (AES-128) or 1.20 ms instead of 6.09 ms
+  (AES-256).
 
 :meth:`AES.decrypt_block` (inverse cipher, used by tests) keeps byte-wise
 rounds with GF(2^8) multiplication tables.
@@ -82,16 +95,9 @@ _RCON = [0x01]
 while len(_RCON) < 14:
     _RCON.append(_gf_mul(_RCON[-1], 2))
 
-# Numpy lookup tables for the batch path.
-_SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
-_XTIME_NP = np.array([_gf_mul(i, 2) for i in range(256)], dtype=np.uint8)
-# ShiftRows permutation on the flat 16-byte column-major state:
-# flat index = 4*col + row; row r rotates left by r columns.
-_SHIFT_ROWS_IDX = np.array(
-    [4 * ((col + row) % 4) + row for col in range(4) for row in range(4)],
-    dtype=np.intp,
-)
-_INV_SHIFT_ROWS_IDX = np.argsort(_SHIFT_ROWS_IDX)
+# Inverse ShiftRows on the flat 16-byte column-major state (flat index =
+# 4*col + row): row r of column c comes from column c - r.
+_INV_SHIFT_ROWS_IDX = tuple(4 * ((col - row) % 4) + row for col in range(4) for row in range(4))
 
 _KEY_ROUNDS = {16: 10, 24: 12, 32: 14}
 
@@ -109,6 +115,13 @@ _TE2 = [_rotr8(w) for w in _TE1]
 _TE3 = [_rotr8(w) for w in _TE2]
 _unpack_words = struct.Struct(">4I").unpack
 _pack_words = struct.Struct(">4I").pack
+
+# The same tables for the batch path, as '<u4' words whose bytes lie in row
+# order (row 0 first): a (4, n) gather viewed as bytes is (column, block,
+# row).  The last round's tables keep only the byte that holds S[a] itself
+# (row r of _TE[r + 2]), so that round is SubBytes and ShiftRows alone.
+_TE_NP = tuple(np.array(t, dtype=">u4").view("<u4") for t in (_TE0, _TE1, _TE2, _TE3))
+_TE_LAST_NP = tuple(_TE_NP[(r + 2) % 4] & np.array(0xFF << 8 * r, dtype="<u4") for r in range(4))
 
 # GF(2^8) multiplication tables for the inverse MixColumns constants, so the
 # scalar inverse rounds are table lookups instead of per-bit _gf_mul loops.
@@ -262,30 +275,30 @@ class AES:
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Encrypt ``blocks`` of shape (n, 16) uint8 in parallel.
 
-        This is the bulk path used by CTR/GCM; it computes the same cipher
-        as :meth:`encrypt_block` but byte-wise over whole arrays.
+        This is the bulk path used by CTR/GCM; it computes the same T-table
+        rounds as :meth:`encrypt_block`, with each column word of the state
+        widened to a (n,) array.  ``words`` holds the four columns of every
+        block twice over, so the bytes of row r read from columns r..r+3
+        (ShiftRows) are one strided slice of its byte view; each round is
+        four table gathers over such slices and the XOR of the round key.
         """
         if blocks.ndim != 2 or blocks.shape[1] != 16 or blocks.dtype != np.uint8:
             raise CryptoError("encrypt_blocks expects an (n, 16) uint8 array")
-        state = blocks ^ self._round_keys_np[0]
-        for r in range(1, self.rounds):
-            state = _SBOX_NP[state]
-            state = state[:, _SHIFT_ROWS_IDX]
-            state = self._mix_columns_np(state)
-            state ^= self._round_keys_np[r]
-        state = _SBOX_NP[state]
-        state = state[:, _SHIFT_ROWS_IDX]
-        state = state ^ self._round_keys_np[self.rounds]
-        return state
-
-    @staticmethod
-    def _mix_columns_np(state: np.ndarray) -> np.ndarray:
-        s = state.reshape(-1, 4, 4)  # (n, column, row)
-        a0, a1, a2, a3 = s[:, :, 0], s[:, :, 1], s[:, :, 2], s[:, :, 3]
-        x0, x1, x2, x3 = _XTIME_NP[a0], _XTIME_NP[a1], _XTIME_NP[a2], _XTIME_NP[a3]
-        out = np.empty_like(s)
-        out[:, :, 0] = x0 ^ (x1 ^ a1) ^ a2 ^ a3
-        out[:, :, 1] = a0 ^ x1 ^ (x2 ^ a2) ^ a3
-        out[:, :, 2] = a0 ^ a1 ^ x2 ^ (x3 ^ a3)
-        out[:, :, 3] = (x0 ^ a0) ^ a1 ^ a2 ^ x3
-        return out.reshape(-1, 16)
+        n = len(blocks)
+        key_words = self._round_keys_np.view("<u4")[:, :, None]
+        words = np.empty((8, n), dtype="<u4")
+        np.bitwise_xor(np.ascontiguousarray(blocks).view("<u4").T, key_words[0], out=words[:4])
+        planes = words.view(np.uint8).reshape(8, n, 4)  # (column, block, row)
+        p0, p1, p2, p3 = (planes[r : r + 4, :, r] for r in range(4))
+        last = self.rounds
+        for r in range(1, last + 1):
+            words[4:] = words[:4]
+            t0, t1, t2, t3 = _TE_NP if r < last else _TE_LAST_NP
+            # take's default mode ("raise") is ~20 % slower here; byte
+            # indices never leave the 256-entry tables, so "wrap" never wraps.
+            mixed = t0.take(p0, mode="wrap")
+            mixed ^= t1.take(p1, mode="wrap")
+            mixed ^= t2.take(p2, mode="wrap")
+            mixed ^= t3.take(p3, mode="wrap")
+            np.bitwise_xor(mixed, key_words[r], out=words[:4])
+        return words[:4].T.copy().view(np.uint8)

@@ -4,17 +4,19 @@ Used internally by GCM.  Counter blocks are 16-byte big-endian integers of
 which only the low 32 bits increment and wrap (GCM's ``inc32``).  The
 keystream comes from one of the two AES paths, chosen by input length:
 
-* up to :data:`SCALAR_MAX_BLOCKS` (16) blocks, one T-table
+* up to :data:`SCALAR_MAX_BLOCKS` (5) blocks, one T-table
   :meth:`AES.encrypt_block` call per counter block;
 * above that, one numpy :meth:`AES.encrypt_blocks` call over all of them.
 
-A numpy call costs about 0.3-0.4 ms from one block up to a few dozen, while
-a scalar block costs 13 us (AES-128) to 17 us (AES-256), so the scalar path
-wins below roughly 20 blocks (16 for AES-256) and the batch path wins
-13-17x at 2,048 blocks (measured on a 2-vCPU x86-64 VM, CPython 3.11).  Migration
-protocol records, MSK hand-offs and counter bundles fall on the scalar side;
-sealed application state of a few kilobytes and up on the batch side.  Both
-paths produce the same bytes.
+Through this function a scalar block costs about 14 us (AES-128) or 19 us
+(AES-256), and a batch call about 0.08 ms (AES-128) or 0.10 ms (AES-256)
+from one block up to a few dozen, then ~0.2 us more per block.  The
+measured crossover is between 5 and 6 blocks for both key sizes; at 64
+blocks the batch path wins 10x (2-vCPU x86-64 VM, CPython 3.11, numpy 2.4).
+Migration protocol records, MSK hand-offs and counter bundles (2-3 blocks)
+fall on the scalar side; channel records and library persists (64 blocks
+and up) and sealed application state on the batch side.  Both paths
+produce the same bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.crypto.bytesutil import xor_bytes
 from repro.errors import CryptoError
 
 #: Longest input, in blocks, whose keystream is built one block at a time.
-SCALAR_MAX_BLOCKS = 16
+SCALAR_MAX_BLOCKS = 5
 
 
 def counter_blocks(initial_counter: int, count: int) -> np.ndarray:

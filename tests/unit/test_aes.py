@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crypto.aes import AES, INV_SBOX, SBOX
+from repro.crypto.ctr import SCALAR_MAX_BLOCKS, ctr_transform
 from repro.errors import CryptoError
 
 FIPS_128_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -69,12 +70,19 @@ class TestBatchPath:
             assert bytes(row) == FIPS_128_CT
 
     def test_batch_distinct_blocks(self):
-        blocks = (np.arange(16 * 32).reshape(-1, 16) % 251).astype(np.uint8)
+        """0, 1, 2 and 32 blocks, and blocks strided in both dimensions."""
+        blocks = (np.arange(16 * 64).reshape(-1, 16) % 251).astype(np.uint8)
+        wide = (np.arange(32 * 16).reshape(16, 32) % 253).astype(np.uint8)
+        inputs = [blocks[:count] for count in (0, 1, 2, 32)] + [blocks[::2], wide[::3, ::2]]
+        assert not inputs[-1].flags.c_contiguous
         for key in (FIPS_128_KEY, APPENDIX_C_KEY_192, APPENDIX_C_KEY_256):
             cipher = AES(key)
-            out = cipher.encrypt_blocks(blocks)
-            for i in range(32):
-                assert bytes(out[i]) == cipher.encrypt_block(bytes(blocks[i]))
+            for batch in inputs:
+                out = cipher.encrypt_blocks(batch)
+                assert out.shape == batch.shape and out.dtype == np.uint8
+                assert [bytes(row) for row in out] == [
+                    cipher.encrypt_block(bytes(row)) for row in batch
+                ]
 
     def test_batch_rejects_bad_shape(self):
         with pytest.raises(CryptoError):
@@ -83,6 +91,43 @@ class TestBatchPath:
     def test_batch_rejects_bad_dtype(self):
         with pytest.raises(CryptoError):
             AES(FIPS_128_KEY).encrypt_blocks(np.zeros((4, 16), dtype=np.uint16))
+
+
+class TestCtrPathSwitch:
+    """``ctr_transform`` picks the AES path by input length alone."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count scalar blocks and batch calls made by any AES instance."""
+        block, blocks = AES.encrypt_block, AES.encrypt_blocks
+        counts = {"encrypt_block": 0, "encrypt_blocks": 0}
+
+        def counted_block(cipher, data):
+            counts["encrypt_block"] += 1
+            return block(cipher, data)
+
+        def counted_blocks(cipher, data):
+            counts["encrypt_blocks"] += 1
+            return blocks(cipher, data)
+
+        monkeypatch.setattr(AES, "encrypt_block", counted_block)
+        monkeypatch.setattr(AES, "encrypt_blocks", counted_blocks)
+        return counts
+
+    @pytest.mark.parametrize("key", [FIPS_128_KEY, APPENDIX_C_KEY_256])
+    def test_short_inputs_stay_scalar(self, calls, key):
+        cipher = AES(key)
+        for length in (1, 16 * SCALAR_MAX_BLOCKS - 15, 16 * SCALAR_MAX_BLOCKS):
+            ctr_transform(cipher, 0xFFFFFFFF, bytes(length))
+        assert calls["encrypt_blocks"] == 0
+        assert calls["encrypt_block"] == 1 + 2 * SCALAR_MAX_BLOCKS
+
+    @pytest.mark.parametrize("key", [FIPS_128_KEY, APPENDIX_C_KEY_256])
+    def test_longer_inputs_take_one_batch_call(self, calls, key):
+        cipher = AES(key)
+        for length in (16 * SCALAR_MAX_BLOCKS + 1, 16 * (SCALAR_MAX_BLOCKS + 1)):
+            ctr_transform(cipher, 0xFFFFFFFF, bytes(length))
+        assert calls == {"encrypt_block": 0, "encrypt_blocks": 2}
 
 
 class TestValidation:
