@@ -253,6 +253,12 @@ def _ghash(key: _GhashKey, aad: bytes, ciphertext: bytes) -> bytes:
     return int_to_block(kernel(key, blocks))
 
 
+def _inc32(block: int) -> int:
+    """Add one to the low 32 bits of a counter block, mod 2^32 (SP 800-38D
+    section 6.2); the upper 96 bits never change."""
+    return (block & ~0xFFFFFFFF) | ((block + 1) & 0xFFFFFFFF)
+
+
 class AesGcm:
     """AES-GCM with 96-bit IVs and 128-bit tags."""
 
@@ -273,7 +279,7 @@ class AesGcm:
     def encrypt(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> tuple[bytes, bytes]:
         """Return ``(ciphertext, tag)``."""
         j0 = self._j0(iv)
-        ciphertext = ctr_transform(self._cipher, j0 + 1, plaintext)
+        ciphertext = ctr_transform(self._cipher, _inc32(j0), plaintext)
         s = _ghash(self._ghash_key, aad, ciphertext)
         tag = xor_bytes(self._cipher.encrypt_block(int_to_block(j0)), s)
         return ciphertext, tag
@@ -287,7 +293,7 @@ class AesGcm:
         expected = xor_bytes(self._cipher.encrypt_block(int_to_block(j0)), s)
         if not constant_time_equal(expected, tag):
             raise CryptoError("GCM tag mismatch")
-        return ctr_transform(self._cipher, j0 + 1, ciphertext)
+        return ctr_transform(self._cipher, _inc32(j0), ciphertext)
 
     def seal(self, iv: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Convenience: return ``ciphertext || tag`` as one buffer."""

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.crypto import gcm as gcm_module
+from repro.crypto.aes import AES
+from repro.crypto.bytesutil import xor_bytes
 from repro.crypto.gcm import LANE_MIN_BLOCKS, AesGcm, _GhashKey, gf_mult
 from repro.errors import CryptoError
 
@@ -50,6 +52,46 @@ class TestKnownAnswers:
         )
         _, tag = AesGcm(KEY).encrypt(long_iv, PT[:60], AAD)
         assert tag.hex() == "619cc5aefffe0bfa462af43c1699d050"
+
+
+def _gf_inverse(h: int) -> int:
+    """``H^-1 = H^(2^128 - 2)`` in GF(2^128), by square-and-multiply."""
+    result, base, exponent = 1 << 127, h, (1 << 128) - 2
+    while exponent:
+        if exponent & 1:
+            result = gf_mult(result, base)
+        base = gf_mult(base, base)
+        exponent >>= 1
+    return result
+
+
+class TestCounterBlocks:
+    def test_first_counter_is_inc32_of_j0(self):
+        """The counter after J0 wraps its low 32 bits and leaves the upper 96.
+
+        A 16-byte IV is GHASHed with its length block L into
+        ``J0 = IV * H^2 + L * H``, so ``IV = (J0 + L * H) * H^-2`` yields a
+        chosen J0; this one ends in 32 one bits.
+        """
+        key = bytes(range(16))
+        cipher = AES(key)
+        gcm = AesGcm(key)
+        h = int.from_bytes(cipher.encrypt_block(bytes(16)), "big")
+        h_inv = _gf_inverse(h)
+        assert gf_mult(h, h_inv) == 1 << 127
+        j0 = 0x0123456789ABCDEF01234567_FFFFFFFF
+        length_block = 16 * 8  # 0^64 || [len(IV) in bits]_64
+        iv = gf_mult(j0 ^ gf_mult(length_block, h), gf_mult(h_inv, h_inv)).to_bytes(16, "big")
+        assert gcm._j0(iv) == j0
+
+        plaintext = bytes(range(40))
+        ciphertext, tag = gcm.encrypt(iv, plaintext, b"hdr")
+        upper = j0 & ~0xFFFFFFFF
+        for i in range(3):
+            keystream = cipher.encrypt_block((upper | i).to_bytes(16, "big"))
+            block = slice(16 * i, 16 * i + 16)
+            assert ciphertext[block] == xor_bytes(plaintext[block], keystream[: len(plaintext[block])])
+        assert gcm.decrypt(iv, ciphertext, tag, b"hdr") == plaintext
 
 
 class TestRoundTrips:
