@@ -5,8 +5,8 @@
 # after recovery), the full fleet-kill grid (every planner-kill boundary of
 # the fleet executor, serial and pipelined), the smoke slices of the
 # disk-fault and clone-campaign grids (the full grids run via
-# `make chaos-disk` and `make chaos-clone`), and the end-to-end benchmark's
-# smoke test.
+# `make chaos-disk` and `make chaos-clone`), the paper-shape benchmark tests,
+# and the end-to-end benchmark's smoke test.
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -14,7 +14,7 @@ export PYTHONPATH := src
 .PHONY: test analyze analyze-json analyze-sarif analyze-changed baseline \
 	chaos chaos-disk chaos-disk-smoke chaos-fleet chaos-fleet-smoke \
 	chaos-clone chaos-clone-smoke chaos-smoke-all \
-	bench-fleet bench-fleet-smoke bench-scale-smoke bench-e2e-smoke \
+	bench-fleet bench-fleet-smoke bench-scale-smoke bench-shapes bench-e2e-smoke \
 	bench-e2e-compare ci
 
 test:
@@ -33,6 +33,11 @@ bench-fleet-smoke:
 # sweep plus the planner heap-vs-scan microbench, in seconds not minutes.
 bench-scale-smoke:
 	$(PYTHON) benchmarks/bench_fleet.py --smoke --scale-only --output /tmp/BENCH_scale_smoke.json
+
+# The paper-shape assertions of benchmarks/bench_*.py (Fig. 3 and 4, Tables I
+# and II, migration, proxy, ablation), with pytest-benchmark's timing off.
+bench-shapes:
+	$(PYTHON) -m pytest -q benchmarks --ignore=benchmarks/e2e --benchmark-disable
 
 # The repo benchmark (benchmarks/e2e, see BENCHMARK.json) at smoke size:
 # every workload builds, runs and passes its correctness checks.
@@ -114,4 +119,4 @@ chaos-clone-smoke:
 chaos-smoke-all: chaos-disk-smoke chaos-fleet-smoke chaos-clone-smoke
 
 ci: test analyze chaos chaos-disk-smoke chaos-fleet chaos-clone-smoke \
-	bench-fleet-smoke bench-scale-smoke bench-e2e-smoke
+	bench-fleet-smoke bench-scale-smoke bench-shapes bench-e2e-smoke

@@ -4,7 +4,7 @@ The 'benchmark' here is the codec cost of the exact packed layouts, plus
 assertions that the byte sizes match the paper's field inventory.
 """
 
-from repro.bench.figures import count_loc, table1, table2, tcb
+from repro.bench.figures import table1, table2, tcb
 from repro.core.datastructures import (
     LIBRARY_STATE_SIZE,
     MIGRATION_DATA_SIZE,
@@ -66,10 +66,13 @@ def test_table_reports_render(benchmark):
 
 
 def test_tcb_size_report(benchmark):
-    """Section VII-A: the TCB stays small enough to audit."""
+    """Section VII-A: the TCB report renders both counts.
+
+    The LoC bounds themselves are asserted once, by
+    ``tests/unit/test_figures.py::TestTcb``.
+    """
     text, data = benchmark.pedantic(tcb, rounds=1, iterations=1)
-    # Our Python implementation should stay in the same order of magnitude
-    # as the paper's C implementation (ME 217 / library 940 LoC).
-    assert data["me_loc"] < 600
-    assert data["lib_loc"] < 600
-    assert "Migration Enclave" in text
+    for component, loc in (("Migration Enclave", data["me_loc"]),
+                           ("Migration Library", data["lib_loc"])):
+        row = next(line for line in text.splitlines() if line.startswith(component))
+        assert row.split()[-1] == str(loc)
