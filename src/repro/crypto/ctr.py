@@ -10,13 +10,12 @@ keystream comes from one of the two AES paths, chosen by input length:
 
 Through this function a scalar block costs about 14 us (AES-128) or 19 us
 (AES-256), and a batch call about 0.08 ms (AES-128) or 0.10 ms (AES-256)
-from one block up to a few dozen, then ~0.2 us more per block.  The
-measured crossover is between 5 and 6 blocks for both key sizes; at 64
-blocks the batch path wins 10x (2-vCPU x86-64 VM, CPython 3.11, numpy 2.4).
-Migration protocol records, MSK hand-offs and counter bundles (2-3 blocks)
-fall on the scalar side; channel records and library persists (64 blocks
-and up) and sealed application state on the batch side.  Both paths
-produce the same bytes.
+from one block up to a few dozen.  The measured crossover lies between 5
+and 6 blocks for both key sizes, and at 64 blocks the batch path wins 10x
+(2-vCPU x86-64 VM, CPython 3.11, numpy 2.4).  Migration protocol records,
+MSK hand-offs and counter bundles (2-4 blocks) fall on the scalar side;
+channel records and library persists (64 blocks and up) and sealed
+application state on the batch side.  Both paths produce the same bytes.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ class TestCtrPathSwitch:
         monkeypatch.setattr(AES, "encrypt_blocks", counted_blocks)
         return counts
 
-    @pytest.mark.parametrize("key", [FIPS_128_KEY, APPENDIX_C_KEY_256])
+    @pytest.mark.parametrize("key", [FIPS_128_KEY, APPENDIX_C_KEY_256], ids=["aes128", "aes256"])
     def test_short_inputs_stay_scalar(self, calls, key):
         cipher = AES(key)
         for length in (1, 16 * SCALAR_MAX_BLOCKS - 15, 16 * SCALAR_MAX_BLOCKS):
@@ -122,7 +122,7 @@ class TestCtrPathSwitch:
         assert calls["encrypt_blocks"] == 0
         assert calls["encrypt_block"] == 1 + 2 * SCALAR_MAX_BLOCKS
 
-    @pytest.mark.parametrize("key", [FIPS_128_KEY, APPENDIX_C_KEY_256])
+    @pytest.mark.parametrize("key", [FIPS_128_KEY, APPENDIX_C_KEY_256], ids=["aes128", "aes256"])
     def test_longer_inputs_take_one_batch_call(self, calls, key):
         cipher = AES(key)
         for length in (16 * SCALAR_MAX_BLOCKS + 1, 16 * (SCALAR_MAX_BLOCKS + 1)):
