@@ -224,7 +224,7 @@ class FleetBenchConfig:
     execution mode: ``"serial"`` sums the per-destination groups on the
     virtual clock, and ``"pipelined"`` replays them as overlapping
     discrete-event processes with no wave (or plan) barrier — groups admit
-    the moment their machine/link claims are free (same bytes, contended
+    the moment their machine claims are free (same bytes, contended
     virtual time) — the comparison behind the ``scale`` sweep.
 
     ``wave_caps`` (orchestrated only) tightens ``max_moves_per_machine``

@@ -13,7 +13,6 @@ so enclaves inside the VM are simply destroyed (Section II-B).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.cloud.machine import PhysicalMachine
@@ -61,16 +60,11 @@ class Hypervisor:
         # dirtied while the previous round was in flight.  The copied bytes
         # ride the source -> destination link, so under trace capture they
         # are attributed there (concurrent migrations to different hosts
-        # then genuinely overlap); without a recorder the context is inert.
+        # then genuinely overlap).
         bytes_copied = 0
         round_bytes = vm.memory_bytes
         rounds = 0
-        link = (
-            self.meter.on_link(source.name, destination.name)
-            if getattr(self.meter, "recorder", None) is not None
-            else nullcontext()
-        )
-        with link:
+        with self.meter.on_link(source.name, destination.name):
             for _ in range(self.precopy_rounds):
                 self.meter.charge_exact("vm_precopy", model.transfer_time(round_bytes))
                 bytes_copied += round_bytes

@@ -93,17 +93,14 @@ class PhysicalMachine:
         isv_prod_id: int = 0,
         isv_svn: int = 0,
     ) -> Enclave:
-        """EINIT analogue: measure, check SIGSTRUCT, instantiate."""
-        if self.meter.recorder is not None:
-            # Trace capture: the whole load (measurement, launch control,
-            # on_load) executes on this machine's CPU in the replay.
-            with self.meter.located(self.name):
-                return self._load_enclave(
-                    vm, enclave_class, signing_key, config, isv_prod_id, isv_svn
-                )
-        return self._load_enclave(
-            vm, enclave_class, signing_key, config, isv_prod_id, isv_svn
-        )
+        """EINIT analogue: measure, check SIGSTRUCT, instantiate.
+
+        The whole load (measurement, launch control, ``on_load``) is
+        attributed to this machine's CPU for trace capture."""
+        with self.meter.located(self.name):
+            return self._load_enclave(
+                vm, enclave_class, signing_key, config, isv_prod_id, isv_svn
+            )
 
     def _load_enclave(
         self,

@@ -23,18 +23,17 @@ can be attached via ``fault_injector``; it observes every request and
 response with full addressing metadata and can drop, delay, duplicate, or
 corrupt messages, or crash machines, per a deterministic plan.
 
-Concurrency: when a :class:`~repro.sim.scheduler.TraceRecorder` is attached
-to the meter, each exchange is additionally *attributed* — transfer time to
-the directed ``src -> dst`` link and handler execution to the destination
-machine's CPU — so a later discrete-event replay can let concurrent
-exchanges share the pipe and contend for CPUs instead of summing serially.
-Without a recorder the attribution contexts are no-ops and this path is
-byte-identical to the original synchronous fabric.
+Concurrency: each exchange is *attributed* — transfer time to the directed
+``src -> dst`` link and handler execution to the destination machine's CPU —
+so when a :class:`~repro.sim.scheduler.TraceRecorder` is attached to the
+meter, a later discrete-event replay can let concurrent exchanges contend
+for CPUs instead of summing serially.  Without a recorder nothing reads the
+attribution and this path is byte-identical to the original synchronous
+fabric.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -164,20 +163,10 @@ class Network:
             payload = tapped
         self.messages_sent += 1
         self.bytes_sent += len(payload)
-        # Attribution contexts are live only while a trace recorder is
-        # attached (the discrete-event concurrency path); the sequential
-        # path takes the nullcontext branches and stays byte-identical.
-        recording = self.meter.recorder is not None
         src_machine, dst_machine = _machine_of(src), _machine_of(dst)
-        with (
-            self.meter.on_link(src_machine, dst_machine)
-            if recording
-            else nullcontext()
-        ):
+        with self.meter.on_link(src_machine, dst_machine):
             self._charge(src, dst, len(payload))
-        with (
-            self.meter.located(dst_machine) if recording else nullcontext()
-        ):
+        with self.meter.located(dst_machine):
             response = handler(payload, src)
             if self.fault_injector is not None and self.fault_injector.wants_duplicate(
                 src, dst, "request"
@@ -203,11 +192,7 @@ class Network:
                 raise NetworkError(f"response {dst} -> {src} dropped by adversary")
             response = tapped
         self.bytes_sent += len(response)
-        with (
-            self.meter.on_link(dst_machine, src_machine)
-            if recording
-            else nullcontext()
-        ):
+        with self.meter.on_link(dst_machine, src_machine):
             self.meter.charge_exact(
                 "net_transfer", self.meter.model.transfer_time(len(response))
             )

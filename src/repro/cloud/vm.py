@@ -104,11 +104,6 @@ class Application:
     def has_stored(self, path: str) -> bool:
         return self.machine.storage.exists(f"{self.name}/{path}")
 
-    def delete_stored(self, path: str) -> None:
-        blob_path = f"{self.name}/{path}"
-        self.machine.storage.delete(blob_path)
-        self.machine.storage.sync(blob_path)
-
     def send(self, dst_address, payload: bytes, *, timeout: float | None = None) -> bytes:
         """Send over the (untrusted) data-center network."""
         return self.machine.network.send(

@@ -26,10 +26,8 @@ Design notes:
 * ``members`` is a tuple of apps.  Single-app kinds carry exactly one
   member; :data:`RequestKind.WAVE` carries the whole wave (possibly empty,
   which executes to an empty result list).
-* ``session_resumption`` is advisory metadata: ME<->ME session reuse is an
-  install-time property of the Migration Enclaves, so the flag records the
-  caller's expectation (fleet preflight checks it against the deployment
-  and bench output reports it) rather than switching behavior per request.
+* ME<->ME session reuse is an install-time property of the Migration
+  Enclaves, so no request carries it.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ class RequestKind(enum.Enum):
 class MigrationRequest:
     """One migration order, in data.
 
-    Build with the :meth:`migrate` / :meth:`wave` / :meth:`live` /
+    Build with the :meth:`migrate` / :meth:`wave` / :meth:`live_migrate` /
     :meth:`resume` constructors rather than positionally — they enforce the
     per-kind invariants (resume has no target, live never moves the VM,
     only waves carry multiple members) at construction time, so
@@ -64,10 +62,8 @@ class MigrationRequest:
     kind: RequestKind
     members: tuple  # tuple[MigratableApp, ...]
     target: str | None = None  # destination machine address
-    live: bool = False
     migrate_vm: bool = True
     txn_id: str | None = None
-    session_resumption: bool = False
     retry_policy: RetryPolicy | None = None
 
     def __post_init__(self):
@@ -84,8 +80,6 @@ class MigrationRequest:
             raise InvalidParameterError(
                 f"{self.kind.value} request carries exactly one member"
             )
-        if self.live != (self.kind is RequestKind.LIVE):
-            raise InvalidParameterError("live flag is implied by the request kind")
 
     # ------------------------------------------------------------ builders
     @classmethod
@@ -97,7 +91,6 @@ class MigrationRequest:
         migrate_vm: bool = True,
         retry_policy: RetryPolicy | None = None,
         txn_id: str | None = None,
-        session_resumption: bool = False,
     ) -> "MigrationRequest":
         """Stop/restart migration of one app to the machine at ``target``."""
         return cls(
@@ -107,7 +100,6 @@ class MigrationRequest:
             migrate_vm=migrate_vm,
             txn_id=txn_id,
             retry_policy=retry_policy,
-            session_resumption=session_resumption,
         )
 
     @classmethod
@@ -118,7 +110,6 @@ class MigrationRequest:
         *,
         migrate_vm: bool = False,
         retry_policy: RetryPolicy | None = None,
-        session_resumption: bool = False,
     ) -> "MigrationRequest":
         """Batched migration of a group (one ME<->ME exchange per source)."""
         return cls(
@@ -127,28 +118,12 @@ class MigrationRequest:
             target=target,
             migrate_vm=migrate_vm,
             retry_policy=retry_policy,
-            session_resumption=session_resumption,
         )
 
-    # named live_migrate, not live: the ``live`` field and a ``live``
-    # classmethod cannot share the class namespace (the method would become
-    # the dataclass field's default)
     @classmethod
-    def live_migrate(
-        cls,
-        app,
-        target: str,
-        *,
-        session_resumption: bool = False,
-    ) -> "MigrationRequest":
+    def live_migrate(cls, app, target: str) -> "MigrationRequest":
         """Live (no stop/restart) migration; requires a LiveMigratableApp."""
-        return cls(
-            kind=RequestKind.LIVE,
-            members=(app,),
-            target=target,
-            live=True,
-            session_resumption=session_resumption,
-        )
+        return cls(kind=RequestKind.LIVE, members=(app,), target=target)
 
     @classmethod
     def resume(

@@ -41,12 +41,6 @@ def u64(value: int) -> bytes:
     return (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
 
 
-def require_length(name: str, data: bytes, expected: int) -> None:
-    """Raise :class:`CryptoError` unless ``data`` is exactly ``expected`` bytes."""
-    if len(data) != expected:
-        raise CryptoError(f"{name} must be {expected} bytes, got {len(data)}")
-
-
 def chunks(data: bytes, size: int):
     """Yield successive ``size``-byte chunks of ``data`` (last may be short)."""
     for i in range(0, len(data), size):

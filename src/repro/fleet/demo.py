@@ -48,8 +48,8 @@ def build_demo_fleet(
     """Build the seeded demo world and a registered :class:`FleetService`.
 
     ``dispatch="pipelined"`` replays every (wave, destination) group on the
-    discrete-event scheduler, admitted as soon as the machines and links it
-    claims are free (same bytes, contended virtual time).
+    discrete-event scheduler, admitted as soon as the machines it claims
+    are free (same bytes, contended virtual time).
     """
     dc = DataCenter(name="fleet-demo", seed=seed)
     for index in range(n_machines):

@@ -108,22 +108,15 @@ class PlannedMove:
         )
 
     def claims(self) -> frozenset[tuple]:
-        """Resources this move occupies while in flight.
+        """Resources this move occupies while in flight: both endpoint
+        machines (ME/CPU work happens on each).
 
         The pipelined dispatcher admits a group only when no earlier
-        unfinished group holds an intersecting claim.  A move claims both
-        endpoint machines (ME/CPU work happens on each) and the link between
-        them.  The link claim is *undirected* — record-then-replay fixes the
-        wire bytes at record time, so two groups pushing opposite directions
-        over one pipe must not reorder each other's contention.
+        unfinished group holds an intersecting claim.  No link is claimed:
+        two moves over one link already share both of its machines.
         """
-        link = (min(self.source, self.destination), max(self.source, self.destination))
         return frozenset(
-            {
-                ("machine", self.source),
-                ("machine", self.destination),
-                ("link",) + link,
-            }
+            {("machine", self.source), ("machine", self.destination)}
         )
 
 

@@ -400,9 +400,9 @@ def build_conflict_graph(
     The edge rule: an earlier group gates a later one iff their claims
     intersect *and* they are not peers of the same wave of the same plan.
     Same-wave peers never gate each other — the planner's per-wave caps
-    already sized that concurrency.  Everything else with a shared machine or
-    link serializes in recorded order, which keeps replay contention
-    consistent with the wire bytes fixed at record time.
+    already sized that concurrency.  Everything else with a shared machine
+    serializes in recorded order, which keeps replay contention consistent
+    with the wire bytes fixed at record time.
 
     Transitively-implied edges are left in (an O(n^2) scan, n = groups per
     dispatch, is cheap at fleet scale); the scheduler's admission gate

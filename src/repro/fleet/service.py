@@ -17,7 +17,7 @@ executes plans wave by wave through one executor (``apply``,
   recorded instead (record-then-replay, see :mod:`repro.sim.scheduler`)
   and all groups of all waves — and, via :meth:`FleetService.apply_many`,
   of several tenants' independent plans — replay on one scheduler, each
-  admitted as soon as the machines and links it claims are free of earlier
+  admitted as soon as the machines it claims are free of earlier
   unfinished groups.  Same bytes, same results; only the timing differs;
 * members that park (``PENDING_RETRY``) get one in-line ``resume`` pass
   (the PR-2 retry/resume semantics), and stay typed-pending in the
@@ -105,17 +105,17 @@ class FleetService:
     #: Machine whose disk holds the fleet plan journal; defaults to the
     #: alphabetically first machine of the data center.
     control_machine: str | None = None
-    #: Advisory request metadata: whether the fleet's MEs were installed
-    #: with the attested-session cache (recorded into every request).
+    #: Records whether the fleet's MEs were installed with the
+    #: attested-session cache; dispatch does not read it.
     session_resumption: bool = False
     #: ``"serial"`` executes the (wave, destination) groups one after the
     #: other on the virtual clock; ``"pipelined"`` records each group and
     #: replays every group of every wave (and of every plan in
     #: :meth:`apply_many`) on one scheduler, admitted the moment no earlier
-    #: group with an intersecting machine/link resource claim is still
-    #: running.  The protocol bytes are identical in both modes — the
-    #: groups execute in the same order with the same RNG draws; only the
-    #: virtual timing differs.
+    #: group with an intersecting machine claim is still running.  The
+    #: protocol bytes are identical in both modes — the groups execute in
+    #: the same order with the same RNG draws; only the virtual timing
+    #: differs.
     dispatch: str = "serial"
     #: Optional :class:`~repro.fleet.registry.SingleInstanceRegistry`.
     #: When set, pre-flight refuses to dispatch while the registry is
@@ -374,7 +374,7 @@ class FleetService:
 
     def _replay(self, recorded: list[dict]) -> dict | None:
         """Replay every recorded group on one scheduler, each admitted the
-        instant no earlier group with an intersecting machine/link claim is
+        instant no earlier group with an intersecting machine claim is
         still running (:func:`repro.fleet.planner.build_conflict_graph`), so
         independent waves — and independent tenants' plans — overlap across
         the wave barrier.  Returns the utilization report, or ``None`` when
@@ -402,10 +402,7 @@ class FleetService:
     ) -> tuple[list[MigratableApp], MigrationRequest]:
         batch = [self.members[move.app_name].app for move in moves]
         return batch, MigrationRequest.wave(
-            batch,
-            destination,
-            retry_policy=self.retry_policy,
-            session_resumption=self.session_resumption,
+            batch, destination, retry_policy=self.retry_policy
         )
 
     def _try_resume(

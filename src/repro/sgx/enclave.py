@@ -81,18 +81,13 @@ class Enclave:
         method = getattr(self.trusted, name, None)
         if method is None or not getattr(method, _ECALL_ATTR, False):
             raise InvalidParameterError(f"{name!r} is not a declared ECALL")
-        if self.meter is not None:
-            if (
-                getattr(self.meter, "recorder", None) is not None
-                and self.machine_name is not None
-            ):
-                # Trace capture: everything this ECALL charges belongs to
-                # the hosting machine's CPU in the discrete-event replay.
-                with self.meter.located(self.machine_name):
-                    self.meter.charge("ecall", self.meter.model.ecall)
-                    return method(*args, **kwargs)
+        if self.meter is None:
+            return method(*args, **kwargs)
+        # Everything this ECALL charges belongs to the hosting machine's CPU
+        # in a discrete-event replay.
+        with self.meter.located(self.machine_name):
             self.meter.charge("ecall", self.meter.model.ecall)
-        return method(*args, **kwargs)
+            return method(*args, **kwargs)
 
     def destroy(self) -> None:
         """Tear the enclave down; its in-memory state is gone forever.

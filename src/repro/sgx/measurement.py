@@ -15,7 +15,7 @@ identical MRENCLAVEs while any code change yields a new identity.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.kdf import sha256
 from repro.errors import InvalidParameterError
@@ -121,13 +121,3 @@ def _class_blob(cls: type) -> bytes:
                 parts.append(code.co_code)
                 parts.append(repr(code.co_consts).encode("utf-8"))
         return b"|".join(parts)
-
-
-@dataclass
-class MeasurementLog:
-    """Debug record of what went into a measurement (not part of identity)."""
-
-    entries: list[str] = field(default_factory=list)
-
-    def add(self, entry: str) -> None:
-        self.entries.append(entry)

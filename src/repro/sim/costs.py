@@ -115,23 +115,23 @@ class CostMeter:
     replayed by :class:`~repro.sim.scheduler.Scheduler` with resource
     contention, and only then does the clock move.  The :meth:`located` and
     :meth:`on_link` contexts attribute charges to a machine's CPU or a
-    directed network link for that replay; both are inert no-ops whenever
-    no recorder is attached, which is how every sequential code path stays
-    byte-identical.
+    directed network link for that replay.  The components enter them on
+    every path; with no recorder attached nothing reads the attribution,
+    which is how every sequential code path stays byte-identical.
     """
 
     model: CostModel
     clock: VirtualClock
     rng: DeterministicRng
     enabled: bool = True
-    charges: list[tuple[str, float]] = field(default_factory=list)
     #: Trace sink (``record(label, seconds, location, link)``); ``None`` =
     #: normal operation, charges advance the clock directly.
     recorder: Any = None
-    #: Machine currently accountable for CPU charges (recording only).
+    #: Machine currently accountable for CPU charges (read only while
+    #: recording).
     location: str | None = None
     #: Directed link ``(src_machine, dst_machine)`` accountable for network
-    #: charges (recording only).
+    #: charges (read only while recording).
     link: tuple[str, str] | None = None
     #: Seconds charged into the attached recorder so far (recording only).
     recorded: float = field(default=0.0, init=False)
@@ -165,10 +165,6 @@ class CostMeter:
             self.recorded += cost
         else:
             self.clock.advance(cost)
-        self.charges.append((label, cost))
-
-    def reset_charges(self) -> None:
-        self.charges.clear()
 
     # ----------------------------------------------------- trace attribution
     @contextmanager
@@ -191,9 +187,11 @@ class CostMeter:
             self.link = None
 
     @contextmanager
-    def located(self, machine: str):
-        """Attribute CPU charges in the block to ``machine``."""
-        previous, self.location = self.location, machine
+    def located(self, machine: str | None):
+        """Attribute CPU charges in the block to ``machine`` (``None`` keeps
+        the enclosing attribution)."""
+        previous = self.location
+        self.location = machine or previous
         try:
             yield
         finally:

@@ -9,13 +9,16 @@ determines the event order) and a cooperative process abstraction —
 generator-based coroutines that ``yield`` :class:`Charge`, :class:`Transfer`,
 and :class:`Sleep` segments.
 
-Resources are *contended*, not summed:
+Only the resource that binds is contended:
 
 * **CPU** — charges on one machine serialize FIFO (non-preemptive); charges
-  on different machines overlap freely.
-* **Links** — concurrent transfers on the same directed ``src -> dst`` link
-  share the pipe via processor sharing (each of *n* in-flight transfers
-  progresses at ``1/n`` of link rate, recomputed at every join/finish).
+  on different machines overlap freely.  This is where a migration's time
+  goes (PSE counter operations, quotes, IAS round trips).
+* **Links** — a transfer on the directed ``src -> dst`` link is
+  fixed-latency: it ends ``seconds`` after it starts, whatever else is on
+  the link.  Protocol payloads (22 B to a few KiB at 10 Gbit/s) last
+  nanoseconds to microseconds, so links never bind; each only counts what
+  it carried for :meth:`Scheduler.utilization_report`.
 * **Sleeps** — pure latency (RTTs, retry backoff, injected fault delays);
   contend with nothing.
 
@@ -44,24 +47,6 @@ from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import InvalidParameterError, InvalidStateError
 from repro.sim.clock import VirtualClock
-
-#: Residual link demand below this is a completed transfer (absorbs the
-#: float error of settling elapsed processor-sharing time).  The tolerance
-#: must also scale with the clock reading: at ``now ~ 1e2`` one ulp is
-#: ``~1e-14``, so an absolute-only epsilon can leave a residue too small to
-#: ever advance the clock — a zero-time event loop.  See :func:`_finished`.
-_LINK_EPSILON = 1e-15
-_LINK_REL_EPSILON = 1e-12
-
-
-def _finished(remaining: float, now: float) -> bool:
-    """Is a transfer with ``remaining`` full-rate seconds of demand done?
-
-    True when the residue is below the absolute epsilon *or* below the
-    relative tolerance at the current clock magnitude (a residue that small
-    could not measurably delay the completion anyway).
-    """
-    return remaining <= max(_LINK_EPSILON, abs(now) * _LINK_REL_EPSILON)
 
 #: Meter labels that are pure latency: they occupy neither a CPU nor a link.
 LATENCY_LABELS = frozenset({"net_rtt", "retry_backoff", "fault_delay"})
@@ -93,8 +78,8 @@ class Sleep:
 
 @dataclass(frozen=True)
 class Transfer:
-    """Demand ``seconds`` of full-rate time on the directed ``src -> dst``
-    link; concurrent transfers on the link share its rate fairly."""
+    """Carry a payload over the directed ``src -> dst`` link; it arrives
+    ``seconds`` later, whatever else is in flight on the link."""
 
     seconds: float
     src: str
@@ -174,40 +159,16 @@ class Process:
         return self.finished_at is not None
 
 
+@dataclass
 class _Link:
-    """Processor-sharing state of one directed link.
+    """What one directed link carried: transfers, the deepest overlap, and
+    ``busy_seconds``, the union of the intervals with a transfer in flight."""
 
-    ``members`` maps a transfer token to its remaining full-rate demand in
-    seconds; with *n* members each progresses at rate ``1/n``.  The link
-    settles elapsed time lazily at every membership change and keeps a
-    version counter so superseded completion events are ignored.
-    """
-
-    def __init__(self, key: tuple[str, str]) -> None:
-        self.key = key
-        self.members: dict[int, tuple[float, Process]] = {}
-        self.last_settled = 0.0
-        self.version = 0
-        # Utilization accounting: wall of virtual time with >= 1 transfer in
-        # flight, total transfers carried, and the deepest sharing observed.
-        self.busy_seconds = 0.0
-        self.transfers_total = 0
-        self.max_concurrent = 0
-
-    def settle(self, now: float) -> None:
-        n = len(self.members)
-        if n:
-            share = (now - self.last_settled) / n
-            for token, (remaining, proc) in self.members.items():
-                self.members[token] = (remaining - share, proc)
-            self.busy_seconds += now - self.last_settled
-        self.last_settled = now
-
-    def next_completion(self, now: float) -> float | None:
-        if not self.members:
-            return None
-        shortest = min(remaining for remaining, _ in self.members.values())
-        return now + max(shortest, 0.0) * len(self.members)
+    in_flight: int = 0
+    busy_since: float = 0.0
+    busy_seconds: float = 0.0
+    transfers_total: int = 0
+    max_concurrent: int = 0
 
 
 class Scheduler:
@@ -222,7 +183,6 @@ class Scheduler:
     def __init__(self, clock: VirtualClock | None = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
         self._now = self.clock.now
-        self._started_at = self._now
         self._queue = EventQueue()
         self.processes: list[Process] = []
         self._cpu_free: dict[str, float] = {}
@@ -231,7 +191,6 @@ class Scheduler:
         self._cpu_pending: dict[str, int] = {}
         self.cpu_max_queue_depth: dict[str, int] = {}
         self._links: dict[tuple[str, str], _Link] = {}
-        self._token = itertools.count()
         self.event_log: list[dict] = []
         self._running = False
 
@@ -349,44 +308,30 @@ class Scheduler:
         self._step(process)
 
     def _dispatch_transfer(self, process: Process, segment: Transfer) -> None:
-        key = (segment.src, segment.dst)
-        link = self._links.get(key)
-        if link is None:
-            link = self._links[key] = _Link(key)
-            link.last_settled = self._now
-        link.settle(self._now)
-        link.members[next(self._token)] = (segment.seconds, process)
+        link = self._links.setdefault((segment.src, segment.dst), _Link())
+        if not link.in_flight:
+            link.busy_since = self._now
+        link.in_flight += 1
         link.transfers_total += 1
-        if len(link.members) > link.max_concurrent:
-            link.max_concurrent = len(link.members)
+        link.max_concurrent = max(link.max_concurrent, link.in_flight)
+        name = f"{segment.src}->{segment.dst}"
         self._log(
-            "transfer", process.name, link=f"{segment.src}->{segment.dst}",
-            seconds=segment.seconds, sharing=len(link.members),
+            "transfer", process.name, link=name, seconds=segment.seconds,
+            sharing=link.in_flight,
         )
-        self._reschedule_link(link)
+        self._queue.push(
+            self._now + segment.seconds,
+            lambda: self._finish_transfer(process, link, name),
+        )
 
-    def _reschedule_link(self, link: _Link) -> None:
-        link.version += 1
-        completion = link.next_completion(self._now)
-        if completion is None:
-            return
-        version = link.version
-        self._queue.push(completion, lambda: self._link_event(link, version))
-
-    def _link_event(self, link: _Link, version: int) -> None:
-        if version != link.version:
-            return  # superseded by a later join/finish
-        link.settle(self._now)
-        finished = [
-            token
-            for token, (remaining, _) in link.members.items()
-            if _finished(remaining, self._now)
-        ]
-        for token in finished:
-            _, process = link.members.pop(token)
-            self._log("transfer_done", process.name, link=f"{link.key[0]}->{link.key[1]}")
-            self._queue.push(self._now, lambda p=process: self._step(p))
-        self._reschedule_link(link)
+    def _finish_transfer(self, process: Process, link: _Link, name: str) -> None:
+        link.in_flight -= 1
+        if not link.in_flight:
+            link.busy_seconds += self._now - link.busy_since
+        self._log("transfer_done", process.name, link=name)
+        # Resume through the queue at this instant, not inline as a CPU
+        # charge does: events already due at this instant fire first.
+        self._queue.push(self._now, lambda: self._step(process))
 
     # -------------------------------------------------------------- logging
     def _log(self, kind: str, process: str, **detail) -> None:

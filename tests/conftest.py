@@ -33,6 +33,22 @@ def meter(clock, rng) -> CostMeter:
     return CostMeter(CostModel(), clock, rng.child("meter"))
 
 
+class ChargeLog:
+    """A meter recorder (attach with ``CostMeter.recording``) that keeps
+    every charge as ``(label, seconds)``, in order."""
+
+    def __init__(self) -> None:
+        self.charges: list[tuple[str, float]] = []
+
+    def record(self, label, seconds, location, link) -> None:
+        self.charges.append((label, seconds))
+
+
+@pytest.fixture
+def charge_log() -> ChargeLog:
+    return ChargeLog()
+
+
 @pytest.fixture
 def cpu(rng, meter) -> SgxCpu:
     return SgxCpu("test-machine", rng.child("cpu"), meter)

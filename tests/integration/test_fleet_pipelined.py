@@ -469,3 +469,20 @@ class TestBenchConfigGuards:
             n_enclaves=8, n_machines=4, reps=3, plan="drain",
             orchestrated=True, dispatch="pipelined", multi_plan=True,
         )
+
+
+class TestLinkOverlap:
+    def test_overlapping_transfers_keep_their_fixed_latency(self):
+        """A 6-machine tenant evacuation under wave caps 4 puts two protocol
+        transfers on one link at once; with fixed-latency links neither
+        slows the other."""
+        from repro.bench.harness import FleetBenchConfig, run_fleet_bench
+
+        row = run_fleet_bench(
+            FleetBenchConfig(
+                n_machines=6, n_enclaves=24, plan="evacuate", reps=1,
+                wave_caps=4, orchestrated=True, dispatch="pipelined",
+            )
+        )
+        assert row["utilization"]["max_link_concurrency"] == 2
+        assert row["virtual_seconds_total"] == 0.9422963512520315

@@ -96,16 +96,19 @@ class TestInjectorRules:
             assert mutated != payload
             assert len(mutated) == len(payload)
 
-    def test_delay_charges_the_sim_clock(self):
+    def test_delay_charges_the_sim_clock(self, charge_log):
         meter = CostMeter(
             model=CostModel(), clock=VirtualClock(), rng=DeterministicRng(3)
         )
-        before = meter.clock.now
+        before = meter.now
         injector = make_injector(FaultPlan().delay(2.5), meter=meter)
-        delivered = injector.on_message("a", "b/me", envelope("la_hello"), "request")
+        with meter.recording(charge_log):
+            delivered = injector.on_message(
+                "a", "b/me", envelope("la_hello"), "request"
+            )
+            assert meter.now == pytest.approx(before + 2.5)
         assert delivered is not None  # delayed, not dropped
-        assert meter.clock.now == pytest.approx(before + 2.5)
-        assert ("fault_delay", 2.5) in meter.charges
+        assert ("fault_delay", 2.5) in charge_log.charges
 
     def test_duplicate_flags_request_redelivery(self):
         injector = make_injector(FaultPlan().duplicate(direction="request"))

@@ -361,13 +361,11 @@ class TestHeapFastPath:
 
 
 class TestResourceClaims:
-    def test_move_claims_both_machines_and_the_undirected_link(self):
+    def test_move_claims_both_machines(self):
         move = PlannedMove("app", source="m-1", destination="m-0")
-        assert move.claims() == frozenset(
-            {("machine", "m-1"), ("machine", "m-0"), ("link", "m-0", "m-1")}
-        )
+        assert move.claims() == frozenset({("machine", "m-1"), ("machine", "m-0")})
 
-    def test_link_claim_is_direction_agnostic(self):
+    def test_claims_are_direction_agnostic(self):
         forward = PlannedMove("a", source="m-0", destination="m-1")
         reverse = PlannedMove("b", source="m-1", destination="m-0")
         assert forward.claims() == reverse.claims()
@@ -381,7 +379,7 @@ class TestResourceClaims:
         assert ("machine", "m-0") in claims
         assert ("machine", "m-1") in claims
         assert ("machine", "m-2") in claims
-        assert ("link", "m-0", "m-2") in claims and ("link", "m-1", "m-2") in claims
+        assert len(claims) == 3
 
 
 def _group(moves, plan="p", wave=0):

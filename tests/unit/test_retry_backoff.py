@@ -49,23 +49,25 @@ class TestDelaySchedule:
 
 
 class TestCallWithRetries:
-    def test_success_first_try_charges_nothing(self):
+    def test_success_first_try_charges_nothing(self, charge_log):
         meter = make_meter()
-        result, retries = call_with_retries(
-            flaky(0), meter=meter, policy=RetryPolicy(max_attempts=3)
-        )
+        with meter.recording(charge_log):
+            result, retries = call_with_retries(
+                flaky(0), meter=meter, policy=RetryPolicy(max_attempts=3)
+            )
+            assert meter.now == 0.0
         assert (result, retries) == (1, 0)
-        assert meter.clock.now == 0.0
-        assert meter.charges == []
+        assert charge_log.charges == []
 
-    def test_backoff_charges_match_delay_schedule(self):
+    def test_backoff_charges_match_delay_schedule(self, charge_log):
         policy = RetryPolicy(max_attempts=4, base_delay=0.5, multiplier=2.0, max_delay=10.0)
         meter = make_meter()
-        result, retries = call_with_retries(flaky(3), meter=meter, policy=policy)
+        with meter.recording(charge_log):
+            result, retries = call_with_retries(flaky(3), meter=meter, policy=policy)
+            assert meter.now == pytest.approx(sum(policy.delay_schedule()))
         assert (result, retries) == (4, 3)
-        charged = [cost for label, cost in meter.charges if label == "retry_backoff"]
+        charged = [cost for label, cost in charge_log.charges if label == "retry_backoff"]
         assert charged == policy.delay_schedule() == [0.5, 1.0, 2.0]
-        assert meter.clock.now == pytest.approx(sum(policy.delay_schedule()))
 
     def test_partial_recovery_charges_prefix_of_schedule(self):
         policy = RetryPolicy(max_attempts=4, base_delay=0.5, multiplier=2.0, max_delay=10.0)
@@ -110,12 +112,13 @@ class TestCallWithRetries:
         assert fn.state["calls"] == 1
         assert meter.clock.now == 0.0
 
-    def test_custom_label_appears_in_charges(self):
+    def test_custom_label_appears_in_charges(self, charge_log):
         meter = make_meter()
-        call_with_retries(
-            flaky(1),
-            meter=meter,
-            policy=RetryPolicy(max_attempts=2, base_delay=0.3),
-            label="me_exchange_backoff",
-        )
-        assert meter.charges == [("me_exchange_backoff", 0.3)]
+        with meter.recording(charge_log):
+            call_with_retries(
+                flaky(1),
+                meter=meter,
+                policy=RetryPolicy(max_attempts=2, base_delay=0.3),
+                label="me_exchange_backoff",
+            )
+        assert charge_log.charges == [("me_exchange_backoff", 0.3)]

@@ -2,7 +2,7 @@
 
 Pins the contracts the pipelined fleet dispatch rides on: stable FIFO
 tie-breaking in the event queue, FIFO non-preemptive CPU contention,
-processor-sharing link math, trace-recorder segment mapping, the meter's
+fixed-latency links, trace-recorder segment mapping, the meter's
 recording/attribution contexts, and bit-for-bit determinism of full runs.
 """
 
@@ -114,26 +114,27 @@ class TestCpuContention:
 
 
 class TestLinkSharing:
-    def test_two_equal_transfers_halve_the_rate(self):
+    def test_two_equal_transfers_overlap_at_full_latency(self):
         sched = Scheduler()
         a = sched.spawn("a", iter([Transfer(1.0, "m-0", "m-1")]))
         b = sched.spawn("b", iter([Transfer(1.0, "m-0", "m-1")]))
         final = sched.run()
-        # Each holds half the pipe: both need 2 s of wall time.
-        assert final == pytest.approx(2.0)
-        assert a.finished_at == pytest.approx(2.0)
-        assert b.finished_at == pytest.approx(2.0)
+        # Fixed latency: a shared link slows neither transfer.
+        assert final == 1.0
+        assert a.finished_at == 1.0
+        assert b.finished_at == 1.0
 
-    def test_staggered_join_processor_sharing_math(self):
+    def test_staggered_join_keeps_each_transfer_latency(self):
         sched = Scheduler()
         a = sched.spawn("a", iter([Transfer(2.0, "m-0", "m-1")]))
         b = sched.spawn("b", iter([Sleep(1.0), Transfer(2.0, "m-0", "m-1")]))
         sched.run()
-        # a alone for 1 s (1.0 demand left), then shared: a's last 1.0 takes
-        # 2 s of wall time -> a done at 3.0; over those 2 s b also drains
-        # 1.0 of its 2.0 demand, then finishes alone -> done at 4.0.
-        assert a.finished_at == pytest.approx(3.0)
-        assert b.finished_at == pytest.approx(4.0)
+        assert a.finished_at == 2.0
+        assert b.finished_at == 3.0
+        # Busy is the union of the in-flight intervals [0, 2] and [1, 3].
+        link = sched.utilization_report()["links"]["m-0->m-1"]
+        assert link["busy_seconds"] == 3.0
+        assert link["max_concurrent"] == 2
 
     def test_opposite_directions_are_separate_links(self):
         sched = Scheduler()
@@ -239,19 +240,20 @@ class TestMeterRecording:
         rec = TraceRecorder(home="m-0")
         with m.recording(rec):
             m.charge_exact("ecall", 0.5)
+            assert m.now == 0.5  # the protocol's view still moves
         assert m.clock.now == 0.0  # frozen while recording
         assert rec.segments == [Charge(0.5, "m-0", "ecall")]
-        assert m.charges == [("ecall", 0.5)]  # ledger still sees everything
         m.charge_exact("ecall", 0.5)  # recorder detached: clock moves again
         assert m.clock.now == pytest.approx(0.5)
 
     def test_rng_draw_order_is_recording_invariant(self):
         sequential, recorded = meter(seed=3), meter(seed=3)
         sequential.charge("ecall", 0.1)
-        with recorded.recording(TraceRecorder(home="m")):
+        recorder = TraceRecorder(home="m")
+        with recorded.recording(recorder):
             recorded.charge("ecall", 0.1)
         # Same noisy sample either way — the wire-byte-invariance keystone.
-        assert sequential.charges == recorded.charges
+        assert recorder.segments == [Charge(sequential.clock.now, "m", "ecall")]
 
     def test_located_and_on_link_nest_and_restore(self):
         m = meter()
@@ -403,9 +405,9 @@ class TestUtilizationReport:
         link = report["links"]["m-0->m-1"]
         assert link["transfers"] == 2
         assert link["max_concurrent"] == 2
-        # Processor sharing: both 1 s transfers finish at t=2, link busy
-        # the whole makespan.
-        assert link["busy_seconds"] == pytest.approx(2.0)
+        # Both 1 s transfers are in flight over [0, 1]: the link is busy
+        # the whole makespan, counted once.
+        assert link["busy_seconds"] == pytest.approx(1.0)
         assert link["busy_fraction"] == pytest.approx(1.0)
 
     def test_summary_is_the_compact_bench_slice(self):

@@ -53,13 +53,12 @@ class TestCostMeter:
         assert meter.charge_exact("op", 0.25) == 0.25
         assert clock.now == 0.25
 
-    def test_charges_recorded(self, clock, rng):
+    def test_charges_recorded(self, clock, rng, charge_log):
         meter = CostMeter(CostModel(), clock, rng)
-        meter.charge("a", 0.1)
-        meter.charge_exact("b", 0.2)
-        assert [label for label, _ in meter.charges] == ["a", "b"]
-        meter.reset_charges()
-        assert meter.charges == []
+        with meter.recording(charge_log):
+            meter.charge("a", 0.1)
+            meter.charge_exact("b", 0.2)
+        assert [label for label, _ in charge_log.charges] == ["a", "b"]
 
     def test_negative_cost_rejected(self, clock, rng):
         meter = CostMeter(CostModel(), clock, rng)
