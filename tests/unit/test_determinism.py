@@ -104,6 +104,22 @@ class TestSeedDeterminism:
             assert actual["scenario_count"] == golden["scenario_count"]
             assert actual["scenarios"] == golden["scenarios"]
 
+    def test_chaos_disk_smoke_rows_match_golden_file(self):
+        """The disk grid's outcomes, not only its enumeration: each
+        smoke-slice row (fired count, migrate and recovery outcome,
+        corrupt-read count) is pinned against the seed-2018 capture, so a
+        change to the durable-write or corrupt-read paths that moves any
+        outcome fails here rather than only in the full ``--disk`` run."""
+        from repro.faults.chaos import enumerate_disk_scenarios, sweep
+
+        golden = json.loads(
+            (GOLDEN_DIR / "chaos_disk_smoke_rows_seed2018.json").read_text()
+        )
+        reports = sweep(enumerate_disk_scenarios(2018), 2018, smoke=True)
+        rows = [report.scenario.row(report) for report in reports]
+        assert len(rows) == golden["row_count"]
+        assert rows == golden["rows"]
+
     def test_chaos_disk_scenario_report_identical_under_seed(self):
         """One full fault scenario (injected tear + machine crash + healing
         recovery) replayed twice from the same seed must produce the
