@@ -13,9 +13,10 @@ Flagged: a ``*.storage.write(path, ...)`` call whose path argument names a
 migration-critical artifact (``migration_txn``, ``me_checkpoint``,
 ``miglib_state``, or the constants that hold those paths) with no
 ``sync``/``store``/``store_atomic`` call later in the same function.  The
-durable wrappers (``Application.store`` / ``store_atomic`` and
-``MigrationJournal.write``) are the sanctioned spelling — this rule catches
-the raw-write shortcut that skips them.
+durable primitive ``UntrustedStorage.write_atomic`` (write-temp → fsync →
+rename) and its per-application wrapper ``Application.store_atomic`` are the
+sanctioned spelling — this rule catches the raw-write shortcut that skips
+them.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class DurableWriteRule(Rule):
     requirement = "R4"
     fix_hint = (
         "follow the storage.write with storage.sync(path) — or use the "
-        "durable wrappers (Application.store/store_atomic, "
-        "MigrationJournal.write) which fsync for you"
+        "durable primitive storage.write_atomic(path, data) (or "
+        "Application.store_atomic), which fsyncs and renames for you"
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:

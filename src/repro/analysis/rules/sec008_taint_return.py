@@ -21,7 +21,8 @@ Flagged, in trusted-zone modules:
 * an ``@ecall`` method whose return value carries secret taint,
 * a secret-tainted argument to a network-ish ``send``/``sendall`` (secure
   channels *encrypt* inside ``send`` and are recognized as sanitizing),
-* a secret-tainted argument to a storage-ish ``write``/``store``.
+* a secret-tainted argument to a storage-ish ``write``, ``write_atomic``
+  or ``store``.
 
 Not flagged: values that passed a sanitizer, parameter-derived values (the
 caller already had them), and untrusted-zone code (nothing there is a
@@ -45,7 +46,9 @@ _CHANNEL_HINTS = ("channel", "chan", "session")
 _STORAGE_HINTS = ("storage", "store", "disk", "file", "db")
 
 _SEND_NAMES = frozenset({"send", "sendall", "send_to", "post", "transmit"})
-_WRITE_NAMES = frozenset({"write", "write_bytes", "store", "store_atomic", "put"})
+_WRITE_NAMES = frozenset(
+    {"write", "write_atomic", "write_bytes", "store", "store_atomic", "put"}
+)
 
 
 def _receiver_text(call: ast.Call) -> str:

@@ -22,16 +22,21 @@ seeded :class:`~repro.faults.injector.FaultInjector` attached via
 ``data=ordered`` semantics): if the source blob's data never became durable,
 the rename *target keeps its previous durable content* at crash — which is
 exactly why write-temp-then-sync-then-rename is self-healing.
+:meth:`UntrustedStorage.write_atomic`, :meth:`~UntrustedStorage.delete_durably`
+and :meth:`~UntrustedStorage.read_record` are the only implementation of
+that discipline and of reading a corrupt record as absent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
-from typing import Protocol
+from typing import Callable, Protocol, TypeVar
 
 from repro import wire
 from repro.errors import StorageError
+
+T = TypeVar("T")
 
 
 class DiskFaultHook(Protocol):
@@ -69,8 +74,8 @@ class UntrustedStorage:
     _unsynced: set[str] = field(default_factory=set)
     _torn: dict[str, int] = field(default_factory=dict)  # path -> tear offset
     _lost: set[str] = field(default_factory=set)  # sync acked, never landed
-    #: Times a journal read found an unparseable record (see
-    #: :meth:`MigrationJournal.read`); surfaced in MigrationResult diagnostics.
+    #: Times :meth:`read_record` found an unparseable record (any journal,
+    #: index or registry blob); surfaced in MigrationResult diagnostics.
     journal_corruption_count: int = 0
     #: Disk-fault hook; the chaos harness points this at the FaultInjector.
     fault_injector: DiskFaultHook | None = field(default=None, repr=False)
@@ -197,6 +202,40 @@ class UntrustedStorage:
 
     def paths(self) -> list[str]:
         return sorted(self._blobs)
+
+    # ------------------------------------------------------ durable records
+    def write_atomic(self, path: str, data: bytes) -> None:
+        """Durably replace ``path``: write ``path.tmp``, fsync it, rename it
+        over ``path``.  At every crash point ``path`` holds the complete old
+        value or the complete new one (modulo injected disk faults, which
+        :meth:`read_record` turns into a counted absence)."""
+        tmp = f"{path}.tmp"
+        self.write(tmp, data)
+        self.sync(tmp)
+        self.rename(tmp, path)
+
+    def delete_durably(self, path: str) -> None:
+        """Unlink ``path`` and any temp a crashed :meth:`write_atomic` left
+        behind, then fsync both deletes."""
+        tmp = f"{path}.tmp"
+        self.delete(tmp)
+        self.delete(path)
+        self.sync(tmp)
+        self.sync(path)
+
+    def read_record(self, path: str, parse: Callable[[bytes], T]) -> T | None:
+        """``parse`` of the blob at ``path``, or ``None`` when the blob is
+        absent or ``parse`` rejects it (``WireError``/``KeyError``).  A
+        rejected record reads as absent but is counted in
+        ``journal_corruption_count``, so recovery can see that it took this
+        path."""
+        if not self.exists(path):
+            return None
+        try:
+            return parse(self.read(path))
+        except (wire.WireError, KeyError):
+            self.journal_corruption_count += 1
+            return None
 
     # ----------------------------------------------------------- power event
     def crash(self) -> None:
@@ -330,13 +369,11 @@ class MigrationJournal:
     """One application's migration-in-progress record on one machine's disk.
 
     ``owner`` is the application name; the record lives under the same
-    per-application prefix as the app's other blobs.
-
-    Crash consistency: updates go write-temp → fsync-temp → atomic rename,
-    so at every instant the journal path holds either the complete previous
-    record or the complete new one (modulo injected disk faults, which the
-    generation counter and :meth:`read`'s corruption accounting make
-    detectable).
+    per-application prefix as the app's other blobs.  It is written with
+    :meth:`UntrustedStorage.write_atomic` and read with
+    :meth:`UntrustedStorage.read_record`, so the path always holds the
+    complete previous record or the complete new one, and injected disk
+    faults surface as a counted ``None`` or a stale generation.
     """
 
     storage: UntrustedStorage
@@ -346,36 +383,15 @@ class MigrationJournal:
     def path(self) -> str:
         return f"{self.owner}/{MIGRATION_JOURNAL_PATH}"
 
-    @property
-    def _tmp_path(self) -> str:
-        return f"{self.path}.tmp"
-
     def write(self, record: MigrationRecord) -> None:
-        current = self._read(count_corruption=False)
+        current = self.read()
         record = replace(
             record, generation=(current.generation if current else 0) + 1
         )
-        self.storage.write(self._tmp_path, record.to_bytes())
-        self.storage.sync(self._tmp_path)
-        self.storage.rename(self._tmp_path, self.path)
+        self.storage.write_atomic(self.path, record.to_bytes())
 
     def read(self) -> MigrationRecord | None:
-        return self._read(count_corruption=True)
-
-    def _read(self, count_corruption: bool) -> MigrationRecord | None:
-        if not self.storage.exists(self.path):
-            return None
-        try:
-            return MigrationRecord.from_bytes(self.storage.read(self.path))
-        except (wire.WireError, KeyError):
-            # Corrupted journal == no journal (it is a recovery hint only),
-            # but recovery must be able to *see* that it took this path.
-            if count_corruption:
-                self.storage.journal_corruption_count += 1
-            return None
+        return self.storage.read_record(self.path, MigrationRecord.from_bytes)
 
     def clear(self) -> None:
-        self.storage.delete(self._tmp_path)
-        self.storage.delete(self.path)
-        self.storage.sync(self._tmp_path)
-        self.storage.sync(self.path)
+        self.storage.delete_durably(self.path)

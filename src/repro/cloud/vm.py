@@ -87,16 +87,13 @@ class Application:
         self.machine.storage.sync(blob_path)
 
     def store_atomic(self, path: str, data: bytes) -> None:
-        """Durably *replace* a blob: write a temp, fsync it, rename over the
-        target.  At every crash point the target holds either the complete
-        old value or the complete new one — the discipline every
-        migration-critical single-file artifact (library state, journals)
-        must follow under the disk fault model."""
-        blob_path = f"{self.name}/{path}"
-        tmp_path = f"{blob_path}.tmp"
-        self.machine.storage.write(tmp_path, data)
-        self.machine.storage.sync(tmp_path)
-        self.machine.storage.rename(tmp_path, blob_path)
+        """Durably *replace* a blob through
+        :meth:`~repro.cloud.storage.UntrustedStorage.write_atomic`: at every
+        crash point the target holds either the complete old value or the
+        complete new one — the discipline every migration-critical
+        single-file artifact (library state, journals) must follow under the
+        disk fault model."""
+        self.machine.storage.write_atomic(f"{self.name}/{path}", data)
 
     def load(self, path: str) -> bytes:
         return self.machine.storage.read(f"{self.name}/{path}")

@@ -9,11 +9,13 @@ storage and records the whole plan plus a tiny progress cursor:
   blindly re-dispatching — re-dispatching a completed member would try to
   migrate an enclave that already left).
 
-Updates use the same write-temp -> fsync -> atomic-rename discipline as the
-per-app :class:`~repro.cloud.storage.MigrationJournal` (PR-5 durable-storage
-primitives), so at every instant the journal path holds either the complete
-previous record or the complete new one, and the generation counter makes a
-resurrected stale record (a lying fsync) detectable.
+Both records here are written with
+:meth:`~repro.cloud.storage.UntrustedStorage.write_atomic` and read with
+:meth:`~repro.cloud.storage.UntrustedStorage.read_record`, like the per-app
+:class:`~repro.cloud.storage.MigrationJournal`: the path holds the complete
+previous record or the complete new one, a rotted record reads as absent
+(counted), and the plan's generation counter makes a resurrected stale
+record (a lying fsync) detectable.
 
 Like the per-app journal, this record is a recovery *hint*: losing it stalls
 fleet resumption (the operator re-plans), but R3/R4 never depend on it —
@@ -27,6 +29,7 @@ from dataclasses import dataclass, replace
 
 from repro import wire
 from repro.cloud.storage import UntrustedStorage
+from repro.errors import MigrationError
 from repro.fleet.model import PlannedMove, MigrationPlan, Wave
 
 FLEET_PLAN_PATH = "fleet_plan"
@@ -117,18 +120,12 @@ class FleetPlanJournal:
     def path(self) -> str:
         return f"{self.owner}/{FLEET_PLAN_PATH}"
 
-    @property
-    def _tmp_path(self) -> str:
-        return f"{self.path}.tmp"
-
     def write(self, record: FleetPlanRecord) -> None:
         current = self.read()
         record = replace(
             record, generation=(current.generation if current else 0) + 1
         )
-        self.storage.write(self._tmp_path, record.to_bytes())
-        self.storage.sync(self._tmp_path)
-        self.storage.rename(self._tmp_path, self.path)
+        self.storage.write_atomic(self.path, record.to_bytes())
 
     def write_plan(self, plan: MigrationPlan) -> None:
         """Persist a fresh plan with the cursor at wave 0, not started."""
@@ -159,28 +156,19 @@ class FleetPlanJournal:
         self.write(replace(record, done_groups=record.done_groups + (entry,)))
 
     def read(self) -> FleetPlanRecord | None:
-        if not self.storage.exists(self.path):
-            return None
-        try:
-            return FleetPlanRecord.from_bytes(self.storage.read(self.path))
-        except (wire.WireError, KeyError):
-            # Corrupted plan journal == no plan journal: resumption stalls
-            # (the operator re-plans) but nothing unsafe can happen — every
-            # member still has its own migration journal.
-            self.storage.journal_corruption_count += 1
-            return None
+        """The journaled plan, or ``None``.  A rotted record reads as no
+        plan: resumption stalls (the operator re-plans) but nothing unsafe
+        can happen — every member still has its own migration journal."""
+        return self.storage.read_record(self.path, FleetPlanRecord.from_bytes)
 
     def _require(self) -> FleetPlanRecord:
         record = self.read()
         if record is None:
-            raise AssertionError("no fleet plan journaled")
+            raise MigrationError(f"no fleet plan journaled at {self.path!r}")
         return record
 
     def clear(self) -> None:
-        self.storage.delete(self._tmp_path)
-        self.storage.delete(self.path)
-        self.storage.sync(self._tmp_path)
-        self.storage.sync(self.path)
+        self.storage.delete_durably(self.path)
 
 
 @dataclass
@@ -190,8 +178,9 @@ class FleetPlanIndex:
     ``apply_many`` journals each tenant plan under its own owner prefix
     (``plan-0``, ``plan-1``, ...) so crash/resume reconciles every plan
     independently; this index is what lets ``resume_many`` *find* them
-    after a planner restart.  Same rename discipline, same hint-only
-    stakes: a lost index stalls multi-plan resumption, never correctness.
+    after a planner restart.  Same durable-record primitives, same
+    hint-only stakes: a lost index stalls multi-plan resumption, never
+    correctness.
     """
 
     storage: UntrustedStorage
@@ -200,29 +189,16 @@ class FleetPlanIndex:
     def path(self) -> str:
         return FLEET_PLAN_INDEX_PATH
 
-    @property
-    def _tmp_path(self) -> str:
-        return f"{self.path}.tmp"
-
     def write(self, labels: list[str]) -> None:
-        self.storage.write(
-            self._tmp_path, wire.encode({"v": 1, "labels": list(labels)})
+        self.storage.write_atomic(
+            self.path, wire.encode({"v": 1, "labels": list(labels)})
         )
-        self.storage.sync(self._tmp_path)
-        self.storage.rename(self._tmp_path, self.path)
 
     def read(self) -> list[str]:
-        if not self.storage.exists(self.path):
-            return []
-        try:
-            fields = wire.decode(self.storage.read(self.path))
-            return list(fields["labels"])
-        except (wire.WireError, KeyError):
-            self.storage.journal_corruption_count += 1
-            return []
+        labels = self.storage.read_record(
+            self.path, lambda blob: list(wire.decode(blob)["labels"])
+        )
+        return labels or []
 
     def clear(self) -> None:
-        self.storage.delete(self._tmp_path)
-        self.storage.delete(self.path)
-        self.storage.sync(self._tmp_path)
-        self.storage.sync(self.path)
+        self.storage.delete_durably(self.path)

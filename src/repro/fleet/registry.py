@@ -43,13 +43,14 @@ offline registry retries with exponential backoff in virtual time and then
 *denies* with :class:`~repro.errors.RegistryUnavailableError` (transient:
 the same instance may claim again once the registry is back).
 
-Durability follows the PR-5/PR-7 journal pattern: one blob on the control
-machine's untrusted storage, write-temp -> fsync -> atomic-rename, a
-generation counter, and corruption-tolerant reads (a rotted blob counts as
-``journal_corruption_count`` and yields an empty registry — which then
-denies restores by rule 3 only when epochs regress, and adopts unknown
-identities conservatively).  Liveness probes are runtime-only attachments:
-a registry reloaded after a planner restart degrades to the epoch rules.
+Durability: one blob on the control machine's untrusted storage with a
+generation counter, written and read through the storage's durable-record
+primitives (:meth:`~repro.cloud.storage.UntrustedStorage.write_atomic`,
+:meth:`~repro.cloud.storage.UntrustedStorage.read_record`).  A rotted blob
+reads as an empty registry — which then denies restores by rule 3 only
+when epochs regress, and adopts unknown identities conservatively.
+Liveness probes are runtime-only attachments: a registry reloaded after a
+planner restart degrades to the epoch rules.
 """
 
 from __future__ import annotations
@@ -184,6 +185,21 @@ class _State:
     incidents: list[CloneIncident] = field(default_factory=list)
     generation: int = 0
 
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "_State":
+        fields = wire.decode(data)
+        state = cls(generation=fields.get("gen", 0))
+        for row in fields.get("records", []):
+            record = InstanceRecord.from_bytes(row)
+            state.records[record.identity] = record
+        for row in fields.get("me", []):
+            record = _MeRecord.from_bytes(row)
+            state.me_records[record.machine] = record
+        state.incidents = [
+            CloneIncident.from_bytes(row) for row in fields.get("incidents", [])
+        ]
+        return state
+
 
 class SingleInstanceRegistry:
     """Durable at-most-one-instance arbiter for clone-guarded enclaves."""
@@ -208,32 +224,11 @@ class SingleInstanceRegistry:
     def path(self) -> str:
         return INSTANCE_REGISTRY_PATH
 
-    @property
-    def _tmp_path(self) -> str:
-        return f"{self.path}.tmp"
-
     def _load(self) -> _State:
-        if not self.storage.exists(self.path):
-            return _State()
-        try:
-            fields = wire.decode(self.storage.read(self.path))
-            state = _State(generation=fields.get("gen", 0))
-            for row in fields.get("records", []):
-                record = InstanceRecord.from_bytes(row)
-                state.records[record.identity] = record
-            for row in fields.get("me", []):
-                record = _MeRecord.from_bytes(row)
-                state.me_records[record.machine] = record
-            state.incidents = [
-                CloneIncident.from_bytes(row) for row in fields.get("incidents", [])
-            ]
-            return state
-        except (wire.WireError, KeyError):
-            # A rotted registry blob is an empty registry, not a crash: the
-            # epoch/liveness rules still deny stale clones, and legitimate
-            # instances re-register on their next claim.
-            self.storage.journal_corruption_count += 1
-            return _State()
+        # A rotted registry blob is an empty registry, not a crash: the
+        # epoch/liveness rules still deny stale clones, and legitimate
+        # instances re-register on their next claim.
+        return self.storage.read_record(self.path, _State.from_bytes) or _State()
 
     def _store(self, state: _State) -> None:
         state.generation += 1
@@ -252,9 +247,7 @@ class SingleInstanceRegistry:
                 "incidents": [incident.to_bytes() for incident in state.incidents],
             }
         )
-        self.storage.write(self._tmp_path, blob)
-        self.storage.sync(self._tmp_path)
-        self.storage.rename(self._tmp_path, self.path)
+        self.storage.write_atomic(self.path, blob)
 
     # ------------------------------------------------------- availability
     def _ensure_available(self, operation: str) -> None:
@@ -543,7 +536,4 @@ class SingleInstanceRegistry:
         )
 
     def clear(self) -> None:
-        self.storage.delete(self._tmp_path)
-        self.storage.delete(self.path)
-        self.storage.sync(self._tmp_path)
-        self.storage.sync(self.path)
+        self.storage.delete_durably(self.path)

@@ -153,6 +153,29 @@ class TestCrashResume:
             restarted.resume_plan()
         assert journal.storage.journal_corruption_count == corruptions + 1
 
+    def test_journal_rotting_mid_apply_raises_typed_error(self):
+        demo = small_fleet()
+        before = counter_values(demo)
+        journal = demo.service.journal()
+
+        def rot(stage, index):
+            if (stage, index) == ("started", 0):
+                journal.storage.corrupt(journal.path)
+
+        corruptions = journal.storage.journal_corruption_count
+        # The next journal update finds no plan: a typed, counted stall
+        # that names the record, never a bare assertion.
+        with pytest.raises(MigrationError, match="fleet/fleet_plan"):
+            demo.service.apply(
+                demo.service.plan_drain("fleet-0"), boundary_hook=rot
+            )
+        assert journal.storage.journal_corruption_count == corruptions + 1
+        restarted = _restarted_planner(demo.service)
+        result = restarted.apply(restarted.plan_drain("fleet-0"))
+        assert result.completed
+        assert restarted.placements()["fleet-0"] == []
+        assert counter_values(demo) == before
+
 
 class TestPreflight:
     def test_capacity_overflow_rejected_before_any_freeze(self):

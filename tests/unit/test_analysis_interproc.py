@@ -15,6 +15,8 @@ from collections import Counter
 from pathlib import Path
 from textwrap import dedent
 
+import pytest
+
 from repro.analysis import analyze_source
 from repro.analysis.cli import main as cli_main
 from repro.analysis.engine import AnalysisEngine
@@ -83,6 +85,19 @@ class TestTaintedReturnCrossFunction:
 
                 def flush(self, network):
                     network.send(self._frame())
+            """
+        )
+
+    @pytest.mark.parametrize("sink", ["write", "write_atomic"])
+    def test_storage_write_through_helper_flags(self, sink):
+        assert "SEC008" in rules_in(
+            f"""
+            class Keeper:
+                def _material(self):
+                    return self._sealing_key
+
+                def persist(self, storage):
+                    storage.{sink}("app/key", self._material())
             """
         )
 

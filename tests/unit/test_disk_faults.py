@@ -309,12 +309,28 @@ class TestMigrationJournal:
         assert journal.read() is None
         assert storage.journal_corruption_count == 1
 
+    def test_write_over_corrupted_journal_counts_and_restarts_generation(self):
+        # One corruption rule for every durable record: the generation
+        # lookup inside write() is a read like any other, so an unparseable
+        # record counts once and the new record starts the sequence over.
+        storage = UntrustedStorage("m")
+        journal = MigrationJournal(storage, "app")
+        journal.write(self.record())
+        journal.write(self.record())
+        storage.corrupt(journal.path)
+        journal.write(self.record(phase=PHASE_SHIPPED))
+        assert storage.journal_corruption_count == 1
+        read = journal.read()
+        assert read.phase == PHASE_SHIPPED
+        assert read.generation == 1
+        assert storage.journal_corruption_count == 1
+
     def test_write_is_atomic_across_crash(self):
         storage = UntrustedStorage("m")
         journal = MigrationJournal(storage, "app")
         journal.write(self.record())
         # Start a rewrite whose temp never becomes durable:
-        attached(storage, FaultPlan().lost_write(journal._tmp_path))
+        attached(storage, FaultPlan().lost_write(f"{journal.path}.tmp"))
         journal.write(self.record(phase=PHASE_SHIPPED))
         storage.crash()
         read = journal.read()  # the complete previous record, not garbage
