@@ -13,14 +13,21 @@ inputs:
   block, so every lane residue up to 64 lanes is hit, plus the sealed KV
   store's 66,669-byte snapshot and the Fig. 4 100,000-byte payload, under
   AES-128 and AES-256 keys with 0- and 20-byte AAD;
+* ``AesGcm.seal`` over mid-size inputs (``gcm_mid``), under the same keys
+  and AAD: 64 consecutive block counts (80-143) around the GHASH lane-path
+  switch at its fresh-key crossover, whole and with a short last block,
+  plus the lengths of the workloads' mid-size GCM inputs, the 4 KiB sealed
+  blob (4,096 bytes: 259 GHASH blocks with 20-byte AAD) and a Migration
+  Library persist (5,393 bytes: 341);
 * ``modexp.verify_product`` for seeded Schnorr signatures, for the responses
   0, 1 and q-1, and for a short response (nonce ``k > x*e``), so both sides
   of the generator table's short-side choice are pinned.
 
 CTR and GCM outputs are stored as SHA-256 digests.  The file was captured
 from ``kernel_outputs()`` before the T-table AES, the scalar CTR path and
-the short-side generator exponentiation landed, and ``gcm_long`` before the
-lane-parallel GHASH path landed; every value must stay equal.
+the short-side generator exponentiation landed, ``gcm_long`` before the
+lane-parallel GHASH path landed, and ``gcm_mid`` while that path still
+started at 1,024 blocks; every value must stay equal.
 """
 
 from __future__ import annotations
@@ -48,6 +55,9 @@ LENGTHS = [16 * n for n in range(49)] + [16 * n - 5 for n in range(1, 49)]
 LONG_LENGTHS = (
     [16 * n for n in range(992, 1056)] + [16 * n - 5 for n in range(992, 1056)] + [66_669, 100_000]
 )
+# Byte lengths of 80-143 blocks, whole and short, then the 4 KiB sealed blob
+# and a Migration Library persist.
+MID_LENGTHS = [16 * n for n in range(80, 144)] + [16 * n - 5 for n in range(80, 144)] + [4096, 5393]
 
 
 def _rng(label: str) -> DeterministicRng:
@@ -99,19 +109,27 @@ def _gcm_seal_outputs() -> dict:
     return out
 
 
-def _gcm_long_outputs() -> dict:
+def _gcm_sweep_outputs(label: str, lengths: list[int]) -> dict:
     out = {}
     for size in (16, 32):
         for aad_len in (0, 20):
-            rng = _rng(f"gcm-long-{size}-{aad_len}")
+            rng = _rng(f"{label}-{size}-{aad_len}")
             aead = AesGcm(rng.random_bytes(size))
             aad = rng.random_bytes(aad_len)
-            plaintext = rng.random_bytes(max(LONG_LENGTHS))
+            plaintext = rng.random_bytes(max(lengths))
             out[f"{size}/aad{aad_len}"] = {
                 str(length): _digest(aead.seal(rng.random_bytes(12), plaintext[:length], aad))
-                for length in LONG_LENGTHS
+                for length in lengths
             }
     return out
+
+
+def _gcm_long_outputs() -> dict:
+    return _gcm_sweep_outputs("gcm-long", LONG_LENGTHS)
+
+
+def _gcm_mid_outputs() -> dict:
+    return _gcm_sweep_outputs("gcm-mid", MID_LENGTHS)
 
 
 def _verify_product_outputs() -> dict:
@@ -144,6 +162,7 @@ KERNELS = {
     "ctr_transform": _ctr_outputs,
     "gcm_seal": _gcm_seal_outputs,
     "gcm_long": _gcm_long_outputs,
+    "gcm_mid": _gcm_mid_outputs,
     "verify_product": _verify_product_outputs,
 }
 
