@@ -3,7 +3,7 @@
 SGX derives all its keys (sealing keys, report keys, provisioning keys) with
 AES-128 in a CMAC-based KDF, and local-attestation REPORTs are MACed with
 CMAC.  Known-answer tests against the RFC 4493 vectors live in
-``tests/unit/test_cmac.py``.
+``tests/unit/test_cmac_kdf.py``.
 """
 
 from __future__ import annotations

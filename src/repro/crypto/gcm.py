@@ -6,7 +6,7 @@ attested secure channel.  GHASH, over GF(2^128), is
 ``AAD || pad || ciphertext || pad || lengths``.  It takes one of two paths,
 chosen by the number of blocks ``n``:
 
-* below :data:`LANE_MIN_BLOCKS` (1,024), Horner's rule one block at a time
+* below :data:`LANE_MIN_BLOCKS` (112), Horner's rule one block at a time
   with Shoup-style 8-bit tables for ``H``, built once per key and kept in a
   512-entry LRU;
 * from there on, a numpy path that runs Horner in :data:`LANES` (32) lanes
@@ -18,16 +18,25 @@ chosen by the number of blocks ``n``:
   64 KiB each.
 
 Both paths give the same bytes.  On a 2-vCPU x86-64 VM (CPython 3.11,
-numpy 2.4) a Shoup block costs about 2.5 us and a lane block about
-0.2 us; a lane call adds about 0.06 ms of fold and, for a key without a
-cached table, 0.15 ms of table building.  The lanes therefore win from
-about 35 blocks with a cached table and 100 with a fresh one, and by 11x
-(10.5 -> 0.9 ms) on the sealed KV store's 4,167-block snapshot.  The
-switch sits well above that crossover so that the short-lived keys of
-channel records and library persists (at most 512 blocks on every
-workload of the repo benchmark) never build a lane table or evict a
-long-lived key's table from the small lane cache: only bulk sealed state
-takes the lane path.
+numpy 2.4), in shuffled trials, a Shoup block cost about 4.7 us; a lane
+call on 97-128 blocks about 0.20 ms with a cached table and 0.50 ms with
+a fresh one, which includes about 0.3 ms of table building.  The lanes
+therefore win from about 35 blocks with a cached table and from about 106
+with a fresh one (0.50 ms either way at 104 blocks; 0.49 against 0.53 ms
+at 112), and by 11x (10.5 -> 0.9 ms) on the sealed KV store's 4,167-block
+snapshot.  The switch sits at that fresh-key crossover, so no input is
+slower even when its key's table must be built.  On the repo benchmark's
+workloads, channel records (66-95 blocks) stay on the Shoup loop; the
+4 KiB sealed blob (259 blocks) and Migration Library persists (341) take
+the lanes, 1.34 -> 0.29 ms (cached table) and 1.76 -> 0.64 ms (fresh).
+Most persists seal under keys not seen before, so the lane cache builds,
+per timed op, 1 table on the paper workload (of 3 lane calls; the other 2
+hit), 0.01 on the sealed KV store (whose snapshot key is never evicted),
+16 on the 64x64 window drain and 32 on the tenant evacuation.  Of the
+last two's builds, 47 % and 44 % are for a key's second persist, 8-17
+(drain) or ~125 (evacuation) other lane keys after its first, past the
+cache.  Holding the drain's would take ~18 entries (~1 MiB) to save about
+0.4 % of an op's wall time, so the cache stays at 4.
 
 Known-answer tests against the NIST GCM vectors live in
 ``tests/unit/test_gcm.py``.
@@ -48,7 +57,7 @@ _R = 0xE1000000000000000000000000000000  # GCM reduction polynomial (bit-reflect
 _X8 = 1 << 119  # the field element x^8 in GCM bit order
 
 #: Shortest GHASH input, in 16-byte blocks, that takes the lane-parallel path.
-LANE_MIN_BLOCKS = 1024
+LANE_MIN_BLOCKS = 112
 #: Horner lanes of that path.
 LANES = 32
 
@@ -140,22 +149,28 @@ _ghash_misses = 0
 
 
 def ghash_table_cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters for the GHASH table cache (tests, tuning)."""
+    """Hit/miss/size counters for the Shoup table cache and, under ``lane_``
+    keys, for the lane table cache (tests, tuning)."""
     return {
         "hits": _ghash_hits,
         "misses": _ghash_misses,
         "size": len(_GHASH_TABLE_CACHE),
         "capacity": _GHASH_TABLE_CACHE_MAX,
+        "lane_hits": _lane_hits,
+        "lane_misses": _lane_misses,
+        "lane_size": len(_LANE_TABLE_CACHE),
     }
 
 
 def clear_ghash_table_cache() -> None:
     """Empty the Shoup and lane table caches and zero the counters."""
-    global _ghash_hits, _ghash_misses
+    global _ghash_hits, _ghash_misses, _lane_hits, _lane_misses
     _GHASH_TABLE_CACHE.clear()
     _LANE_TABLE_CACHE.clear()
     _ghash_hits = 0
     _ghash_misses = 0
+    _lane_hits = 0
+    _lane_misses = 0
 
 
 def _ghash_key_for(h: int) -> _GhashKey:
@@ -175,9 +190,12 @@ def _ghash_key_for(h: int) -> _GhashKey:
 
 # H -> lane position table (see _lane_table), most-recently-used last.  Kept
 # apart from the Shoup cache and small, because each entry is 64 KiB and most
-# keys that reach the lane path (fresh native sealing keys) never recur.
+# keys that reach the lane path (the fresh keys of library persists and native
+# seals) never recur.
 _LANE_TABLE_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
 _LANE_TABLE_CACHE_MAX = 4
+_lane_hits = 0
+_lane_misses = 0
 # Row offset of each byte position in the flattened (16 * 256, 2) table.
 _POSITION_OFFSETS = (np.arange(16, dtype=np.uint16) * 256)[:, None]
 
@@ -204,10 +222,13 @@ def _lane_table(key: _GhashKey) -> np.ndarray:
 
 
 def _lane_table_for(key: _GhashKey) -> np.ndarray:
+    global _lane_hits, _lane_misses
     table = _LANE_TABLE_CACHE.get(key.h)
     if table is not None:
+        _lane_hits += 1
         _LANE_TABLE_CACHE.move_to_end(key.h)
         return table
+    _lane_misses += 1
     table = _lane_table(key)
     _LANE_TABLE_CACHE[key.h] = table
     while len(_LANE_TABLE_CACHE) > _LANE_TABLE_CACHE_MAX:

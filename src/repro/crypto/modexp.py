@@ -7,7 +7,7 @@ handful of bases — the group generators (``g = 2`` for DH, ``g = 4`` for
 Schnorr) and a small set of long-lived public keys (the EPID group key, the
 IAS report key, the provider CA key, the ME signing keys).
 
-Three techniques, all bit-exact with ``builtins.pow``:
+Four techniques, all bit-exact with ``builtins.pow``:
 
 * :class:`FixedBaseTable` — windowed fixed-base precomputation.  For a base
   used with many exponents, precompute ``base**(d << (w*i))`` for every
@@ -33,6 +33,17 @@ Three techniques, all bit-exact with ``builtins.pow``:
   attestations, so their (short-exponent) tables pay for themselves after a
   few uses and are evicted least-recently-used once :data:`LRU_CAPACITY`
   keys are live.
+* a bounded LRU of :func:`verify_product` results, keyed by all five
+  arguments ``(g, s, y, e, modulus)`` and checked before any table.  Some
+  signatures are checked again and again with the same key: an enclave's
+  SIGSTRUCT at every launch, each Migration Enclave's provider credential
+  at every ME authentication.  Those are 3 of the 9 products a
+  ``paper_migrate`` migration computes (3.1 ms each; a hit costs a few
+  microseconds).  Every argument is public, so a hit tells a caller only
+  that the same signature was checked before.  ``powmod`` has no memo: its
+  exponents are private keys and nonces.  The memo returns the product
+  only; ``schnorr.verify`` still runs its range checks, challenge hash and
+  constant-time compare on every call.
 
 Everything here only changes *wall-clock* cost.  Virtual-time charges are
 made by the cost meter, never by measuring this code, so seeded simulation
@@ -53,6 +64,9 @@ SHORT_WINDOW = 4
 
 #: Maximum number of per-public-key tables kept alive at once.
 LRU_CAPACITY = 64
+
+#: Maximum number of verification products memoized at once.
+PRODUCT_MEMO_CAPACITY = 256
 
 
 class FixedBaseTable:
@@ -202,41 +216,66 @@ def powmod(base: int, exponent: int, modulus: int) -> int:
     return pow(base, exponent, modulus)
 
 
-# ---------------------------------------------------- per-public-key tables
-class _LruTableCache:
-    """Bounded LRU of :class:`FixedBaseTable` keyed by ``(base, modulus)``."""
+# ------------------------------------------ per-public-key tables, products
+class _Lru:
+    """Bounded least-recently-used map with hit and miss counters."""
 
-    def __init__(self, capacity: int = LRU_CAPACITY):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self._tables: OrderedDict[tuple[int, int], FixedBaseTable] = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
+
+    def lookup(self, key):
+        """The entry for ``key`` (a hit), or ``None`` (a miss)."""
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._entries.move_to_end(key)
+        return value
+
+    def store(self, key, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "size": len(self._entries),
+            "capacity": self.capacity,
+        }
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+
+class _LruTableCache(_Lru):
+    """Bounded LRU of :class:`FixedBaseTable` keyed by ``(base, modulus)``."""
 
     def get(self, base: int, modulus: int, *, max_bits: int) -> FixedBaseTable:
         key = (base % modulus, modulus)
-        table = self._tables.get(key)
+        table = self._entries.get(key)
         if table is not None and table.max_bits >= max_bits:
             self.hits += 1
-            self._tables.move_to_end(key)
+            self._entries.move_to_end(key)
             return table
         self.misses += 1
         table = FixedBaseTable(base, modulus, window=SHORT_WINDOW, max_bits=max_bits)
-        self._tables[key] = table
-        self._tables.move_to_end(key)
-        while len(self._tables) > self.capacity:
-            self._tables.popitem(last=False)
+        self.store(key, table)
         return table
 
-    def clear(self) -> None:
-        self._tables.clear()
-        self.hits = 0
-        self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._tables)
-
-
-_PUBLIC_KEY_TABLES = _LruTableCache()
+_PUBLIC_KEY_TABLES = _LruTableCache(LRU_CAPACITY)
+# (g, s, y, e, modulus) -> g**s * y**e % modulus: public values only (a
+# generator, a signature and a verification key; see the module docstring).
+_PRODUCTS = _Lru(PRODUCT_MEMO_CAPACITY)
 
 
 def warm_public_key(public: int, modulus: int, *, max_bits: int = 256) -> None:
@@ -247,27 +286,36 @@ def warm_public_key(public: int, modulus: int, *, max_bits: int = 256) -> None:
 
 def public_key_cache_stats() -> dict[str, int]:
     """Hit/miss/size counters for the per-public-key LRU (tests, tuning)."""
-    return {
-        "hits": _PUBLIC_KEY_TABLES.hits,
-        "misses": _PUBLIC_KEY_TABLES.misses,
-        "size": len(_PUBLIC_KEY_TABLES),
-        "capacity": _PUBLIC_KEY_TABLES.capacity,
-    }
+    return _PUBLIC_KEY_TABLES.stats()
+
+
+def product_memo_stats() -> dict[str, int]:
+    """Hit/miss/size counters for the verification-product memo (tests, tuning)."""
+    return _PRODUCTS.stats()
 
 
 def clear_public_key_cache() -> None:
+    """Empty the per-public-key tables and the product memo, zero their counters."""
     _PUBLIC_KEY_TABLES.clear()
+    _PRODUCTS.clear()
 
 
 def verify_product(g: int, s: int, y: int, e: int, modulus: int) -> int:
     """``g**s * y**e % modulus`` — the Schnorr verification equation.
 
-    Fast path: the generator's shared table for ``g**s`` plus a per-key LRU
-    table (sized to the 256-bit challenge) for ``y**e``.  Without a shared
-    generator table, fall back to one Shamir pass.
+    A repeat of all five arguments is served from the product memo.
+    Otherwise: the generator's shared table for ``g**s`` plus a per-key LRU
+    table (sized to the 256-bit challenge) for ``y**e``, or, without a
+    shared generator table, one Shamir pass.
     """
-    g_table = _SHARED_TABLES.get((g % modulus, modulus))
-    if g_table is None:
-        return mul2_powmod(g, s, y, e, modulus)
-    y_table = _PUBLIC_KEY_TABLES.get(y, modulus, max_bits=max(e.bit_length(), 256))
-    return g_table.pow(s) * y_table.pow(e) % modulus
+    key = (g, s, y, e, modulus)
+    product = _PRODUCTS.lookup(key)
+    if product is None:
+        g_table = _SHARED_TABLES.get((g % modulus, modulus))
+        if g_table is None:
+            product = mul2_powmod(g, s, y, e, modulus)
+        else:
+            y_table = _PUBLIC_KEY_TABLES.get(y, modulus, max_bits=max(e.bit_length(), 256))
+            product = g_table.pow(s) * y_table.pow(e) % modulus
+        _PRODUCTS.store(key, product)
+    return product

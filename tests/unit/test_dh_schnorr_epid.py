@@ -65,12 +65,16 @@ class TestSchnorr:
     def test_wrong_message_rejected(self, rng):
         keypair = schnorr.generate_keypair(rng.child("s"))
         signature = schnorr.sign(keypair.private, b"message")
+        # The genuine check memoizes its product; the rejection must not
+        # ride on it.
+        assert schnorr.verify(keypair.public, b"message", signature)
         assert not schnorr.verify(keypair.public, b"other", signature)
 
     def test_wrong_key_rejected(self, rng):
         keypair = schnorr.generate_keypair(rng.child("s"))
         other = schnorr.generate_keypair(rng.child("t"))
         signature = schnorr.sign(keypair.private, b"message")
+        assert schnorr.verify(keypair.public, b"message", signature)
         assert not schnorr.verify(other.public, b"message", signature)
 
     def test_deterministic_signatures(self, rng):

@@ -220,6 +220,7 @@ class TestGhashTableCache:
         gcm.clear_ghash_table_cache()
         assert gcm.ghash_table_cache_stats() == {
             "hits": 0, "misses": 0, "size": 0, "capacity": 512,
+            "lane_hits": 0, "lane_misses": 0, "lane_size": 0,
         }
 
     def test_lru_eviction_is_bounded(self, monkeypatch):
@@ -251,11 +252,19 @@ class TestGhashTableCache:
         for i in range(capacity + 3):
             aead = AesGcm(bytes([i]) * 16)
             sealed.append((aead, aead.seal(iv, payload)))
-            assert len(gcm._LANE_TABLE_CACHE) == min(i + 1, capacity)
+            assert gcm.ghash_table_cache_stats()["lane_size"] == min(i + 1, capacity)
         assert sealed[0][0]._ghash_key.h not in gcm._LANE_TABLE_CACHE
         # Evicted keys rebuild their lane table and still round-trip.
         for aead, blob in sealed:
             assert aead.open(iv, blob) == payload
             assert len(gcm._LANE_TABLE_CACHE) == capacity
+        stats = gcm.ghash_table_cache_stats()
+        assert stats["lane_misses"] == 2 * (capacity + 3)  # each open followed an eviction
+        assert stats["lane_hits"] == 0
+        # A recurring key within the capacity hits its cached table.
+        aead, blob = sealed[-1]
+        assert aead.open(iv, blob) == payload
+        assert gcm.ghash_table_cache_stats()["lane_hits"] == 1
         gcm.clear_ghash_table_cache()
         assert not gcm._LANE_TABLE_CACHE
+        assert gcm.ghash_table_cache_stats()["lane_misses"] == 0

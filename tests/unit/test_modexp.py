@@ -5,7 +5,7 @@ Every fast path in :mod:`repro.crypto.modexp` must be bit-exact with
 simulator actually uses (Schnorr generator g=4, DH generator g=2), including
 the edge exponents 0, 1 and q-1, both sides of the order-aware table's
 short-side switch, and the on-demand row build, plus the cache bookkeeping
-the benchmarks rely on.
+the benchmarks rely on and the keying of the verification-product memo.
 """
 
 import random
@@ -124,6 +124,61 @@ class TestPublicKeyLru:
         for i in range(modexp.LRU_CAPACITY + 8):
             modexp.warm_public_key(2 + i, _P)
         assert modexp.public_key_cache_stats()["size"] == modexp.LRU_CAPACITY
+
+
+def _product(g, s, y, e, modulus):
+    return pow(g, s, modulus) * pow(y, e, modulus) % modulus
+
+
+# One verification's arguments, and for each position a value that differs.
+_ARGS = (4, (1 << 600) + 12345, pow(4, 0xC0FFEE, _P), (1 << 255) + 99, _P)
+_OTHER = (MODP_2048_G, _ARGS[1] + 1, pow(4, 0xC0FFEF, _P), _ARGS[3] + 1, _P - 2)
+
+
+class TestProductMemo:
+    def test_repeat_hits_and_returns_same_value(self):
+        modexp.clear_public_key_cache()
+        first = modexp.verify_product(*_ARGS)
+        assert first == _product(*_ARGS)
+        tables = modexp.public_key_cache_stats()
+        assert modexp.verify_product(*_ARGS) == first
+        stats = modexp.product_memo_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
+        # A hit touches no table.
+        assert modexp.public_key_cache_stats() == tables
+
+    @pytest.mark.parametrize("position", range(5), ids=["g", "s", "y", "e", "modulus"])
+    def test_change_in_any_argument_misses(self, position):
+        modexp.clear_public_key_cache()
+        modexp.verify_product(*_ARGS)
+        args = list(_ARGS)
+        args[position] = _OTHER[position]
+        assert modexp.verify_product(*args) == _product(*args)
+        stats = modexp.product_memo_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 2, 2)
+
+    def test_capacity_bounded(self):
+        modexp.clear_public_key_cache()
+        g, _, y, e, p = _ARGS
+        capacity = modexp.PRODUCT_MEMO_CAPACITY
+        for s in range(capacity + 8):
+            assert modexp.verify_product(g, s, y, e, p) == _product(g, s, y, e, p)
+        assert modexp.product_memo_stats()["size"] == capacity
+        # The oldest products were evicted: asking again recomputes them.
+        assert modexp.verify_product(g, 0, y, e, p) == _product(g, 0, y, e, p)
+        assert modexp.product_memo_stats()["misses"] == capacity + 9
+        assert modexp.product_memo_stats()["size"] == capacity
+
+    def test_clear_empties_memo(self):
+        modexp.clear_public_key_cache()
+        modexp.verify_product(*_ARGS)
+        modexp.verify_product(*_ARGS)
+        modexp.clear_public_key_cache()
+        assert modexp.product_memo_stats() == {
+            "hits": 0, "misses": 0, "size": 0, "capacity": modexp.PRODUCT_MEMO_CAPACITY,
+        }
+        assert modexp.verify_product(*_ARGS) == _product(*_ARGS)
+        assert modexp.product_memo_stats()["misses"] == 1
 
 
 class TestKeyScheduleCache:
