@@ -22,6 +22,8 @@ AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
 # Plaintext bytes from which GHASH, with a 1-block AAD and the length block,
 # reaches LANE_MIN_BLOCKS and takes the lane path.
 LANE_BYTES = 16 * (LANE_MIN_BLOCKS - 3) + 1
+# The same for 1,024 blocks: 32 whole rows of 32 lanes, no zero block in front.
+FULL_ROWS_BYTES = 16 * (1024 - 3) + 1
 
 
 class TestKnownAnswers:
@@ -97,7 +99,12 @@ class TestCounterBlocks:
 class TestRoundTrips:
     @pytest.mark.parametrize(
         "size",
-        [0, 1, 15, 16, 17, 100, 4096, LANE_BYTES - 1, LANE_BYTES, LANE_BYTES + 15, 100_000],
+        [
+            0, 1, 15, 16, 17, 100, 4096,
+            LANE_BYTES - 1, LANE_BYTES, LANE_BYTES + 15,
+            FULL_ROWS_BYTES - 1, FULL_ROWS_BYTES, FULL_ROWS_BYTES + 15,
+            100_000,
+        ],
     )
     def test_roundtrip_sizes(self, size):
         gcm = AesGcm(KEY)
