@@ -59,12 +59,15 @@ class SgxCpu:
     cpusvn: bytes = b"\x01" + b"\x00" * 15
     _seal_fuse: bytes = field(init=False, repr=False)
     _report_fuse: bytes = field(init=False, repr=False)
+    _report_key_id: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Machine-unique fuse secrets burnt in "at manufacturing time".
         fuse_rng = self.rng.child(f"cpu-fuses-{self.machine_id}")
         self._seal_fuse = fuse_rng.random_bytes(16)
         self._report_fuse = fuse_rng.random_bytes(16)
+        # A per-boot constant, as in SGX: every REPORT carries the same id.
+        self._report_key_id = self.rng.child("report-key-id").random_bytes(16)
 
     # ------------------------------------------------------------- EGETKEY
     def egetkey(self, identity: EnclaveIdentity, request: KeyRequest) -> bytes:
@@ -116,13 +119,12 @@ class SgxCpu:
             )
         if self.meter is not None:
             self.meter.charge("ereport", self.meter.model.ereport)
-        key_id = self.rng.child("report-key-id").random_bytes(16)
         report = Report(
             identity=creator_identity,
             report_data=report_data,
             target_mrenclave=target_info.mrenclave,
             cpusvn=self.cpusvn,
-            key_id=key_id,
+            key_id=self._report_key_id,
             mac=b"",
         )
         mac = AesCmac(self._report_key(target_info.mrenclave)).mac(report.body_bytes())

@@ -50,6 +50,10 @@ class TrustedRuntime:
         self._pse = pse
         self._qe = quoting_enclave
         self._rng = rng
+        # One stream for every native seal of this instance: a fresh
+        # ``child("seal")`` per call would restart it and repeat the first
+        # key id and IV, reusing one AES-GCM key and nonce.
+        self._seal_rng = rng.child("seal")
         self._ocall_dispatch = ocall_dispatch
 
     # -------------------------------------------------------------- sealing
@@ -63,7 +67,7 @@ class TrustedRuntime:
         sealed = seal_data(
             self._cpu,
             self.identity,
-            self._rng.child("seal"),
+            self._seal_rng,
             plaintext,
             additional_mac_text,
             key_policy,

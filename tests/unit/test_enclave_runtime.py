@@ -12,6 +12,7 @@ from repro.sgx.enclave import Enclave, EnclaveBase, EnclaveState, build_identity
 from repro.sgx.epc import EnclavePageCache
 from repro.sgx.quote import QuotingEnclave
 from repro.sgx.sdk import TrustedRuntime
+from repro.sgx.sealing import SealedData
 
 
 class DemoEnclave(EnclaveBase):
@@ -150,6 +151,18 @@ class TestSdkFacade:
         sdk = make_enclave(cpu, pse, rng, signing_key).trusted.sdk
         a, b = sdk.random_bytes(16), sdk.random_bytes(16)
         assert len(a) == 16 and a != b
+
+    def test_native_seals_never_reuse_key_and_nonce(self, cpu, pse, rng, signing_key):
+        """Each native seal draws a fresh key id and IV: one instance that
+        sealed twice under one (key, nonce) would leak the XOR of the two
+        plaintexts and the GHASH key."""
+        sdk = make_enclave(cpu, pse, rng, signing_key).trusted.sdk
+        first = SealedData.from_bytes(sdk.seal_data(b"first state", b"aad"))
+        second = SealedData.from_bytes(sdk.seal_data(b"second state", b"aad"))
+        assert first.key_id != second.key_id
+        assert first.iv != second.iv
+        assert sdk.unseal_data(first.to_bytes()) == (b"first state", b"aad")
+        assert sdk.unseal_data(second.to_bytes()) == (b"second state", b"aad")
 
 
 class TestEpc:
