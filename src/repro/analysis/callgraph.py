@@ -224,9 +224,6 @@ class Project:
                 return fid
         return None
 
-    def is_subclass_of(self, class_name: str, base: str) -> bool:
-        return any(info.name == base for info in self.mro(class_name))
-
     def attr_type(self, class_name: str, attr: str) -> str | None:
         for info in self.mro(class_name):
             hit = info.attr_types.get(attr)

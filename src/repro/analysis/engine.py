@@ -302,9 +302,6 @@ class AnalysisEngine:
         findings.extend(self._run(modules, context))
         return sorted(findings)
 
-    def analyze_file(self, path: Path) -> list[Finding]:
-        return self.analyze_source(path.read_text(encoding="utf-8"), self._display(path))
-
     # ---------------------------------------------------------- single file
     def analyze_source(self, source: str, display_path: str) -> list[Finding]:
         """Analyze one source text (the unit-test entry point).

@@ -1,7 +1,7 @@
 """A physical SGX-capable machine: CPU + platform software + storage + NIC.
 
 Wires together everything a host contributes to the simulation: the SGX CPU
-(fuse secrets), the EPC, Platform Services (in the management VM), the
+(fuse secrets), Platform Services (in the management VM), the
 Quoting Enclave (EPID member key provisioned at "manufacturing"), untrusted
 disk, and the network attachment.  Enclaves launched in guest VMs reach the
 PSE through the Section VI-C proxy pair; enclaves in the management VM (the
@@ -19,7 +19,6 @@ from repro.crypto.epid import EpidMemberKey
 from repro.errors import InvalidParameterError
 from repro.sgx.cpu import SgxCpu
 from repro.sgx.enclave import Enclave, build_identity
-from repro.sgx.epc import EnclavePageCache
 from repro.sgx.identity import SigningKey
 from repro.sgx.launch import LaunchControl
 from repro.sgx.platform_services import PlatformServices
@@ -43,7 +42,6 @@ class PhysicalMachine:
     epid_member: EpidMemberKey
     cpu: SgxCpu = field(init=False)
     pse: PlatformServices = field(init=False)
-    epc: EnclavePageCache = field(init=False)
     quoting_enclave: QuotingEnclave = field(init=False)
     storage: UntrustedStorage = field(init=False)
     management_vm: VirtualMachine = field(init=False)
@@ -54,7 +52,6 @@ class PhysicalMachine:
     def __post_init__(self) -> None:
         self.cpu = SgxCpu(self.name, self.rng.child("cpu"), self.meter)
         self.pse = PlatformServices(self.name, self.rng.child("pse"), self.meter)
-        self.epc = EnclavePageCache(self.rng.child("epc"))
         self.launch_control = LaunchControl(self.name, self.rng.child("launch"))
         self.quoting_enclave = QuotingEnclave(self.cpu, self.epid_member)
         self.storage = UntrustedStorage(self.name)
@@ -147,13 +144,12 @@ class PhysicalMachine:
         return enclave
 
     def on_enclave_destroyed(self, enclave: Enclave) -> None:
-        self.epc.evict_enclave(enclave.enclave_id)
         if enclave in self.enclaves:
             self.enclaves.remove(enclave)
 
     # --------------------------------------------------------- power events
     def hibernate(self) -> None:
-        """Hibernate/shutdown: the EPC key rolls, every enclave dies.
+        """Hibernate/shutdown: every enclave dies.
 
         Platform Services counters *survive* (they live in ME flash), as do
         untrusted disk contents — exactly the asymmetry that forces enclaves
@@ -163,13 +159,12 @@ class PhysicalMachine:
         for vm in self.vms:
             for app in vm.applications:
                 app.crash()
-        self.epc.power_cycle()
         self.storage.sync()
 
     def crash(self) -> None:
         """Abrupt power failure, the fault injector's favourite weapon.
 
-        Like :meth:`hibernate` every enclave dies and the EPC key rolls, but
+        Like :meth:`hibernate` every enclave dies, but
         additionally every network endpoint hosted here vanishes — peers see
         connection failures until services are reinstalled.  PSE counters
         (ME flash) survive; the untrusted disk keeps only what was synced —
@@ -180,7 +175,6 @@ class PhysicalMachine:
         for vm in self.vms:
             for app in vm.applications:
                 app.crash()
-        self.epc.power_cycle()
         self.storage.crash()
         self.network.unregister_machine(self.name)
 

@@ -55,10 +55,3 @@ class ProxiedPse:
     def destroy_counter(self, identity: EnclaveIdentity, uuid: CounterUuid) -> SgxStatus:
         self._hop()
         return self.pse.destroy_counter(identity, uuid)
-
-    def disconnect(self) -> None:
-        """Simulate the guest proxy losing its TCP connection."""
-        self.connected = False
-
-    def reconnect(self) -> None:
-        self.connected = True

@@ -119,12 +119,6 @@ class TransientError(ReproError):
     status: SgxStatus = SgxStatus.SGX_ERROR_SERVICE_UNAVAILABLE
 
 
-class BusyError(SgxError, TransientError):
-    """The service (PSE, ME) is temporarily busy; try again."""
-
-    status = SgxStatus.SGX_ERROR_BUSY
-
-
 class ServiceUnavailableError(SgxError, TransientError):
     """Platform Services (PSE) could not be reached."""
 

@@ -2,7 +2,6 @@
 
 from repro.sgx.cpu import KeyName, KeyRequest, SgxCpu
 from repro.sgx.enclave import Enclave, EnclaveBase, EnclaveState, build_identity, ecall
-from repro.sgx.epc import EnclavePageCache
 from repro.sgx.identity import Attributes, EnclaveIdentity, KeyPolicy, SigningKey, Sigstruct
 from repro.sgx.measurement import EnclavePage, PageProperties, measure_pages, measure_source
 from repro.sgx.platform_services import (
@@ -24,7 +23,6 @@ __all__ = [
     "EnclaveState",
     "build_identity",
     "ecall",
-    "EnclavePageCache",
     "Attributes",
     "EnclaveIdentity",
     "KeyPolicy",

@@ -100,9 +100,6 @@ class TrustedRuntime:
         """Verify a report directed at *this* enclave."""
         return self._cpu.verify_report(self.identity, report)
 
-    def my_target_info(self) -> TargetInfo:
-        return TargetInfo(mrenclave=self.identity.mrenclave)
-
     def get_quote(self, report_data: bytes = b"", basename: bytes = b"") -> Quote:
         """Local-attest to the Quoting Enclave and obtain an EPID quote."""
         if self._qe is None:

@@ -40,12 +40,6 @@ class DeterministicRng:
     def random_bytes(self, n: int) -> bytes:
         return self._random.randbytes(n)
 
-    def random_u32(self) -> int:
-        return self._random.getrandbits(32)
-
-    def random_u64(self) -> int:
-        return self._random.getrandbits(64)
-
     def randint_below(self, upper: int) -> int:
         """Uniform integer in ``[0, upper)``."""
         if upper <= 0:

@@ -459,16 +459,3 @@ class TraceRecorder:
         """A fresh coroutine that re-enacts the recorded segments."""
         return (segment for segment in self.segments)
 
-    def total_seconds(self) -> float:
-        """Serial duration of the trace (what the sequential path would
-        have charged): the sum of every segment's demand."""
-        return sum(segment.seconds for segment in self.segments)
-
-    def cpu_seconds(self) -> dict[str, float]:
-        """Per-machine CPU demand in the trace."""
-        totals: dict[str, float] = {}
-        for segment in self.segments:
-            if isinstance(segment, Charge):
-                machine = segment.machine or self.home or "?"
-                totals[machine] = totals.get(machine, 0.0) + segment.seconds
-        return totals

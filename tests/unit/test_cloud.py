@@ -163,10 +163,10 @@ class TestProxiedPse:
 
         identity = EnclaveIdentity(mrenclave=bytes(32), mrsigner=bytes(32))
         proxy = ProxiedPse(machine.pse, machine.meter)
-        proxy.disconnect()
+        proxy.connected = False
         with pytest.raises(ServiceUnavailableError):
             proxy.create_counter(identity)
-        proxy.reconnect()
+        proxy.connected = True
         proxy.create_counter(identity)
 
     def test_guest_enclaves_get_proxied_pse(self, datacenter):

@@ -1,4 +1,4 @@
-"""Enclave runtime: ECALL dispatch, lifecycle, EPC, SDK facade."""
+"""Enclave runtime: ECALL dispatch, lifecycle, SDK facade."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from repro.crypto.epid import EpidGroup
 from repro.errors import (
     EnclaveLostError,
     InvalidParameterError,
-    SgxError,
 )
 from repro.sgx.enclave import Enclave, EnclaveBase, EnclaveState, build_identity, ecall
-from repro.sgx.epc import EnclavePageCache
 from repro.sgx.quote import QuotingEnclave
 from repro.sgx.sdk import TrustedRuntime
 from repro.sgx.sealing import SealedData
@@ -163,48 +161,3 @@ class TestSdkFacade:
         assert first.iv != second.iv
         assert sdk.unseal_data(first.to_bytes()) == (b"first state", b"aad")
         assert sdk.unseal_data(second.to_bytes()) == (b"second state", b"aad")
-
-
-class TestEpc:
-    def test_store_load(self, rng):
-        epc = EnclavePageCache(rng.child("epc"))
-        epc.store_page("e1", 0, b"page contents")
-        assert epc.load_page("e1", 0) == b"page contents"
-
-    def test_missing_page(self, rng):
-        epc = EnclavePageCache(rng.child("epc"))
-        with pytest.raises(SgxError):
-            epc.load_page("e1", 0)
-
-    def test_anti_replay(self, rng):
-        epc = EnclavePageCache(rng.child("epc"))
-        epc.store_page("e1", 0, b"version-1")
-        old = epc.snapshot_page("e1", 0)
-        epc.store_page("e1", 0, b"version-2")
-        with pytest.raises(SgxError):
-            epc.attempt_replay("e1", 0, old)
-        # and the current page is still intact afterwards
-        assert epc.load_page("e1", 0) == b"version-2"
-
-    def test_power_cycle_loses_pages(self, rng):
-        epc = EnclavePageCache(rng.child("epc"))
-        epc.store_page("e1", 0, b"data")
-        epc.power_cycle()
-        with pytest.raises(SgxError):
-            epc.load_page("e1", 0)
-
-    def test_evict_enclave(self, rng):
-        epc = EnclavePageCache(rng.child("epc"))
-        epc.store_page("e1", 0, b"data")
-        epc.store_page("e2", 0, b"other")
-        epc.evict_enclave("e1")
-        with pytest.raises(SgxError):
-            epc.load_page("e1", 0)
-        assert epc.load_page("e2", 0) == b"other"
-
-    def test_page_isolation_between_enclaves(self, rng):
-        epc = EnclavePageCache(rng.child("epc"))
-        epc.store_page("e1", 0, b"one")
-        epc.store_page("e2", 0, b"two")
-        assert epc.load_page("e1", 0) == b"one"
-        assert epc.load_page("e2", 0) == b"two"

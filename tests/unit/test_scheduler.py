@@ -216,13 +216,6 @@ class TestTraceRecorder:
         rec = TraceRecorder(home="m-7")
         rec.record("misc", 0.5, None, None)
         assert rec.segments == [Charge(0.5, "m-7", "misc")]
-        assert rec.cpu_seconds() == {"m-7": pytest.approx(0.5)}
-
-    def test_total_seconds_is_the_serial_sum(self):
-        rec = TraceRecorder(home="m-0")
-        rec.record("net_rtt", 0.1, None, None)
-        rec.record("ecall", 0.2, "m-0", None)
-        assert rec.total_seconds() == pytest.approx(0.3)
 
     def test_replay_reenacts_the_trace_on_a_scheduler(self):
         rec = TraceRecorder(home="m-0")

@@ -90,8 +90,8 @@ class TestDeterministicRng:
         )
 
     def test_string_and_bytes_seeds(self):
-        assert DeterministicRng("seed").random_u32() == DeterministicRng("seed").random_u32()
-        assert DeterministicRng(b"seed").random_u64() == DeterministicRng(b"seed").random_u64()
+        assert DeterministicRng("seed").random_bytes(4) == DeterministicRng("seed").random_bytes(4)
+        assert DeterministicRng(b"seed").random_bytes(8) == DeterministicRng(b"seed").random_bytes(8)
 
     def test_randint_below(self):
         rng = DeterministicRng(9)
