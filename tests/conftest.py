@@ -7,8 +7,11 @@ test that mutates shared state builds its own world.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import AnalysisEngine
 from repro.cloud.datacenter import DataCenter
 from repro.sgx.cpu import SgxCpu
 from repro.sgx.identity import SigningKey
@@ -67,6 +70,19 @@ def pse(rng, meter) -> PlatformServices:
 @pytest.fixture
 def signing_key(rng) -> SigningKey:
     return SigningKey.generate(rng.child("signer"))
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def tree_findings() -> list:
+    """Findings of the default (pragma-on) analysis of ``src/repro``,
+    ``examples`` and ``benchmarks``: the whole-tree scan, run once per
+    session for every test that gates on it."""
+    return AnalysisEngine().analyze_paths(
+        [REPO_ROOT / "src" / "repro", REPO_ROOT / "examples", REPO_ROOT / "benchmarks"]
+    )
 
 
 @pytest.fixture

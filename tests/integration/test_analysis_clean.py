@@ -11,18 +11,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import AnalysisEngine, Baseline
+from repro.analysis import Baseline
 from repro.analysis.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 ANALYZED = [REPO_ROOT / "src" / "repro", REPO_ROOT / "examples", REPO_ROOT / "benchmarks"]
 
 
-def test_repository_is_clean_modulo_baseline():
-    engine = AnalysisEngine()
-    findings = engine.analyze_paths(ANALYZED)
+def test_repository_is_clean_modulo_baseline(tree_findings):
     baseline = Baseline.load(REPO_ROOT / ".analysis-baseline.json")
-    new, _ = baseline.filter(findings)
+    new, _ = baseline.filter(tree_findings)
     assert new == [], "new static-analysis findings:\n" + "\n".join(
         f.format_text() for f in new
     )

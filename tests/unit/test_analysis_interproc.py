@@ -493,13 +493,9 @@ class TestGoldenPin:
             f"{f.path}:{f.line} {f.rule} {f.message}" for f in findings
         )
 
-    def test_tree_is_clean_with_pragmas_applied(self):
-        engine = AnalysisEngine()
-        findings = engine.analyze_paths(
-            [REPO_ROOT / "src" / "repro", REPO_ROOT / "examples", REPO_ROOT / "benchmarks"]
-        )
-        assert findings == [], "\n".join(
-            f"{f.path}:{f.line} {f.rule} {f.message}" for f in findings
+    def test_tree_is_clean_with_pragmas_applied(self, tree_findings):
+        assert tree_findings == [], "\n".join(
+            f"{f.path}:{f.line} {f.rule} {f.message}" for f in tree_findings
         )
 
 
