@@ -20,6 +20,7 @@ from repro.core.migration_enclave import MigrationEnclave
 from repro.core.policy import PolicySet, RegionPolicy, SameProviderPolicy
 from repro.core.protocol import (
     MigratableApp,
+    flush_staged,
     install_migration_enclave,
 )
 from repro.errors import MigrationError
@@ -49,8 +50,11 @@ def main() -> int:
     frankfurt.storage.write("backups/kv", snapshot)
 
     print("== region policy blocks migration to Virginia ==")
+    # The enclave freezes and parks its state at the local ME; the ME checks
+    # its policies when the host asks it to ship the parked record.
+    enclave.ecall("migration_start", "iad-01")
     try:
-        enclave.ecall("migration_start", "iad-01")
+        flush_staged(app.app, "iad-01")
         print("   !!! policy did not fire")
         return 1
     except MigrationError as exc:
@@ -76,10 +80,11 @@ def main() -> int:
         None,
     )
     dc.network.register("rogue-01/me", lambda p, s: rogue_me.ecall("handle_message", p, s))
+    # the library is frozen, so this asks the source ME to re-route the
+    # retained data towards the rogue machine — whose ME is then refused
+    enclave.ecall("migration_start", "rogue-01")
     try:
-        # the library is frozen, so this asks the source ME to retry the
-        # retained data towards the rogue machine — and is refused
-        enclave.ecall("migration_start", "rogue-01")
+        flush_staged(app.app, "rogue-01")
         print("   !!! migration to rogue provider succeeded")
         return 1
     except MigrationError as exc:
@@ -87,6 +92,7 @@ def main() -> int:
 
     print("== the data is still at the source ME; retry towards Paris ==")
     enclave.ecall("migration_start", "par-01")  # frozen library -> ME retry
+    flush_staged(app.app, "par-01")
     app.app.terminate()
     app.vm.machine.release_vm(app.vm)
     paris.adopt_vm(app.vm)

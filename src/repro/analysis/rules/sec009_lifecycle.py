@@ -12,9 +12,9 @@ collected together with the events of the project functions it calls
 caller's ``lib``, and ``app.do_start()`` touching ``self.miglib`` is
 understood to touch ``app.miglib``.  ``Enclave.ecall("migration_start")``
 string dispatch follows the call-graph's dispatch edge into the ``@ecall``
-method.  (The ME-side ``stage_out``/``flush_staged``/DONE commands are
-driven by ``migration_start(defer_transfer=...)`` / ``confirm_migration``
-and are covered through those edges.)
+method.  (The ME-side ``stage_out``/``retry``/DONE commands are driven by
+``migration_start`` / ``confirm_migration`` and are covered through those
+edges; ``flush_staged`` comes from the host and touches no library.)
 
 The machine (states per receiver)::
 

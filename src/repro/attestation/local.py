@@ -76,7 +76,10 @@ class LocalAttestationInitiator:
         target = TargetInfo(mrenclave=fields["target_mrenclave"])
         if self._sdk._cpu.meter is not None:
             self._sdk._cpu.meter.charge("dh_keygen", self._sdk._cpu.meter.model.dh_keygen)
-        self._keypair = self._dh.generate_keypair(self._rng.child("la-init-dh"))
+        # Drawn from the stream itself, not a fixed-label child of it: a
+        # caller that keeps one stream across handshakes gets a fresh
+        # ephemeral each time.
+        self._keypair = self._dh.generate_keypair(self._rng)
         report = self._sdk.create_report(target, _bind_msg1(self._keypair.public))
         return wire.encode(
             {"report": report.to_bytes(), "g_a": encode_public(self._keypair.public)}

@@ -8,12 +8,13 @@ own parameter list and subtly different retry/journal plumbing.  Automation
 layered on top (the fleet control plane, benches, chaos harnesses) had to
 know which method to call and how to spell its arguments.
 
-This module collapses the four shapes into one value: a frozen
+This module collapses the four shapes into three request kinds: a frozen
 :class:`MigrationRequest` describing *what* should happen — which members,
-which destination, live or stop/restart, whether the VM moves, which
-transaction and retry policy — which a single internal
-``MigratableApp._execute(request)`` path interprets.  The four public
-methods remain as thin wrappers (their signatures, semantics, and wire
+which destination, live or stop/restart, whether the VM moves, which retry
+policy — which a single internal ``MigratableApp._execute(request)`` path
+interprets.  A stop/restart ``migrate`` is a wave of one, so every
+stop/restart migration runs the same stage / flush / complete protocol.
+The four public methods remain as thin wrappers (their signatures and wire
 traffic are pinned by ``tests/integration/test_wire_compat.py``), while
 programmatic callers such as the fleet executor build requests directly.
 
@@ -24,8 +25,8 @@ Design notes:
   data: the fleet planner can journal the plan it derives from and rebuild
   equal requests after a crash.
 * ``members`` is a tuple of apps.  Single-app kinds carry exactly one
-  member; :data:`RequestKind.WAVE` carries the whole wave (possibly empty,
-  which executes to an empty result list).
+  member; :data:`RequestKind.WAVE` carries the whole wave (one member for
+  ``migrate``; possibly empty, which executes to an empty result list).
 * ME<->ME session reuse is an install-time property of the Migration
   Enclaves, so no request carries it.
 """
@@ -42,8 +43,7 @@ from repro.errors import InvalidParameterError
 class RequestKind(enum.Enum):
     """Which migration flow a :class:`MigrationRequest` asks for."""
 
-    MIGRATE = "migrate"  # stop/restart, one enclave (Fig. 2)
-    WAVE = "wave"  # batched stop/restart for a group (stage/flush/complete)
+    WAVE = "wave"  # stop/restart of one or more enclaves (stage/flush/complete)
     LIVE = "live"  # persistent state + data memory, no restart
     RESUME = "resume"  # finish an interrupted transaction from the journal
 
@@ -52,8 +52,8 @@ class RequestKind(enum.Enum):
 class MigrationRequest:
     """One migration order, in data.
 
-    Build with the :meth:`migrate` / :meth:`wave` / :meth:`live_migrate` /
-    :meth:`resume` constructors rather than positionally — they enforce the
+    Build with the :meth:`wave` / :meth:`live_migrate` / :meth:`resume`
+    constructors rather than positionally — they enforce the
     per-kind invariants (resume has no target, live never moves the VM,
     only waves carry multiple members) at construction time, so
     ``_execute`` can dispatch without re-validating.
@@ -63,7 +63,6 @@ class MigrationRequest:
     members: tuple  # tuple[MigratableApp, ...]
     target: str | None = None  # destination machine address
     migrate_vm: bool = True
-    txn_id: str | None = None
     retry_policy: RetryPolicy | None = None
 
     def __post_init__(self):
@@ -83,26 +82,6 @@ class MigrationRequest:
 
     # ------------------------------------------------------------ builders
     @classmethod
-    def migrate(
-        cls,
-        app,
-        target: str,
-        *,
-        migrate_vm: bool = True,
-        retry_policy: RetryPolicy | None = None,
-        txn_id: str | None = None,
-    ) -> "MigrationRequest":
-        """Stop/restart migration of one app to the machine at ``target``."""
-        return cls(
-            kind=RequestKind.MIGRATE,
-            members=(app,),
-            target=target,
-            migrate_vm=migrate_vm,
-            txn_id=txn_id,
-            retry_policy=retry_policy,
-        )
-
-    @classmethod
     def wave(
         cls,
         apps,
@@ -111,7 +90,8 @@ class MigrationRequest:
         migrate_vm: bool = False,
         retry_policy: RetryPolicy | None = None,
     ) -> "MigrationRequest":
-        """Batched migration of a group (one ME<->ME exchange per source)."""
+        """Stop/restart migration of a group (one ME<->ME exchange per
+        source machine); ``migrate`` passes a group of one."""
         return cls(
             kind=RequestKind.WAVE,
             members=tuple(apps),

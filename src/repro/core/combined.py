@@ -25,7 +25,7 @@ from repro.cloud.machine import PhysicalMachine
 from repro.core.api import MigrationRequest
 from repro.core.baseline import GuFlagMode, GuMigratableEnclave, register_gu_transport
 from repro.core.migration_library import InitState
-from repro.core.protocol import MigratableApp, MigratableEnclave
+from repro.core.protocol import MigratableApp, MigratableEnclave, flush_staged
 from repro.core.migration_library import MigrationLibrary
 from repro.core.result import CostSnapshot, MigrationOutcome, MigrationResult
 from repro.core.retry import RetryPolicy
@@ -98,13 +98,14 @@ class LiveMigratableApp(MigratableApp):
 
         # 1. persistent state through the Migration Enclaves
         source_enclave.ecall("migration_start", destination.address, txn)
+        flush_staged(source_app, destination.address)
 
         # 2. bring up the destination instance and install persistent state
         destination_vm = destination.create_vm(f"{self.vm_name}-live")
         destination_app = destination_vm.launch_application(self.app_name)
         self.vm = destination_vm
         self.app = destination_app
-        destination_enclave = self.launch(InitState.MIGRATE)
+        destination_enclave = self.launch(InitState.MIGRATE, txn_id=txn)
 
         # 3. hand the data memory over Gu-style (source -> destination)
         destination_endpoint = self._gu_endpoint

@@ -6,12 +6,14 @@ physical machine and brokers all migrations for that host:
 * **Local side** — application enclaves local-attest to the ME; the ME
   records each caller's MRENCLAVE from the attestation REPORT and uses it to
   match migration data to recipients.
-* **Outgoing** — on a ``migrate_out`` command the ME remote-attests the
-  destination ME (requiring *exactly its own MRENCLAVE*), then both MEs
+* **Outgoing** — a ``stage_out`` command parks the caller's migration data.
+  A ``flush_staged`` trigger then makes the ME remote-attest the
+  destination ME (requiring *exactly its own MRENCLAVE*); both MEs
   authenticate with provider credentials issued during the setup phase and
   exchange signatures over the attestation transcript (Requirement R2).
-  Only then is the migration data forwarded, and it is retained until the
-  destination confirms, so a failed migration can be retried or redirected.
+  Only then is every record staged for that destination forwarded, in one
+  ``transfer_batch``.  Each record is retained until the destination
+  confirms, so a failed migration can be retried or redirected.
 * **Incoming** — data is stored until an enclave whose MRENCLAVE equals the
   source enclave's performs a local attestation and fetches it; the ME then
   returns a confirmation token to the source ME, which releases its copy.
@@ -89,9 +91,9 @@ class MigrationEnclave(EnclaveBase):
         # Migration-data stores, keyed target mrenclave -> transaction id ->
         # record.  A wave parks several records for the SAME mrenclave (a
         # fleet of one enclave build migrating together), so the transaction
-        # id — unique per migrating application — is part of the key; the
-        # classic one-migration protocol uses the sole record under its
-        # (possibly empty) transaction id.
+        # id — unique per migrating application — is part of the key; a
+        # command that names no transaction (a direct ECALL) uses the sole
+        # record.
         # incoming record: {"data": bytes, "source_me": str, "token": bytes, "txn": str}
         self._incoming: dict[bytes, dict[str, dict]] = {}
         # pending record: {"data": bytes, "dest": str, "token": bytes, "txn": str}
@@ -101,7 +103,7 @@ class MigrationEnclave(EnclaveBase):
         # confirmed delivered (done_notice received).  _confirmed
         # (destination side): migrations whose data the local enclave
         # fetched and acknowledged.  They let a crashed-and-resumed peer
-        # repeat migrate_out / retry / transfer for the same transaction
+        # repeat stage_out / retry / transfer_batch for the same transaction
         # without forking state.
         self._completed: dict[bytes, set[str]] = {}
         self._confirmed: dict[bytes, set[str]] = {}
@@ -307,10 +309,10 @@ class MigrationEnclave(EnclaveBase):
     ) -> tuple[dict | None, str | None]:
         """Find the record for ``txn`` in a per-mrenclave store slice.
 
-        An empty ``txn`` resolves the sole record — the classic
-        one-migration-per-identity protocol — and reports ambiguity when a
-        wave parked several, so an unnamed command can never operate on the
-        wrong application's state.  Returns ``(record, error)``.
+        An empty ``txn`` (a caller that names no transaction) resolves the
+        sole record and reports ambiguity when a wave parked several, so an
+        unnamed command can never operate on the wrong application's state.
+        Returns ``(record, error)``.
         """
         if not records:
             return None, None
@@ -397,11 +399,7 @@ class MigrationEnclave(EnclaveBase):
         unsealed, parsed, and staged in locals before the first field is
         committed.
         """
-        try:
-            plaintext, aad = self.sdk.unseal_data(checkpoint)
-        except (KeyError, TypeError, ValueError) as exc:
-            # SealedData.from_bytes on garbage raises untyped lookup errors.
-            raise InvalidStateError(f"malformed sealed checkpoint: {exc}") from exc
+        plaintext, aad = self.sdk.unseal_data(checkpoint)
         # v3: stores and ledgers hold one row per (mrenclave, transaction)
         # pair so wave records survive a restart individually.  v4 appends
         # the heartbeat counter and the writing instance's session epoch.
@@ -509,8 +507,6 @@ class MigrationEnclave(EnclaveBase):
 
     def _dispatch_library_command(self, command: dict, session: dict) -> dict:
         cmd = command.get("cmd")
-        if cmd == "migrate_out":
-            return self._handle_migrate_out(command, session)
         if cmd == "stage_out":
             return self._handle_stage_out(command, session)
         if cmd == "retry":
@@ -543,59 +539,20 @@ class MigrationEnclave(EnclaveBase):
         if not records:
             del self._pending_outgoing[target]
 
-    def _handle_migrate_out(self, command: dict, session: dict) -> dict:
-        destination = command["dest"]
-        txn = command.get("txn", "")
-        target_mrenclave = session["peer_identity"].mrenclave
-        # A fresh migrate_out supersedes any completion record for this
-        # enclave identity: multi-hop chains reuse the same MRENCLAVE, so a
-        # new transaction must not be mistaken for a duplicate of the last.
-        self._completed.pop(target_mrenclave, None)
-        reply = self._advance_registry(command["data"], destination)
-        if reply is not None:
-            if reply.get("retryable"):
-                # The registry will hear the advance on the retry; park so
-                # the exact transaction can be re-driven.
-                self._park_pending(target_mrenclave, command["data"], destination, txn)
-            return reply
-        try:
-            self._require_provisioned()
-            shipped = self._send_to_destination(
-                destination, target_mrenclave, command["data"], txn
-            )
-        except (TransientError, ChannelError) as exc:
-            # The destination may come back (and a broken channel is cured by
-            # re-attesting); park the data so the exact same transaction can
-            # be retried without re-entering the enclave.
-            self._park_pending(target_mrenclave, command["data"], destination, txn)
-            return {"status": "error", "error": str(exc), "retryable": True}
-        except (
-            MigrationError,
-            AttestationError,
-            PolicyViolationError,
-            InvalidStateError,
-        ) as exc:
-            # The data stays here until the error is resolved or another
-            # destination is selected (Section V-D).
-            self._park_pending(target_mrenclave, command["data"], destination, txn)
-            return {"status": "error", "error": str(exc)}
-        if shipped == "already_delivered":
-            return {"status": "ok", "already_done": True}
-        return {"status": "ok"}
-
     def _handle_stage_out(self, command: dict, session: dict) -> dict:
-        """Wave phase 1: retain the caller's migration data for a later
-        ``flush_staged`` batch ship to ``dest`` — no ME<->ME exchange yet.
+        """The hand-off: retain the caller's migration data for a later
+        ``flush_staged`` ship to ``dest`` — no ME<->ME exchange yet.
 
         A staged record is indistinguishable from a transfer that failed
-        transiently (parked, empty token), so every existing retry/resume
-        path applies to it unchanged.
+        transiently (parked, empty token), so every retry/resume path
+        applies to it unchanged.
         """
         destination = command["dest"]
         txn = command.get("txn", "")
         target_mrenclave = session["peer_identity"].mrenclave
-        # As with migrate_out: a fresh transaction supersedes the identity's
-        # completion records (multi-hop chains reuse the same MRENCLAVE).
+        # A fresh transaction supersedes the identity's completion records:
+        # multi-hop chains reuse the same MRENCLAVE, so a new transaction
+        # must not be mistaken for a duplicate of the last.
         self._completed.pop(target_mrenclave, None)
         reply = self._advance_registry(command["data"], destination)
         if reply is not None:
@@ -638,89 +595,55 @@ class MigrationEnclave(EnclaveBase):
         reply = self._advance_registry(entry["data"], command["dest"])
         if reply is not None:
             return reply
-        if command.get("staged"):
-            # Deferred retry: the record is already parked for the wave
-            # flush; just (re-)route it to the requested destination.
-            entry["dest"] = command["dest"]
-            return {"status": "ok", "staged": True}
-        try:
-            self._require_provisioned()
-            shipped = self._send_to_destination(
-                command["dest"],
-                target_mrenclave,
-                entry["data"],
-                entry.get("txn") or txn,
-            )
-        except (TransientError, ChannelError) as exc:
-            return {"status": "error", "error": str(exc), "retryable": True}
-        except (
-            MigrationError,
-            AttestationError,
-            PolicyViolationError,
-            InvalidStateError,
-        ) as exc:
-            return {"status": "error", "error": str(exc)}
-        if shipped == "already_delivered":
-            return {"status": "ok", "already_done": True}
-        return {"status": "ok"}
+        # Re-route the parked record and clear any token of an earlier ship:
+        # the next flush to this destination ships it (again).
+        entry["dest"] = command["dest"]
+        entry["token"] = b""
+        return {"status": "ok", "staged": True}
 
     @ecall
     def retry_pending(self, mrenclave: bytes, destination: str) -> MigrationResult:
         """Operator action: retry a failed migration, possibly elsewhere.
 
         Ships every record this ME retains for the enclave identity (a
-        wave may have parked several); reports the transaction id when it
-        is unambiguous.
+        wave may have parked several) the way ``flush_staged`` does, and
+        raises if that fails; reports the transaction id when it is
+        unambiguous.
         """
-        self._require_provisioned()
         records = self._pending_outgoing.get(mrenclave)
         if not records:
             raise MigrationError("no pending migration for that enclave")
         txns = sorted(records)
-        for txn in txns:
-            entry = records.get(txn)
-            if entry is None:  # delivered while iterating (already_delivered)
-                continue
-            self._send_to_destination(destination, mrenclave, entry["data"], txn)
+        self._ship(destination, [(mrenclave, records[txn]) for txn in txns])
         return MigrationResult(
             outcome=MigrationOutcome.SHIPPED,
             txn_id=txns[0] if len(txns) == 1 else "",
         )
 
-    def _send_to_destination(
-        self, destination: str, target_mrenclave: bytes, data: bytes, txn: str = ""
-    ) -> str:
-        """RA + provider auth + transfer to the destination ME.
+    # ---------------------------------------------------------- shipping
+    def _ship(self, destination: str, records: list[tuple[bytes, dict]]) -> dict:
+        """Ship ``(target mrenclave, parked record)`` pairs to the
+        destination ME: one attested, provider-authenticated session, one
+        policy check and one ``transfer_batch`` exchange.  Returns the
+        shipped / already-delivered counts; raises on failure, leaving
+        every record parked.
 
-        Returns ``"shipped"`` when the destination stored the data, or
-        ``"already_delivered"`` when the destination reports it already
-        confirmed this transaction (idempotent duplicate).
+        With session resumption enabled, an attested channel to this
+        destination left over from a previous migration is tried first; a
+        stale session (restarted peer, desynchronized channel) drops out of
+        the cache and the full handshake below runs as if it never existed.
         """
-        return self._with_destination_session(
-            destination,
-            lambda sid, channel, peer_credential: self._transfer_over_channel(
-                destination, sid, channel, peer_credential,
-                target_mrenclave, data, txn,
-            ),
-        )
-
-    def _with_destination_session(self, destination: str, operation):
-        """Run ``operation(sid, channel, peer_credential)`` over an attested,
-        provider-authenticated channel to the destination ME.
-
-        Shared by the single-record transfer and the wave batch transfer, so
-        both compose identically with session resumption: when it is
-        enabled, an attested channel to this destination left over from a
-        previous migration is tried first; a stale session (restarted peer,
-        desynchronized channel) drops out of the cache and the full
-        handshake below runs as if it never existed.
-        """
+        self._require_provisioned()
         if self._session_resumption:
             cached = self._resumable.get(destination)
             if cached is not None:
                 try:
-                    return operation(
-                        cached["sid"], cached["channel"], cached["peer_credential"]
+                    return self._send_batch(
+                        destination,
+                        cached["sid"],
+                        cached["channel"],
+                        cached["peer_credential"],
+                        records,
                     )
                 except PolicyViolationError:
                     # Policy outcomes do not depend on the session; a fresh
@@ -789,64 +712,11 @@ class MigrationEnclave(EnclaveBase):
                 "peer_credential": peer_credential,
                 "epoch": auth_reply.get("epoch", b""),
             }
-        return operation(remote_sid, channel, peer_credential)
+        return self._send_batch(destination, remote_sid, channel, peer_credential, records)
 
-    def _transfer_over_channel(
-        self,
-        destination: str,
-        sid: str,
-        channel,
-        peer_credential: ProviderCredential,
-        target_mrenclave: bytes,
-        data: bytes,
-        txn: str,
-    ) -> str:
-        """Policy check + data transfer over an attested, authenticated
-        channel (freshly established or resumed — policies run either way)."""
-        # Operator / provider policies (R2 + Section X).
-        self._policies.check(
-            MigrationContext(
-                source_machine=self._my_address or "",
-                destination_machine=destination,
-                enclave_identity=self.sdk.identity,
-                destination_credential=peer_credential,
-            )
-        )
-
-        token = self.sdk.random_bytes(16)
-        transfer_reply = self._ra_exchange(
-            destination,
-            sid,
-            channel,
-            {
-                "cmd": "transfer",
-                "data": data,
-                "target_mrenclave": target_mrenclave,
-                "source_me": self._my_address or "",
-                "token": token,
-                "txn": txn,
-            },
-        )
-        if transfer_reply.get("status") == "already_delivered":
-            # The destination confirmed this transaction on an earlier
-            # attempt (our done_notice was lost); release the retained copy.
-            self._completed.setdefault(target_mrenclave, set()).add(txn)
-            self._drop_pending(target_mrenclave, txn)
-            return "already_delivered"
-        if transfer_reply.get("status") != "stored":
-            raise MigrationError(f"destination ME did not store data: {transfer_reply}")
-        self._pending_outgoing.setdefault(target_mrenclave, {})[txn] = {
-            "data": data,
-            "dest": destination,
-            "token": token,
-            "txn": txn,
-        }
-        return "shipped"
-
-    # ------------------------------------------------------ migration waves
     def _on_flush_staged(self, message: dict) -> bytes:
-        """Wave phase 2: ship every record staged for ``dest`` in ONE
-        ``transfer_batch`` exchange over one attested ME<->ME session.
+        """Ship every record staged for ``dest`` in ONE ``transfer_batch``
+        exchange over one attested ME<->ME session.
 
         Like an operator ``retry_pending``, the trigger itself arrives
         unauthenticated — it only *selects* records.  Each record's
@@ -855,28 +725,19 @@ class MigrationEnclave(EnclaveBase):
         already going.
         """
         destination = message["dest"]
-        staged: list[tuple[bytes, dict]] = []
-        for target, records in sorted(self._pending_outgoing.items()):
-            for _txn, entry in sorted(records.items()):
-                if entry["token"] == b"" and entry["dest"] == destination:
-                    staged.append((target, entry))
+        staged = [
+            (target, entry)
+            for target, records in sorted(self._pending_outgoing.items())
+            for _txn, entry in sorted(records.items())
+            if entry["token"] == b"" and entry["dest"] == destination
+        ]
         if not staged:
-            # Idempotent: a duplicated flush after everything shipped (or a
-            # flush racing an individual retry) has nothing left to do.
+            # Idempotent: a duplicated flush after everything shipped has
+            # nothing left to do.
             return wire.encode({"status": "ok", "shipped": 0, "already_delivered": 0})
         try:
-            self._require_provisioned()
-            counts = self._with_destination_session(
-                destination,
-                lambda sid, channel, peer_credential: (
-                    self._batch_transfer_over_channel(
-                        destination, sid, channel, peer_credential, staged
-                    )
-                ),
-            )
-        except TransientError as exc:
-            return wire.encode({"status": "error", "error": str(exc), "retryable": True})
-        except ChannelError as exc:
+            counts = self._ship(destination, staged)
+        except (TransientError, ChannelError) as exc:
             # Same classification as the library's ME channel: a broken or
             # desynchronized channel is cured by re-attesting on retry.
             return wire.encode({"status": "error", "error": str(exc), "retryable": True})
@@ -889,7 +750,7 @@ class MigrationEnclave(EnclaveBase):
             return wire.encode({"status": "error", "error": str(exc)})
         return wire.encode({"status": "ok", **counts})
 
-    def _batch_transfer_over_channel(
+    def _send_batch(
         self,
         destination: str,
         sid: str,
@@ -949,6 +810,7 @@ class MigrationEnclave(EnclaveBase):
             if status == "stored":
                 # Retained until the done_notice for this token arrives.
                 entry["token"] = token
+                entry["dest"] = destination
                 shipped += 1
             elif status == "already_delivered":
                 self._completed.setdefault(target, set()).add(entry["txn"])
@@ -1052,8 +914,6 @@ class MigrationEnclave(EnclaveBase):
         cmd = command.get("cmd")
         if cmd == "auth":
             return self._handle_peer_auth(command, session)
-        if cmd == "transfer":
-            return self._handle_transfer(command, session)
         if cmd == "transfer_batch":
             return self._handle_transfer_batch(command, session)
         return {"status": "error", "error": f"unknown ME command {cmd!r}"}
@@ -1114,18 +974,6 @@ class MigrationEnclave(EnclaveBase):
             "txn": txn,
         }
         return "stored"
-
-    def _handle_transfer(self, command: dict, session: dict) -> dict:
-        if not session.get("authenticated"):
-            return {"status": "error", "error": "transfer before provider auth"}
-        status = self._store_incoming(
-            command["target_mrenclave"],
-            command.get("txn", ""),
-            command["data"],
-            command["source_me"],
-            command["token"],
-        )
-        return {"status": status}
 
     def _handle_transfer_batch(self, command: dict, session: dict) -> dict:
         """Store a whole wave in one exchange; per-record statuses let the

@@ -28,7 +28,6 @@ refuses to operate (Requirement R3 again).
 from __future__ import annotations
 
 import enum
-import functools
 
 from repro import wire
 from repro.core.datastructures import (
@@ -117,10 +116,13 @@ class MigrationLibrary:
         self._channel = None
         self._me_address: str | None = None
         self._session_id: str | None = None
+        # One local-attestation stream per library instance: deriving it
+        # per connect would repeat the DH ephemeral on every reconnect.
+        self._la_rng = sdk._rng.child("lib-la")
         # The migration transaction this instance was started under (MIGRATE
-        # init).  Wave migrations park several same-MRENCLAVE records at the
-        # ME, so fetch/confirm must name which one; an empty id keeps the
-        # classic one-record protocol (and its message bytes) unchanged.
+        # init).  The ME may hold several same-MRENCLAVE records (one per
+        # wave member), so fetch/confirm name theirs; an empty id (a caller
+        # driving the ECALL directly) lets the ME resolve the sole record.
         self._txn_id: str = ""
 
     # ------------------------------------------------------------ utilities
@@ -214,9 +216,7 @@ class MigrationLibrary:
                 return True
             return identity.mrenclave == self._me_mrenclave
 
-        initiator = LocalAttestationInitiator(
-            self._sdk, self._sdk._rng.child("lib-la"), accept
-        )
+        initiator = LocalAttestationInitiator(self._sdk, self._la_rng, accept)
         hello = self._me_send({"t": "la_hello"})
         self._session_id = hello["sid"]
         msg1 = initiator.msg1(hello["payload"])
@@ -455,8 +455,7 @@ class MigrationLibrary:
     def _fetch_incoming(self) -> tuple[MigrationData, dict | None]:
         command: dict = {"cmd": "fetch"}
         if self._txn_id:
-            # Only named transactions send the field: the sequential path
-            # stays byte-identical and the ME resolves the sole record.
+            # An unnamed fetch sends no field; the ME resolves the sole record.
             command["txn"] = self._txn_id
         response = self._me_command(command)
         if response.get("status") != "ok":
@@ -467,13 +466,7 @@ class MigrationLibrary:
         core, guard = _split_guard(response["data"], MIGRATION_DATA_SIZE)
         return MigrationData.from_bytes(core), guard
 
-    def migration_start(
-        self,
-        destination_address: str,
-        txn_id: str = "",
-        *,
-        defer_transfer: bool = False,
-    ) -> None:
+    def migration_start(self, destination_address: str, txn_id: str = "") -> None:
         """Begin migrating this enclave to ``destination_address``.
 
         Order matters for fork prevention: effective counter values are
@@ -481,18 +474,19 @@ class MigrationLibrary:
         ``SGX_SUCCESS``), then the freeze flag is persisted, and only then
         does the migration data leave for the Migration Enclave.
 
-        If a previous attempt failed after the freeze (the ME retained the
-        data, Section V-D), calling this again asks the ME to retry towards
-        ``destination_address`` — possibly a different machine.
+        The data is staged at the local ME (``stage_out``), which parks it;
+        the host's ``flush_staged`` then ships every record staged for the
+        destination in one ME<->ME exchange, so a migration has the same
+        shape alone or in a wave.  If a previous attempt failed after the
+        freeze (the ME retained the data, Section V-D), calling this again
+        asks the ME to re-route the parked record to
+        ``destination_address`` — possibly a different machine — for the
+        next flush.
 
         ``txn_id`` names the migration transaction; the ME uses it to make
-        retried deliveries idempotent.  ``defer_transfer=True`` stages the
-        data at the local ME without shipping it (wave phase 1): the ME
-        parks the record exactly as it would a transiently failed transfer,
-        and a later ``flush_staged`` batches every staged record for the
-        same destination into one ME<->ME exchange.  Failures that are safe
-        to retry raise :class:`MigrationPendingError`; other failures raise
-        plain :class:`MigrationError`.
+        retried deliveries idempotent.  Failures that are safe to retry
+        raise :class:`MigrationPendingError`; other failures raise plain
+        :class:`MigrationError`.
         """
         if self._state is None:
             raise InvalidStateError("Migration Library not initialized")
@@ -503,7 +497,7 @@ class MigrationLibrary:
                 f"enclave policy forbids migration to {destination_address!r}"
             )
         if self._state.frozen:
-            self._retry_pending_migration(destination_address, txn_id, defer_transfer)
+            self._retry_pending_migration(destination_address, txn_id)
             return
         state = self._state
         assert state is not None
@@ -534,7 +528,7 @@ class MigrationLibrary:
         # freeze is persisted.  The counters are gone, so these offsets are
         # the only surviving record of the effective values; they let a
         # restarted source rebuild byte-identical migration data if the ME
-        # never received it (crash or drop before migrate_out arrived).
+        # never received it (crash or drop before stage_out arrived).
         for slot in state.active_slots():
             state.counter_offsets[slot] = data.counter_values[slot]
 
@@ -546,20 +540,14 @@ class MigrationLibrary:
             self._guard["epoch"] += 1
         state.frozen = True
         self._persist()
-        self._ship(destination_address, data, txn_id, defer_transfer)
+        self._ship(destination_address, data, txn_id)
 
-    def _ship(
-        self,
-        destination_address: str,
-        data: MigrationData,
-        txn_id: str,
-        defer: bool = False,
-    ) -> None:
+    def _ship(self, destination_address: str, data: MigrationData, txn_id: str) -> None:
         """Hand frozen migration data to the local ME; classify the outcome."""
         try:
             response = self._me_command(
                 {
-                    "cmd": "stage_out" if defer else "migrate_out",
+                    "cmd": "stage_out",
                     "dest": destination_address,
                     "data": data.to_bytes() + self._guard_suffix(),
                     "txn": txn_id,
@@ -582,21 +570,16 @@ class MigrationLibrary:
                 f"{response.get('error', response.get('status'))}"
             )
 
-    def _retry_pending_migration(
-        self, destination_address: str, txn_id: str, defer: bool = False
-    ) -> None:
+    def _retry_pending_migration(self, destination_address: str, txn_id: str) -> None:
         """Drive an already-frozen migration forward (Section V-D retry).
 
-        With ``defer=True`` (wave staging retried after a transient failure)
-        the ME keeps an already-parked record staged — re-routing it to the
-        new destination — instead of shipping it individually, so the batch
-        flush still covers it.
+        The ME re-routes the record it still holds to the (possibly new)
+        destination, and the next flush ships it.
         """
-        command: dict = {"cmd": "retry", "dest": destination_address, "txn": txn_id}
-        if defer:
-            command["staged"] = True
         try:
-            response = self._me_command(command)
+            response = self._me_command(
+                {"cmd": "retry", "dest": destination_address, "txn": txn_id}
+            )
         except TransientError as exc:
             raise MigrationPendingError(
                 f"could not reach the Migration Enclave for retry: {exc}"
@@ -605,13 +588,11 @@ class MigrationLibrary:
             return
         if response.get("no_pending"):
             # The ME holds neither pending nor completed state for this
-            # enclave: the original migrate_out never arrived (or the ME
-            # lost it in a pre-checkpoint crash).  Nothing was delivered
+            # enclave: the original stage_out never arrived (or the ME lost
+            # it in a pre-checkpoint crash).  Nothing was delivered
             # anywhere, so rebuilding the data from the frozen state and
-            # shipping it afresh cannot fork the enclave.
-            self._ship(
-                destination_address, self._rebuild_migration_data(), txn_id, defer
-            )
+            # staging it afresh cannot fork the enclave.
+            self._ship(destination_address, self._rebuild_migration_data(), txn_id)
             return
         if response.get("retryable"):
             raise MigrationPendingError(
@@ -666,9 +647,11 @@ class MigrationLibrary:
         )
 
     def unseal_migratable_data(self, sealed_blob: bytes) -> tuple[bytes, bytes]:
-        """``sgx_unseal_migratable_data``: returns (plaintext, MAC text)."""
+        """``sgx_unseal_migratable_data``: returns (plaintext, MAC text).
+
+        A blob with missing or mistyped fields is rejected as forged."""
+        fields = sealed_fields(sealed_blob, iv=bytes, ct=bytes, tag=bytes, aad=bytes)
         self._require_operational()
-        fields = wire.decode(sealed_blob)
         meter = self._sdk._cpu.meter
         if meter is not None:
             meter.charge(
@@ -750,24 +733,3 @@ class MigrationLibrary:
         self._charge("lib_counter_read_wrap", "lib_counter_read_wrap")
         current = self._sdk.read_monotonic_counter(uuid)
         return current + self._state.counter_offsets[counter_id]
-
-
-def _check_sealed_fields(unseal):
-    """Reject a migratable blob with missing or mistyped fields as forged.
-
-    Applied outside the class body on purpose: the class source is part of
-    every migratable enclave's MRENCLAVE, so editing it would change the
-    identities and the wire bytes pinned in the golden traces.
-    """
-
-    @functools.wraps(unseal)
-    def checked(self: MigrationLibrary, sealed_blob: bytes) -> tuple[bytes, bytes]:
-        sealed_fields(sealed_blob, iv=bytes, ct=bytes, tag=bytes, aad=bytes)
-        return unseal(self, sealed_blob)
-
-    return checked
-
-
-MigrationLibrary.unseal_migratable_data = _check_sealed_fields(
-    MigrationLibrary.unseal_migratable_data
-)

@@ -43,8 +43,8 @@ from repro.errors import (
     CounterNotFoundError,
     InvalidStateError,
     MigrationError,
+    MigrationPendingError,
     ReproError,
-    ServiceUnavailableError,
     TransientError,
 )
 from repro.sgx.enclave import Enclave, EnclaveBase, ecall
@@ -70,6 +70,33 @@ ME_CHECKPOINT_POINTER = f"{ME_CHECKPOINT_PATH}.ptr"
 #: may still have been delivered, which is why every ME command is
 #: idempotent (keyed by migration-transaction id).
 ME_REQUEST_TIMEOUT = 30.0
+
+
+def flush_staged(app, destination: str) -> dict:
+    """Have the ME on ``app``'s machine ship every record staged for
+    ``destination``: one attested session, one policy check and one
+    ``transfer_batch`` exchange for all of them.
+
+    ``app`` is the untrusted application that sends the trigger.  A
+    retryable failure raises :class:`MigrationPendingError` and leaves the
+    records staged for the next flush; any other failure raises
+    :class:`MigrationError`.  Returns the ME's reply, which counts the
+    records ``shipped`` and ``already_delivered``.
+    """
+    reply = wire.decode(
+        app.send(
+            Endpoint.me(app.machine.address),
+            wire.encode({"t": "flush_staged", "dest": destination}),
+            timeout=ME_REQUEST_TIMEOUT,
+        )
+    )
+    if reply.get("status") != "ok":
+        if reply.get("retryable"):
+            raise MigrationPendingError(
+                f"flush failed (retryable): {reply.get('error')}"
+            )
+        raise MigrationError(f"flush failed: {reply.get('error')}")
+    return reply
 
 
 def expected_me_mrenclave() -> bytes:
@@ -115,14 +142,9 @@ class MigratableEnclave(EnclaveBase):
 
     @ecall
     def migration_start(self, destination_address: str, txn_id: str = "") -> None:
-        """Ask the library to migrate this enclave's persistent state."""
+        """Freeze this enclave and park its persistent state at the local ME
+        for the next ``flush_staged`` (see :func:`flush_staged`)."""
         self.miglib.migration_start(destination_address, txn_id)
-
-    @ecall
-    def migration_stage(self, destination_address: str, txn_id: str = "") -> None:
-        """Wave phase 1: freeze and park this enclave's state at the local
-        ME for a later batched ``flush_staged`` ship (no ME<->ME exchange)."""
-        self.miglib.migration_start(destination_address, txn_id, defer_transfer=True)
 
     @ecall
     def migration_confirm(self) -> None:
@@ -582,25 +604,25 @@ class MigratableApp:
         migrate_vm: bool = True,
         *,
         retry_policy: RetryPolicy | None = None,
-        txn_id: str | None = None,
     ) -> MigrationResult:
         """The full paper flow (Fig. 2), hardened: journal the transaction,
         notify the enclave (with retries), ship persistent state via the
         MEs, relocate the VM, and re-initialize on the destination.
 
-        Returns a :class:`MigrationResult`; on transient exhaustion the
-        outcome is ``PENDING_RETRY`` and the journal is retained so
-        :meth:`resume` can finish the job later.  Fatal errors raise.
+        A wave of one (:meth:`migrate_group`).  Returns a
+        :class:`MigrationResult`; on transient exhaustion the outcome is
+        ``PENDING_RETRY`` and the journal is retained so :meth:`resume` can
+        finish the job later.  Fatal errors raise.
         """
-        return self._execute(
-            MigrationRequest.migrate(
-                self,
+        (result,) = self._execute(
+            MigrationRequest.wave(
+                [self],
                 destination.address,
                 migrate_vm=migrate_vm,
                 retry_policy=retry_policy,
-                txn_id=txn_id,
             )
         )
+        return result
 
     # --------------------------------------------- unified execution path
     @classmethod
@@ -616,8 +638,6 @@ class MigratableApp:
         if request.kind is RequestKind.WAVE:
             return cls._execute_wave(request)
         (member,) = request.members
-        if request.kind is RequestKind.MIGRATE:
-            return member._execute_migrate(request)
         if request.kind is RequestKind.RESUME:
             return member._execute_resume(request)
         return member._execute_live(request)
@@ -630,49 +650,6 @@ class MigratableApp:
             "deploy a LiveMigratableApp"
         )
 
-    def _execute_migrate(self, request: MigrationRequest) -> MigrationResult:
-        destination = self.dc.machine(request.target)
-        migrate_vm = request.migrate_vm
-        if self.enclave is None or not self.enclave.alive:
-            raise MigrationError("no running enclave to migrate")
-        policy = request.retry_policy or self.retry_policy
-        txn = request.txn_id if request.txn_id is not None else self._next_txn()
-        start_cost = CostSnapshot.capture(self.dc)
-        source_address = self.app.machine.address
-        # Persist the migration-in-progress record BEFORE the first
-        # irreversible step (Section VI-C): a crash from here on leaves
-        # enough on disk for resume() to finish or safely retry.
-        self._journal().write(
-            MigrationRecord(txn, "source", PHASE_PREPARE, source_address, destination.address)
-        )
-        try:
-            _, retries = call_with_retries(
-                lambda: self.enclave.ecall("migration_start", destination.address, txn),
-                meter=self.dc.meter,
-                policy=policy,
-            )
-        except TransientError as exc:
-            # Frozen (or not even started) with the data parked at the
-            # source ME; the journal stays so resume() can push it forward.
-            return MigrationResult(
-                outcome=MigrationOutcome.PENDING_RETRY,
-                txn_id=txn,
-                retries_used=policy.max_attempts - 1,
-                cost=CostSnapshot.capture(self.dc).delta(start_cost),
-                error=exc,
-                diagnostics=self._diagnostics(),
-            )
-        self._journal().write(
-            MigrationRecord(
-                txn, "source", PHASE_SHIPPED, source_address, destination.address,
-                retries=retries,
-            )
-        )
-        return self._complete_relocation(
-            destination, migrate_vm, txn, policy, start_cost, retries,
-            MigrationOutcome.COMPLETED,
-        )
-
     def _complete_relocation(
         self,
         destination: PhysicalMachine,
@@ -682,16 +659,12 @@ class MigratableApp:
         start_cost: CostSnapshot,
         retries: int,
         outcome: MigrationOutcome,
-        fetch_txn: str = "",
     ) -> MigrationResult:
         """Steps after the state reached the destination ME: move the VM,
         restart the enclave there, confirm, clean up both journals.
 
-        ``fetch_txn`` names the transaction the destination-side MIGRATE
-        init must fetch; wave and resume paths pass it because several
-        same-MRENCLAVE records may wait at the destination ME.  The plain
-        sequential path leaves it empty so its ME messages stay
-        byte-identical to the paper's protocol.
+        The destination-side MIGRATE init fetches by ``txn``: several
+        same-MRENCLAVE records may wait at the destination ME.
         """
         source_storage = self.app.machine.storage
         source_address = self.app.machine.address
@@ -710,7 +683,7 @@ class MigratableApp:
             # app is recreated on the destination.
             self.vm.machine.release_vm(self.vm)
             destination.adopt_vm(self.vm)
-        enclave = self.launch(InitState.MIGRATE, retry_policy=policy, txn_id=fetch_txn)
+        enclave = self.launch(InitState.MIGRATE, retry_policy=policy, txn_id=txn)
         self._journal().clear()
         MigrationJournal(source_storage, self.app_name).clear()
         return MigrationResult(
@@ -733,26 +706,28 @@ class MigratableApp:
     ) -> list[MigrationResult]:
         """Migrate a wave of enclaves with batched ME<->ME exchanges — one
         attested session and one ``transfer_batch`` per source machine —
-        instead of one full exchange per enclave.
+        instead of one full exchange per enclave.  :meth:`migrate` is the
+        wave of one.
 
         Three phases per (source, destination) group:
 
         1. **Stage** — each enclave journals the transaction and freezes
-           into its local ME (``migration_stage``); the record is parked,
+           into its local ME (``migration_start``); the record is parked,
            not shipped, so a crash anywhere leaves every enclave
-           individually resumable through the PR-2 retry/resume machinery.
+           individually resumable through the retry/resume machinery.
         2. **Flush** — one ``flush_staged`` message per source ME ships all
            staged records over ONE attested session in ONE
-           ``transfer_batch`` exchange: this is where the wave amortizes
-           the remote attestation + provider-auth handshake.
+           ``transfer_batch`` exchange (:func:`flush_staged`): this is where
+           the wave amortizes the remote attestation + provider-auth
+           handshake.
         3. **Complete** — each enclave relocates and confirms individually
            (destination journal, VM move, MIGRATE init, DONE): everything
            R1-R4 depends on stays per-enclave and per-transaction.
 
         Returns one :class:`MigrationResult` per app, in input order.  Apps
-        whose stage or flush failed transiently report ``PENDING_RETRY``
-        and are finished later by their own :meth:`resume`; fatal errors
-        raise, exactly as in sequential :meth:`migrate`.
+        whose stage, flush or relocation failed transiently report
+        ``PENDING_RETRY`` and are finished later by their own
+        :meth:`resume`; fatal errors raise.
         """
         return cls._execute(
             MigrationRequest.wave(
@@ -790,6 +765,9 @@ class MigratableApp:
                 policy = retry_policy or app.retry_policy
                 txn = app._next_txn()
                 start_cost = CostSnapshot.capture(app.dc)
+                # Persist the migration-in-progress record BEFORE the first
+                # irreversible step (Section VI-C): a crash from here on
+                # leaves enough on disk for resume() to finish or retry.
                 app._journal().write(
                     MigrationRecord(
                         txn, "source", PHASE_PREPARE, source_address,
@@ -799,7 +777,7 @@ class MigratableApp:
                 try:
                     _, retries = call_with_retries(
                         lambda app=app, txn=txn: app.enclave.ecall(
-                            "migration_stage", destination.address, txn
+                            "migration_start", destination.address, txn
                         ),
                         meter=app.dc.meter,
                         policy=policy,
@@ -820,27 +798,11 @@ class MigratableApp:
 
             # ---- phase 2: one flush ships the whole group
             flusher = apps[staged[0][0]]
-            flush_payload = wire.encode(
-                {"t": "flush_staged", "dest": destination.address}
-            )
-
-            def flush(flusher=flusher, payload=flush_payload, src=source_address):
-                reply = wire.decode(
-                    flusher.app.send(
-                        Endpoint.me(src), payload, timeout=ME_REQUEST_TIMEOUT
-                    )
-                )
-                if reply.get("status") != "ok":
-                    if reply.get("retryable"):
-                        raise ServiceUnavailableError(
-                            f"wave flush failed (retryable): {reply.get('error')}"
-                        )
-                    raise MigrationError(f"wave flush failed: {reply.get('error')}")
-                return reply
-
             try:
                 call_with_retries(
-                    flush,
+                    lambda flusher=flusher: flush_staged(
+                        flusher.app, destination.address
+                    ),
                     meter=flusher.dc.meter,
                     policy=retry_policy or flusher.retry_policy,
                 )
@@ -872,7 +834,7 @@ class MigratableApp:
                 try:
                     results[i] = app._complete_relocation(
                         destination, migrate_vm, txn, policy, start_cost,
-                        retries, MigrationOutcome.COMPLETED, fetch_txn=txn,
+                        retries, MigrationOutcome.COMPLETED,
                     )
                 except TransientError as exc:
                     results[i] = MigrationResult(
@@ -894,8 +856,9 @@ class MigratableApp:
         """Drive an interrupted migration to completion after a crash.
 
         Reads the journal on the app's current machine.  ``role=source``
-        records re-freeze/retry from the persisted library state and then
-        complete the relocation; ``role=destination`` records finish the
+        records re-freeze/retry from the persisted library state, flush the
+        record to the destination and then complete the relocation;
+        ``role=destination`` records finish the
         install (fetch if the state never landed, confirm otherwise).
         Raises :class:`MigrationError` when no migration is in progress.
         """
@@ -940,6 +903,12 @@ class MigratableApp:
                 self.app.terminate()
                 self.enclave = None
                 raise
+            # The record is parked for the destination again: ship it.
+            call_with_retries(
+                lambda: flush_staged(self.app, record.destination),
+                meter=self.dc.meter,
+                policy=policy,
+            )
             self._journal().write(
                 MigrationRecord(
                     record.txn_id, "source", PHASE_SHIPPED,
@@ -948,7 +917,7 @@ class MigratableApp:
             )
             return self._complete_relocation(
                 destination, migrate_vm, record.txn_id, policy, start_cost,
-                retries, MigrationOutcome.RESUMED, fetch_txn=record.txn_id,
+                retries, MigrationOutcome.RESUMED,
             )
 
         # role == "destination": the VM already moved here.

@@ -22,7 +22,7 @@ from repro.cloud.datacenter import DataCenter
 from repro.cloud.machine import PhysicalMachine
 from repro.cloud.vm import VirtualMachine
 from repro.core.migration_library import InitState
-from repro.core.protocol import MigratableApp
+from repro.core.protocol import MigratableApp, flush_staged
 from repro.errors import MigrationError
 from repro.sgx.enclave import Enclave
 
@@ -59,24 +59,28 @@ class SemiTransparentMigrator:
         """Migrate a guest VM together with every enclave inside it.
 
         The guest applications do nothing: the migrator calls each
-        enclave's ``migration_start``, live-migrates the VM, and brings
-        every enclave back up from its migration data on the destination.
+        enclave's ``migration_start`` under its own transaction, flushes
+        them to the destination in one batch, live-migrates the VM, and
+        brings every enclave back up from its migration data there.
         """
         apps = self.registered_apps(vm)
         clock = self.dc.clock
         overhead_start = clock.now
 
         # Phase 1: notify every migratable enclave (the paper's step 1-3).
-        active: list[MigratableApp] = []
+        # Distinct transactions keep enclaves of one build apart at the MEs.
+        active: list[tuple[MigratableApp, str]] = []
         for mapp in apps:
             enclave = mapp.enclave
             if enclave is None or not enclave.alive:
                 continue
-            enclave.ecall("migration_start", destination.address)
-            active.append(mapp)
+            txn = mapp._next_txn()
+            enclave.ecall("migration_start", destination.address, txn)
+            active.append((mapp, txn))
         if not active:
             raise MigrationError(f"no live migratable enclaves in VM {vm.name!r}")
-        for mapp in active:
+        flush_staged(active[0][0].app, destination.address)
+        for mapp, _ in active:
             mapp.app.terminate()
         enclave_phase1 = clock.now - overhead_start
 
@@ -88,8 +92,8 @@ class SemiTransparentMigrator:
         # Phase 3: restart every enclave from its incoming migration data.
         restart_start = clock.now
         migrated: list[Enclave] = []
-        for mapp in active:
-            migrated.append(mapp.launch(InitState.MIGRATE))
+        for mapp, txn in active:
+            migrated.append(mapp.launch(InitState.MIGRATE, txn_id=txn))
         enclave_overhead = enclave_phase1 + (clock.now - restart_start)
 
         return TransparentMigrationReport(

@@ -29,13 +29,14 @@ Run it as a module::
 The five families:
 
 * **messages** (default) — a fault-free probe records the complete message
-  sequence of one enclave migration (local attestation, ME-to-ME transfer,
-  destination fetch, confirmation); every leg is then dropped, duplicated
-  (request legs), or has the source/destination machine crash at that
-  exact instant.
-* **batched** — the same over a two-enclave ``migrate_group`` wave (stage,
-  one ``flush_staged``/``transfer_batch`` exchange, per-enclave
-  completion), mid-batch crashes included.
+  sequence of one enclave migration, a wave of one (local attestation,
+  ``stage_out``, the ``flush_staged`` trigger, the ME-to-ME
+  ``transfer_batch``, destination fetch, confirmation); every leg is then
+  dropped, duplicated (request legs), or has the source/destination
+  machine crash at that exact instant.
+* **batched** — the same over a two-enclave ``migrate_group`` wave, whose
+  one flush carries both records: mid-batch crashes and a sibling's parked
+  record are reachable only here.
 * **disk** — every persisted artifact (migration journals, the ME's A/B
   checkpoint, the sealed counter bundle, the app's sealed state) crossed
   with every disk fault kind (torn write, lost write, bit rot, stale read)
@@ -273,9 +274,10 @@ def attach_injector(world: World, plan: FaultPlan) -> FaultInjector:
 
 
 def migrate(world: World, apps: list[MigratableApp]) -> tuple[str, bool]:
-    """Move ``apps`` to :data:`DESTINATION`: one app alone, several as one
-    ``migrate_group`` wave.  Returns the outcome (the members' outcomes
-    joined by ``+``, or ``raised:<error>``) and whether all completed."""
+    """Move ``apps`` to :data:`DESTINATION`: one app by ``migrate`` (a wave
+    of one), several as one ``migrate_group`` wave.  Returns the outcome
+    (the members' outcomes joined by ``+``, or ``raised:<error>``) and
+    whether all completed."""
     destination = world.dc.machine(DESTINATION)
     try:
         if len(apps) == 1:

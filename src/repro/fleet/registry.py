@@ -25,7 +25,7 @@ Detection rules, in the order they are applied to a claim:
    the guard epoch is bumped on every freeze, restore, and migration
    install, so a clone restored from a stale snapshot (the healed-disk
    campaign) presents a regressed epoch and is fenced.
-4. **Freeze advance** — ``migrate_out``/``stage_out`` report the freeze
+4. **Freeze advance** — ``stage_out`` and ``retry`` report the freeze
    (epoch + planned destination) to the registry.  An interloper that
    claimed the identity between the freeze hitting disk and the advance
    arriving is detected *here* and fenced retroactively — that race is the
@@ -420,9 +420,9 @@ class SingleInstanceRegistry:
         machine: str = "",
     ) -> None:
         """Record a freeze: the holder's state (at ``epoch``) left for
-        ``destination``.  Called by the ME on ``migrate_out``/``stage_out``
-        (and on staged re-routes), carrying the guard fields shipped inside
-        the migration data.
+        ``destination``.  Called by the ME on ``stage_out`` (and when a
+        ``retry`` re-routes a parked record), carrying the guard fields
+        shipped inside the migration data.
 
         Detects the freeze/claim race: if a different instance claimed the
         identity after the freeze hit disk but before this advance arrived,

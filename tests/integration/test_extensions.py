@@ -124,8 +124,7 @@ class TestSemiTransparentMigration:
         snap1 = enclave1.ecall("put", "a", b"1")
         migrator.register(app1)
 
-        # second enclave (a DIFFERENT build: matching at the ME is by
-        # MRENCLAVE, so two identical builds in one VM would collide)
+        # second enclave, a different build
         class SecondKvStore(SecureKvStore):
             pass
 
@@ -152,6 +151,34 @@ class TestSemiTransparentMigration:
         assert app1.enclave.ecall("get", "a") == b"1"
         app2.enclave.ecall("load_snapshot", snap2)
         assert app2.enclave.ecall("get", "b") == b"2"
+
+    def test_enclaves_of_one_build_keep_their_own_state(self, world):
+        """Two enclaves of one build in one VM share an MRENCLAVE: each
+        ships under its own transaction, so neither record overwrites the
+        other at either ME and each app gets its own MSK back."""
+        dc, machine_a, machine_b, key = world
+        migrator = SemiTransparentMigrator(dc)
+        first = MigratableApp.deploy(
+            dc, machine_a, SecureKvStore, key, vm_name="shared-vm", app_name="kv1"
+        )
+        second = MigratableApp(
+            vm_name="shared-vm", app_name="kv2", enclave_class=SecureKvStore,
+            signing_key=key, dc=dc,
+        )
+        second.vm = first.vm
+        second.app = first.vm.launch_application("kv2")
+        snapshots = []
+        for index, app in enumerate((first, second)):
+            enclave = app.start_new()
+            enclave.ecall("kv_init")
+            snapshots.append(enclave.ecall("put", f"key-{index}", bytes([index])))
+            migrator.register(app)
+
+        report = migrator.migrate_vm(first.vm, machine_b)
+        assert report.enclaves_migrated == 2
+        for index, (app, snapshot) in enumerate(zip((first, second), snapshots)):
+            app.enclave.ecall("load_snapshot", snapshot)
+            assert app.enclave.ecall("get", f"key-{index}") == bytes([index])
 
     def test_vm_without_enclaves_rejected(self, world):
         dc, machine_a, machine_b, key = world

@@ -9,6 +9,7 @@ from repro.core.protocol import (
     ME_CHECKPOINT_SLOTS,
     MigratableApp,
     _me_checkpoint_generation,
+    flush_staged,
     install_all_migration_enclaves,
     reinstall_migration_enclave,
 )
@@ -59,6 +60,7 @@ class TestCheckpointRestore:
         counter_id, _ = enclave.ecall("create_counter")
         enclave.ecall("increment_counter", counter_id)
         enclave.ecall("migration_start", "machine-b")
+        flush_staged(app.app, "machine-b")
         mrenclave = enclave.identity.mrenclave
 
         # checkpoint machine-b's ME, then "crash" and redeploy it
@@ -141,6 +143,7 @@ class TestABCheckpointSlots:
         enclave = app.start_new()
         enclave.ecall("create_counter")
         enclave.ecall("migration_start", "machine-b")
+        flush_staged(app.app, "machine-b")
 
     def test_torn_newest_slot_falls_back_one_generation(self, durable_world):
         dc, hosts, app, me_key = durable_world

@@ -7,7 +7,12 @@ from repro.apps.counter_app import MigratableBenchEnclave
 from repro.cloud.datacenter import DataCenter
 from repro.core.migration_enclave import MigrationEnclave
 from repro.core.policy import AllowedDestinationsPolicy, PolicySet, SameProviderPolicy
-from repro.core.protocol import MigratableApp, install_all_migration_enclaves, install_migration_enclave
+from repro.core.protocol import (
+    MigratableApp,
+    flush_staged,
+    install_all_migration_enclaves,
+    install_migration_enclave,
+)
 from repro.errors import InvalidStateError, MigrationError
 from repro.sgx.identity import SigningKey
 
@@ -60,6 +65,7 @@ class TestMessageHandling:
         enclave = app.start_new()
         mrenclave = enclave.identity.mrenclave
         enclave.ecall("migration_start", "machine-b")
+        flush_staged(app.app, "machine-b")
         # adversary forges a done notice without knowing the token
         notice = wire.encode(
             {"t": "done_notice", "target_mrenclave": mrenclave, "token": bytes(16)}
@@ -83,8 +89,9 @@ class TestProvisioning:
         dev_key = SigningKey.generate(dc.rng.child("dev"))
         app = MigratableApp.deploy(dc, machine, MigratableBenchEnclave, dev_key)
         enclave = app.start_new()  # LA to the ME still works
+        enclave.ecall("migration_start", "machine-b")
         with pytest.raises(MigrationError):
-            enclave.ecall("migration_start", "machine-b")
+            flush_staged(app.app, "machine-b")
 
     def test_credential_for_wrong_key_rejected(self, world):
         dc, hosts = world
@@ -150,8 +157,9 @@ class TestPolicies:
         dev_key = SigningKey.generate(dc.rng.child("dev"))
         app = MigratableApp.deploy(dc, machine_a, MigratableBenchEnclave, dev_key)
         enclave = app.start_new()
+        enclave.ecall("migration_start", "machine-b")
         with pytest.raises(MigrationError):
-            enclave.ecall("migration_start", "machine-b")
+            flush_staged(app.app, "machine-b")
         # allowed destination still works
         migrated = app.migrate(machine_c, migrate_vm=False)
         assert migrated.alive

@@ -6,6 +6,7 @@ from repro.apps.counter_app import MigratableBenchEnclave
 from repro.cloud.datacenter import DataCenter
 from repro.core.protocol import (
     MigratableApp,
+    flush_staged,
     install_all_migration_enclaves,
     install_migration_enclave,
 )
@@ -156,6 +157,7 @@ class TestDestinationMatching:
         enclave = app.start_new()
         enclave.ecall("create_counter")
         enclave.ecall("migration_start", "machine-b")
+        flush_staged(app.app, "machine-b")
 
         destination = dc.machine("machine-b")
         vm = destination.create_vm("impostor-vm")
@@ -174,6 +176,7 @@ class TestDestinationMatching:
         counter_id, _ = enclave.ecall("create_counter")
         enclave.ecall("increment_counter", counter_id)
         enclave.ecall("migration_start", "machine-b")
+        flush_staged(app.app, "machine-b")
         mrenclave = enclave.identity.mrenclave
         assert hosts["machine-b"].enclave.ecall("has_incoming", mrenclave)
         # the destination enclave starts later and still gets its data
@@ -188,8 +191,9 @@ class TestUnauthorizedDestinations:
     def test_unknown_destination_rejected(self, world):
         dc, hosts, app = world
         enclave = app.start_new()
+        enclave.ecall("migration_start", "machine-that-does-not-exist")
         with pytest.raises(MigrationError):
-            enclave.ecall("migration_start", "machine-that-does-not-exist")
+            flush_staged(app.app, "machine-that-does-not-exist")
 
     def test_foreign_provider_me_rejected(self, world):
         """R2: a ME outside the provider's CA cannot receive migrations."""
@@ -224,8 +228,9 @@ class TestUnauthorizedDestinations:
         )
 
         enclave = app.start_new()
+        enclave.ecall("migration_start", "machine-rogue")
         with pytest.raises(MigrationError):
-            enclave.ecall("migration_start", "machine-rogue")
+            flush_staged(app.app, "machine-rogue")
         # data is retained at the source ME for retry
         assert hosts["machine-a"].enclave.ecall(
             "has_pending_outgoing", enclave.identity.mrenclave
@@ -237,8 +242,9 @@ class TestUnauthorizedDestinations:
         counter_id, _ = enclave.ecall("create_counter")
         enclave.ecall("increment_counter", counter_id)
         mrenclave = enclave.identity.mrenclave
+        enclave.ecall("migration_start", "machine-nowhere")
         with pytest.raises(MigrationError):
-            enclave.ecall("migration_start", "machine-nowhere")
+            flush_staged(app.app, "machine-nowhere")
         # Operator retries towards machine-c (Section V-D error handling).
         hosts["machine-a"].enclave.ecall("retry_pending", mrenclave, "machine-c")
         app.app.terminate()

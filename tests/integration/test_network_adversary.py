@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps.counter_app import MigratableBenchEnclave
 from repro.cloud.datacenter import DataCenter
-from repro.core.protocol import MigratableApp, install_all_migration_enclaves
+from repro.core.protocol import MigratableApp, flush_staged, install_all_migration_enclaves
 from repro.errors import MigrationError
 from repro.sgx.identity import SigningKey
 
@@ -83,13 +83,15 @@ class TestTampering:
             return payload
 
         dc.network.add_tap(corrupt_cross_host)
+        enclave.ecall("migration_start", "machine-b")
         with pytest.raises(MigrationError):
-            enclave.ecall("migration_start", "machine-b")
+            flush_staged(app.app, "machine-b")
         dc.network._taps.clear()
 
         # data retained at the source ME; retry succeeds once the path heals
         assert hosts["machine-a"].enclave.ecall("has_pending_outgoing", mrenclave)
         enclave.ecall("migration_start", "machine-b")
+        flush_staged(app.app, "machine-b")
         app.app.terminate()
         app.vm.machine.release_vm(app.vm)
         dc.machine("machine-b").adopt_vm(app.vm)
@@ -107,8 +109,9 @@ class TestTampering:
             return payload
 
         dc.network.add_tap(drop_cross_host)
+        enclave.ecall("migration_start", "machine-b")
         with pytest.raises(MigrationError):
-            enclave.ecall("migration_start", "machine-b")
+            flush_staged(app.app, "machine-b")
         dc.network._taps.clear()
         assert hosts["machine-a"].enclave.ecall("has_pending_outgoing", mrenclave)
 
@@ -130,6 +133,7 @@ class TestTampering:
 
         dc.network.add_tap(recorder)
         enclave.ecall("migration_start", "machine-b")
+        flush_staged(app.app, "machine-b")
         dc.network._taps.clear()
 
         # complete the legitimate delivery

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro import wire
 from repro.apps.counter_app import MigratableBenchEnclave
 from repro.core.migration_library import InitState
-from repro.core.protocol import MigratableApp, install_all_migration_enclaves
+from repro.core.protocol import MigratableApp, flush_staged, install_all_migration_enclaves
 from repro.errors import (
     CounterNotFoundError,
     InvalidParameterError,
@@ -26,6 +27,28 @@ def world(datacenter):
         datacenter, datacenter.machine("machine-a"), MigratableBenchEnclave, key
     )
     return datacenter, app
+
+
+class TestMeConnection:
+    def test_reconnects_send_fresh_ephemerals(self, world):
+        """Every local attestation to the ME draws a new DH ephemeral: one
+        library instance that reconnects must not reuse its first one."""
+        dc, app = world
+        enclave = app.start_new()
+        ephemerals = []
+
+        def tap(src, dst, payload):
+            message = wire.decode(payload)
+            if message.get("t") == "la_msg1":
+                ephemerals.append(wire.decode(message["payload"])["g_a"])
+            return payload
+
+        dc.network.add_tap(tap)
+        for _ in range(2):
+            enclave.trusted.miglib._connect_me(app.app.machine.address)
+        dc.network.remove_tap(tap)
+        assert len(ephemerals) == 2
+        assert ephemerals[0] != ephemerals[1]
 
 
 class TestInit:
@@ -238,6 +261,7 @@ class TestFreeze:
         dc, app = world
         enclave = app.start_new()
         enclave.ecall("migration_start", "machine-b")
+        flush_staged(app.app, "machine-b")
         # complete delivery on the destination so the pending copy is released
         dest_app = MigratableApp.deploy(
             dc, dc.machine("machine-b"), MigratableBenchEnclave, app.signing_key,
