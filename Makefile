@@ -74,9 +74,10 @@ analyze-changed:
 baseline:
 	$(PYTHON) -m repro.analysis --update-baseline src/repro examples benchmarks
 
-# All four modes: sequential and batched-wave migrations, each with the
-# session-resumption ablation on and off, must uphold R3/R4 under the same
-# fault sweep as the paper's baseline protocol.
+# All four modes: a single migration (a wave of one) and a two-enclave
+# batched wave, each with the session-resumption ablation on and off, must
+# uphold R3/R4 under the same fault sweep.  Only the two-member wave reaches
+# mid-batch crashes and a sibling's parked record.
 chaos:
 	$(PYTHON) -m repro.faults.chaos
 	$(PYTHON) -m repro.faults.chaos --session-resumption
