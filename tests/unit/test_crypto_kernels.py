@@ -19,6 +19,11 @@ inputs:
   plus the lengths of the workloads' mid-size GCM inputs, the 4 KiB sealed
   blob (4,096 bytes: 259 GHASH blocks with 20-byte AAD) and a Migration
   Library persist (5,393 bytes: 341);
+* ``AesGcm.seal`` over wide inputs (``gcm_wide``), under the same keys and
+  AAD: 64 consecutive block counts (1,760-1,823) around the switch to the
+  256-lane GHASH pass at 1,792 blocks, whole and with a short last block,
+  plus 2,556-2,560 blocks, whose GHASH inputs (one or three more blocks)
+  hit the residues 0, 1 and 255 mod 256 with either AAD;
 * ``modexp.verify_product`` for seeded Schnorr signatures, for the responses
   0, 1 and q-1, and for a short response (nonce ``k > x*e``), so both sides
   of the generator table's short-side choice are pinned.
@@ -26,8 +31,9 @@ inputs:
 CTR and GCM outputs are stored as SHA-256 digests.  The file was captured
 from ``kernel_outputs()`` before the T-table AES, the scalar CTR path and
 the short-side generator exponentiation landed, ``gcm_long`` before the
-lane-parallel GHASH path landed, and ``gcm_mid`` while that path still
-started at 1,024 blocks; every value must stay equal.
+lane-parallel GHASH path landed, ``gcm_mid`` while that path still
+started at 1,024 blocks, and ``gcm_wide`` before the 256-lane pass landed;
+every value must stay equal.
 """
 
 from __future__ import annotations
@@ -58,6 +64,13 @@ LONG_LENGTHS = (
 # Byte lengths of 80-143 blocks, whole and short, then the 4 KiB sealed blob
 # and a Migration Library persist.
 MID_LENGTHS = [16 * n for n in range(80, 144)] + [16 * n - 5 for n in range(80, 144)] + [4096, 5393]
+# Byte lengths of 1,760-1,823 blocks, whole and short, then 2,556-2,560
+# whole blocks.
+WIDE_LENGTHS = (
+    [16 * n for n in range(1760, 1824)]
+    + [16 * n - 5 for n in range(1760, 1824)]
+    + [16 * n for n in range(2556, 2561)]
+)
 
 
 def _rng(label: str) -> DeterministicRng:
@@ -132,6 +145,10 @@ def _gcm_mid_outputs() -> dict:
     return _gcm_sweep_outputs("gcm-mid", MID_LENGTHS)
 
 
+def _gcm_wide_outputs() -> dict:
+    return _gcm_sweep_outputs("gcm-wide", WIDE_LENGTHS)
+
+
 def _verify_product_outputs() -> dict:
     p, q = MODP_2048_P, MODP_2048_Q
     rng = _rng("schnorr")
@@ -163,6 +180,7 @@ KERNELS = {
     "gcm_seal": _gcm_seal_outputs,
     "gcm_long": _gcm_long_outputs,
     "gcm_mid": _gcm_mid_outputs,
+    "gcm_wide": _gcm_wide_outputs,
     "verify_product": _verify_product_outputs,
 }
 
