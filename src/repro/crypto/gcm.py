@@ -3,40 +3,63 @@
 This is the AEAD used everywhere the paper uses ``sgx_seal_data`` or an
 attested secure channel.  GHASH, over GF(2^128), is
 ``X_1 * H^n + X_2 * H^(n-1) + ... + X_n * H`` for the blocks
-``AAD || pad || ciphertext || pad || lengths``.  It takes one of two paths,
+``AAD || pad || ciphertext || pad || lengths``.  It takes one of three paths,
 chosen by the number of blocks ``n``:
 
 * below :data:`LANE_MIN_BLOCKS` (112), Horner's rule one block at a time
   with Shoup-style 8-bit tables for ``H``, built once per key and kept in a
   512-entry LRU;
-* from there on, a numpy path that runs Horner in :data:`LANES` (32) lanes
+* from there on, a numpy pass that runs Horner in :data:`LANES` (32) lanes
   at once with the multiplier ``H^32``, each step one table gather and one
-  XOR-reduce over all lanes, then folds the lanes together with 32
-  multiplications by ``H`` on the Shoup table.  Its 64 KiB position table
-  (every byte value at every byte position, times ``H^32``) lives in its own
-  4-entry LRU, so a stream of fresh keys sealing bulk data cannot pin
-  64 KiB each.
+  XOR-reduce over all lanes, then folds the 32 lane sums with Horner on the
+  Shoup table;
+* from :data:`WIDE_MIN_BLOCKS` (1,792) on, the same pass first runs in
+  :data:`WIDE_LANES` (256) lanes with ``H^256`` and hands its 256 lane sums,
+  a GHASH input of their own, to the 32-lane pass.  The sealed KV store's
+  4,169-block snapshot then takes 17 + 8 rows instead of 131.
 
-Both paths give the same bytes.  On a 2-vCPU x86-64 VM (CPython 3.11,
-numpy 2.4), in shuffled trials, a Shoup block cost about 4.7 us; a lane
+A lane pass's 64 KiB position table (every byte value at every byte
+position, times ``H^lanes``) lives in its own 4-entry LRU keyed by
+``(H, lanes)``, so a stream of fresh keys sealing bulk data cannot pin
+64 KiB each; a wide input holds two entries.  ``H^32`` takes 31 Shoup
+multiplications and ``H^256 = (H^32)^8`` three more squarings with
+:func:`gf_mult` (~0.12 ms, where 224 more Shoup steps would take ~1 ms).
+
+All three paths give the same bytes.  On a 2-vCPU x86-64 VM (CPython 3.11,
+numpy 2.4), in shuffled trials, a Shoup block cost about 4.7 us; a 32-lane
 call on 97-128 blocks about 0.20 ms with a cached table and 0.50 ms with
 a fresh one, which includes about 0.3 ms of table building.  The lanes
 therefore win from about 35 blocks with a cached table and from about 106
 with a fresh one (0.50 ms either way at 104 blocks; 0.49 against 0.53 ms
-at 112), and by 11x (10.5 -> 0.9 ms) on the sealed KV store's 4,167-block
-snapshot.  The switch sits at that fresh-key crossover, so no input is
-slower even when its key's table must be built.  On the repo benchmark's
-workloads, channel records (66-95 blocks) stay on the Shoup loop; the
-4 KiB sealed blob (259 blocks) and Migration Library persists (341) take
-the lanes, 1.34 -> 0.29 ms (cached table) and 1.76 -> 0.64 ms (fresh).
-Most persists seal under keys not seen before, so the lane cache builds,
-per timed op, 1 table on the paper workload (of 3 lane calls; the other 2
-hit), 0.01 on the sealed KV store (whose snapshot key is never evicted),
-16 on the 64x64 window drain and 32 on the tenant evacuation.  Of the
-last two's builds, 47 % and 44 % are for a key's second persist, 8-17
-(drain) or ~125 (evacuation) other lane keys after its first, past the
-cache.  Holding the drain's would take ~18 entries (~1 MiB) to save about
-0.4 % of an op's wall time, so the cache stays at 4.
+at 112).  A 256-lane step costs ~26 us against ~7 us for a 32-lane one,
+and a cold wide call builds both tables (~0.3 + ~0.4 ms).  In three runs
+of 30 shuffled trials per size on a fresh key (medians, 32 against 256
+lanes), the wide pass won from about 384 blocks with both tables cached
+(512 blocks: 341/293, 336/287, 355/291 us) and, with both cold, lost at
+1,536 blocks (1,054/1,149, 1,045/1,121, 1,031/1,123 us), tied at 1,792
+(1,154/1,155, 1,054/1,111, 1,142/1,141) and won at 2,048 (1,268/1,198,
+1,166/1,111, 1,300/1,044); four more runs of 60 put 1,793-1,856 at a tie
+too.  The switch sits at that cold crossover, as the 112-block one does,
+so no input is slower even when its tables must be built.  The KV
+snapshot's GHASH takes ~0.70 ms instead of ~1.81 ms with cached tables
+(1.4 against 2.1 ms cold), and the Fig. 4 100,000-byte payload's ~0.9
+instead of ~2.6 ms.
+
+On the repo benchmark's workloads, channel records (66-95 blocks) stay on
+the Shoup loop, and the 4 KiB sealed blob (259 blocks) and Migration
+Library persists (341) on the 32 lanes: 1.34 -> 0.29 ms (cached table)
+and 1.76 -> 0.64 ms (fresh) against the Shoup loop.  Only the KV store's
+snapshot (4,169 blocks in each put and snapshot load, and from 1,827 of
+its 70-4,169 while the store is filled) and the Fig. 4 payload reach the
+wide pass.  Most persists seal under keys not seen before, so the lane
+cache builds, per timed op, 2 tables on the paper workload (of 3 lane
+calls; the third hits), 0.02 on the sealed KV store (whose snapshot
+key keeps both its tables), 16 on the 64x64 window drain and 32 on the
+tenant evacuation.  Of the last two's builds, 47 % and 44 % are for a
+key's second persist, 8-17 (drain) or ~125 (evacuation) other lane keys
+after its first, past the cache.  Holding the drain's would take ~18
+entries (~1 MiB) to save about 0.4 % of an op's wall time, so the cache
+stays at 4.
 
 Known-answer tests against the NIST GCM vectors live in
 ``tests/unit/test_gcm.py``.
@@ -60,6 +83,10 @@ _X8 = 1 << 119  # the field element x^8 in GCM bit order
 LANE_MIN_BLOCKS = 112
 #: Horner lanes of that path.
 LANES = 32
+#: Shortest GHASH input that first runs in :data:`WIDE_LANES` lanes.
+WIDE_MIN_BLOCKS = 1792
+#: Horner lanes of the wide pass, whose lane sums the :data:`LANES` pass folds.
+WIDE_LANES = 256
 
 
 def gf_mult(x: int, y: int) -> int:
@@ -188,11 +215,11 @@ def _ghash_key_for(h: int) -> _GhashKey:
     return cached
 
 
-# H -> lane position table (see _lane_table), most-recently-used last.  Kept
-# apart from the Shoup cache and small, because each entry is 64 KiB and most
-# keys that reach the lane path (the fresh keys of library persists and native
-# seals) never recur.
-_LANE_TABLE_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
+# (H, lanes) -> lane position table (see _lane_table), most-recently-used
+# last.  Kept apart from the Shoup cache and small, because each entry is
+# 64 KiB and most keys that reach the lane path (the fresh keys of library
+# persists and native seals) never recur.
+_LANE_TABLE_CACHE: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
 _LANE_TABLE_CACHE_MAX = 4
 _lane_hits = 0
 _lane_misses = 0
@@ -200,17 +227,21 @@ _lane_misses = 0
 _POSITION_OFFSETS = (np.arange(16, dtype=np.uint16) * 256)[:, None]
 
 
-def _lane_table(key: _GhashKey) -> np.ndarray:
-    """``T[256 * p + b] = (byte b at byte position p) * H^LANES``.
+def _lane_table(key: _GhashKey, lanes: int) -> np.ndarray:
+    """``T[256 * p + b] = (byte b at byte position p) * H^lanes``.
 
     Rows are 16-byte field elements in block byte order, as two uint64
-    words; a product ``y * H^LANES`` is the XOR of the 16 rows picked by
-    ``y``'s bytes, with no reduction step.
+    words; a product ``y * H^lanes`` is the XOR of the 16 rows picked by
+    ``y``'s bytes, with no reduction step.  ``lanes`` is :data:`LANES`
+    times a power of two: ``H^LANES`` takes 31 Shoup multiplications and
+    each doubling of it one squaring.
     """
     h_k = key.h
     for _ in range(LANES - 1):
         h_k = key.mult(h_k)
-    # basis[p, i] = x^(8p + i) * H^LANES, the element for bit 7 - i of byte p.
+    for _ in range((lanes // LANES).bit_length() - 1):
+        h_k = gf_mult(h_k, h_k)
+    # basis[p, i] = x^(8p + i) * H^lanes, the element for bit 7 - i of byte p.
     powers = [h_k]
     for _ in range(127):
         powers.append(_mult_by_x(powers[-1]))
@@ -221,16 +252,17 @@ def _lane_table(key: _GhashKey) -> np.ndarray:
     return table.reshape(16 * 256, 2)
 
 
-def _lane_table_for(key: _GhashKey) -> np.ndarray:
+def _lane_table_for(key: _GhashKey, lanes: int) -> np.ndarray:
     global _lane_hits, _lane_misses
-    table = _LANE_TABLE_CACHE.get(key.h)
+    entry = (key.h, lanes)
+    table = _LANE_TABLE_CACHE.get(entry)
     if table is not None:
         _lane_hits += 1
-        _LANE_TABLE_CACHE.move_to_end(key.h)
+        _LANE_TABLE_CACHE.move_to_end(entry)
         return table
     _lane_misses += 1
-    table = _lane_table(key)
-    _LANE_TABLE_CACHE[key.h] = table
+    table = _lane_table(key, lanes)
+    _LANE_TABLE_CACHE[entry] = table
     while len(_LANE_TABLE_CACHE) > _LANE_TABLE_CACHE_MAX:
         _LANE_TABLE_CACHE.popitem(last=False)
     return table
@@ -245,22 +277,25 @@ def _ghash_horner(key: _GhashKey, blocks: bytes) -> int:
     return y
 
 
-def _ghash_lanes(key: _GhashKey, blocks: bytes) -> int:
-    """:func:`_ghash_horner`'s result, computed in LANES lanes.
+def _ghash_lanes(key: _GhashKey, blocks: bytes, lanes: int) -> int:
+    """:func:`_ghash_horner`'s result, computed in ``lanes`` lanes.
 
-    Zero blocks in front make the count a multiple of LANES without changing
-    the sum.  Lane ``j`` then holds blocks ``j, j + LANES, ...``, and Horner
-    with ``H^LANES`` weights each by ``H^LANES`` per row after it.  Horner
-    with ``H`` over the lanes, in order, weights lane ``j`` by a further
-    ``H^(LANES - j)``.
+    Zero blocks in front make the count a multiple of ``lanes`` without
+    changing the sum.  Lane ``j`` then holds blocks ``j, j + lanes, ...``,
+    and Horner with ``H^lanes`` weights each by ``H^lanes`` per row after
+    it.  The lane sums, in order, are a GHASH input of their own, which
+    weights lane ``j`` by a further ``H^(lanes - j)``: a wide pass hands
+    them to the :data:`LANES` pass, which hands its own to Horner.
     """
-    table = _lane_table_for(key)
-    front = -(len(blocks) // 16) % LANES
-    rows = np.frombuffer(bytes(16 * front) + blocks, dtype=np.uint64).reshape(-1, LANES, 2)
+    table = _lane_table_for(key, lanes)
+    front = -(len(blocks) // 16) % lanes
+    rows = np.frombuffer(bytes(16 * front) + blocks, dtype=np.uint64).reshape(-1, lanes, 2)
     acc = rows[0]
     for row in rows[1:]:
         positions = acc.view(np.uint8).T + _POSITION_OFFSETS
         acc = np.bitwise_xor.reduce(np.take(table, positions, axis=0), axis=0) ^ row
+    if lanes > LANES:
+        return _ghash_lanes(key, acc.tobytes(), LANES)
     return _ghash_horner(key, acc.tobytes())
 
 
@@ -270,8 +305,12 @@ def _ghash(key: _GhashKey, aad: bytes, ciphertext: bytes) -> bytes:
         aad, bytes(-len(aad) % 16), ciphertext, bytes(-len(ciphertext) % 16),
         int_to_block(lengths),
     ))
-    kernel = _ghash_lanes if len(blocks) >= 16 * LANE_MIN_BLOCKS else _ghash_horner
-    return int_to_block(kernel(key, blocks))
+    count = len(blocks) // 16
+    if count >= WIDE_MIN_BLOCKS:
+        return int_to_block(_ghash_lanes(key, blocks, WIDE_LANES))
+    if count >= LANE_MIN_BLOCKS:
+        return int_to_block(_ghash_lanes(key, blocks, LANES))
+    return int_to_block(_ghash_horner(key, blocks))
 
 
 def _inc32(block: int) -> int:

@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 from repro.crypto.aes import AES
 from repro.crypto.cmac import aes_cmac
 from repro.crypto.ctr import counter_blocks, ctr_transform
-from repro.crypto.gcm import AesGcm, _GhashKey, _ghash_horner, _ghash_lanes, gf_mult
+from repro.crypto.gcm import (
+    LANES,
+    WIDE_LANES,
+    AesGcm,
+    _GhashKey,
+    _ghash_horner,
+    _ghash_lanes,
+    gf_mult,
+)
 from repro import wire
 
 import pytest
@@ -90,12 +98,14 @@ class TestGhashProperties:
         assert _GhashKey(h).mult(x) == gf_mult(x, h)
 
     @given(h=st.integers(min_value=1, max_value=2**128 - 1),
-           blocks=st.integers(min_value=1, max_value=100).flatmap(
+           blocks=st.integers(min_value=1, max_value=600).flatmap(
                lambda n: st.binary(min_size=16 * n, max_size=16 * n)))
     @settings(max_examples=30, deadline=None)
     def test_lanes_agree_with_horner(self, h, blocks):
         key = _GhashKey(h)
-        assert _ghash_lanes(key, blocks) == _ghash_horner(key, blocks)
+        expected = _ghash_horner(key, blocks)
+        assert _ghash_lanes(key, blocks, LANES) == expected
+        assert _ghash_lanes(key, blocks, WIDE_LANES) == expected
 
     @given(a=st.integers(min_value=0, max_value=2**128 - 1),
            b=st.integers(min_value=0, max_value=2**128 - 1),

@@ -1,5 +1,7 @@
 """AES-CMAC (RFC 4493) and KDF (HKDF RFC 5869) known-answer tests."""
 
+import random
+
 import pytest
 
 from repro.crypto.cmac import AesCmac, aes_cmac
@@ -41,6 +43,19 @@ class TestCmacVectors:
     def test_verify_rejects_bad_tag_length(self):
         with pytest.raises(CryptoError):
             AesCmac(RFC4493_KEY).verify(b"hello", b"short")
+
+    @pytest.mark.parametrize("key_size", [16, 24, 32])
+    def test_matches_cryptography(self, key_size):
+        """Against the ``cryptography`` package, whole and partial last blocks."""
+        cmac = pytest.importorskip("cryptography.hazmat.primitives.cmac")
+        ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+        rng = random.Random(key_size)
+        key = rng.randbytes(key_size)
+        for length in (0, 1, 15, 16, 17, 32, 100, 4096):
+            message = rng.randbytes(length)
+            reference = cmac.CMAC(ciphers.algorithms.AES(key))
+            reference.update(message)
+            assert aes_cmac(key, message) == reference.finalize()
 
 
 class TestSp800108Kdf:

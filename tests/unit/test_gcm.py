@@ -1,11 +1,23 @@
 """AES-GCM known-answer tests (NIST / GCM spec test cases) + behaviour."""
 
+import random
+
 import pytest
 
 from repro.crypto import gcm as gcm_module
 from repro.crypto.aes import AES
 from repro.crypto.bytesutil import xor_bytes
-from repro.crypto.gcm import LANE_MIN_BLOCKS, AesGcm, _GhashKey, gf_mult
+from repro.crypto.gcm import (
+    LANE_MIN_BLOCKS,
+    LANES,
+    WIDE_LANES,
+    WIDE_MIN_BLOCKS,
+    AesGcm,
+    _ghash_horner,
+    _ghash_lanes,
+    _GhashKey,
+    gf_mult,
+)
 from repro.errors import CryptoError
 
 KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -24,6 +36,8 @@ AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
 LANE_BYTES = 16 * (LANE_MIN_BLOCKS - 3) + 1
 # The same for 1,024 blocks: 32 whole rows of 32 lanes, no zero block in front.
 FULL_ROWS_BYTES = 16 * (1024 - 3) + 1
+# The same for WIDE_MIN_BLOCKS, where GHASH first runs in WIDE_LANES lanes.
+WIDE_BYTES = 16 * (WIDE_MIN_BLOCKS - 3) + 1
 
 
 class TestKnownAnswers:
@@ -103,6 +117,7 @@ class TestRoundTrips:
             0, 1, 15, 16, 17, 100, 4096,
             LANE_BYTES - 1, LANE_BYTES, LANE_BYTES + 15,
             FULL_ROWS_BYTES - 1, FULL_ROWS_BYTES, FULL_ROWS_BYTES + 15,
+            WIDE_BYTES - 1, WIDE_BYTES, WIDE_BYTES + 15,
             100_000,
         ],
     )
@@ -124,9 +139,13 @@ class TestRoundTrips:
 
 
 class TestTamperDetection:
-    """Each tamper case runs on a one-block payload and on a long one."""
+    """Each tamper case runs on a one-block payload, a long one and a wide one."""
 
-    PAYLOADS = (b"attack at dawn!!", bytes(range(256)) * (LANE_BYTES // 256 + 1))
+    PAYLOADS = (
+        b"attack at dawn!!",
+        bytes(range(256)) * (LANE_BYTES // 256 + 1),
+        bytes(range(256)) * (WIDE_BYTES // 256 + 1),
+    )
 
     @pytest.fixture(autouse=True)
     def long_tags_from_lanes(self, monkeypatch):
@@ -138,14 +157,14 @@ class TestTamperDetection:
             assert len(blocks) < len(self.PAYLOADS[1])
             return horner(key, blocks)
 
-        def counted_lanes(key, blocks):
-            lane_calls.append(len(blocks))
-            return lanes(key, blocks)
+        def counted_lanes(key, blocks, lane_count):
+            lane_calls.append(lane_count)
+            return lanes(key, blocks, lane_count)
 
         monkeypatch.setattr(gcm_module, "_ghash_horner", horner_short_only)
         monkeypatch.setattr(gcm_module, "_ghash_lanes", counted_lanes)
         yield
-        assert lane_calls
+        assert set(lane_calls) == {LANES, WIDE_LANES}
 
     def _sealed(self):
         for payload in self.PAYLOADS:
@@ -205,6 +224,79 @@ class TestGhash:
         assert gf_mult(a, b) == gf_mult(b, a)
 
 
+class TestGhashPaths:
+    """Horner, the LANES pass and the WIDE_LANES pass compute one GHASH."""
+
+    @pytest.mark.parametrize(
+        "count", [1, 2, 31, 32, 33, 255, 256, 257, 511, 512, 513, WIDE_MIN_BLOCKS, 4168]
+    )
+    def test_paths_agree_with_cold_and_warm_tables(self, count):
+        rng = random.Random(count)
+        key = _GhashKey(rng.getrandbits(128))
+        blocks = rng.randbytes(16 * count)
+        expected = _ghash_horner(key, blocks)
+        for lanes, tables in ((LANES, 1), (WIDE_LANES, 2)):  # the wide pass folds via LANES
+            gcm_module.clear_ghash_table_cache()
+            assert _ghash_lanes(key, blocks, lanes) == expected
+            assert gcm_module.ghash_table_cache_stats()["lane_misses"] == tables
+            assert _ghash_lanes(key, blocks, lanes) == expected
+            assert gcm_module.ghash_table_cache_stats()["lane_hits"] == tables
+        gcm_module.clear_ghash_table_cache()
+
+    def test_wide_multiplier_is_h_to_the_lanes(self):
+        """The squared-up ``H^WIDE_LANES`` equals ``WIDE_LANES`` Shoup steps."""
+        key = _GhashKey(0x66E94BD4EF8A2C3B884CFA59CA342B2E)
+        power = key.h
+        for _ in range(WIDE_LANES - 1):
+            power = key.mult(power)
+        # Row 0x80 of position 0 is x^0 (the field's one) times the multiplier.
+        row = gcm_module._lane_table(key, WIDE_LANES)[0x80]
+        assert int.from_bytes(row.tobytes(), "big") == power
+
+    @pytest.mark.parametrize(
+        ("count", "lanes"),
+        [
+            (LANE_MIN_BLOCKS - 1, None),
+            (LANE_MIN_BLOCKS, LANES),
+            (WIDE_MIN_BLOCKS - 1, LANES),
+            (WIDE_MIN_BLOCKS, WIDE_LANES),
+        ],
+    )
+    def test_switches_by_block_count(self, monkeypatch, count, lanes):
+        calls = []
+        real = gcm_module._ghash_lanes
+
+        def first_pass(key, blocks, lane_count):
+            calls.append(lane_count)
+            return real(key, blocks, lane_count)
+
+        monkeypatch.setattr(gcm_module, "_ghash_lanes", first_pass)
+        # 20 bytes of AAD and the length block add 3 GHASH blocks.
+        AesGcm(KEY).encrypt(IV, bytes(16 * (count - 3)), bytes(20))
+        assert calls[:1] == ([lanes] if lanes else [])
+
+
+class TestAgainstCryptography:
+    """``AesGcm`` against the ``cryptography`` package on every GHASH path."""
+
+    # Horner, LANES, WIDE_LANES, and the Fig. 4 payload (wide, short last block).
+    LENGTHS = (0, 17, 16 * 300 + 5, 16 * WIDE_MIN_BLOCKS, 100_000)
+
+    @pytest.mark.parametrize("key_size", [16, 24, 32])
+    @pytest.mark.parametrize("iv_size", [12, 16, 60])
+    def test_seal_and_open_match(self, key_size, iv_size):
+        aead = pytest.importorskip("cryptography.hazmat.primitives.ciphers.aead")
+        rng = random.Random(key_size * 100 + iv_size)
+        key = rng.randbytes(key_size)
+        ours, reference = AesGcm(key), aead.AESGCM(key)
+        for length in self.LENGTHS:
+            for aad in (b"", rng.randbytes(20)):
+                iv, plaintext = rng.randbytes(iv_size), rng.randbytes(length)
+                sealed = reference.encrypt(iv, plaintext, aad)
+                assert ours.seal(iv, plaintext, aad) == sealed
+                assert ours.open(iv, sealed, aad) == plaintext
+
+
 class TestGhashTableCache:
     def test_hits_misses_and_sharing(self):
         from repro.crypto import gcm
@@ -260,7 +352,7 @@ class TestGhashTableCache:
             aead = AesGcm(bytes([i]) * 16)
             sealed.append((aead, aead.seal(iv, payload)))
             assert gcm.ghash_table_cache_stats()["lane_size"] == min(i + 1, capacity)
-        assert sealed[0][0]._ghash_key.h not in gcm._LANE_TABLE_CACHE
+        assert (sealed[0][0]._ghash_key.h, gcm.LANES) not in gcm._LANE_TABLE_CACHE
         # Evicted keys rebuild their lane table and still round-trip.
         for aead, blob in sealed:
             assert aead.open(iv, blob) == payload
