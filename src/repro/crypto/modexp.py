@@ -32,7 +32,14 @@ Four techniques, all bit-exact with ``builtins.pow``:
 * a bounded LRU of per-public-key tables — verification keys recur across
   attestations, so their (short-exponent) tables pay for themselves after a
   few uses and are evicted least-recently-used once :data:`LRU_CAPACITY`
-  keys are live.
+  keys are live.  A table is built on a key's second use, not its first:
+  many keys are checked once only (the developer and ME-build signing
+  keys, whose later SIGSTRUCT checks the product memo serves), and a
+  build plus one use costs ~19.8 ms where built-in ``pow`` costs ~5.0 ms
+  and a cached table ~1.2 ms per use.  The first use is served by ``pow``
+  (bit-exact) and only recorded in a bounded set of first-seen keys.
+  Keys known to recur from the start (the EPID group key) are built up
+  front by :func:`warm_public_key`.
 * a bounded LRU of :func:`verify_product` results, keyed by all five
   arguments ``(g, s, y, e, modulus)`` and checked before any table.  Some
   signatures are checked again and again with the same key: an enclave's
@@ -64,6 +71,9 @@ SHORT_WINDOW = 4
 
 #: Maximum number of per-public-key tables kept alive at once.
 LRU_CAPACITY = 64
+
+#: Maximum number of keys remembered as used once, without a table.
+FIRST_SEEN_CAPACITY = 256
 
 #: Maximum number of verification products memoized at once.
 PRODUCT_MEMO_CAPACITY = 256
@@ -257,22 +267,54 @@ class _Lru:
 
 
 class _LruTableCache(_Lru):
-    """Bounded LRU of :class:`FixedBaseTable` keyed by ``(base, modulus)``."""
+    """Bounded LRU of :class:`FixedBaseTable` keyed by ``(base, modulus)``,
+    built for keys that recur.
 
-    def get(self, base: int, modulus: int, *, max_bits: int) -> FixedBaseTable:
+    :meth:`get` returns ``None`` on a key's first lookup and only records
+    the key (in a bounded set, oldest forgotten first); its next lookup
+    builds the table.  ``misses`` counts tables built and ``first_uses``
+    the lookups answered ``None``.
+    """
+
+    def __init__(self, capacity: int, first_seen_capacity: int):
+        super().__init__(capacity)
+        self.first_seen_capacity = first_seen_capacity
+        self._first_seen: OrderedDict = OrderedDict()
+        self.first_uses = 0
+
+    def get(
+        self, base: int, modulus: int, *, max_bits: int, build: bool = False
+    ) -> FixedBaseTable | None:
+        """The key's table, or ``None`` on its first lookup (``build=True``
+        builds one even then)."""
         key = (base % modulus, modulus)
         table = self._entries.get(key)
         if table is not None and table.max_bits >= max_bits:
             self.hits += 1
             self._entries.move_to_end(key)
             return table
+        if table is None and not build and key not in self._first_seen:
+            self.first_uses += 1
+            self._first_seen[key] = None
+            while len(self._first_seen) > self.first_seen_capacity:
+                self._first_seen.popitem(last=False)
+            return None
+        self._first_seen.pop(key, None)
         self.misses += 1
         table = FixedBaseTable(base, modulus, window=SHORT_WINDOW, max_bits=max_bits)
         self.store(key, table)
         return table
 
+    def stats(self) -> dict[str, int]:
+        return {**super().stats(), "first_uses": self.first_uses}
 
-_PUBLIC_KEY_TABLES = _LruTableCache(LRU_CAPACITY)
+    def clear(self) -> None:
+        super().clear()
+        self._first_seen.clear()
+        self.first_uses = 0
+
+
+_PUBLIC_KEY_TABLES = _LruTableCache(LRU_CAPACITY, FIRST_SEEN_CAPACITY)
 # (g, s, y, e, modulus) -> g**s * y**e % modulus: public values only (a
 # generator, a signature and a verification key; see the module docstring).
 _PRODUCTS = _Lru(PRODUCT_MEMO_CAPACITY)
@@ -281,11 +323,12 @@ _PRODUCTS = _Lru(PRODUCT_MEMO_CAPACITY)
 def warm_public_key(public: int, modulus: int, *, max_bits: int = 256) -> None:
     """Pre-build the verification table for a key known to recur (e.g. the
     EPID group key, against which every quote is verified)."""
-    _PUBLIC_KEY_TABLES.get(public, modulus, max_bits=max_bits)
+    _PUBLIC_KEY_TABLES.get(public, modulus, max_bits=max_bits, build=True)
 
 
 def public_key_cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters for the per-public-key LRU (tests, tuning)."""
+    """Hit/miss/size counters for the per-public-key LRU (tests, tuning):
+    ``misses`` counts tables built, ``first_uses`` keys served by ``pow``."""
     return _PUBLIC_KEY_TABLES.stats()
 
 
@@ -295,7 +338,8 @@ def product_memo_stats() -> dict[str, int]:
 
 
 def clear_public_key_cache() -> None:
-    """Empty the per-public-key tables and the product memo, zero their counters."""
+    """Empty the per-public-key tables, the first-seen keys and the product
+    memo, and zero their counters."""
     _PUBLIC_KEY_TABLES.clear()
     _PRODUCTS.clear()
 
@@ -304,9 +348,10 @@ def verify_product(g: int, s: int, y: int, e: int, modulus: int) -> int:
     """``g**s * y**e % modulus`` — the Schnorr verification equation.
 
     A repeat of all five arguments is served from the product memo.
-    Otherwise: the generator's shared table for ``g**s`` plus a per-key LRU
-    table (sized to the 256-bit challenge) for ``y**e``, or, without a
-    shared generator table, one Shamir pass.
+    Otherwise: the generator's shared table for ``g**s`` times ``y**e``
+    from a per-key LRU table (sized to the 256-bit challenge), or from
+    built-in ``pow`` on the key's first use; without a shared generator
+    table, one Shamir pass.
     """
     key = (g, s, y, e, modulus)
     product = _PRODUCTS.lookup(key)
@@ -316,6 +361,7 @@ def verify_product(g: int, s: int, y: int, e: int, modulus: int) -> int:
             product = mul2_powmod(g, s, y, e, modulus)
         else:
             y_table = _PUBLIC_KEY_TABLES.get(y, modulus, max_bits=max(e.bit_length(), 256))
-            product = g_table.pow(s) * y_table.pow(e) % modulus
+            y_e = pow(y, e, modulus) if y_table is None else y_table.pow(e)
+            product = g_table.pow(s) * y_e % modulus
         _PRODUCTS.store(key, product)
     return product

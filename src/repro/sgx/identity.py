@@ -89,14 +89,33 @@ class SigningKey:
     def sign_sigstruct(
         self, mrenclave: bytes, isv_prod_id: int = 0, isv_svn: int = 0
     ) -> "Sigstruct":
-        body = _sigstruct_body(mrenclave, isv_prod_id, isv_svn)
-        return Sigstruct(
-            mrenclave=mrenclave,
-            isv_prod_id=isv_prod_id,
-            isv_svn=isv_svn,
-            signer_public=self.keypair.public,
-            signature=schnorr.sign(self.keypair.private, body),
-        )
+        """The build's SIGSTRUCT, signed once per (signer, build) and then
+        served from :data:`_SIGSTRUCT_MEMO`."""
+        memo_key = (self.keypair.public, mrenclave, isv_prod_id, isv_svn)
+        sigstruct = _SIGSTRUCT_MEMO.get(memo_key)
+        if sigstruct is None:
+            body = _sigstruct_body(mrenclave, isv_prod_id, isv_svn)
+            sigstruct = Sigstruct(
+                mrenclave=mrenclave,
+                isv_prod_id=isv_prod_id,
+                isv_svn=isv_svn,
+                signer_public=self.keypair.public,
+                signature=schnorr.sign(self.keypair.private, body),
+            )
+            if len(_SIGSTRUCT_MEMO) >= _SIGSTRUCT_MEMO_MAX:
+                _SIGSTRUCT_MEMO.clear()
+            _SIGSTRUCT_MEMO[memo_key] = sigstruct
+        return sigstruct
+
+
+# (signer public key, MRENCLAVE, ISVPRODID, ISVSVN) -> Sigstruct: public
+# values only (a key pair's public key is g**x of its private key, so it
+# names the signer).  On SGX the developer signs a build once; here every
+# enclave load asks for the SIGSTRUCT again, and the signing nonce is
+# deterministic, so a re-signature would repeat byte for byte.  Bounded like
+# schnorr's public-key memo.
+_SIGSTRUCT_MEMO: dict[tuple[int, bytes, int, int], "Sigstruct"] = {}
+_SIGSTRUCT_MEMO_MAX = 256
 
 
 def _sigstruct_body(mrenclave: bytes, isv_prod_id: int, isv_svn: int) -> bytes:

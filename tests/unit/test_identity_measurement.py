@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.crypto import schnorr
 from repro.errors import InvalidParameterError
+from repro.sgx import identity
 from repro.sgx.enclave import EnclaveBase, build_identity, ecall
 from repro.sgx.identity import Attributes, EnclaveIdentity, KeyPolicy, SigningKey
 from repro.sgx.measurement import (
@@ -67,6 +69,29 @@ class TestSigstruct:
         k1 = SigningKey.generate(rng.child("a"))
         k2 = SigningKey.generate(rng.child("b"))
         assert k1.mrsigner != k2.mrsigner
+
+    def test_build_signed_once_across_loads(self, rng, monkeypatch):
+        """Two loads of one build sign its SIGSTRUCT once and get equal ones;
+        another ISVSVN is another build and is signed again."""
+        key = SigningKey.generate(rng.child("once"))
+        signs = []
+        real_sign = schnorr.sign
+
+        def counted_sign(private, message):
+            signs.append(message)
+            return real_sign(private, message)
+
+        monkeypatch.setattr(schnorr, "sign", counted_sign)
+        monkeypatch.setattr(identity, "_SIGSTRUCT_MEMO", {})
+        first = build_identity(DemoEnclave, key, b"cfg", isv_svn=3)
+        second = build_identity(DemoEnclave, key, b"cfg", isv_svn=3)
+        assert first == second
+        assert len(signs) == 1
+        mrenclave = measure_source(DemoEnclave, b"cfg")
+        assert key.sign_sigstruct(mrenclave, isv_svn=3) == key.sign_sigstruct(mrenclave, isv_svn=3)
+        assert len(signs) == 1
+        assert key.sign_sigstruct(mrenclave, isv_svn=4).verify()
+        assert len(signs) == 2
 
 
 class TestMeasurement:

@@ -110,14 +110,67 @@ class TestShamir:
 
 class TestPublicKeyLru:
     def test_hits_and_misses_counted(self):
+        """A key's first use is served by built-in pow, its second builds
+        the table (a miss) and its third reuses it (a hit)."""
         modexp.clear_public_key_cache()
         public = pow(4, 31337, _P)
         modexp.verify_product(4, 5, public, 6, _P)
         modexp.verify_product(4, 7, public, 8, _P)
+        modexp.verify_product(4, 9, public, 10, _P)
         stats = modexp.public_key_cache_stats()
+        assert stats["first_uses"] == 1
         assert stats["misses"] == 1
         assert stats["hits"] == 1
         assert stats["size"] == 1
+
+    def test_one_shot_key_builds_no_table(self):
+        modexp.clear_public_key_cache()
+        modexp.verify_product(4, 5, pow(4, 4242, _P), 6, _P)
+        stats = modexp.public_key_cache_stats()
+        assert (stats["first_uses"], stats["misses"], stats["hits"], stats["size"]) == (1, 0, 0, 0)
+
+    def test_second_use_builds_the_table(self):
+        modexp.clear_public_key_cache()
+        public = pow(4, 4243, _P)
+        modexp.verify_product(4, 5, public, 6, _P)
+        modexp.verify_product(4, 5, public, 7, _P)
+        stats = modexp.public_key_cache_stats()
+        assert (stats["first_uses"], stats["misses"], stats["hits"], stats["size"]) == (1, 1, 0, 1)
+
+    def test_every_path_equals_pow(self):
+        """First use (pow), second (fresh table), third (cached table), a
+        warmed key and a key forgotten by clear all give ``pow``'s product."""
+        modexp.clear_public_key_cache()
+        public, warmed = pow(4, 4244, _P), pow(4, 4245, _P)
+        modexp.warm_public_key(warmed, _P)
+        e = (1 << 255) + 12345
+        for s in range(3):
+            assert modexp.verify_product(4, s, public, e + s, _P) == _product(4, s, public, e + s, _P)
+            assert modexp.verify_product(4, s, warmed, e + s, _P) == _product(4, s, warmed, e + s, _P)
+        modexp.clear_public_key_cache()
+        assert modexp.verify_product(4, 9, public, e, _P) == _product(4, 9, public, e, _P)
+        stats = modexp.public_key_cache_stats()
+        assert (stats["first_uses"], stats["misses"], stats["size"]) == (1, 0, 0)
+
+    def test_warmed_key_builds_up_front(self):
+        modexp.clear_public_key_cache()
+        modexp.warm_public_key(pow(4, 4246, _P), _P)
+        stats = modexp.public_key_cache_stats()
+        assert (stats["first_uses"], stats["misses"], stats["size"]) == (0, 1, 1)
+
+    def test_first_seen_keys_bounded(self, monkeypatch):
+        modexp.clear_public_key_cache()
+        monkeypatch.setattr(modexp._PUBLIC_KEY_TABLES, "first_seen_capacity", 2)
+        keys = [pow(4, 5000 + i, _P) for i in range(3)]
+        for public in keys:
+            modexp.verify_product(4, 5, public, 6, _P)
+        # The oldest key was forgotten: its second use is a first use again.
+        modexp.verify_product(4, 5, keys[0], 7, _P)
+        assert modexp.public_key_cache_stats()["first_uses"] == 4
+        # The newest was remembered: its second use builds the table.
+        modexp.verify_product(4, 5, keys[2], 7, _P)
+        assert modexp.public_key_cache_stats()["misses"] == 1
+        modexp.clear_public_key_cache()
 
     def test_capacity_bounded(self):
         modexp.clear_public_key_cache()
