@@ -193,6 +193,17 @@ def _is_suppressed(finding: Finding, pragmas: dict[int, set[str]]) -> bool:
     return finding.rule in rules or "*" in rules
 
 
+def _unsuppressed(
+    findings: Iterable[Finding], pragmas_by_path: dict[str, dict[int, set[str]]]
+) -> list[Finding]:
+    """``findings`` minus those a pragma in ``pragmas_by_path`` covers."""
+    return sorted({
+        finding
+        for finding in findings
+        if not _is_suppressed(finding, pragmas_by_path.get(finding.path, {}))
+    })
+
+
 # -------------------------------------------------------------------- engine
 #: Directories (relative to cwd) whose files are parsed into the project as
 #: *context* — their call and dispatch edges count (many ECALL handlers are
@@ -358,9 +369,23 @@ class AnalysisEngine:
         pragmas_by_path = {
             module.display_path: pragma_lines(module.lines) for module in modules
         }
-        kept = {
-            finding
-            for finding in raw
-            if not _is_suppressed(finding, pragmas_by_path.get(finding.path, {}))
+        return _unsuppressed(raw, pragmas_by_path)
+
+    @staticmethod
+    def filter_pragmas(findings: Iterable[Finding]) -> list[Finding]:
+        """The findings of a pragma-on run, from those of a pragma-off run
+        (``apply_pragmas=False``) over the same files, in the same working
+        directory.
+
+        Suppression is only a filter after the rules have run, so one raw
+        scan serves both settings.  Each finding's file is read again for
+        its pragmas.  A file that does not parse has only its ``PARSE``
+        finding, which a pragma-on run never filters, so its pragmas are
+        not read.
+        """
+        findings = list(findings)
+        pragmas_by_path = {
+            path: pragma_lines(Path(path).read_text(encoding="utf-8").splitlines())
+            for path in {finding.path for finding in findings if finding.rule != "PARSE"}
         }
-        return sorted(kept)
+        return _unsuppressed(findings, pragmas_by_path)

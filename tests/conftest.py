@@ -75,14 +75,25 @@ def signing_key(rng) -> SigningKey:
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+#: The trees the analyzer gates on, relative to the repository root.
+ANALYZED_PATHS = ("src/repro", "examples", "benchmarks")
+
+
 @pytest.fixture(scope="session")
-def tree_findings() -> list:
-    """Findings of the default (pragma-on) analysis of ``src/repro``,
-    ``examples`` and ``benchmarks``: the whole-tree scan, run once per
-    session for every test that gates on it."""
-    return AnalysisEngine().analyze_paths(
-        [REPO_ROOT / "src" / "repro", REPO_ROOT / "examples", REPO_ROOT / "benchmarks"]
+def raw_tree_findings() -> list:
+    """Findings of the pragma-off analysis of ``src/repro``, ``examples``
+    and ``benchmarks``: the whole-tree scan, run once per session for every
+    test that gates on it."""
+    return AnalysisEngine(apply_pragmas=False).analyze_paths(
+        [REPO_ROOT / path for path in ANALYZED_PATHS]
     )
+
+
+@pytest.fixture(scope="session")
+def tree_findings(raw_tree_findings) -> list:
+    """Findings of the default (pragma-on) analysis of the same trees,
+    derived from the raw scan by the engine's own pragma filter."""
+    return AnalysisEngine.filter_pragmas(raw_tree_findings)
 
 
 @pytest.fixture

@@ -476,7 +476,7 @@ class TestRealTreeCallGraph:
 
 # ---------------------------------------------------------------- golden pin
 class TestGoldenPin:
-    def test_raw_finding_counts_match_seed(self):
+    def test_raw_finding_counts_match_seed(self, raw_tree_findings):
         """Pin the per-rule finding counts over the real tree with pragma
         suppression disabled.  A new finding is a regression to fix (or a
         deliberate pin update); a *vanished* finding means a rule silently
@@ -484,10 +484,10 @@ class TestGoldenPin:
         golden = json.loads(
             (REPO_ROOT / "tests" / "golden" / "analysis_seed.json").read_text()
         )
-        engine = AnalysisEngine(apply_pragmas=golden["apply_pragmas"])
-        findings = engine.analyze_paths(
-            [REPO_ROOT / p for p in golden["paths"]]
-        )
+        # The session's raw scan (tests/conftest.py) is the one this file describes.
+        assert golden["apply_pragmas"] is False
+        assert golden["paths"] == ["src/repro", "examples", "benchmarks"]
+        findings = raw_tree_findings
         counts = dict(sorted(Counter(f.rule for f in findings).items()))
         assert counts == golden["counts"], "\n".join(
             f"{f.path}:{f.line} {f.rule} {f.message}" for f in findings
@@ -497,6 +497,33 @@ class TestGoldenPin:
         assert tree_findings == [], "\n".join(
             f"{f.path}:{f.line} {f.rule} {f.message}" for f in tree_findings
         )
+
+    def test_filtered_raw_run_equals_pragma_on_run(self, tmp_path, monkeypatch):
+        """``filter_pragmas`` over a pragma-off run gives exactly a pragma-on
+        run's findings: same-line, comment-line and wildcard pragmas drop
+        theirs, and a file that does not parse keeps its PARSE finding."""
+        cloud = tmp_path / "src" / "repro" / "cloud"
+        cloud.mkdir(parents=True)
+        (cloud / "host.py").write_text(dedent("""
+            def touch(enclave, state):
+                enclave.trusted.balance = 0  # repro: ignore[SEC002]
+                # repro: ignore[SEC004]
+                ok = state.mac == b"expected"
+                enclave.trusted.other = 1
+                return ok == (state.tag == b"tag")
+        """))
+        (cloud / "wild.py").write_text(dedent("""
+            def poke(enclave):
+                enclave.trusted.x = 0  # repro: ignore[*]
+                return enclave.trusted.y
+        """))
+        (cloud / "broken.py").write_text("def broken(:  # repro: ignore[*]\n")
+        monkeypatch.chdir(tmp_path)
+        raw = AnalysisEngine(apply_pragmas=False, context_paths=[]).analyze_paths(["src"])
+        direct = AnalysisEngine(context_paths=[]).analyze_paths(["src"])
+        assert AnalysisEngine.filter_pragmas(raw) == direct
+        assert len(direct) < len(raw)
+        assert {f.rule for f in direct} == {"PARSE", "SEC002", "SEC004"}
 
 
 # ----------------------------------------------------------------------- CLI
