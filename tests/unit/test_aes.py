@@ -130,6 +130,24 @@ class TestCtrPathSwitch:
         assert calls == {"encrypt_block": 0, "encrypt_blocks": 2}
 
 
+class TestCtrAgainstCryptography:
+    @pytest.mark.parametrize("key_size", [16, 24, 32])
+    def test_matches_cryptography_ctr(self, key_size):
+        """Both AES paths against the ``cryptography`` package's CTR mode,
+        which carries into all 128 counter bits: the counters here keep
+        their low 32 bits from wrapping, where ``inc32`` would differ."""
+        ciphers = pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+        rng = np.random.default_rng(key_size)
+        key = rng.bytes(key_size)
+        for length in (0, 1, 16 * SCALAR_MAX_BLOCKS, 16 * SCALAR_MAX_BLOCKS + 1, 4096, 66_669):
+            counter = (int.from_bytes(rng.bytes(12), "big") << 32) | 1
+            data = rng.bytes(length)
+            reference = ciphers.Cipher(
+                ciphers.algorithms.AES(key), ciphers.modes.CTR(counter.to_bytes(16, "big"))
+            ).encryptor()
+            assert ctr_transform(AES(key), counter, data) == reference.update(data) + reference.finalize()
+
+
 class TestValidation:
     def test_invalid_key_length(self):
         with pytest.raises(CryptoError):
