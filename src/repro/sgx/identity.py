@@ -69,6 +69,16 @@ class EnclaveIdentity:
         return self.mrenclave[:4].hex()
 
 
+# (signer public key, MRENCLAVE, ISVPRODID, ISVSVN) -> Sigstruct: public
+# values only (a key pair's public key is g**x of its private key, so it
+# names the signer).  On SGX the developer signs a build once; here every
+# enclave load asks for the SIGSTRUCT again, and the signing nonce is
+# deterministic, so a re-signature would repeat byte for byte.  Bounded like
+# schnorr's public-key memo.
+_SIGSTRUCT_MEMO: dict[tuple[int, bytes, int, int], "Sigstruct"] = {}
+_SIGSTRUCT_MEMO_MAX = 256
+
+
 @dataclass(frozen=True)
 class SigningKey:
     """An enclave developer's signing keypair.
@@ -106,16 +116,6 @@ class SigningKey:
                 _SIGSTRUCT_MEMO.clear()
             _SIGSTRUCT_MEMO[memo_key] = sigstruct
         return sigstruct
-
-
-# (signer public key, MRENCLAVE, ISVPRODID, ISVSVN) -> Sigstruct: public
-# values only (a key pair's public key is g**x of its private key, so it
-# names the signer).  On SGX the developer signs a build once; here every
-# enclave load asks for the SIGSTRUCT again, and the signing nonce is
-# deterministic, so a re-signature would repeat byte for byte.  Bounded like
-# schnorr's public-key memo.
-_SIGSTRUCT_MEMO: dict[tuple[int, bytes, int, int], "Sigstruct"] = {}
-_SIGSTRUCT_MEMO_MAX = 256
 
 
 def _sigstruct_body(mrenclave: bytes, isv_prod_id: int, isv_svn: int) -> bytes:
