@@ -276,9 +276,8 @@ class _LruTableCache(_Lru):
     the lookups answered ``None``.
     """
 
-    def __init__(self, capacity: int, first_seen_capacity: int):
+    def __init__(self, capacity: int):
         super().__init__(capacity)
-        self.first_seen_capacity = first_seen_capacity
         self._first_seen: OrderedDict = OrderedDict()
         self.first_uses = 0
 
@@ -296,7 +295,7 @@ class _LruTableCache(_Lru):
         if table is None and not build and key not in self._first_seen:
             self.first_uses += 1
             self._first_seen[key] = None
-            while len(self._first_seen) > self.first_seen_capacity:
+            while len(self._first_seen) > FIRST_SEEN_CAPACITY:
                 self._first_seen.popitem(last=False)
             return None
         self._first_seen.pop(key, None)
@@ -314,7 +313,7 @@ class _LruTableCache(_Lru):
         self.first_uses = 0
 
 
-_PUBLIC_KEY_TABLES = _LruTableCache(LRU_CAPACITY, FIRST_SEEN_CAPACITY)
+_PUBLIC_KEY_TABLES = _LruTableCache(LRU_CAPACITY)
 # (g, s, y, e, modulus) -> g**s * y**e % modulus: public values only (a
 # generator, a signature and a verification key; see the module docstring).
 _PRODUCTS = _Lru(PRODUCT_MEMO_CAPACITY)

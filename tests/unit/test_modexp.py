@@ -160,7 +160,7 @@ class TestPublicKeyLru:
 
     def test_first_seen_keys_bounded(self, monkeypatch):
         modexp.clear_public_key_cache()
-        monkeypatch.setattr(modexp._PUBLIC_KEY_TABLES, "first_seen_capacity", 2)
+        monkeypatch.setattr(modexp, "FIRST_SEEN_CAPACITY", 2)
         keys = [pow(4, 5000 + i, _P) for i in range(3)]
         for public in keys:
             modexp.verify_product(4, 5, public, 6, _P)
