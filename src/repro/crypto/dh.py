@@ -30,10 +30,6 @@ MODP_2048_P = int(
 MODP_2048_G = 2
 MODP_2048_Q = (MODP_2048_P - 1) // 2  # order of the quadratic-residue subgroup
 
-# Ephemeral DH private keys are 256-bit (see generate_keypair), so the
-# generator's fixed-base table only needs short-exponent coverage.
-modexp.register_fixed_base(MODP_2048_G, MODP_2048_P, max_bits=256)
-
 
 @dataclass(frozen=True)
 class DhKeyPair:
@@ -63,7 +59,9 @@ class DiffieHellman:
     def shared_secret(self, private: int, peer_public: int) -> bytes:
         """Compute the raw shared secret with a validated peer value."""
         self.validate_public(peer_public)
-        secret = pow(peer_public, private, self.p)
+        # The base is a fresh peer value, so nothing can be precomputed; the
+        # exponent is the private key, so powmod, which is constant-time.
+        secret = modexp.powmod(peer_public, private, self.p)
         if secret in (0, 1, self.p - 1):
             raise CryptoError("degenerate DH shared secret")
         return secret.to_bytes((self.p.bit_length() + 7) // 8, "big")

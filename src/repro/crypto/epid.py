@@ -20,9 +20,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.crypto import modexp, schnorr
+from repro.crypto import schnorr
 from repro.crypto.bytesutil import constant_time_equal
-from repro.crypto.dh import MODP_2048_P
 from repro.errors import CryptoError
 from repro.sim.rng import DeterministicRng
 
@@ -79,9 +78,6 @@ class EpidGroup:
         self._keypair = schnorr.generate_keypair(self.rng.child("epid-group-key"))
         if not self.group_id:
             self.group_id = self.rng.child("epid-group-id").random_bytes(4)
-        # Every quote in the data center verifies against this one group
-        # key; build its verification table up front instead of on first use.
-        modexp.warm_public_key(self._keypair.public, MODP_2048_P)
 
     @property
     def public_key(self) -> int:

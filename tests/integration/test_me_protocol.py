@@ -6,6 +6,7 @@ from repro import wire
 from repro.apps.counter_app import MigratableBenchEnclave
 from repro.cloud.datacenter import DataCenter
 from repro.core.migration_enclave import MigrationEnclave
+from repro.core.migration_library import InitState
 from repro.core.policy import AllowedDestinationsPolicy, PolicySet, SameProviderPolicy
 from repro.core.protocol import (
     MigratableApp,
@@ -13,7 +14,7 @@ from repro.core.protocol import (
     install_all_migration_enclaves,
     install_migration_enclave,
 )
-from repro.errors import InvalidStateError, MigrationError
+from repro.errors import InvalidStateError, MigrationError, ReproError
 from repro.sgx.identity import SigningKey
 
 
@@ -163,3 +164,54 @@ class TestPolicies:
         # allowed destination still works
         migrated = app.migrate(machine_c, migrate_vm=False)
         assert migrated.alive
+
+
+class TestStrandedRecord:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP open item 'A frozen library retried under a new transaction "
+        "strands its first record (R3)': the record frozen under no transaction "
+        "stays parked and a later txn-less MIGRATE init installs it",
+    )
+    def test_retry_under_new_transaction_leaves_one_serving_instance(self):
+        dc = DataCenter(name="r3-strand", seed=5)
+        for name in ("machine-a", "machine-b", "machine-c"):
+            dc.add_machine(name)
+        install_all_migration_enclaves(dc)
+        key = SigningKey.generate(dc.rng.child("dev"))
+        app = MigratableApp.deploy(dc, dc.machine("machine-a"), MigratableBenchEnclave, key)
+        enclave = app.start_new()
+        counter_id, _ = enclave.ecall("create_counter")
+        enclave.ecall("increment_counter", counter_id)
+
+        # 1. A direct migration_start (no transaction) whose ship is dropped.
+        def drop_to_b(src, dst, payload):
+            return None if src == "machine-a" and dst.startswith("machine-b/") else payload
+
+        dc.network.add_tap(drop_to_b)
+        enclave.ecall("migration_start", "machine-b")
+        with pytest.raises(MigrationError):
+            flush_staged(app.app, "machine-b")
+        dc.network.remove_tap(drop_to_b)
+        # 2. The host migrates elsewhere, under a transaction of its own.
+        app.migrate(dc.machine("machine-c"))
+        # 3. Any host triggers a flush to machine-b, unauthenticated.
+        wire.decode(dc.network.send(
+            "evil", "machine-a/me", wire.encode({"t": "flush_staged", "dest": "machine-b"})
+        ))
+        # 4. A copy of the enclave on machine-b inits MIGRATE naming no transaction.
+        copy = MigratableApp.deploy(
+            dc, dc.machine("machine-b"), MigratableBenchEnclave, key, vm_name="copy"
+        )
+        instances = [app.enclave]
+        try:
+            instances.append(copy.launch(InitState.MIGRATE))
+        except ReproError:
+            pass
+        serving = []
+        for instance in instances:
+            try:
+                serving.append(instance.ecall("read_counter", counter_id))
+            except ReproError:
+                pass
+        assert len(serving) <= 1, f"{len(serving)} instances serve the counter: {serving}"

@@ -1,13 +1,15 @@
-"""Known-answer tests for the fast modular-exponentiation paths.
+"""Known-answer tests for modular exponentiation.
 
-Every fast path in :mod:`repro.crypto.modexp` must be bit-exact with
-``builtins.pow`` — these tests pin that over the RFC 3526 2048-bit group the
-simulator actually uses (Schnorr generator g=4, DH generator g=2), including
-the edge exponents 0, 1 and q-1, both sides of the order-aware table's
-short-side switch, and the on-demand row build, plus the cache bookkeeping
-the benchmarks rely on and the keying of the verification-product memo.
+Every path in :mod:`repro.crypto.modexp` must be bit-exact with
+``builtins.pow``: the native libcrypto call (``powmod``), the registered
+generator's short side (``FixedBaseTable``), the two-exponentiation product
+and the verification-product memo, over the RFC 3526 2048-bit group the
+simulator uses (Schnorr generator g=4, DH generator g=2) and other odd
+moduli, plus the built-in ``pow`` fallback for inputs the native call does
+not take and for a host without libcrypto.
 """
 
+import ctypes.util
 import random
 
 import pytest
@@ -43,24 +45,21 @@ EDGE_EXPONENTS = (
 class TestFixedBaseTable:
     @pytest.mark.parametrize("exponent", EDGE_EXPONENTS)
     def test_matches_pow_for_schnorr_generator(self, exponent):
-        for order in (None, _Q):
-            table = modexp.FixedBaseTable(4, _P, max_bits=2048, order=order)
-            assert table.pow(exponent) == pow(4, exponent, _P), order
+        table = modexp.FixedBaseTable(4, _P, order=_Q)
+        assert table.pow(exponent) == pow(4, exponent, _P)
 
     @pytest.mark.parametrize("exponent", EDGE_EXPONENTS)
     def test_matches_pow_for_dh_generator(self, exponent):
-        table = modexp.FixedBaseTable(MODP_2048_G, _P, max_bits=2048)
+        table = modexp.FixedBaseTable(MODP_2048_G, _P, order=_Q)
         assert table.pow(exponent) == pow(MODP_2048_G, exponent, _P)
 
-    def test_rows_built_on_demand(self):
-        table = modexp.FixedBaseTable(4, _P, max_bits=2048, order=_Q)
-        assert len(table._rows) == 0
-        exponent = (1 << 319) | 12345
+    @pytest.mark.parametrize("exponent", [
+        _Q // 2 - 1, _Q // 2, _Q // 2 + 1, _Q // 2 + 2,  # the short-side switch
+        _Q, _Q + 1, 2 * _Q - 1, 2 * _Q + 5, (1 << 2048) - 1,  # at or above the order
+    ])
+    def test_short_side_and_large_exponents_match_pow(self, exponent):
+        table = modexp.FixedBaseTable(4, _P, order=_Q)
         assert table.pow(exponent) == pow(4, exponent, _P)
-        assert len(table._rows) == 54  # ceil(320 / 6)
-        # q - 1 takes the short side (exponent 1) and builds nothing more.
-        assert table.pow(_Q - 1) == pow(4, _Q - 1, _P)
-        assert len(table._rows) == 54
 
     def test_order_must_annihilate_base(self):
         with pytest.raises(CryptoError):
@@ -68,22 +67,87 @@ class TestFixedBaseTable:
         with pytest.raises(CryptoError):
             modexp.FixedBaseTable(4, _P, order=0)
 
-    def test_oversized_exponent_falls_back_to_pow(self):
-        table = modexp.FixedBaseTable(4, _P, max_bits=16)
-        exponent = 1 << 100  # way past max_bits
-        assert table.pow(exponent) == pow(4, exponent, _P)
-
     def test_negative_exponent_rejected(self):
-        table = modexp.FixedBaseTable(4, _P)
+        table = modexp.FixedBaseTable(4, _P, order=_Q)
         with pytest.raises(CryptoError):
             table.pow(-1)
 
     def test_random_exponents_match_pow(self):
         rng = random.Random(1234)
-        table = modexp.FixedBaseTable(4, _P, max_bits=2048)
+        table = modexp.FixedBaseTable(4, _P, order=_Q)
         for _ in range(10):
             exponent = rng.getrandbits(2046)
             assert table.pow(exponent) == pow(4, exponent, _P)
+
+
+_RNG = random.Random(3526)
+_ODD_MODULI = {
+    "3": 3,
+    "mersenne61": (1 << 61) - 1,
+    "random1024": _RNG.getrandbits(1024) | (1 << 1023) | 1,
+    "rfc3526": _P,
+}
+_EXPONENTS = [0, 1, _Q - 1, _Q, _Q + 1] + [
+    _RNG.getrandbits(bits) | (1 << (bits - 1)) for bits in (255, 256, 320, 575, 2047, 2048)
+]
+
+
+class TestPowmod:
+    @pytest.mark.parametrize("modulus", _ODD_MODULI.values(), ids=_ODD_MODULI.keys())
+    def test_matches_pow(self, modulus):
+        rng = random.Random(modulus)
+        bases = [0, 1, 2, 4, modulus - 1, modulus, modulus + 5]
+        bases += [rng.getrandbits(modulus.bit_length() + 8) for _ in range(3)]
+        for base in bases:
+            for exponent in _EXPONENTS:
+                expected = pow(base, exponent, modulus)
+                assert modexp.powmod(base, exponent, modulus) == expected, (base, exponent)
+                # The public (not constant-time) path, through mul2_powmod.
+                assert modexp.mul2_powmod(base, exponent, 1, 0, modulus) == expected
+
+    @pytest.mark.parametrize("base,exponent,modulus", [
+        (4, -1, _P),  # negative exponent: pow inverts
+        (3, -5, 1 << 64),  # negative exponent, even modulus
+        (12345, 678, 1 << 64),  # even modulus
+        (12345, 678, _P + 1),
+        (12345, 678, 1),  # modulus 1: everything is 0
+        (-3, 5, 1),
+    ])
+    def test_inputs_the_native_call_does_not_take_give_pow_result(self, base, exponent, modulus):
+        assert modexp.powmod(base, exponent, modulus) == pow(base, exponent, modulus)
+
+    @pytest.mark.parametrize("base,exponent,modulus", [
+        (2, -1, 1 << 64),  # not invertible
+        (5, 3, 0),
+        (0, -1, _P),
+    ])
+    def test_inputs_the_native_call_does_not_take_raise_pow_exception(
+        self, base, exponent, modulus
+    ):
+        with pytest.raises(ValueError) as expected:
+            pow(base, exponent, modulus)
+        with pytest.raises(type(expected.value)):
+            modexp.powmod(base, exponent, modulus)
+
+    def test_loads_wherever_find_library_finds_it(self):
+        if ctypes.util.find_library("crypto") is None:
+            pytest.skip("no libcrypto on this host")
+        assert modexp._libcrypto() is not None
+
+    def test_no_libcrypto_falls_back_to_pow(self, monkeypatch):
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+        modexp._libcrypto.cache_clear()
+        try:
+            assert modexp._libcrypto() is None
+            for exponent in _EXPONENTS:
+                assert modexp.powmod(_P - 7, exponent, _P) == pow(_P - 7, exponent, _P)
+            modexp.clear_product_memo()
+            s, y, e = (1 << 574) + 3, pow(4, 0xFEED, _P), (1 << 255) + 1
+            assert modexp.verify_product(4, s, y, e, _P) == _product(4, s, y, e, _P)
+            assert modexp.verify_product(4, _Q - s, y, e, _P) == _product(4, _Q - s, y, e, _P)
+        finally:
+            modexp.clear_product_memo()
+            modexp._libcrypto.cache_clear()
 
 
 class TestShamir:
@@ -101,82 +165,17 @@ class TestShamir:
         assert modexp.mul2_powmod(4, e1, 9, e2, _P) == expected
 
     def test_verify_product_matches_pow(self):
-        modexp.clear_public_key_cache()
+        modexp.clear_product_memo()
         public = pow(4, 0xDEADBEEF, _P)
         s, e = (1 << 2000) + 12345, (1 << 255) + 7
         expected = pow(4, s, _P) * pow(public, e, _P) % _P
         assert modexp.verify_product(4, s, public, e, _P) == expected
 
-
-class TestPublicKeyLru:
-    def test_hits_and_misses_counted(self):
-        """A key's first use is served by built-in pow, its second builds
-        the table (a miss) and its third reuses it (a hit)."""
-        modexp.clear_public_key_cache()
-        public = pow(4, 31337, _P)
-        modexp.verify_product(4, 5, public, 6, _P)
-        modexp.verify_product(4, 7, public, 8, _P)
-        modexp.verify_product(4, 9, public, 10, _P)
+    def test_public_key_cache_stats_read_zero(self):
+        """The tracer reads these keys; there is no per-key cache to count."""
+        modexp.verify_product(4, 5, pow(4, 31337, _P), 6, _P)
         stats = modexp.public_key_cache_stats()
-        assert stats["first_uses"] == 1
-        assert stats["misses"] == 1
-        assert stats["hits"] == 1
-        assert stats["size"] == 1
-
-    def test_one_shot_key_builds_no_table(self):
-        modexp.clear_public_key_cache()
-        modexp.verify_product(4, 5, pow(4, 4242, _P), 6, _P)
-        stats = modexp.public_key_cache_stats()
-        assert (stats["first_uses"], stats["misses"], stats["hits"], stats["size"]) == (1, 0, 0, 0)
-
-    def test_second_use_builds_the_table(self):
-        modexp.clear_public_key_cache()
-        public = pow(4, 4243, _P)
-        modexp.verify_product(4, 5, public, 6, _P)
-        modexp.verify_product(4, 5, public, 7, _P)
-        stats = modexp.public_key_cache_stats()
-        assert (stats["first_uses"], stats["misses"], stats["hits"], stats["size"]) == (1, 1, 0, 1)
-
-    def test_every_path_equals_pow(self):
-        """First use (pow), second (fresh table), third (cached table), a
-        warmed key and a key forgotten by clear all give ``pow``'s product."""
-        modexp.clear_public_key_cache()
-        public, warmed = pow(4, 4244, _P), pow(4, 4245, _P)
-        modexp.warm_public_key(warmed, _P)
-        e = (1 << 255) + 12345
-        for s in range(3):
-            assert modexp.verify_product(4, s, public, e + s, _P) == _product(4, s, public, e + s, _P)
-            assert modexp.verify_product(4, s, warmed, e + s, _P) == _product(4, s, warmed, e + s, _P)
-        modexp.clear_public_key_cache()
-        assert modexp.verify_product(4, 9, public, e, _P) == _product(4, 9, public, e, _P)
-        stats = modexp.public_key_cache_stats()
-        assert (stats["first_uses"], stats["misses"], stats["size"]) == (1, 0, 0)
-
-    def test_warmed_key_builds_up_front(self):
-        modexp.clear_public_key_cache()
-        modexp.warm_public_key(pow(4, 4246, _P), _P)
-        stats = modexp.public_key_cache_stats()
-        assert (stats["first_uses"], stats["misses"], stats["size"]) == (0, 1, 1)
-
-    def test_first_seen_keys_bounded(self, monkeypatch):
-        modexp.clear_public_key_cache()
-        monkeypatch.setattr(modexp, "FIRST_SEEN_CAPACITY", 2)
-        keys = [pow(4, 5000 + i, _P) for i in range(3)]
-        for public in keys:
-            modexp.verify_product(4, 5, public, 6, _P)
-        # The oldest key was forgotten: its second use is a first use again.
-        modexp.verify_product(4, 5, keys[0], 7, _P)
-        assert modexp.public_key_cache_stats()["first_uses"] == 4
-        # The newest was remembered: its second use builds the table.
-        modexp.verify_product(4, 5, keys[2], 7, _P)
-        assert modexp.public_key_cache_stats()["misses"] == 1
-        modexp.clear_public_key_cache()
-
-    def test_capacity_bounded(self):
-        modexp.clear_public_key_cache()
-        for i in range(modexp.LRU_CAPACITY + 8):
-            modexp.warm_public_key(2 + i, _P)
-        assert modexp.public_key_cache_stats()["size"] == modexp.LRU_CAPACITY
+        assert stats == dict.fromkeys(("hits", "misses", "size", "capacity", "first_uses"), 0)
 
 
 def _product(g, s, y, e, modulus):
@@ -189,20 +188,22 @@ _OTHER = (MODP_2048_G, _ARGS[1] + 1, pow(4, 0xC0FFEF, _P), _ARGS[3] + 1, _P - 2)
 
 
 class TestProductMemo:
-    def test_repeat_hits_and_returns_same_value(self):
-        modexp.clear_public_key_cache()
+    def test_repeat_hits_and_returns_same_value(self, monkeypatch):
+        modexp.clear_product_memo()
         first = modexp.verify_product(*_ARGS)
         assert first == _product(*_ARGS)
-        tables = modexp.public_key_cache_stats()
+
+        def no_exponentiation(*args):
+            raise AssertionError("a memo hit exponentiated")
+
+        monkeypatch.setattr(modexp, "mul2_powmod", no_exponentiation)
         assert modexp.verify_product(*_ARGS) == first
         stats = modexp.product_memo_stats()
         assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
-        # A hit touches no table.
-        assert modexp.public_key_cache_stats() == tables
 
     @pytest.mark.parametrize("position", range(5), ids=["g", "s", "y", "e", "modulus"])
     def test_change_in_any_argument_misses(self, position):
-        modexp.clear_public_key_cache()
+        modexp.clear_product_memo()
         modexp.verify_product(*_ARGS)
         args = list(_ARGS)
         args[position] = _OTHER[position]
@@ -211,7 +212,7 @@ class TestProductMemo:
         assert (stats["hits"], stats["misses"], stats["size"]) == (0, 2, 2)
 
     def test_capacity_bounded(self):
-        modexp.clear_public_key_cache()
+        modexp.clear_product_memo()
         g, _, y, e, p = _ARGS
         capacity = modexp.PRODUCT_MEMO_CAPACITY
         for s in range(capacity + 8):
@@ -223,10 +224,10 @@ class TestProductMemo:
         assert modexp.product_memo_stats()["size"] == capacity
 
     def test_clear_empties_memo(self):
-        modexp.clear_public_key_cache()
+        modexp.clear_product_memo()
         modexp.verify_product(*_ARGS)
         modexp.verify_product(*_ARGS)
-        modexp.clear_public_key_cache()
+        modexp.clear_product_memo()
         assert modexp.product_memo_stats() == {
             "hits": 0, "misses": 0, "size": 0, "capacity": modexp.PRODUCT_MEMO_CAPACITY,
         }
