@@ -1,8 +1,11 @@
-"""From-scratch cryptographic primitives used by the simulated SGX platform.
+"""Cryptographic primitives used by the simulated SGX platform.
 
 Block cipher (AES), AEAD (AES-GCM), MAC (AES-CMAC), KDFs (SP 800-108 CMAC
 counter mode, HKDF-SHA256), finite-field Diffie-Hellman, Schnorr signatures,
-and a simulated EPID group-signature scheme.
+and a simulated EPID group-signature scheme.  AES-GCM, AES-CMAC and modular
+exponentiation run on the OpenSSL libcrypto that ``hashlib`` links
+(:mod:`repro.crypto.native`); each keeps a from-scratch reference, which
+tests compare against and which runs where libcrypto does not.
 """
 
 from repro.crypto.aes import AES

@@ -1,41 +1,14 @@
-"""AES block cipher (FIPS 197), implemented from scratch.
+"""AES block cipher (FIPS 197), implemented from scratch: the reference.
 
-Two encryption paths are provided, bit-identical to each other:
-
-* a scalar T-table path (:meth:`AES.encrypt_block`) for single blocks:
-  CMAC chaining, GCM's hash key and tag mask, key derivation, and CTR
-  inputs of up to 5 blocks (:mod:`repro.crypto.ctr` picks the path by
-  length).  The state is four 32-bit column words; four 256-entry word
-  tables fold SubBytes, ShiftRows and MixColumns into 16 lookups per
-  round, against round keys cached as words.  Measured on a 2-vCPU x86-64
-  VM under CPython 3.11: 13 us per AES-128 block and 17 us per AES-256
-  block, against 57 us and 75 us for the byte-wise GF(2^8)-table rounds
-  it replaced; and
-* a numpy batch path (:meth:`AES.encrypt_blocks`) that runs the same
-  T-table rounds over many blocks at once, used by CTR/GCM for channel
-  records, library persists and bulk sealed state.  The state is an
-  (8, n) array of little-endian words: the four column words of every
-  block, stored twice over.  Viewed as (column, block, row) bytes, the
-  bytes of row r in columns r..r+3 -- ShiftRows' choice for output
-  columns 0..3 -- are one strided slice, so a round is four ``take``
-  gathers into the T-tables (their words byte-swapped so each lands in
-  memory in row order), three XORs and the XOR of the round-key words, a
-  view of the cached byte schedule.  The last round gathers from the same
-  tables masked to their S-box byte.  Against the byte-wise rounds it
-  replaced (SubBytes, ShiftRows and an XTIME MixColumns as separate numpy
-  passes), on the same VM with numpy 2.4: a call costs 0.06 ms instead of
-  0.22 ms (AES-128) and 0.08 ms instead of 0.31 ms (AES-256) up to a few
-  dozen blocks, and the sealed KV store's 4,167-block snapshot takes
-  0.87 ms instead of 4.26 ms (AES-128) or 1.20 ms instead of 6.09 ms
-  (AES-256).
-
-:meth:`AES.decrypt_block` (inverse cipher, used by tests) keeps byte-wise
-rounds with GF(2^8) multiplication tables.
-
-Key schedules are cached across instances in a bounded module-level table
-keyed by the key bytes: AEAD objects are constructed per seal / per channel
-record stream, but the underlying keys (CPU fuse keys, report keys, session
-keys) recur, so re-expanding them dominates AEAD setup without the cache.
+AES-GCM and AES-CMAC run on libcrypto (:mod:`repro.crypto.gcm`,
+:mod:`repro.crypto.cmac`); this cipher is what tests compare them against
+and what they fall back to where libcrypto does not load or refuses an
+input.  :meth:`AES.encrypt_block` runs T-table rounds: the state is four
+32-bit column words, and four 256-entry word tables fold SubBytes,
+ShiftRows and MixColumns into 16 lookups per round.
+:meth:`AES.encrypt_blocks` encrypts a sequence of blocks with it (the CTR
+keystream), and :meth:`AES.decrypt_block` (inverse cipher, used by tests)
+keeps byte-wise rounds with GF(2^8) multiplication tables.
 
 The S-box and its inverse are computed programmatically from the GF(2^8)
 inverse plus the affine transform, rather than transcribed, to rule out
@@ -46,9 +19,7 @@ copy errors; known-answer tests against the FIPS 197 vectors live in
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
-
-import numpy as np
+from collections.abc import Sequence
 
 from repro.errors import CryptoError
 
@@ -116,73 +87,40 @@ _TE3 = [_rotr8(w) for w in _TE2]
 _unpack_words = struct.Struct(">4I").unpack
 _pack_words = struct.Struct(">4I").pack
 
-# The same tables for the batch path, as '<u4' words whose bytes lie in row
-# order (row 0 first): a (4, n) gather viewed as bytes is (column, block,
-# row).  The last round's tables keep only the byte that holds S[a] itself
-# (row r of _TE[r + 2]), so that round is SubBytes and ShiftRows alone.
-_TE_NP = tuple(np.array(t, dtype=">u4").view("<u4") for t in (_TE0, _TE1, _TE2, _TE3))
-_TE_LAST_NP = tuple(_TE_NP[(r + 2) % 4] & np.array(0xFF << 8 * r, dtype="<u4") for r in range(4))
-
 # GF(2^8) multiplication tables for the inverse MixColumns constants, so the
-# scalar inverse rounds are table lookups instead of per-bit _gf_mul loops.
+# inverse rounds are table lookups instead of per-bit _gf_mul loops.
 _MUL9 = [_gf_mul(i, 9) for i in range(256)]
 _MUL11 = [_gf_mul(i, 11) for i in range(256)]
 _MUL13 = [_gf_mul(i, 13) for i in range(256)]
 _MUL14 = [_gf_mul(i, 14) for i in range(256)]
 
-# key bytes -> (round_keys, round_key_words, round_keys_np), most-recently-used
-# last.
-_SCHEDULE_CACHE: OrderedDict[
-    bytes, tuple[list[bytes], tuple[int, ...], np.ndarray]
-] = OrderedDict()
-_SCHEDULE_CACHE_MAX = 512
-_schedule_hits = 0
-_schedule_misses = 0
-
 
 def key_schedule_cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters for the key-schedule cache (tests, tuning)."""
-    return {
-        "hits": _schedule_hits,
-        "misses": _schedule_misses,
-        "size": len(_SCHEDULE_CACHE),
-        "capacity": _SCHEDULE_CACHE_MAX,
-    }
+    """Zero counts under the keys of the key-schedule cache that native
+    AES-GCM and AES-CMAC made pointless.  Its only reader is the frozen
+    benchmark tracer (``benchmarks/e2e/tracing.py``)."""
+    return {"hits": 0, "misses": 0, "size": 0, "capacity": 0}
 
 
-def clear_key_schedule_cache() -> None:
-    global _schedule_hits, _schedule_misses
-    _SCHEDULE_CACHE.clear()
-    _schedule_hits = 0
-    _schedule_misses = 0
+def check_key(key: bytes) -> bytes:
+    """``key`` as ``bytes`` once its length is an AES key's: 16, 24 or 32
+    bytes.  Every AES construction here (the block cipher, AES-GCM and
+    AES-CMAC) checks its key with it."""
+    if len(key) not in _KEY_ROUNDS:
+        raise CryptoError(f"invalid AES key length: {len(key)}")
+    return bytes(key)
 
 
 class AES:
     """AES-128/192/256 block cipher over 16-byte blocks."""
 
     def __init__(self, key: bytes):
-        global _schedule_hits, _schedule_misses
-        if len(key) not in _KEY_ROUNDS:
-            raise CryptoError(f"invalid AES key length: {len(key)}")
+        key = check_key(key)
         self.rounds = _KEY_ROUNDS[len(key)]
-        key = bytes(key)
-        cached = _SCHEDULE_CACHE.get(key)
-        if cached is not None:
-            _schedule_hits += 1
-            _SCHEDULE_CACHE.move_to_end(key)
-        else:
-            _schedule_misses += 1
-            round_keys = self._expand_key(key)
-            round_keys_np = np.array(
-                [np.frombuffer(rk, dtype=np.uint8) for rk in round_keys]
-            )
-            round_keys_np.setflags(write=False)
-            round_key_words = struct.unpack(f">{4 * len(round_keys)}I", b"".join(round_keys))
-            cached = (round_keys, round_key_words, round_keys_np)
-            _SCHEDULE_CACHE[key] = cached
-            while len(_SCHEDULE_CACHE) > _SCHEDULE_CACHE_MAX:
-                _SCHEDULE_CACHE.popitem(last=False)
-        self._round_keys, self._round_key_words, self._round_keys_np = cached
+        self._round_keys = self._expand_key(key)
+        self._round_key_words = struct.unpack(
+            f">{4 * len(self._round_keys)}I", b"".join(self._round_keys)
+        )
 
     # ----------------------------------------------------------- key schedule
     def _expand_key(self, key: bytes) -> list[bytes]:
@@ -204,9 +142,9 @@ class AES:
             round_keys.append(rk)
         return round_keys
 
-    # ----------------------------------------------------------- scalar path
+    # ------------------------------------------------------------ encryption
     def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt a single 16-byte block (scalar path, T-table rounds).
+        """Encrypt a single 16-byte block (T-table rounds).
 
         The state is four big-endian column words; each inner round is
         sixteen table lookups and XORs, and the last round (no MixColumns)
@@ -241,6 +179,15 @@ class AES:
              | sbox[s1 >> 8 & 255] << 8 | sbox[s2 & 255]) ^ rk[last + 3],
         )
 
+    def encrypt_blocks(self, blocks: Sequence[bytes]) -> bytes:
+        """Encrypt each of ``blocks`` (16 bytes each) and return the
+        ciphertext blocks joined: the CTR keystream of a list of counters."""
+        data = b"".join(blocks)
+        if len(data) != 16 * len(blocks):
+            raise CryptoError("encrypt_blocks expects 16-byte blocks")
+        encrypt = self.encrypt_block
+        return b"".join(encrypt(data[i : i + 16]) for i in range(0, len(data), 16))
+
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt a single 16-byte block (inverse cipher)."""
         if len(block) != 16:
@@ -270,35 +217,3 @@ class AES:
                 ]
             )
         return out
-
-    # ------------------------------------------------------------ batch path
-    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Encrypt ``blocks`` of shape (n, 16) uint8 in parallel.
-
-        This is the bulk path used by CTR/GCM; it computes the same T-table
-        rounds as :meth:`encrypt_block`, with each column word of the state
-        widened to a (n,) array.  ``words`` holds the four columns of every
-        block twice over, so the bytes of row r read from columns r..r+3
-        (ShiftRows) are one strided slice of its byte view; each round is
-        four table gathers over such slices and the XOR of the round key.
-        """
-        if blocks.ndim != 2 or blocks.shape[1] != 16 or blocks.dtype != np.uint8:
-            raise CryptoError("encrypt_blocks expects an (n, 16) uint8 array")
-        n = len(blocks)
-        key_words = self._round_keys_np.view("<u4")[:, :, None]
-        words = np.empty((8, n), dtype="<u4")
-        np.bitwise_xor(np.ascontiguousarray(blocks).view("<u4").T, key_words[0], out=words[:4])
-        planes = words.view(np.uint8).reshape(8, n, 4)  # (column, block, row)
-        p0, p1, p2, p3 = (planes[r : r + 4, :, r] for r in range(4))
-        last = self.rounds
-        for r in range(1, last + 1):
-            words[4:] = words[:4]
-            t0, t1, t2, t3 = _TE_NP if r < last else _TE_LAST_NP
-            # take's default mode ("raise") is ~20 % slower here; byte
-            # indices never leave the 256-entry tables, so "wrap" never wraps.
-            mixed = t0.take(p0, mode="wrap")
-            mixed ^= t1.take(p1, mode="wrap")
-            mixed ^= t2.take(p2, mode="wrap")
-            mixed ^= t3.take(p3, mode="wrap")
-            np.bitwise_xor(mixed, key_words[r], out=words[:4])
-        return words[:4].T.copy().view(np.uint8)

@@ -14,6 +14,17 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
+def require_bytes(*values: object) -> None:
+    """Refuse any value that is not ``bytes`` with :class:`CryptoError`.
+
+    Channel records and sealed blobs come from the host, and their fields
+    may decode to any wire type; a string or list where ciphertext should
+    be is as forged as a bad tag."""
+    for value in values:
+        if not isinstance(value, bytes):
+            raise CryptoError(f"expected bytes, got {type(value).__name__}")
+
+
 def constant_time_equal(a: bytes, b: bytes) -> bool:
     """Timing-safe comparison (delegates to :func:`hmac.compare_digest`)."""
     return hmac.compare_digest(a, b)

@@ -1,15 +1,24 @@
-"""AES-CMAC (NIST SP 800-38B / RFC 4493), from scratch.
+"""AES-CMAC (NIST SP 800-38B / RFC 4493).
 
 SGX derives all its keys (sealing keys, report keys, provisioning keys) with
 AES-128 in a CMAC-based KDF, and local-attestation REPORTs are MACed with
-CMAC.  Known-answer tests against the RFC 4493 vectors live in
-``tests/unit/test_cmac_kdf.py``.
+CMAC.  CMAC is CBC-MAC with the last block masked by a subkey, so
+:meth:`AesCmac.mac` is one OpenSSL ``libcrypto`` AES-CBC encryption (zero
+IV, no padding) of the masked message, through the loader in
+:mod:`repro.crypto.native`, and the tag is its last block.  The subkeys
+derive from ``L = E_K(0^128)``, the same call over one zero block.  Where no
+libcrypto loads, the from-scratch :class:`~repro.crypto.aes.AES` chains the
+blocks instead (:func:`reference_cbc_mac`).  Known-answer tests against the
+RFC 4493 vectors live in ``tests/unit/test_cmac_kdf.py``.
 """
 
 from __future__ import annotations
 
-from repro.crypto.aes import AES
-from repro.crypto.bytesutil import constant_time_equal, xor_bytes
+import ctypes
+
+from repro.crypto.aes import AES, check_key
+from repro.crypto.bytesutil import constant_time_equal, require_bytes, xor_bytes
+from repro.crypto.native import aes_cipher, cipher_context, libcrypto
 from repro.errors import CryptoError
 
 _BLOCK = 16
@@ -26,33 +35,60 @@ def _double(block: bytes) -> bytes:
     return value.to_bytes(_BLOCK, "big")
 
 
+def reference_cbc_mac(key: bytes, blocks: bytes) -> bytes:
+    """From scratch: the last block of the AES-CBC encryption of ``blocks``
+    (a whole number of blocks) under a zero IV."""
+    cipher = AES(key)
+    x = bytes(_BLOCK)
+    for i in range(0, len(blocks), _BLOCK):
+        x = cipher.encrypt_block(xor_bytes(x, blocks[i : i + _BLOCK]))
+    return x
+
+
+def _cbc_mac(key: bytes, blocks: bytes) -> bytes:
+    """:func:`reference_cbc_mac`'s result, from one libcrypto call when one
+    loads."""
+    lib = libcrypto()
+    if lib is None:
+        return reference_cbc_mac(key, blocks)
+    ctx = cipher_context(lib)
+    try:
+        cipher = aes_cipher(lib, key, "cbc")
+        if (
+            lib.EVP_CipherInit_ex(ctx, cipher, None, key, bytes(_BLOCK), 1) != 1
+            or lib.EVP_CIPHER_CTX_set_padding(ctx, 0) != 1
+        ):
+            raise CryptoError("libcrypto could not set up AES-CBC")
+        out = ctypes.create_string_buffer(len(blocks))
+        size = ctypes.c_int()
+        if (
+            lib.EVP_CipherUpdate(ctx, out, ctypes.byref(size), blocks, len(blocks)) != 1
+            or size.value != len(blocks)
+        ):
+            raise CryptoError("libcrypto AES-CBC update failed")
+        return out.raw[-_BLOCK:]
+    finally:
+        lib.EVP_CIPHER_CTX_free(ctx)
+
+
 class AesCmac:
     """AES-CMAC producing 16-byte tags."""
 
     def __init__(self, key: bytes):
-        self._cipher = AES(key)
-        l = self._cipher.encrypt_block(b"\x00" * _BLOCK)
-        self._k1 = _double(l)
+        self._key = check_key(key)
+        self._k1 = _double(_cbc_mac(self._key, bytes(_BLOCK)))
         self._k2 = _double(self._k1)
 
     def mac(self, message: bytes) -> bytes:
         """Compute the CMAC tag of ``message``."""
-        n = (len(message) + _BLOCK - 1) // _BLOCK
-        if n == 0:
-            n = 1
-            complete = False
+        require_bytes(message)
+        head = max(0, (len(message) - 1) // _BLOCK * _BLOCK)  # all but the last block
+        tail = message[head:]
+        if len(tail) == _BLOCK:
+            last = xor_bytes(tail, self._k1)
         else:
-            complete = len(message) % _BLOCK == 0
-        if complete:
-            last = xor_bytes(message[(n - 1) * _BLOCK :], self._k1)
-        else:
-            tail = message[(n - 1) * _BLOCK :]
-            padded = tail + b"\x80" + b"\x00" * (_BLOCK - len(tail) - 1)
-            last = xor_bytes(padded, self._k2)
-        x = b"\x00" * _BLOCK
-        for i in range(n - 1):
-            x = self._cipher.encrypt_block(xor_bytes(x, message[i * _BLOCK : (i + 1) * _BLOCK]))
-        return self._cipher.encrypt_block(xor_bytes(x, last))
+            last = xor_bytes(tail + b"\x80" + bytes(_BLOCK - len(tail) - 1), self._k2)
+        return _cbc_mac(self._key, message[:head] + last)
 
     def verify(self, message: bytes, tag: bytes) -> bool:
         """Timing-safe verification of a CMAC tag."""

@@ -1,50 +1,14 @@
-"""AES-CTR keystream generation.
+"""AES-CTR keystream generation, from scratch: the reference for GCM.
 
-Used internally by GCM.  Counter blocks are 16-byte big-endian integers of
-which only the low 32 bits increment and wrap (GCM's ``inc32``).  The
-keystream comes from one of the two AES paths, chosen by input length:
-
-* up to :data:`SCALAR_MAX_BLOCKS` (5) blocks, one T-table
-  :meth:`AES.encrypt_block` call per counter block;
-* above that, one numpy :meth:`AES.encrypt_blocks` call over all of them.
-
-Through this function a scalar block costs about 14 us (AES-128) or 19 us
-(AES-256), and a batch call about 0.08 ms (AES-128) or 0.10 ms (AES-256)
-from one block up to a few dozen.  The measured crossover lies between 5
-and 6 blocks for both key sizes, and at 64 blocks the batch path wins 10x
-(2-vCPU x86-64 VM, CPython 3.11, numpy 2.4).  Migration protocol records,
-MSK hand-offs and counter bundles (2-4 blocks) fall on the scalar side;
-channel records and library persists (64 blocks and up) and sealed
-application state on the batch side.  Both paths produce the same bytes.
+Counter blocks are 16-byte big-endian integers of which only the low 32
+bits increment and wrap (GCM's ``inc32``).  The keystream is one
+:meth:`AES.encrypt_blocks` call over all of them.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.crypto.aes import AES
 from repro.crypto.bytesutil import xor_bytes
-from repro.errors import CryptoError
-
-#: Longest input, in blocks, whose keystream is built one block at a time.
-SCALAR_MAX_BLOCKS = 5
-
-
-def counter_blocks(initial_counter: int, count: int) -> np.ndarray:
-    """Build ``count`` consecutive 16-byte counter blocks starting at
-    ``initial_counter`` (GCM-style: only the low 32 bits increment and wrap).
-    """
-    if count < 0:
-        raise CryptoError("block count must be non-negative")
-    high = (initial_counter >> 32) << 32
-    low = initial_counter & 0xFFFFFFFF
-    lows = (low + np.arange(count, dtype=np.uint64)) & np.uint64(0xFFFFFFFF)
-    blocks = np.empty((count, 16), dtype=np.uint8)
-    high_bytes = np.frombuffer((high >> 32).to_bytes(12, "big"), dtype=np.uint8)
-    blocks[:, :12] = high_bytes
-    lows32 = lows.astype(">u4")
-    blocks[:, 12:] = lows32.view(np.uint8).reshape(-1, 4)
-    return blocks
 
 
 def ctr_transform(cipher: AES, initial_counter: int, data: bytes) -> bytes:
@@ -54,17 +18,11 @@ def ctr_transform(cipher: AES, initial_counter: int, data: bytes) -> bytes:
     """
     if not data:
         return b""
-    nblocks = (len(data) + 15) // 16
-    if nblocks <= SCALAR_MAX_BLOCKS:
-        high = (initial_counter >> 32) << 32
-        low = initial_counter & 0xFFFFFFFF
-        encrypt = cipher.encrypt_block
-        keystream = b"".join(
-            encrypt((high | ((low + i) & 0xFFFFFFFF)).to_bytes(16, "big"))
-            for i in range(nblocks)
-        )
-        return xor_bytes(data, keystream[: len(data)])
-    keystream = cipher.encrypt_blocks(counter_blocks(initial_counter, nblocks))
-    keystream_flat = keystream.reshape(-1)[: len(data)]
-    plain = np.frombuffer(data, dtype=np.uint8)
-    return (plain ^ keystream_flat).tobytes()
+    high = initial_counter & ~0xFFFFFFFF
+    low = initial_counter & 0xFFFFFFFF
+    counters = [
+        (high | ((low + i) & 0xFFFFFFFF)).to_bytes(16, "big")
+        for i in range((len(data) + 15) // 16)
+    ]
+    keystream = cipher.encrypt_blocks(counters)
+    return xor_bytes(data, keystream[: len(data)])

@@ -2,10 +2,11 @@
 
 Every exponentiation modulo an odd modulus runs OpenSSL ``libcrypto``'s
 Montgomery exponentiation through :mod:`ctypes` — the library this
-interpreter's ``hashlib`` and ``ssl`` already link — and is bit-exact with
-``builtins.pow``.  Measured per shape on a 2-vCPU x86-64 VM (CPython 3.11,
-libcrypto 3.0, 40 exponents each, best of 3), with the count per
-``paper_migrate`` migration in brackets:
+interpreter's ``hashlib`` and ``ssl`` already link, loaded by
+:mod:`repro.crypto.native` — and is bit-exact with ``builtins.pow``.
+Measured per shape on a 2-vCPU x86-64 VM (CPython 3.11, libcrypto 3.0,
+40 exponents each, best of 3), with the count per ``paper_migrate``
+migration in brackets:
 
 =================================================  ==================  =========
 exponentiation                                      replaced            libcrypto
@@ -56,50 +57,13 @@ results are unchanged (asserted by ``tests/unit/test_determinism.py``).
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
-import functools
 from collections import OrderedDict
 
+from repro.crypto.native import libcrypto
 from repro.errors import CryptoError
 
 #: Maximum number of verification products memoized at once.
 PRODUCT_MEMO_CAPACITY = 256
-
-# ------------------------------------------------------------- libcrypto
-_BN = ctypes.c_void_p  # BIGNUM *, BN_CTX *, BN_MONT_CTX *: opaque pointers
-_EXP = (ctypes.c_int, [_BN] * 6)  # (r, a, p, m, ctx, mont)
-_SIGNATURES = {
-    "BN_CTX_new": (_BN, []),
-    "BN_CTX_free": (None, [_BN]),
-    "BN_new": (_BN, []),
-    "BN_bin2bn": (_BN, [ctypes.c_char_p, ctypes.c_int, _BN]),
-    "BN_bn2binpad": (ctypes.c_int, [_BN, ctypes.c_char_p, ctypes.c_int]),
-    "BN_clear_free": (None, [_BN]),
-    "BN_MONT_CTX_new": (_BN, []),
-    "BN_MONT_CTX_set": (ctypes.c_int, [_BN, _BN, _BN]),
-    "BN_MONT_CTX_free": (None, [_BN]),
-    "BN_mod_exp_mont": _EXP,
-    "BN_mod_exp_mont_consttime": _EXP,
-}
-
-
-@functools.cache
-def _libcrypto():
-    """libcrypto with every function called here declared, or ``None`` when
-    none loads.  Decided once: ``find_library`` spawns ``ldconfig``."""
-    name = ctypes.util.find_library("crypto")
-    if name is None:
-        return None
-    try:
-        lib = ctypes.CDLL(name)
-        for symbol, (restype, argtypes) in _SIGNATURES.items():
-            function = getattr(lib, symbol)
-            function.restype = restype
-            function.argtypes = argtypes
-    except (OSError, AttributeError):
-        return None
-    return lib
-
 
 # modulus -> its BIGNUM and Montgomery context, built once and kept for the
 # life of the process.  The program raises modulo one prime (RFC 3526).
@@ -124,7 +88,7 @@ def _montgomery(lib, modulus: int, ctx: int) -> tuple[int, int]:
 def _pow(base: int, exponent: int, modulus: int, *, secret: bool) -> int:
     """``pow(base, exponent, modulus)``, natively when libcrypto takes it;
     ``secret`` exponents take the constant-time exponentiation."""
-    lib = _libcrypto()
+    lib = libcrypto()
     if lib is None or exponent < 0 or modulus <= 1 or not modulus & 1:
         return pow(base, exponent, modulus)
     width = (modulus.bit_length() + 7) // 8

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis import AnalysisEngine
 from repro.cloud.datacenter import DataCenter
+from repro.crypto import native
 from repro.sgx.cpu import SgxCpu
 from repro.sgx.identity import SigningKey
 from repro.sgx.platform_services import PlatformServices
@@ -24,6 +25,17 @@ from repro.sim.rng import DeterministicRng
 @pytest.fixture
 def rng() -> DeterministicRng:
     return DeterministicRng(1234, "tests")
+
+
+@pytest.fixture
+def reference_backend(monkeypatch):
+    """Run AES-GCM, AES-CMAC and modular exponentiation on their from-scratch
+    references: the libcrypto loader, its cache cleared, finds no library."""
+    monkeypatch.setattr(native, "_candidates", lambda: iter(()))
+    native.libcrypto.cache_clear()
+    assert native.libcrypto() is None
+    yield
+    native.libcrypto.cache_clear()
 
 
 @pytest.fixture

@@ -47,6 +47,42 @@ class TestMessageHandling:
         response = wire.decode(dc.network.send("machine-b", "machine-a/me", message))
         assert response["status"] == "error"
 
+    @pytest.mark.parametrize("kind", ["la_rec", "ra_rec"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("ct", "forged"), ("ct", [1, 2]), ("tag", "0123456789abcdef")],
+        ids=["str-ct", "list-ct", "str-tag"],
+    )
+    def test_record_field_of_another_type_gets_error_response(self, world, kind, field, value):
+        """Before each channel record of a migration reaches its ME, a copy
+        whose ciphertext or tag decodes to a string or list is delivered
+        first: the ME answers it with an error, and the migration goes on."""
+        dc, hosts = world
+        replies = []
+
+        def forge_first(src, dst, payload):
+            try:
+                message = wire.decode(payload)
+            except wire.WireError:
+                return payload
+            if not replies and message.get("t") == kind:
+                record = wire.decode(message["payload"])
+                record[field] = value
+                forged = wire.encode({**message, "payload": wire.encode(record)})
+                me = hosts[dst.split("/")[0]].enclave
+                replies.append(wire.decode(me.ecall("handle_message", forged, src)))
+            return payload
+
+        dc.network.add_tap(forge_first)
+        key = SigningKey.generate(dc.rng.child("dev"))
+        app = MigratableApp.deploy(dc, dc.machine("machine-a"), MigratableBenchEnclave, key)
+        enclave = app.start_new()
+        counter_id, _ = enclave.ecall("create_counter")
+        enclave.ecall("increment_counter", counter_id)
+        enclave = app.migrate(dc.machine("machine-b"), migrate_vm=False)
+        assert [reply["status"] for reply in replies] == ["error"]
+        assert enclave.ecall("read_counter", counter_id) == 1
+
     def test_la_msg1_without_hello(self, world):
         dc, hosts = world
         message = wire.encode({"t": "la_msg1", "sid": "nope", "payload": b"x"})

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.crypto.cmac import AesCmac, aes_cmac
+from repro.crypto.cmac import AesCmac, _cbc_mac, aes_cmac, reference_cbc_mac
 from repro.crypto.kdf import HkdfSha256, derive_key_cmac, sha256
 from repro.errors import CryptoError
 
@@ -44,6 +44,11 @@ class TestCmacVectors:
         with pytest.raises(CryptoError):
             AesCmac(RFC4493_KEY).verify(b"hello", b"short")
 
+    def test_refuses_a_message_that_is_not_bytes(self):
+        for message in ("hello", [104, 105], 16):
+            with pytest.raises(CryptoError):
+                AesCmac(RFC4493_KEY).mac(message)
+
     @pytest.mark.parametrize("key_size", [16, 24, 32])
     def test_matches_cryptography(self, key_size):
         """Against the ``cryptography`` package, whole and partial last blocks."""
@@ -56,6 +61,31 @@ class TestCmacVectors:
             reference = cmac.CMAC(ciphers.algorithms.AES(key))
             reference.update(message)
             assert aes_cmac(key, message) == reference.finalize()
+
+
+@pytest.mark.usefixtures("reference_backend")
+class TestCmacVectorsOnReference(TestCmacVectors):
+    """The same vectors and checks on the from-scratch reference."""
+
+
+class TestCmacNativeAgainstReference:
+    @pytest.mark.parametrize("key_size", [16, 24, 32])
+    def test_tags_match(self, key_size, request):
+        """libcrypto's CBC-MAC against the reference block loop, whole and
+        partial last blocks up to the 384-byte REPORT body."""
+        rng = random.Random(key_size)
+        key = rng.randbytes(key_size)
+        messages = [rng.randbytes(length) for length in (0, 1, 15, 16, 17, 100, 384)]
+        for blocks in (bytes(16), rng.randbytes(384)):
+            assert _cbc_mac(key, blocks) == reference_cbc_mac(key, blocks)
+        native_tags = [aes_cmac(key, message) for message in messages]
+        request.getfixturevalue("reference_backend")
+        assert [aes_cmac(key, message) for message in messages] == native_tags
+
+    def test_rejects_bad_key_length(self):
+        for size in (0, 15, 17, 33):
+            with pytest.raises(CryptoError):
+                AesCmac(bytes(size))
 
 
 class TestSp800108Kdf:

@@ -8,6 +8,7 @@ on the machine (and for the target) they were created on.
 import pytest
 
 from repro import wire
+from repro.crypto.gcm import reference_encrypt
 from repro.errors import InvalidParameterError, MacMismatchError, SgxError
 from repro.sgx.cpu import KeyName, KeyRequest, SgxCpu
 from repro.sgx.identity import Attributes, EnclaveIdentity, KeyPolicy
@@ -192,6 +193,24 @@ class TestSealing:
         ):
             with pytest.raises(MacMismatchError):
                 self._unseal_blob(cpu, identity, bad)
+
+    @pytest.mark.parametrize("iv_size", [0, 1, 12, 60, 128, 129, 4096])
+    def test_host_supplied_iv_of_any_length(self, cpu, identity, rng, iv_size):
+        """A blob's IV comes from the host.  Whatever its length, a blob
+        sealed by the reference opens, and with a flipped tag it raises
+        ``MacMismatchError`` (libcrypto takes IVs of 1-128 bytes; ``AesGcm``
+        hands the rest to the reference)."""
+        sealed = seal_data(cpu, identity, rng.child("s"), b"secret", b"label")
+        key = cpu.egetkey(identity, KeyRequest(
+            key_name=KeyName.SEAL, key_policy=sealed.key_policy,
+            key_id=sealed.key_id, isv_svn=sealed.isv_svn,
+        ))
+        iv = (bytes(range(256)) * 16)[:iv_size]
+        ciphertext, tag = reference_encrypt(key, iv, b"secret", b"label")
+        fields = {**wire.decode(sealed.to_bytes()), "iv": iv, "ciphertext": ciphertext, "tag": tag}
+        assert self._unseal_blob(cpu, identity, fields) == (b"secret", b"label")
+        with pytest.raises(MacMismatchError):
+            self._unseal_blob(cpu, identity, {**fields, "tag": bytes([tag[0] ^ 1]) + tag[1:]})
 
     def test_malformed_key_request_rejected(self, cpu, identity, rng):
         sealed = seal_data(cpu, identity, rng.child("s"), b"secret")

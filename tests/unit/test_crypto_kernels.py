@@ -4,10 +4,11 @@
 inputs:
 
 * ``AES.encrypt_block`` under 16-, 24- and 32-byte keys;
-* ``ctr_transform`` over 0-48 blocks (whole and partial last blocks), which
-  straddles the scalar/bulk length switch, from an ordinary initial counter
-  and from one whose low 32 bits wrap mid-stream;
-* ``AesGcm.seal`` over the same lengths;
+* ``ctr_transform`` over 0-48 blocks (whole and partial last blocks), from
+  an ordinary initial counter and from one whose low 32 bits wrap
+  mid-stream;
+* ``AesGcm.seal`` over the same lengths, on libcrypto and, with the
+  ``reference_backend`` fixture, on the from-scratch reference;
 * ``AesGcm.seal`` over long inputs (``gcm_long``): 64 consecutive block
   counts around the GHASH lane-path switch, whole and with a short last
   block, so every lane residue up to 64 lanes is hit, plus the sealed KV
@@ -33,7 +34,7 @@ from ``kernel_outputs()`` before the T-table AES, the scalar CTR path and
 the short-side generator exponentiation landed, ``gcm_long`` before the
 lane-parallel GHASH path landed, ``gcm_mid`` while that path still
 started at 1,024 blocks, and ``gcm_wide`` before the 256-lane pass landed;
-every value must stay equal.
+every value must stay equal; AES-GCM has since moved to libcrypto.
 """
 
 from __future__ import annotations
@@ -193,3 +194,8 @@ def kernel_outputs() -> dict:
 def test_kernel_outputs_match_golden_file(kernel):
     golden = json.loads(GOLDEN.read_text())
     assert KERNELS[kernel]() == golden[kernel]
+
+
+def test_gcm_seal_on_reference_matches_golden_file(reference_backend):
+    golden = json.loads(GOLDEN.read_text())
+    assert _gcm_seal_outputs() == golden["gcm_seal"]

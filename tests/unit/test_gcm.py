@@ -1,4 +1,9 @@
-"""AES-GCM known-answer tests (NIST / GCM spec test cases) + behaviour."""
+"""AES-GCM known-answer tests (NIST / GCM spec test cases) + behaviour.
+
+``AesGcm`` runs on libcrypto wherever it loads; each known-answer,
+differential and tamper class also runs on the from-scratch reference
+through a subclass that uses the ``reference_backend`` fixture.
+"""
 
 import random
 
@@ -7,17 +12,7 @@ import pytest
 from repro.crypto import gcm as gcm_module
 from repro.crypto.aes import AES
 from repro.crypto.bytesutil import xor_bytes
-from repro.crypto.gcm import (
-    LANE_MIN_BLOCKS,
-    LANES,
-    WIDE_LANES,
-    WIDE_MIN_BLOCKS,
-    AesGcm,
-    _ghash_horner,
-    _ghash_lanes,
-    _GhashKey,
-    gf_mult,
-)
+from repro.crypto.gcm import AesGcm, _GhashKey, gf_mult, reference_decrypt, reference_encrypt
 from repro.errors import CryptoError
 
 KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
@@ -31,13 +26,11 @@ CT = bytes.fromhex(
     "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
 )
 AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
-# Plaintext bytes from which GHASH, with a 1-block AAD and the length block,
-# reaches LANE_MIN_BLOCKS and takes the lane path.
-LANE_BYTES = 16 * (LANE_MIN_BLOCKS - 3) + 1
-# The same for 1,024 blocks: 32 whole rows of 32 lanes, no zero block in front.
-FULL_ROWS_BYTES = 16 * (1024 - 3) + 1
-# The same for WIDE_MIN_BLOCKS, where GHASH first runs in WIDE_LANES lanes.
-WIDE_BYTES = 16 * (WIDE_MIN_BLOCKS - 3) + 1
+# Plaintext lengths whose GHASH input, with a 1-block AAD and the length
+# block, is 112, 1,024 and 1,792 blocks with a 1-byte last block.
+BYTES_112_BLOCKS = 16 * (112 - 3) + 1
+BYTES_1024_BLOCKS = 16 * (1024 - 3) + 1
+BYTES_1792_BLOCKS = 16 * (1792 - 3) + 1
 
 
 class TestKnownAnswers:
@@ -70,6 +63,11 @@ class TestKnownAnswers:
         assert tag.hex() == "619cc5aefffe0bfa462af43c1699d050"
 
 
+@pytest.mark.usefixtures("reference_backend")
+class TestKnownAnswersOnReference(TestKnownAnswers):
+    """The same vectors on the from-scratch reference."""
+
+
 def _gf_inverse(h: int) -> int:
     """``H^-1 = H^(2^128 - 2)`` in GF(2^128), by square-and-multiply."""
     result, base, exponent = 1 << 127, h, (1 << 128) - 2
@@ -98,16 +96,18 @@ class TestCounterBlocks:
         j0 = 0x0123456789ABCDEF01234567_FFFFFFFF
         length_block = 16 * 8  # 0^64 || [len(IV) in bits]_64
         iv = gf_mult(j0 ^ gf_mult(length_block, h), gf_mult(h_inv, h_inv)).to_bytes(16, "big")
-        assert gcm._j0(iv) == j0
+        assert gcm_module._j0(_GhashKey(h), iv) == j0
 
         plaintext = bytes(range(40))
         ciphertext, tag = gcm.encrypt(iv, plaintext, b"hdr")
+        assert reference_encrypt(key, iv, plaintext, b"hdr") == (ciphertext, tag)
         upper = j0 & ~0xFFFFFFFF
         for i in range(3):
             keystream = cipher.encrypt_block((upper | i).to_bytes(16, "big"))
             block = slice(16 * i, 16 * i + 16)
             assert ciphertext[block] == xor_bytes(plaintext[block], keystream[: len(plaintext[block])])
         assert gcm.decrypt(iv, ciphertext, tag, b"hdr") == plaintext
+        assert reference_decrypt(key, iv, ciphertext, tag, b"hdr") == plaintext
 
 
 class TestRoundTrips:
@@ -115,9 +115,9 @@ class TestRoundTrips:
         "size",
         [
             0, 1, 15, 16, 17, 100, 4096,
-            LANE_BYTES - 1, LANE_BYTES, LANE_BYTES + 15,
-            FULL_ROWS_BYTES - 1, FULL_ROWS_BYTES, FULL_ROWS_BYTES + 15,
-            WIDE_BYTES - 1, WIDE_BYTES, WIDE_BYTES + 15,
+            BYTES_112_BLOCKS - 1, BYTES_112_BLOCKS, BYTES_112_BLOCKS + 15,
+            BYTES_1024_BLOCKS - 1, BYTES_1024_BLOCKS, BYTES_1024_BLOCKS + 15,
+            BYTES_1792_BLOCKS - 1, BYTES_1792_BLOCKS, BYTES_1792_BLOCKS + 15,
             100_000,
         ],
     )
@@ -139,32 +139,14 @@ class TestRoundTrips:
 
 
 class TestTamperDetection:
-    """Each tamper case runs on a one-block payload, a long one and a wide one."""
+    """Each tamper case runs on a one-block payload, a 1.7 KB one and a 28 KB
+    one; none may return plaintext."""
 
     PAYLOADS = (
         b"attack at dawn!!",
-        bytes(range(256)) * (LANE_BYTES // 256 + 1),
-        bytes(range(256)) * (WIDE_BYTES // 256 + 1),
+        bytes(range(256)) * (BYTES_112_BLOCKS // 256 + 1),
+        bytes(range(256)) * (BYTES_1792_BLOCKS // 256 + 1),
     )
-
-    @pytest.fixture(autouse=True)
-    def long_tags_from_lanes(self, monkeypatch):
-        """Fail if a long payload's tag, on seal or on open, skips the lane path."""
-        horner, lanes = gcm_module._ghash_horner, gcm_module._ghash_lanes
-        lane_calls = []
-
-        def horner_short_only(key, blocks):
-            assert len(blocks) < len(self.PAYLOADS[1])
-            return horner(key, blocks)
-
-        def counted_lanes(key, blocks, lane_count):
-            lane_calls.append(lane_count)
-            return lanes(key, blocks, lane_count)
-
-        monkeypatch.setattr(gcm_module, "_ghash_horner", horner_short_only)
-        monkeypatch.setattr(gcm_module, "_ghash_lanes", counted_lanes)
-        yield
-        assert set(lane_calls) == {LANES, WIDE_LANES}
 
     def _sealed(self):
         for payload in self.PAYLOADS:
@@ -204,6 +186,29 @@ class TestTamperDetection:
             with pytest.raises(CryptoError):
                 gcm.decrypt(IV, ciphertext, b"short", b"header")
 
+    def test_inputs_of_another_type_are_refused(self):
+        """A channel record's fields may decode to any wire type; a string,
+        list, integer or boolean is refused as forged, on either backend."""
+        gcm = AesGcm(KEY)
+        ciphertext, tag = gcm.encrypt(IV, self.PAYLOADS[0], b"header")
+        for forged in ("x" * 16, list(tag), 16, True):
+            for args in (
+                (forged, ciphertext, tag, b"header"),
+                (IV, forged, tag, b"header"),
+                (IV, ciphertext, forged, b"header"),
+                (IV, ciphertext, tag, forged),
+            ):
+                with pytest.raises(CryptoError):
+                    gcm.decrypt(*args)
+            for args in ((forged, b"data", b""), (IV, forged, b""), (IV, b"data", forged)):
+                with pytest.raises(CryptoError):
+                    gcm.encrypt(*args)
+
+
+@pytest.mark.usefixtures("reference_backend")
+class TestTamperDetectionOnReference(TestTamperDetection):
+    """The same tampering against the from-scratch reference."""
+
 
 class TestGhash:
     def test_table_matches_bitwise_reference(self):
@@ -224,63 +229,11 @@ class TestGhash:
         assert gf_mult(a, b) == gf_mult(b, a)
 
 
-class TestGhashPaths:
-    """Horner, the LANES pass and the WIDE_LANES pass compute one GHASH."""
-
-    @pytest.mark.parametrize(
-        "count", [1, 2, 31, 32, 33, 255, 256, 257, 511, 512, 513, WIDE_MIN_BLOCKS, 4168]
-    )
-    def test_paths_agree_with_cold_and_warm_tables(self, count):
-        rng = random.Random(count)
-        key = _GhashKey(rng.getrandbits(128))
-        blocks = rng.randbytes(16 * count)
-        expected = _ghash_horner(key, blocks)
-        for lanes, tables in ((LANES, 1), (WIDE_LANES, 2)):  # the wide pass folds via LANES
-            gcm_module.clear_ghash_table_cache()
-            assert _ghash_lanes(key, blocks, lanes) == expected
-            assert gcm_module.ghash_table_cache_stats()["lane_misses"] == tables
-            assert _ghash_lanes(key, blocks, lanes) == expected
-            assert gcm_module.ghash_table_cache_stats()["lane_hits"] == tables
-        gcm_module.clear_ghash_table_cache()
-
-    def test_wide_multiplier_is_h_to_the_lanes(self):
-        """The squared-up ``H^WIDE_LANES`` equals ``WIDE_LANES`` Shoup steps."""
-        key = _GhashKey(0x66E94BD4EF8A2C3B884CFA59CA342B2E)
-        power = key.h
-        for _ in range(WIDE_LANES - 1):
-            power = key.mult(power)
-        # Row 0x80 of position 0 is x^0 (the field's one) times the multiplier.
-        row = gcm_module._lane_table(key, WIDE_LANES)[0x80]
-        assert int.from_bytes(row.tobytes(), "big") == power
-
-    @pytest.mark.parametrize(
-        ("count", "lanes"),
-        [
-            (LANE_MIN_BLOCKS - 1, None),
-            (LANE_MIN_BLOCKS, LANES),
-            (WIDE_MIN_BLOCKS - 1, LANES),
-            (WIDE_MIN_BLOCKS, WIDE_LANES),
-        ],
-    )
-    def test_switches_by_block_count(self, monkeypatch, count, lanes):
-        calls = []
-        real = gcm_module._ghash_lanes
-
-        def first_pass(key, blocks, lane_count):
-            calls.append(lane_count)
-            return real(key, blocks, lane_count)
-
-        monkeypatch.setattr(gcm_module, "_ghash_lanes", first_pass)
-        # 20 bytes of AAD and the length block add 3 GHASH blocks.
-        AesGcm(KEY).encrypt(IV, bytes(16 * (count - 3)), bytes(20))
-        assert calls[:1] == ([lanes] if lanes else [])
-
-
 class TestAgainstCryptography:
-    """``AesGcm`` against the ``cryptography`` package on every GHASH path."""
+    """``AesGcm`` against the ``cryptography`` package."""
 
-    # Horner, LANES, WIDE_LANES, and the Fig. 4 payload (wide, short last block).
-    LENGTHS = (0, 17, 16 * 300 + 5, 16 * WIDE_MIN_BLOCKS, 100_000)
+    # Empty, short, 4.8 KB, 28 KB, and the Fig. 4 payload (short last block).
+    LENGTHS = (0, 17, 16 * 300 + 5, 16 * 1792, 100_000)
 
     @pytest.mark.parametrize("key_size", [16, 24, 32])
     @pytest.mark.parametrize("iv_size", [12, 16, 60])
@@ -297,73 +250,52 @@ class TestAgainstCryptography:
                 assert ours.open(iv, sealed, aad) == plaintext
 
 
-class TestGhashTableCache:
-    def test_hits_misses_and_sharing(self):
-        from repro.crypto import gcm
+@pytest.mark.usefixtures("reference_backend")
+class TestAgainstCryptographyOnReference(TestAgainstCryptography):
+    """The from-scratch reference against the ``cryptography`` package."""
 
-        gcm.clear_ghash_table_cache()
-        a = AesGcm(b"k" * 16)
-        b = AesGcm(b"k" * 16)  # same key -> same H -> cache hit
-        c = AesGcm(b"x" * 16)
-        stats = gcm.ghash_table_cache_stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
-        assert stats["size"] == 2
-        assert stats["capacity"] == 512
-        assert a._ghash_key is b._ghash_key
-        assert a._ghash_key is not c._ghash_key
-        # Shared tables still authenticate correctly.
-        iv = bytes(12)
-        ciphertext, tag = a.encrypt(iv, b"payload", b"aad")
-        assert b.decrypt(iv, ciphertext, tag, b"aad") == b"payload"
-        gcm.clear_ghash_table_cache()
-        assert gcm.ghash_table_cache_stats() == {
-            "hits": 0, "misses": 0, "size": 0, "capacity": 512,
-            "lane_hits": 0, "lane_misses": 0, "lane_size": 0,
-        }
 
-    def test_lru_eviction_is_bounded(self, monkeypatch):
-        from repro.crypto import gcm
+class TestNativeAgainstReference:
+    """libcrypto's AES-GCM against the from-scratch reference, byte for byte."""
 
-        gcm.clear_ghash_table_cache()
-        monkeypatch.setattr(gcm, "_GHASH_TABLE_CACHE_MAX", 2)
-        keys = [bytes([i]) * 16 for i in range(3)]
-        aeads = [AesGcm(key) for key in keys]
-        stats = gcm.ghash_table_cache_stats()
-        assert stats["size"] == 2  # oldest H evicted
-        assert stats["misses"] == 3
-        # The evicted key's AEAD keeps its (now uncached) tables and still
-        # round-trips; re-instantiating it is a miss, not an error.
-        iv = bytes(12)
-        ciphertext, tag = aeads[0].encrypt(iv, b"data")
-        assert AesGcm(keys[0]).decrypt(iv, ciphertext, tag) == b"data"
-        assert gcm.ghash_table_cache_stats()["misses"] == 4
-        gcm.clear_ghash_table_cache()
+    # 0-48 blocks, whole and with a short last block, then the 4 KiB sealed
+    # blob, a Migration Library persist, the sealed KV store's snapshot and
+    # the Fig. 4 payload.
+    LENGTHS = (
+        [16 * n for n in range(49)] + [16 * n - 5 for n in range(1, 49)]
+        + [4096, 5393, 66_669, 100_000]
+    )
 
-    def test_lane_cache_is_bounded(self):
-        from repro.crypto import gcm
+    @pytest.mark.parametrize("key_size", [16, 24, 32])
+    @pytest.mark.parametrize("aad_size", [0, 20, 33])
+    def test_seal_and_open_match(self, key_size, aad_size):
+        rng = random.Random(key_size * 100 + aad_size)
+        key = rng.randbytes(key_size)
+        aead = AesGcm(key)
+        for length in self.LENGTHS:
+            iv, plaintext, aad = rng.randbytes(12), rng.randbytes(length), rng.randbytes(aad_size)
+            ciphertext, tag = aead.encrypt(iv, plaintext, aad)
+            assert reference_encrypt(key, iv, plaintext, aad) == (ciphertext, tag)
+            assert reference_decrypt(key, iv, ciphertext, tag, aad) == plaintext
+            assert aead.decrypt(iv, ciphertext, tag, aad) == plaintext
 
-        gcm.clear_ghash_table_cache()
-        capacity = gcm._LANE_TABLE_CACHE_MAX
-        payload = bytes(16 * LANE_MIN_BLOCKS)
-        iv = bytes(12)
-        sealed = []
-        for i in range(capacity + 3):
-            aead = AesGcm(bytes([i]) * 16)
-            sealed.append((aead, aead.seal(iv, payload)))
-            assert gcm.ghash_table_cache_stats()["lane_size"] == min(i + 1, capacity)
-        assert (sealed[0][0]._ghash_key.h, gcm.LANES) not in gcm._LANE_TABLE_CACHE
-        # Evicted keys rebuild their lane table and still round-trip.
-        for aead, blob in sealed:
-            assert aead.open(iv, blob) == payload
-            assert len(gcm._LANE_TABLE_CACHE) == capacity
-        stats = gcm.ghash_table_cache_stats()
-        assert stats["lane_misses"] == 2 * (capacity + 3)  # each open followed an eviction
-        assert stats["lane_hits"] == 0
-        # A recurring key within the capacity hits its cached table.
-        aead, blob = sealed[-1]
-        assert aead.open(iv, blob) == payload
-        assert gcm.ghash_table_cache_stats()["lane_hits"] == 1
-        gcm.clear_ghash_table_cache()
-        assert not gcm._LANE_TABLE_CACHE
-        assert gcm.ghash_table_cache_stats()["lane_misses"] == 0
+    @pytest.mark.parametrize("iv_size", [0, 1, 12, 16, 60, 128, 129, 4096])
+    def test_every_iv_length_matches(self, iv_size):
+        """OpenSSL 3 takes IVs of 1-128 bytes; ``AesGcm`` runs the reference
+        on the rest, so every IV a host hands in behaves the same."""
+        rng = random.Random(iv_size)
+        key, iv = rng.randbytes(16), rng.randbytes(iv_size)
+        aead = AesGcm(key)
+        for length in (0, 17, 4096):
+            plaintext, aad = rng.randbytes(length), rng.randbytes(20)
+            sealed = aead.seal(iv, plaintext, aad)
+            ciphertext, tag = reference_encrypt(key, iv, plaintext, aad)
+            assert sealed == ciphertext + tag
+            assert aead.open(iv, sealed, aad) == plaintext
+            with pytest.raises(CryptoError):
+                aead.decrypt(iv, ciphertext, bytes([tag[0] ^ 1]) + tag[1:], aad)
+
+    def test_rejects_bad_key_length(self):
+        for size in (0, 15, 17, 33):
+            with pytest.raises(CryptoError):
+                AesGcm(bytes(size))

@@ -52,3 +52,8 @@ class TestAes256GcmVectors:
         gcm = AesGcm(bytes(range(key_size)))
         ciphertext, tag = gcm.encrypt(IV, b"payload", b"aad")
         assert gcm.decrypt(IV, ciphertext, tag, b"aad") == b"payload"
+
+
+@pytest.mark.usefixtures("reference_backend")
+class TestAes256GcmVectorsOnReference(TestAes256GcmVectors):
+    """The same vectors on the from-scratch reference."""

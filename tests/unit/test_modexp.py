@@ -11,15 +11,11 @@ not take and for a host without libcrypto.
 
 import ctypes.util
 import random
+import sys
 
 import pytest
 
-from repro.crypto import modexp
-from repro.crypto.aes import (
-    AES,
-    clear_key_schedule_cache,
-    key_schedule_cache_stats,
-)
+from repro.crypto import modexp, native
 from repro.crypto.dh import MODP_2048_G, MODP_2048_P, MODP_2048_Q
 from repro.errors import CryptoError
 
@@ -130,16 +126,24 @@ class TestPowmod:
         with pytest.raises(type(expected.value)):
             modexp.powmod(base, exponent, modulus)
 
-    def test_loads_wherever_find_library_finds_it(self):
-        if ctypes.util.find_library("crypto") is None:
-            pytest.skip("no libcrypto on this host")
-        assert modexp._libcrypto() is not None
-
-    def test_no_libcrypto_falls_back_to_pow(self, monkeypatch):
-        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
-        modexp._libcrypto.cache_clear()
+    def test_loads_wherever_find_library_finds_it(self, monkeypatch):
+        """Where ``_hashlib`` does not import, the library ``find_library``
+        names is loaded, and exponentiation runs on it."""
+        pytest.importorskip("_hashlib")
+        real = next(native._candidates())
+        asked = []
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: asked.append(name) or real)
+        native.libcrypto.cache_clear()
         try:
-            assert modexp._libcrypto() is None
+            assert native.libcrypto()._name == real
+            assert asked == ["crypto"]
+            assert modexp.powmod(_P - 7, _Q - 1, _P) == pow(_P - 7, _Q - 1, _P)
+        finally:
+            native.libcrypto.cache_clear()
+
+    def test_no_libcrypto_falls_back_to_pow(self, reference_backend):
+        try:
             for exponent in _EXPONENTS:
                 assert modexp.powmod(_P - 7, exponent, _P) == pow(_P - 7, exponent, _P)
             modexp.clear_product_memo()
@@ -148,7 +152,6 @@ class TestPowmod:
             assert modexp.verify_product(4, _Q - s, y, e, _P) == _product(4, _Q - s, y, e, _P)
         finally:
             modexp.clear_product_memo()
-            modexp._libcrypto.cache_clear()
 
 
 class TestShamir:
@@ -234,26 +237,3 @@ class TestProductMemo:
         }
         assert modexp.verify_product(*_ARGS) == _product(*_ARGS)
         assert modexp.product_memo_stats()["misses"] == 1
-
-
-class TestKeyScheduleCache:
-    def test_hit_and_miss_accounting(self):
-        clear_key_schedule_cache()
-        key = bytes(range(16))
-        first = AES(key)
-        stats = key_schedule_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 0
-        second = AES(key)
-        stats = key_schedule_cache_stats()
-        assert stats["hits"] == 1
-        # Same schedule object, and identical ciphertext either way.
-        assert first._round_keys is second._round_keys
-        block = b"\x00" * 16
-        assert first.encrypt_block(block) == second.encrypt_block(block)
-
-    def test_distinct_keys_distinct_schedules(self):
-        clear_key_schedule_cache()
-        a = AES(b"\x00" * 16)
-        b = AES(b"\x01" * 16)
-        assert a._round_keys != b._round_keys
-        assert key_schedule_cache_stats()["misses"] == 2
