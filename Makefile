@@ -1,8 +1,8 @@
 # Developer / CI entry points.  `make ci` is what a PR must pass: tier-1
 # tests, the SEC001-SEC010 interprocedural static-analysis gate (fails on
-# any finding not recorded in .analysis-baseline.json), the chaos sweep
-# (drop/duplicate/crash faults over every migration message; R3/R4 must hold
-# after recovery), the full fleet-kill grid (every planner-kill boundary of
+# any finding that no `# repro: ignore[...]` pragma suppresses), the chaos
+# sweep (drop/duplicate/crash faults over every migration message; R3/R4 must
+# hold after recovery), the full fleet-kill grid (every planner-kill boundary of
 # the fleet executor, serial and pipelined), the smoke slices of the
 # disk-fault and clone-campaign grids (the full grids run via
 # `make chaos-disk` and `make chaos-clone`), the paper-shape benchmark tests,
@@ -11,7 +11,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test analyze analyze-json analyze-sarif analyze-changed baseline \
+.PHONY: test analyze analyze-json analyze-sarif \
 	chaos chaos-disk chaos-disk-smoke chaos-fleet chaos-fleet-smoke \
 	chaos-clone chaos-clone-smoke chaos-smoke-all \
 	bench-fleet bench-fleet-smoke bench-scale-smoke bench-shapes bench-e2e-smoke \
@@ -66,13 +66,6 @@ analyze-json:
 # and multi-hop taint traces as codeFlows.
 analyze-sarif:
 	$(PYTHON) -m repro.analysis --format sarif src/repro examples benchmarks > analysis.sarif
-
-# Fast pre-commit loop: only files changed vs. the merge base.
-analyze-changed:
-	$(PYTHON) -m repro.analysis --changed-only src/repro examples benchmarks
-
-baseline:
-	$(PYTHON) -m repro.analysis --update-baseline src/repro examples benchmarks
 
 # All four modes: a single migration (a wave of one) and a two-enclave
 # batched wave, each with the session-resumption ablation on and off, must

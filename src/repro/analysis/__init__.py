@@ -14,16 +14,15 @@ them on every run:
 * :mod:`repro.analysis.summaries` / :mod:`repro.analysis.dataflow` —
   per-function taint summaries and the interprocedural taint tracker;
 * :mod:`repro.analysis.rules` — the SEC001-SEC010 catalog;
-* :mod:`repro.analysis.baseline` — accepted legacy findings;
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis`` / ``repro-analyze``.
 
 Suppress a justified finding in place with ``# repro: ignore[SEC00x]`` plus
-a comment saying why the flow is safe.
+a comment saying why the flow is safe; the pragma is the only suppression,
+so every other finding fails the gate.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import AnalysisEngine, SourceModule, zone_for
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.rules import ALL_RULE_CLASSES, default_rules
@@ -42,7 +41,6 @@ def analyze_paths(paths):
 __all__ = [
     "ALL_RULE_CLASSES",
     "AnalysisEngine",
-    "Baseline",
     "Finding",
     "Severity",
     "SourceModule",

@@ -1,25 +1,21 @@
 """Command-line interface: ``python -m repro.analysis`` / ``repro-analyze``.
 
-Exit codes: 0 — clean (modulo baseline and pragmas); 1 — findings; 2 —
-usage or I/O error.  ``--format json`` emits a machine-readable report and
-``--format sarif`` a SARIF 2.1.0 log for code-scanning UIs;
-``--update-baseline`` rewrites the baseline from the current tree and exits
-0.  ``--rule`` restricts reporting to the named rules, ``--explain`` prints
-the def→use dataflow trace under each finding that has one, and
-``--changed-only`` reports only findings in files touched per ``git diff``
-(the whole project is still parsed, so cross-function flows into a changed
-file are not missed).
+Prints every finding the engine reports, in sorted order; a justified
+exception is accepted only by a ``# repro: ignore[...]`` pragma on its line.
+Exit codes: 0 — clean; 1 — findings; 2 — usage or I/O error.
+``--format json`` emits a machine-readable report and ``--format sarif`` a
+SARIF 2.1.0 log for code-scanning UIs.  ``--rule`` restricts reporting to the
+named rules and ``--explain`` prints the def→use dataflow trace under each
+finding that has one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.rules import ALL_RULE_CLASSES
@@ -62,29 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the def->use dataflow trace under each finding",
     )
     parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "report only findings in files changed per git (diff vs HEAD "
-            "plus untracked); the full project is still analyzed"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE_NAME,
-        help=f"baseline file path (default: {DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -100,25 +73,6 @@ def _print_catalog(stream) -> None:
             f"{entry['severity']}: {entry['title']}",
             file=stream,
         )
-
-
-def _changed_files() -> set[str] | None:
-    """Repo-relative paths changed vs HEAD plus untracked; None on failure."""
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            capture_output=True, text=True, check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    changed = set()
-    for out in (diff.stdout, untracked.stdout):
-        changed.update(line.strip() for line in out.splitlines() if line.strip())
-    return changed
 
 
 def _sarif_report(findings: list[Finding]) -> dict:
@@ -220,54 +174,24 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
 
-    engine = AnalysisEngine()
-    findings = engine.analyze_paths(args.paths)
-
+    findings = AnalysisEngine().analyze_paths(args.paths)
     if selected is not None:
         findings = [finding for finding in findings if finding.rule in selected]
 
-    if args.changed_only:
-        changed = _changed_files()
-        if changed is None:
-            print(
-                "warning: --changed-only needs git; reporting everything",
-                file=sys.stderr,
-            )
-        else:
-            findings = [f for f in findings if f.path in changed]
-
-    if args.update_baseline:
-        Baseline.from_findings(findings).write(args.baseline)
-        print(
-            f"baseline updated: {len(findings)} finding(s) recorded in {args.baseline}"
-        )
-        return 0
-
-    baseline = Baseline() if args.no_baseline else Baseline.load(args.baseline)
-    pruned = 0 if args.no_baseline else baseline.prune_missing()
-    new, suppressed = baseline.filter(findings)
-
     if args.format == "json":
         report = {
-            "findings": [finding.to_dict() for finding in new],
-            "total": len(new),
-            "baselined": suppressed,
-            "baseline_pruned": pruned,
-            "rules": sorted({finding.rule for finding in new}),
+            "findings": [finding.to_dict() for finding in findings],
+            "total": len(findings),
+            "rules": sorted({finding.rule for finding in findings}),
         }
         print(json.dumps(report, indent=2))
     elif args.format == "sarif":
-        print(json.dumps(_sarif_report(new), indent=2))
+        print(json.dumps(_sarif_report(findings), indent=2))
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.format_text(explain=args.explain))
-        summary = f"{len(new)} finding(s)"
-        if suppressed:
-            summary += f", {suppressed} baselined"
-        if pruned:
-            summary += f", {pruned} stale baseline entr{'y' if pruned == 1 else 'ies'} pruned"
-        print(summary if new or suppressed or pruned else "clean: 0 findings")
-    return 1 if new else 0
+        print(f"{len(findings)} finding(s)" if findings else "clean: 0 findings")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

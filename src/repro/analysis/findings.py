@@ -2,14 +2,13 @@
 
 A :class:`Finding` is one rule violation at one source location.  Findings
 carry everything a reviewer needs to act (rule id, severity, location,
-message, fix hint) plus the stripped source-line text, which is what the
-baseline matches on — line *text* survives unrelated edits that shift line
-numbers, so a baseline does not rot every time a file grows.
+message, fix hint) plus the stripped source-line text.
 
 Interprocedural findings additionally carry a ``trace``: the def→use hops
 (:class:`TraceStep`) that prove the flow, printed by ``--explain`` and
-folded into the finding's :attr:`Finding.fingerprint` so two distinct flows
-landing on the same sink line stay distinguishable in the baseline.
+folded into the finding's :attr:`Finding.fingerprint` (the SARIF
+``partialFingerprints`` and JSON ``fingerprint``), so two distinct flows
+landing on the same sink line stay distinguishable.
 """
 
 from __future__ import annotations
@@ -52,11 +51,6 @@ class Finding:
     hint: str = field(default="", compare=False)
     text: str = field(default="", compare=False)  # stripped source line
     trace: tuple = field(default=(), compare=False)  # tuple[TraceStep, ...]
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-number-independent identity used by the baseline file."""
-        return (self.rule, self.path, self.text)
 
     @property
     def fingerprint(self) -> str:

@@ -2,7 +2,7 @@
 
 Each rule lives in its own module; :func:`default_rules` instantiates the
 catalog in rule-id order.  Adding a rule = adding a module here and listing
-it below — the engine, CLI, baseline, and tests pick it up automatically.
+it below — the engine, CLI and tests pick it up automatically.
 SEC001, SEC003, and SEC008-SEC010 are :class:`~repro.analysis.engine.
 ProjectRule` subclasses running on the whole-program call graph and taint
 summaries; the rest are per-module pattern rules.

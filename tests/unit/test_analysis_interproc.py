@@ -530,14 +530,14 @@ class TestGoldenPin:
 class TestCliInterproc:
     LEAK = dedent(TestTaintedReturnCrossFunction.LEAK)
 
-    def _write(self, tmp_path, name="vault.py", source=None):
-        target = tmp_path / name
-        target.write_text(source if source is not None else self.LEAK)
+    def _write(self, tmp_path):
+        target = tmp_path / "vault.py"
+        target.write_text(self.LEAK)
         return target
 
     def test_explain_prints_multi_hop_flow(self, tmp_path, capsys):
         target = self._write(tmp_path)
-        code = cli_main(["--no-baseline", "--explain", str(target)])
+        code = cli_main(["--explain", str(target)])
         out = capsys.readouterr().out
         assert code == 1
         assert "SEC008" in out
@@ -550,15 +550,15 @@ class TestCliInterproc:
 
     def test_rule_filter_selects_single_rule(self, tmp_path, capsys):
         target = self._write(tmp_path)
-        assert cli_main(["--no-baseline", "--rule", "SEC003", str(target)]) == 0
-        code = cli_main(["--no-baseline", "--rule", "SEC008", str(target)])
+        assert cli_main(["--rule", "SEC003", str(target)]) == 0
+        code = cli_main(["--rule", "SEC008", str(target)])
         out = capsys.readouterr().out
         assert code == 1
         assert "SEC008" in out and "SEC010" not in out
 
     def test_sarif_output_carries_code_flow(self, tmp_path, capsys):
         target = self._write(tmp_path)
-        code = cli_main(["--no-baseline", "--format", "sarif", str(target)])
+        code = cli_main(["--format", "sarif", str(target)])
         assert code == 1
         sarif = json.loads(capsys.readouterr().out)
         assert sarif["version"] == "2.1.0"
@@ -574,21 +574,6 @@ class TestCliInterproc:
 
     def test_json_output_round_trips(self, tmp_path, capsys):
         target = self._write(tmp_path)
-        cli_main(["--no-baseline", "--format", "json", str(target)])
+        cli_main(["--format", "json", str(target)])
         payload = json.loads(capsys.readouterr().out)
         assert any(f["rule"] == "SEC008" for f in payload["findings"])
-
-    def test_stale_baseline_entries_pruned_and_reported(self, tmp_path, capsys):
-        doomed = self._write(tmp_path, name="doomed.py")
-        survivor = self._write(
-            tmp_path, name="clean.py", source="def ok():\n    return 1\n"
-        )
-        baseline = tmp_path / "baseline.json"
-        cli_main(["--update-baseline", "--baseline", str(baseline), str(doomed)])
-        capsys.readouterr()
-        doomed.unlink()
-        code = cli_main(["--baseline", str(baseline), str(survivor)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "stale baseline entr" in out and "pruned" in out
-

@@ -1,8 +1,7 @@
 """Unit tests for the SEC001-SEC006 static-analysis rules.
 
 Each rule gets at least one known-violating and one known-clean fixture,
-plus tests for the pragma suppression, the baseline multiset matching, and
-the CLI surface.
+plus tests for the pragma suppression and the CLI surface.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from textwrap import dedent
 
 import pytest
 
-from repro.analysis import AnalysisEngine, Baseline, analyze_source, zone_for
+from repro.analysis import AnalysisEngine, analyze_source, zone_for
 from repro.analysis.cli import main as cli_main
 from repro.analysis.rules import ALL_RULE_CLASSES
 
@@ -439,47 +438,6 @@ class TestPragmas:
         ) == []
 
 
-# --------------------------------------------------------------- baseline
-class TestBaseline:
-    SOURCE = """
-        def verify(expected_tag, tag):
-            return expected_tag == tag
-        """
-
-    def test_baseline_roundtrip_suppresses(self, tmp_path):
-        findings = analyze_source(dedent(self.SOURCE), "src/repro/mod.py")
-        assert findings
-        baseline = Baseline.from_findings(findings)
-        path = tmp_path / "baseline.json"
-        baseline.write(path)
-        loaded = Baseline.load(path)
-        new, suppressed = loaded.filter(findings)
-        assert new == [] and suppressed == len(findings)
-
-    def test_baseline_is_line_number_independent(self):
-        findings = analyze_source(dedent(self.SOURCE), "src/repro/mod.py")
-        shifted = analyze_source("\n\n\n" + dedent(self.SOURCE), "src/repro/mod.py")
-        baseline = Baseline.from_findings(findings)
-        new, _ = baseline.filter(shifted)
-        assert new == []
-
-    def test_new_findings_escape_the_baseline(self):
-        findings = analyze_source(dedent(self.SOURCE), "src/repro/mod.py")
-        baseline = Baseline.from_findings(findings)
-        grown = dedent(self.SOURCE) + dedent(
-            """
-            def verify2(computed_mac, mac):
-                return computed_mac == mac
-            """
-        )
-        new, suppressed = baseline.filter(analyze_source(grown, "src/repro/mod.py"))
-        assert suppressed == len(findings)
-        assert [f.rule for f in new] == ["SEC004"]
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "absent.json").entries == {}
-
-
 # -------------------------------------------------------------------- CLI
 class TestCli:
     def _violating_file(self, tmp_path):
@@ -492,9 +450,7 @@ class TestCli:
 
     def test_exit_one_and_json_on_finding(self, tmp_path, capsys):
         target = self._violating_file(tmp_path)
-        code = cli_main(
-            ["--format", "json", "--baseline", str(tmp_path / "b.json"), str(target)]
-        )
+        code = cli_main(["--format", "json", str(target)])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert report["total"] == 1
@@ -505,26 +461,6 @@ class TestCli:
         target.write_text("def add(a, b):\n    return a + b\n")
         assert cli_main([str(target)]) == 0
         assert "clean" in capsys.readouterr().out
-
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        target = self._violating_file(tmp_path)
-        baseline = tmp_path / "b.json"
-        assert (
-            cli_main(["--update-baseline", "--baseline", str(baseline), str(target)])
-            == 0
-        )
-        assert cli_main(["--baseline", str(baseline), str(target)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
-    def test_no_baseline_flag_reports_again(self, tmp_path, capsys):
-        target = self._violating_file(tmp_path)
-        baseline = tmp_path / "b.json"
-        cli_main(["--update-baseline", "--baseline", str(baseline), str(target)])
-        capsys.readouterr()
-        assert (
-            cli_main(["--no-baseline", "--baseline", str(baseline), str(target)]) == 1
-        )
 
     def test_missing_path_is_usage_error(self, tmp_path):
         assert cli_main([str(tmp_path / "nope")]) == 2
