@@ -73,25 +73,28 @@ class SecureChannel:
         record raises :class:`ChannelError`.
         """
         self._require_open()
+        expected = self._recv.sequence
+        seq_bytes = expected.to_bytes(8, "big")
         try:
             fields = wire.decode(record)
             seq = fields["seq"]
             ciphertext = fields["ct"]
             tag = fields["tag"]
             aad = fields["aad"]
+            bound_aad = seq_bytes + aad
         except (wire.WireError, KeyError, TypeError) as exc:
             # WireError: undecodable record; KeyError: missing field;
             # TypeError: a field decoded to the wrong shape (e.g. dict
-            # indexing on a non-dict).  Anything else is a real bug and
-            # should surface, not be relabeled as a malformed record.
+            # indexing on a non-dict, or an ``aad`` that is not bytes).
+            # Anything else is a real bug and should surface, not be
+            # relabeled as a malformed record.
             raise ChannelError(f"malformed channel record: {exc}") from exc
-        if seq != self._recv.sequence:
+        if seq != expected:
             raise ChannelError(
-                f"sequence violation: expected {self._recv.sequence}, got {seq} "
+                f"sequence violation: expected {expected}, got {seq} "
                 "(replay or reordering)"
             )
-        iv = b"\x00" * 4 + seq.to_bytes(8, "big")
-        bound_aad = seq.to_bytes(8, "big") + aad
+        iv = b"\x00" * 4 + seq_bytes
         try:
             plaintext = self._recv.aead.decrypt(iv, ciphertext, tag, bound_aad)
         except CryptoError as exc:

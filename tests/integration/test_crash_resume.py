@@ -7,6 +7,7 @@ fault (message drop or machine crash), then exercises ``MigratableApp.resume``
 
 import pytest
 
+from repro import wire
 from repro.cloud.storage import PHASE_PREPARE, MigrationJournal
 from repro.core.protocol import reinstall_migration_enclave
 from repro.core.result import MigrationOutcome, MigrationResult
@@ -168,6 +169,35 @@ class TestPendingRetry:
         detach(world)
         assert result.outcome is MigrationOutcome.COMPLETED
         assert result.ecall("read_counter", world.counter_id) == COUNTER_TARGET
+        assert check_invariants(world) == []
+
+    def test_reply_with_a_mistyped_aad_is_retried(self):
+        """The host rewrites the ``aad`` of the source ME's reply to the
+        library's first ``la_rec`` into a string: the library's channel
+        rejects the record as malformed, and the command is retried over a
+        fresh channel instead of the ECALL failing with a ``TypeError``."""
+
+        def mistype_aad(src, dst, payload, direction):
+            envelope = wire.decode(payload)
+            record = wire.decode(envelope["payload"])
+            record["aad"] = "x"
+            envelope["payload"] = wire.encode(record)
+            return wire.encode(envelope)
+
+        world = build_world(seed=3, targets=(1,))
+        dc, app = world.dc, world.app
+        # The ME's replies to la_hello and la_msg1 come first.
+        attach(
+            world,
+            FaultPlan().hook(
+                mistype_aad, src=f"{SOURCE}/me", direction="response", nth=2
+            ),
+        )
+        result = app.migrate(dc.machine(DESTINATION), migrate_vm=False)
+        detach(world)
+        assert result.outcome is MigrationOutcome.COMPLETED
+        assert result.retries_used == 1
+        assert result.ecall("read_counter", world.counter_id) == 1
         assert check_invariants(world) == []
 
 

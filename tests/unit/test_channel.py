@@ -85,6 +85,19 @@ class TestAttacks:
         with pytest.raises(ChannelError):
             other_responder.recv(initiator.send(b"wrong session"))
 
+    @pytest.mark.parametrize("aad", ["x", [b"aad"], 7], ids=["str", "list", "int"])
+    def test_mistyped_aad_rejected_without_moving_the_sequence(self, pair, aad):
+        from repro import wire
+
+        initiator, responder = pair
+        genuine = initiator.send(b"payload", b"aad")
+        record = wire.decode(genuine)
+        record["aad"] = aad
+        with pytest.raises(ChannelError, match="malformed"):
+            responder.recv(wire.encode(record))
+        # the receive sequence is still 0: the genuine record is accepted
+        assert responder.recv(genuine) == (b"payload", b"aad")
+
     def test_garbage_record_rejected(self, pair):
         _, responder = pair
         with pytest.raises(ChannelError):
