@@ -58,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import wire
+from repro.core.retry import RetryPolicy, call_with_retries
 from repro.errors import (
     CloneDetectedError,
     FencedInstanceError,
@@ -67,10 +68,9 @@ from repro.errors import (
 
 INSTANCE_REGISTRY_PATH = "fleet/instance_registry"
 
-#: Bounded retry/backoff against an unavailable registry: attempts and the
-#: base virtual-time delay doubled per attempt (0.05, 0.1, 0.2 s).
-UNAVAILABLE_RETRY_ATTEMPTS = 3
-UNAVAILABLE_RETRY_BASE_DELAY = 0.05
+#: Bounded retry/backoff against an unavailable registry: four checks with
+#: 0.05, 0.1 and 0.2 s of virtual-time backoff between them.
+UNAVAILABLE_RETRY = RetryPolicy(max_attempts=4, base_delay=0.05)
 
 
 @dataclass
@@ -252,18 +252,16 @@ class SingleInstanceRegistry:
     # ------------------------------------------------------- availability
     def _ensure_available(self, operation: str) -> None:
         """Deny-by-default with bounded retry/backoff in virtual time."""
-        if not self.offline:
-            return
-        delay = UNAVAILABLE_RETRY_BASE_DELAY
-        for _ in range(UNAVAILABLE_RETRY_ATTEMPTS):
-            self.meter.charge_exact("retry_backoff", delay)
-            delay *= 2
-            if not self.offline:
-                return
-        raise RegistryUnavailableError(
-            f"single-instance registry unreachable for {operation} after "
-            f"{UNAVAILABLE_RETRY_ATTEMPTS} attempts: denying by default"
-        )
+
+        def check() -> None:
+            if self.offline:
+                raise RegistryUnavailableError(
+                    f"single-instance registry unreachable for {operation} "
+                    f"after {UNAVAILABLE_RETRY.max_attempts - 1} attempts: "
+                    "denying by default"
+                )
+
+        call_with_retries(check, meter=self.meter, policy=UNAVAILABLE_RETRY)
 
     # ---------------------------------------------------------- liveness
     def bind_liveness(self, identity: bytes, probe) -> None:
