@@ -75,7 +75,7 @@ class UntrustedStorage:
     _torn: dict[str, int] = field(default_factory=dict)  # path -> tear offset
     _lost: set[str] = field(default_factory=set)  # sync acked, never landed
     #: Times :meth:`read_record` found an unparseable record (any journal,
-    #: index or registry blob); surfaced in MigrationResult diagnostics.
+    #: index or registry blob); the disk chaos sweep sums it over the machines.
     journal_corruption_count: int = 0
     #: Disk-fault hook; the chaos harness points this at the FaultInjector.
     fault_injector: DiskFaultHook | None = field(default=None, repr=False)

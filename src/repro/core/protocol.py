@@ -53,8 +53,7 @@ from repro.sgx.measurement import measure_source
 
 LIBRARY_STATE_PATH = "miglib_state"
 
-#: Legacy single-slot checkpoint path (pre-A/B layouts); still read as the
-#: last-resort recovery candidate so old disks keep booting.
+#: Prefix of the ME checkpoint records below.
 ME_CHECKPOINT_PATH = "me_checkpoint"
 
 #: A/B double-buffered checkpoint slots plus the tiny pointer record that
@@ -200,7 +199,7 @@ def _write_me_checkpoint(mgmt_app, sealed_state: bytes, generation: int) -> int:
 def _me_checkpoint_candidates(mgmt_app) -> list[tuple[int, bytes]]:
     """Parseable ``(generation, sealed blob)`` checkpoints in recovery
     preference order: the pointer's generation first, then the rest by
-    descending generation, then any legacy single-slot blob (generation 0).
+    descending generation.
 
     Parse failures (a torn slot, a rotted pointer) simply drop a candidate —
     the AEAD check at import time is the real gate; this order only decides
@@ -223,8 +222,6 @@ def _me_checkpoint_candidates(mgmt_app) -> list[tuple[int, bytes]]:
         except (wire.WireError, KeyError, TypeError, ValueError):
             pass
     slots.sort(key=lambda item: (item[0] != preferred, -item[0]))
-    if mgmt_app.has_stored(ME_CHECKPOINT_PATH):
-        slots.append((0, mgmt_app.load(ME_CHECKPOINT_PATH)))
     return slots
 
 
@@ -586,18 +583,6 @@ class MigratableApp:
         """The migration-in-progress record on the app's *current* machine."""
         return MigrationJournal(self.app.machine.storage, self.app_name)
 
-    def _diagnostics(self) -> dict:
-        """Observability payload for ``MigrationResult.diagnostics``: the
-        data-center-wide tally of unparseable journal reads at this moment,
-        so a caller (or the disk chaos sweep) can tell whether recovery ran
-        through the corrupt-journal path."""
-        return {
-            "journal_corruption_count": sum(
-                machine.storage.journal_corruption_count
-                for machine in self.dc.machines.values()
-            )
-        }
-
     def migrate(
         self,
         destination: PhysicalMachine,
@@ -692,7 +677,6 @@ class MigratableApp:
             retries_used=retries,
             cost=CostSnapshot.capture(self.dc).delta(start_cost),
             enclave=enclave,
-            diagnostics=self._diagnostics(),
         )
 
     @classmethod
@@ -789,7 +773,6 @@ class MigratableApp:
                         retries_used=policy.max_attempts - 1,
                         cost=CostSnapshot.capture(app.dc).delta(start_cost),
                         error=exc,
-                        diagnostics=app._diagnostics(),
                     )
                     continue
                 staged.append((i, txn, retries, start_cost))
@@ -817,7 +800,6 @@ class MigratableApp:
                         retries_used=retries,
                         cost=CostSnapshot.capture(apps[i].dc).delta(start_cost),
                         error=exc,
-                        diagnostics=apps[i]._diagnostics(),
                     )
                 continue
 
@@ -843,7 +825,6 @@ class MigratableApp:
                         retries_used=retries,
                         cost=CostSnapshot.capture(app.dc).delta(start_cost),
                         error=exc,
-                        diagnostics=app._diagnostics(),
                     )
         return [results[i] for i in range(len(apps))]
 
@@ -962,7 +943,6 @@ class MigratableApp:
             txn_id=record.txn_id,
             cost=CostSnapshot.capture(self.dc).delta(start_cost),
             enclave=enclave,
-            diagnostics=self._diagnostics(),
         )
 
     # -------------------------------------------------------------- helpers

@@ -72,11 +72,10 @@ class MigrationResult:
     cost: CostSnapshot | None = None
     enclave: "Enclave | None" = None
     error: Exception | None = None
-    #: Recovery-path observability (e.g. ``journal_corruption_count``: how
-    #: many unparseable journal reads the involved disks had accumulated
-    #: when this result was produced).  Purely informational — no protocol
-    #: decision keys off it — but it lets the disk chaos sweep assert that
-    #: a scenario really exercised the corrupt-journal recovery path.
+    #: Recovery-path observability: ``FleetService.resume_plan`` marks the
+    #: result it synthesizes for a member found already migrated with
+    #: ``{"reconciled": True}``.  Purely informational — no protocol
+    #: decision keys off it.
     diagnostics: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:

@@ -48,9 +48,6 @@ class SgxStatus(enum.Enum):
     SGX_ERROR_MC_USED_UP = 0x400E
     SGX_ERROR_MC_OVER_QUOTA = 0x400F
 
-    def is_success(self) -> bool:
-        return self is SgxStatus.SGX_SUCCESS
-
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""

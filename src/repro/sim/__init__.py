@@ -1,7 +1,7 @@
 """Simulation substrate: virtual time, calibrated cost model, deterministic
 RNG, and the discrete-event scheduler for concurrent virtual-time work."""
 
-from repro.sim.clock import Timer, VirtualClock
+from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostMeter, CostModel
 from repro.sim.rng import DeterministicRng
 from repro.sim.scheduler import (
@@ -15,7 +15,6 @@ from repro.sim.scheduler import (
 )
 
 __all__ = [
-    "Timer",
     "VirtualClock",
     "CostMeter",
     "CostModel",

@@ -15,8 +15,6 @@ the implementation rather than being hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class VirtualClock:
     """A monotonically advancing virtual clock measured in seconds."""
@@ -48,30 +46,6 @@ class VirtualClock:
             )
         self._now = instant
 
-    def timer(self) -> "Timer":
-        """Start a stopwatch against this clock."""
-        return Timer(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"VirtualClock(now={self._now:.6f})"
 
-
-@dataclass
-class Timer:
-    """Stopwatch over a :class:`VirtualClock`."""
-
-    clock: VirtualClock
-    started_at: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.started_at = self.clock.now
-
-    @property
-    def elapsed(self) -> float:
-        return self.clock.now - self.started_at
-
-    def restart(self) -> float:
-        """Return elapsed time and reset the start point."""
-        elapsed = self.elapsed
-        self.started_at = self.clock.now
-        return elapsed

@@ -21,15 +21,6 @@ class TestVirtualClock:
         with pytest.raises(ValueError):
             VirtualClock().advance(-1.0)
 
-    def test_timer(self):
-        clock = VirtualClock()
-        timer = clock.timer()
-        clock.advance(3.0)
-        assert timer.elapsed == 3.0
-        assert timer.restart() == 3.0
-        clock.advance(1.0)
-        assert timer.elapsed == 1.0
-
 
 class TestCostMeter:
     def test_charge_advances_clock(self, clock, rng):
