@@ -5,6 +5,7 @@ import pytest
 from repro import wire
 from repro.apps.counter_app import MigratableBenchEnclave
 from repro.cloud.datacenter import DataCenter
+from repro.cloud.network import Endpoint
 from repro.core.migration_enclave import MigrationEnclave
 from repro.core.migration_library import InitState
 from repro.core.policy import AllowedDestinationsPolicy, PolicySet, SameProviderPolicy
@@ -34,6 +35,20 @@ class TestMessageHandling:
             dc.network.send("machine-b", "machine-a/me", wire.encode({"t": "bogus"}))
         )
         assert response["status"] == "error"
+
+    def test_deeply_nested_message_gets_error_response(self, world):
+        """Any endpoint can send 5,000 nested list headers (25 KB): the ME
+        answers with an error instead of a RecursionError escaping its
+        ECALL, and serves the next message."""
+        dc, hosts = world
+        me = str(Endpoint.me("machine-a"))
+        lists = (b"\x04" + (1).to_bytes(4, "big")) * 4_999 + b"\x04" + bytes(4)
+        payload = b"RPR1" + (1).to_bytes(2, "big") + (1).to_bytes(2, "big") + b"t" + lists
+        response = wire.decode(dc.network.send("evil", me, payload))
+        assert response["status"] == "error"
+        assert "nested deeper" in response["error"]
+        response = wire.decode(dc.network.send("evil", me, wire.encode({"t": "heartbeat"})))
+        assert response["status"] == "ok"
 
     def test_record_for_unknown_session(self, world):
         dc, hosts = world

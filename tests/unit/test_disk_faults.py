@@ -309,6 +309,16 @@ class TestMigrationJournal:
         assert journal.read() is None
         assert storage.journal_corruption_count == 1
 
+    def test_deeply_nested_record_reads_as_none_and_is_counted(self):
+        """A host-written record of 5,000 nested lists is unparseable like any
+        other rotted record, not a RecursionError out of the reader."""
+        storage = UntrustedStorage("m")
+        journal = MigrationJournal(storage, "app")
+        lists = (b"\x04" + (1).to_bytes(4, "big")) * 4_999 + b"\x04" + bytes(4)
+        storage.write(journal.path, b"RPR1" + bytes((0, 1, 0, 3)) + b"txn" + lists)
+        assert journal.read() is None
+        assert storage.journal_corruption_count == 1
+
     def test_write_over_corrupted_journal_counts_and_restarts_generation(self):
         # One corruption rule for every durable record: the generation
         # lookup inside write() is a read like any other, so an unparseable
