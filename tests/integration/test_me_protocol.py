@@ -38,8 +38,8 @@ class TestMessageHandling:
 
     def test_deeply_nested_message_gets_error_response(self, world):
         """Any endpoint can send 5,000 nested list headers (25 KB): the ME
-        answers with an error instead of a RecursionError escaping its
-        ECALL, and serves the next message."""
+        answers with an error, no exception escapes its ECALL, and it serves
+        the next message."""
         dc, hosts = world
         me = str(Endpoint.me("machine-a"))
         lists = (b"\x04" + (1).to_bytes(4, "big")) * 4_999 + b"\x04" + bytes(4)

@@ -311,7 +311,7 @@ class TestMigrationJournal:
 
     def test_deeply_nested_record_reads_as_none_and_is_counted(self):
         """A host-written record of 5,000 nested lists is unparseable like any
-        other rotted record, not a RecursionError out of the reader."""
+        other rotted record: counted, and read as absent."""
         storage = UntrustedStorage("m")
         journal = MigrationJournal(storage, "app")
         lists = (b"\x04" + (1).to_bytes(4, "big")) * 4_999 + b"\x04" + bytes(4)

@@ -117,7 +117,8 @@ class TestMalformed:
             wire.encode({"k": nested(wire.MAX_NESTING + 1)})
 
     def test_decode_refuses_nesting_beyond_the_bound(self):
-        """5,000 nested list headers once ran the decoder out of recursion."""
+        """Also far past the bound, where a decoder recursing per value would
+        exhaust the interpreter's recursion limit."""
         for depth in (wire.MAX_NESTING + 1, 5_000):
             with pytest.raises(wire.WireError, match="nested deeper"):
                 wire.decode(nested_message(depth))
