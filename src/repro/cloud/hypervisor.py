@@ -57,24 +57,22 @@ class Hypervisor:
         start = self.meter.now
 
         # Pre-copy rounds: each round re-copies the fraction of memory
-        # dirtied while the previous round was in flight.  The copied bytes
-        # ride the source -> destination link, so under trace capture they
-        # are attributed there (concurrent migrations to different hosts
-        # then genuinely overlap).
+        # dirtied while the previous round was in flight.  Copy time is
+        # bandwidth latency, so under trace capture it replays as a sleep
+        # (concurrent migrations overlap it freely).
         bytes_copied = 0
         round_bytes = vm.memory_bytes
         rounds = 0
-        with self.meter.on_link(source.name, destination.name):
-            for _ in range(self.precopy_rounds):
-                self.meter.charge_exact("vm_precopy", model.transfer_time(round_bytes))
-                bytes_copied += round_bytes
-                rounds += 1
-                round_bytes = int(round_bytes * model.vm_dirty_round_fraction)
-                if round_bytes < 4096:
-                    break
-            # Stop-and-copy switchover: final dirty set + device state.
-            self.meter.charge_exact("vm_switchover", model.transfer_time(round_bytes))
+        for _ in range(self.precopy_rounds):
+            self.meter.charge_exact("vm_precopy", model.transfer_time(round_bytes))
             bytes_copied += round_bytes
+            rounds += 1
+            round_bytes = int(round_bytes * model.vm_dirty_round_fraction)
+            if round_bytes < 4096:
+                break
+        # Stop-and-copy switchover: final dirty set + device state.
+        self.meter.charge_exact("vm_switchover", model.transfer_time(round_bytes))
+        bytes_copied += round_bytes
         self.meter.charge("vm_fixed", model.vm_migration_fixed)
 
         # Enclaves cannot cross: their EPC pages are opaque to us.

@@ -2,9 +2,9 @@
 
 A synchronous request/response fabric: components register named endpoints
 (e.g. ``machine-b/me`` for a Migration Enclave's service port) and peers
-send them byte payloads.  The network itself is **untrusted** — adversary
-taps can observe, modify, or drop any message — so every security property
-must come from the attested channels layered on top.
+send them byte payloads.  The network itself is **untrusted** — the
+adversary can observe, modify, or drop any message — so every security
+property must come from the attested channels layered on top.
 
 Endpoints are named ``machine/service``.  The :class:`Endpoint` helper and
 the service-name constants below replace hand-pasted f-strings at call
@@ -18,18 +18,18 @@ longer in simulated time than the deadline allows, the sender sees
 delivered and processed (at-least-once semantics), so retried operations
 must be idempotent.
 
-Fault injection: beyond ad-hoc taps, a :class:`repro.faults.FaultInjector`
-can be attached via ``fault_injector``; it observes every request and
-response with full addressing metadata and can drop, delay, duplicate, or
-corrupt messages, or crash machines, per a deterministic plan.
+Interception: the one seam on the wire is ``fault_injector``.  A
+:class:`repro.faults.FaultInjector` attached there observes every request
+and response with full addressing metadata and can drop, delay, duplicate,
+corrupt or (through a hook rule) rewrite messages, or crash machines, per a
+deterministic plan; adversary tests use a hook rule that fires on every leg.
 
-Concurrency: each exchange is *attributed* — transfer time to the directed
-``src -> dst`` link and handler execution to the destination machine's CPU —
-so when a :class:`~repro.sim.scheduler.TraceRecorder` is attached to the
-meter, a later discrete-event replay can let concurrent exchanges contend
-for CPUs instead of summing serially.  Without a recorder nothing reads the
-attribution and this path is byte-identical to the original synchronous
-fabric.
+Concurrency: handler execution is *attributed* to the destination machine's
+CPU, so when a :class:`~repro.sim.scheduler.TraceRecorder` is attached to
+the meter, a later discrete-event replay can let concurrent exchanges
+contend for CPUs instead of summing serially; RTT and transfer time replay
+as latency.  Without a recorder nothing reads the attribution and this path
+is byte-identical to the original synchronous fabric.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 
 Handler = Callable[[bytes, str], bytes]
-# tap(src, dst, payload) -> payload | None (None = drop)
-Tap = Callable[[str, str, bytes], bytes | None]
 
 # Well-known service names (the part after the "/" in an endpoint).
 ME_SERVICE = "me"  # per-machine Migration Enclave service port
@@ -91,7 +89,6 @@ class Network:
 
     meter: CostMeter
     _endpoints: dict[str, Handler] = field(default_factory=dict)
-    _taps: list[Tap] = field(default_factory=list)
     fault_injector: "FaultInjector | None" = None
     messages_sent: int = 0
     bytes_sent: int = 0
@@ -117,13 +114,6 @@ class Network:
         for address in [a for a in self._endpoints if _machine_of(a) == machine]:
             del self._endpoints[address]
 
-    def add_tap(self, tap: Tap) -> None:
-        """Install an adversary tap over all traffic."""
-        self._taps.append(tap)
-
-    def remove_tap(self, tap: Tap) -> None:
-        self._taps.remove(tap)
-
     def _charge(self, src: str, dst: str, num_bytes: int) -> None:
         model = self.meter.model
         rtt = model.net_local_rtt if _machine_of(src) == _machine_of(dst) else model.net_dc_rtt
@@ -145,10 +135,11 @@ class Network:
         """Request/response exchange; returns the handler's response.
 
         Raises :class:`NetworkError` for unknown endpoints or messages
-        dropped by a tap — the sender sees a connection failure, exactly as
-        a real untrusted network can induce.  With ``timeout``, raises
-        :class:`NetworkTimeoutError` when the simulated round trip exceeds
-        the deadline; the request may still have been processed.
+        dropped by the fault injector — the sender sees a connection
+        failure, exactly as a real untrusted network can induce.  With
+        ``timeout``, raises :class:`NetworkTimeoutError` when the simulated
+        round trip exceeds the deadline; the request may still have been
+        processed.
         """
         dst = str(dst)
         started = self.meter.now
@@ -156,17 +147,10 @@ class Network:
         handler = self._endpoints.get(dst)
         if handler is None:
             raise NetworkError(f"no endpoint {dst!r}")
-        for tap in self._taps:
-            tapped = tap(src, dst, payload)
-            if tapped is None:
-                raise NetworkError(f"message {src} -> {dst} dropped by adversary")
-            payload = tapped
         self.messages_sent += 1
         self.bytes_sent += len(payload)
-        src_machine, dst_machine = _machine_of(src), _machine_of(dst)
-        with self.meter.on_link(src_machine, dst_machine):
-            self._charge(src, dst, len(payload))
-        with self.meter.located(dst_machine):
+        self._charge(src, dst, len(payload))
+        with self.meter.located(_machine_of(dst)):
             response = handler(payload, src)
             if self.fault_injector is not None and self.fault_injector.wants_duplicate(
                 src, dst, "request"
@@ -186,16 +170,10 @@ class Network:
                     # typed taxonomy is a bug and must surface, not vanish.
                     pass
         response = self._apply_faults(dst, src, response, "response")
-        for tap in self._taps:
-            tapped = tap(dst, src, response)
-            if tapped is None:
-                raise NetworkError(f"response {dst} -> {src} dropped by adversary")
-            response = tapped
         self.bytes_sent += len(response)
-        with self.meter.on_link(dst_machine, src_machine):
-            self.meter.charge_exact(
-                "net_transfer", self.meter.model.transfer_time(len(response))
-            )
+        self.meter.charge_exact(
+            "net_transfer", self.meter.model.transfer_time(len(response))
+        )
         if timeout is not None and self.meter.now - started > timeout:
             raise NetworkTimeoutError(
                 f"{src} -> {dst} round trip exceeded timeout of {timeout}s"

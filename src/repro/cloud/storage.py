@@ -352,7 +352,11 @@ class MigrationRecord:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MigrationRecord":
-        fields = wire.decode(data)
+        fields = wire.typed_fields(
+            {"gen": 0, **wire.decode(data)},
+            txn=str, role=str, phase=str, source=str, destination=str,
+            retries=int, gen=int,
+        )
         return cls(
             txn_id=fields["txn"],
             role=fields["role"],
@@ -360,7 +364,7 @@ class MigrationRecord:
             source=fields["source"],
             destination=fields["destination"],
             retries=fields["retries"],
-            generation=fields.get("gen", 0),
+            generation=fields["gen"],
         )
 
 

@@ -79,7 +79,11 @@ class FleetPlanRecord:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FleetPlanRecord":
-        fields = wire.decode(data)
+        fields = wire.typed_fields(
+            {"gen": 0, "done_groups": [], **wire.decode(data)},
+            intent=str, waves=list, next_wave=int, wave_started=bool, gen=int,
+            done_groups=list,
+        )
         return cls(
             intent=fields["intent"],
             waves=tuple(
@@ -91,8 +95,8 @@ class FleetPlanRecord:
             ),
             next_wave=fields["next_wave"],
             wave_started=fields["wave_started"],
-            generation=fields.get("gen", 0),
-            done_groups=tuple(fields.get("done_groups", [])),
+            generation=fields["gen"],
+            done_groups=tuple(fields["done_groups"]),
         )
 
     @classmethod
@@ -196,7 +200,8 @@ class FleetPlanIndex:
 
     def read(self) -> list[str]:
         labels = self.storage.read_record(
-            self.path, lambda blob: list(wire.decode(blob)["labels"])
+            self.path,
+            lambda blob: wire.typed_fields(wire.decode(blob), labels=list)["labels"],
         )
         return labels or []
 

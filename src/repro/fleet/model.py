@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import wire
 from repro.core.result import MigrationOutcome, MigrationResult
 
 
@@ -100,6 +101,7 @@ class PlannedMove:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlannedMove":
+        wire.typed_fields(data, app=str, source=str, destination=str, tenant=str)
         return cls(
             app_name=data["app"],
             source=data["source"],

@@ -85,22 +85,24 @@ class InstanceRecord:
     planned_destination: str = ""
     fenced: tuple[bytes, ...] = ()
 
-    def to_bytes(self) -> bytes:
-        return wire.encode(
-            {
-                "identity": self.identity,
-                "holder": self.holder,
-                "machine": self.machine,
-                "epoch": self.epoch,
-                "frozen": self.frozen,
-                "planned_destination": self.planned_destination,
-                "fenced": list(self.fenced),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "identity": self.identity,
+            "holder": self.holder,
+            "machine": self.machine,
+            "epoch": self.epoch,
+            "frozen": self.frozen,
+            "planned_destination": self.planned_destination,
+            "fenced": list(self.fenced),
+        }
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "InstanceRecord":
-        fields = wire.decode(data)
+    def from_dict(cls, fields: dict) -> "InstanceRecord":
+        wire.typed_fields(
+            fields,
+            identity=bytes, holder=bytes, machine=str, epoch=int, frozen=bool,
+            planned_destination=str, fenced=list,
+        )
         return cls(
             identity=fields["identity"],
             holder=fields["holder"],
@@ -123,21 +125,23 @@ class CloneIncident:
     reason: str
     time: float  # virtual seconds at detection
 
-    def to_bytes(self) -> bytes:
-        return wire.encode(
-            {
-                "identity": self.identity,
-                "instance": self.instance,
-                "machine": self.machine,
-                "kind": self.kind,
-                "reason": self.reason,
-                "time_us": int(self.time * 1_000_000),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "identity": self.identity,
+            "instance": self.instance,
+            "machine": self.machine,
+            "kind": self.kind,
+            "reason": self.reason,
+            "time_us": int(self.time * 1_000_000),
+        }
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "CloneIncident":
-        fields = wire.decode(data)
+    def from_dict(cls, fields: dict) -> "CloneIncident":
+        wire.typed_fields(
+            fields,
+            identity=bytes, instance=bytes, machine=str, kind=str, reason=str,
+            time_us=int,
+        )
         return cls(
             identity=fields["identity"],
             instance=fields["instance"],
@@ -157,19 +161,17 @@ class _MeRecord:
     heartbeat: int
     fenced: tuple[bytes, ...] = ()
 
-    def to_bytes(self) -> bytes:
-        return wire.encode(
-            {
-                "machine": self.machine,
-                "instance": self.instance,
-                "heartbeat": self.heartbeat,
-                "fenced": list(self.fenced),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "machine": self.machine,
+            "instance": self.instance,
+            "heartbeat": self.heartbeat,
+            "fenced": list(self.fenced),
+        }
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "_MeRecord":
-        fields = wire.decode(data)
+    def from_dict(cls, fields: dict) -> "_MeRecord":
+        wire.typed_fields(fields, machine=str, instance=bytes, heartbeat=int, fenced=list)
         return cls(
             machine=fields["machine"],
             instance=fields["instance"],
@@ -187,16 +189,17 @@ class _State:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "_State":
-        fields = wire.decode(data)
-        state = cls(generation=fields.get("gen", 0))
-        for row in fields.get("records", []):
-            record = InstanceRecord.from_bytes(row)
+        fields = wire.typed_fields({"gen": 0, **wire.decode(data)}, gen=int)
+        state = cls(generation=fields["gen"])
+        for row in wire.unpack_records(fields.get("records", [])):
+            record = InstanceRecord.from_dict(row)
             state.records[record.identity] = record
-        for row in fields.get("me", []):
-            record = _MeRecord.from_bytes(row)
+        for row in wire.unpack_records(fields.get("me", [])):
+            record = _MeRecord.from_dict(row)
             state.me_records[record.machine] = record
         state.incidents = [
-            CloneIncident.from_bytes(row) for row in fields.get("incidents", [])
+            CloneIncident.from_dict(row)
+            for row in wire.unpack_records(fields.get("incidents", []))
         ]
         return state
 
@@ -236,15 +239,15 @@ class SingleInstanceRegistry:
             {
                 "v": 1,
                 "gen": state.generation,
-                "records": [
-                    record.to_bytes()
-                    for _, record in sorted(state.records.items())
-                ],
-                "me": [
-                    record.to_bytes()
-                    for _, record in sorted(state.me_records.items())
-                ],
-                "incidents": [incident.to_bytes() for incident in state.incidents],
+                "records": wire.pack_records(
+                    [record.to_dict() for _, record in sorted(state.records.items())]
+                ),
+                "me": wire.pack_records(
+                    [record.to_dict() for _, record in sorted(state.me_records.items())]
+                ),
+                "incidents": wire.pack_records(
+                    [incident.to_dict() for incident in state.incidents]
+                ),
             }
         )
         self.storage.write_atomic(self.path, blob)

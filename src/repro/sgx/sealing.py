@@ -83,10 +83,10 @@ def sealed_fields(blob: bytes, **types: type) -> dict[str, wire.Value]:
     :class:`MacMismatchError`; truncated bytes keep their ``WireError``.
     """
     fields = wire.decode(blob)
-    for name, kind in types.items():
-        if type(fields.get(name)) is not kind:
-            raise MacMismatchError(f"sealed blob field {name!r} is missing or not {kind.__name__}")
-    return fields
+    try:
+        return wire.typed_fields(fields, **types)
+    except wire.WireError as exc:
+        raise MacMismatchError(f"sealed blob {exc}") from exc
 
 
 def _charge_aead(cpu: SgxCpu, num_bytes: int) -> None:

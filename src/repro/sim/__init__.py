@@ -11,7 +11,6 @@ from repro.sim.scheduler import (
     Scheduler,
     Sleep,
     TraceRecorder,
-    Transfer,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "Scheduler",
     "Sleep",
     "TraceRecorder",
-    "Transfer",
 ]

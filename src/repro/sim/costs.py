@@ -45,18 +45,11 @@ class CostModel:
     ereport: float = 3.0e-5          # local-attestation report generation
     aes_gcm_base: float = 6.0e-5     # fixed AEAD setup (IV, tag, J0)
     aes_gcm_per_byte: float = 4.0e-9  # bulk AES-NI-style throughput
-    sha256_base: float = 1.5e-6
-    sha256_per_byte: float = 1.0e-9
     dh_keygen: float = 3.0e-4        # modular exponentiation
     dh_shared: float = 3.0e-4
-    signature_sign: float = 4.0e-4
-    signature_verify: float = 5.0e-4
-    epid_sign: float = 5.0e-2        # EPID group signatures are slow
-    epid_verify: float = 2.0e-2
 
     # --- Platform Services (PSE / Management Engine) round trips ---------
     # Rate-limited firmware transactions; by far the dominant costs.
-    pse_session: float = 1.2e-2
     pse_create_counter: float = 0.239
     pse_increment_counter: float = 0.1445
     pse_read_counter: float = 0.0595
@@ -112,27 +105,23 @@ class CostMeter:
     recorder via :meth:`recording` diverts every charge into it instead of
     the clock — the protocol code runs unchanged (same calls, same RNG
     draws) while the clock stays frozen; the recorded trace is later
-    replayed by :class:`~repro.sim.scheduler.Scheduler` with resource
-    contention, and only then does the clock move.  The :meth:`located` and
-    :meth:`on_link` contexts attribute charges to a machine's CPU or a
-    directed network link for that replay.  The components enter them on
-    every path; with no recorder attached nothing reads the attribution,
-    which is how every sequential code path stays byte-identical.
+    replayed by :class:`~repro.sim.scheduler.Scheduler` with CPU
+    contention, and only then does the clock move.  The :meth:`located`
+    context attributes charges to a machine's CPU for that replay.  The
+    components enter it on every path; with no recorder attached nothing
+    reads the attribution, which is how every sequential code path stays
+    byte-identical.
     """
 
     model: CostModel
     clock: VirtualClock
     rng: DeterministicRng
-    enabled: bool = True
-    #: Trace sink (``record(label, seconds, location, link)``); ``None`` =
-    #: normal operation, charges advance the clock directly.
+    #: Trace sink (``record(label, seconds, location)``); ``None`` = normal
+    #: operation, charges advance the clock directly.
     recorder: Any = None
     #: Machine currently accountable for CPU charges (read only while
     #: recording).
     location: str | None = None
-    #: Directed link ``(src_machine, dst_machine)`` accountable for network
-    #: charges (read only while recording).
-    link: tuple[str, str] | None = None
     #: Seconds charged into the attached recorder so far (recording only).
     recorded: float = field(default=0.0, init=False)
 
@@ -146,22 +135,18 @@ class CostMeter:
 
     def charge(self, label: str, mean_cost: float) -> float:
         """Charge a noisy sample of ``mean_cost``; returns the charged time."""
-        if not self.enabled:
-            return 0.0
         cost = self.model.noisy(mean_cost, self.rng)
         self._commit(label, cost)
         return cost
 
     def charge_exact(self, label: str, cost: float) -> float:
         """Charge an exact (noise-free) cost, e.g. deterministic transfer."""
-        if not self.enabled:
-            return 0.0
         self._commit(label, cost)
         return cost
 
     def _commit(self, label: str, cost: float) -> None:
         if self.recorder is not None:
-            self.recorder.record(label, cost, self.location, self.link)
+            self.recorder.record(label, cost, self.location)
             self.recorded += cost
         else:
             self.clock.advance(cost)
@@ -184,7 +169,6 @@ class CostMeter:
             self.recorder = None
             self.recorded = 0.0
             self.location = None
-            self.link = None
 
     @contextmanager
     def located(self, machine: str | None):
@@ -196,12 +180,3 @@ class CostMeter:
             yield
         finally:
             self.location = previous
-
-    @contextmanager
-    def on_link(self, src_machine: str, dst_machine: str):
-        """Attribute network charges in the block to the directed link."""
-        previous, self.link = self.link, (src_machine, dst_machine)
-        try:
-            yield
-        finally:
-            self.link = previous

@@ -6,21 +6,18 @@ single serial timeline, so two migrations can never overlap in virtual time.
 This module supplies the missing half: a :class:`Scheduler` that owns a
 priority queue of timed events (stable FIFO tie-breaking, so a seed fully
 determines the event order) and a cooperative process abstraction —
-generator-based coroutines that ``yield`` :class:`Charge`, :class:`Transfer`,
-and :class:`Sleep` segments.
+generator-based coroutines that ``yield`` :class:`Charge` and :class:`Sleep`
+segments.
 
 Only the resource that binds is contended:
 
 * **CPU** — charges on one machine serialize FIFO (non-preemptive); charges
   on different machines overlap freely.  This is where a migration's time
   goes (PSE counter operations, quotes, IAS round trips).
-* **Links** — a transfer on the directed ``src -> dst`` link is
-  fixed-latency: it ends ``seconds`` after it starts, whatever else is on
-  the link.  Protocol payloads (22 B to a few KiB at 10 Gbit/s) last
-  nanoseconds to microseconds, so links never bind; each only counts what
-  it carried for :meth:`Scheduler.utilization_report`.
-* **Sleeps** — pure latency (RTTs, retry backoff, injected fault delays);
-  contend with nothing.
+* **Sleeps** — pure latency (RTTs, payload and VM-memory transfer time,
+  retry backoff, injected fault delays); contend with nothing.  Protocol
+  payloads (22 B to a few KiB at 10 Gbit/s) last nanoseconds to
+  microseconds, so no link is modelled: a transfer never waits for another.
 
 How the sequential paths stay wire-byte identical: concurrency is layered
 *on top* of the existing synchronous protocol via record-then-replay.  A
@@ -48,11 +45,12 @@ from typing import Any, Callable, Generator, Iterable
 from repro.errors import InvalidParameterError, InvalidStateError
 from repro.sim.clock import VirtualClock
 
-#: Meter labels that are pure latency: they occupy neither a CPU nor a link.
-LATENCY_LABELS = frozenset({"net_rtt", "retry_backoff", "fault_delay"})
-
-#: The meter label the network charges for bandwidth-proportional time.
-TRANSFER_LABEL = "net_transfer"
+#: Meter labels that are pure latency: they occupy no CPU.  The three
+#: transfer labels are bandwidth time on the network and the VM pre-copy.
+LATENCY_LABELS = frozenset({
+    "net_rtt", "net_transfer", "vm_precopy", "vm_switchover",
+    "retry_backoff", "fault_delay",
+})
 
 
 # ------------------------------------------------------------------ segments
@@ -76,27 +74,16 @@ class Sleep:
     label: str = "sleep"
 
 
-@dataclass(frozen=True)
-class Transfer:
-    """Carry a payload over the directed ``src -> dst`` link; it arrives
-    ``seconds`` later, whatever else is in flight on the link."""
-
-    seconds: float
-    src: str
-    dst: str
-    label: str = TRANSFER_LABEL
-
-
-Segment = Charge | Sleep | Transfer
+Segment = Charge | Sleep
 
 
 def _normalize(segment: Any) -> Segment:
-    if isinstance(segment, (Charge, Sleep, Transfer)):
+    if isinstance(segment, (Charge, Sleep)):
         return segment
     if isinstance(segment, (int, float)):
         return Sleep(float(segment))
     raise InvalidParameterError(
-        f"process yielded {segment!r}; expected Charge/Sleep/Transfer or seconds"
+        f"process yielded {segment!r}; expected Charge/Sleep or seconds"
     )
 
 
@@ -159,18 +146,6 @@ class Process:
         return self.finished_at is not None
 
 
-@dataclass
-class _Link:
-    """What one directed link carried: transfers, the deepest overlap, and
-    ``busy_seconds``, the union of the intervals with a transfer in flight."""
-
-    in_flight: int = 0
-    busy_since: float = 0.0
-    busy_seconds: float = 0.0
-    transfers_total: int = 0
-    max_concurrent: int = 0
-
-
 class Scheduler:
     """A deterministic discrete-event engine over a :class:`VirtualClock`.
 
@@ -190,7 +165,6 @@ class Scheduler:
         self.cpu_queued_wait: dict[str, float] = {}
         self._cpu_pending: dict[str, int] = {}
         self.cpu_max_queue_depth: dict[str, int] = {}
-        self._links: dict[tuple[str, str], _Link] = {}
         self.event_log: list[dict] = []
         self._running = False
 
@@ -274,8 +248,6 @@ class Scheduler:
             return
         if isinstance(segment, Charge):
             self._dispatch_charge(process, segment)
-        elif isinstance(segment, Transfer):
-            self._dispatch_transfer(process, segment)
         else:
             self._log("sleep", process.name, seconds=segment.seconds)
             self._queue.push(self._now + segment.seconds, lambda: self._step(process))
@@ -307,32 +279,6 @@ class Scheduler:
         self._cpu_pending[machine] -= 1
         self._step(process)
 
-    def _dispatch_transfer(self, process: Process, segment: Transfer) -> None:
-        link = self._links.setdefault((segment.src, segment.dst), _Link())
-        if not link.in_flight:
-            link.busy_since = self._now
-        link.in_flight += 1
-        link.transfers_total += 1
-        link.max_concurrent = max(link.max_concurrent, link.in_flight)
-        name = f"{segment.src}->{segment.dst}"
-        self._log(
-            "transfer", process.name, link=name, seconds=segment.seconds,
-            sharing=link.in_flight,
-        )
-        self._queue.push(
-            self._now + segment.seconds,
-            lambda: self._finish_transfer(process, link, name),
-        )
-
-    def _finish_transfer(self, process: Process, link: _Link, name: str) -> None:
-        link.in_flight -= 1
-        if not link.in_flight:
-            link.busy_seconds += self._now - link.busy_since
-        self._log("transfer_done", process.name, link=name)
-        # Resume through the queue at this instant, not inline as a CPU
-        # charge does: events already due at this instant fire first.
-        self._queue.push(self._now, lambda: self._step(process))
-
     # -------------------------------------------------------------- logging
     def _log(self, kind: str, process: str, **detail) -> None:
         entry = {"t": self._now, "event": kind, "process": process}
@@ -349,11 +295,13 @@ class Scheduler:
         )
 
     def utilization_report(self) -> dict:
-        """Per-resource busy fractions and queueing stats for the run.
+        """Per-machine CPU busy fractions and queueing stats for the run.
 
         Makes pipelined speedups explainable: a mode that wins shows higher
-        CPU/link busy fractions over a shorter makespan, not different work.
-        ``summary`` is the compact slice bench metadata embeds.
+        CPU busy fractions over a shorter makespan, not different work.
+        ``summary`` is the compact slice bench metadata embeds; its two link
+        figures read 0 (no link is modelled) and stay because the
+        end-to-end benchmark's tracer reads them.
         """
         span = self.makespan()
 
@@ -369,19 +317,9 @@ class Scheduler:
             }
             for machine, busy in sorted(self.cpu_busy.items())
         }
-        links = {
-            f"{src}->{dst}": {
-                "busy_seconds": link.busy_seconds,
-                "busy_fraction": fraction(link.busy_seconds),
-                "transfers": link.transfers_total,
-                "max_concurrent": link.max_concurrent,
-            }
-            for (src, dst), link in sorted(self._links.items())
-        }
         summary = {
             "makespan": span,
             "machines": len(cpu),
-            "links": len(links),
             "mean_cpu_busy_fraction": (
                 sum(stats["busy_fraction"] for stats in cpu.values()) / len(cpu)
                 if cpu
@@ -390,16 +328,10 @@ class Scheduler:
             "max_cpu_queue_depth": max(
                 (stats["max_queue_depth"] for stats in cpu.values()), default=0
             ),
-            "mean_link_busy_fraction": (
-                sum(stats["busy_fraction"] for stats in links.values()) / len(links)
-                if links
-                else 0.0
-            ),
-            "max_link_concurrency": max(
-                (stats["max_concurrent"] for stats in links.values()), default=0
-            ),
+            "mean_link_busy_fraction": 0.0,
+            "max_link_concurrency": 0,
         }
-        return {"makespan": span, "cpu": cpu, "links": links, "summary": summary}
+        return {"makespan": span, "cpu": cpu, "summary": summary}
 
 
 # ------------------------------------------------------------ trace capture
@@ -408,12 +340,10 @@ class TraceRecorder:
 
     Attach via :meth:`CostMeter.recording <repro.sim.costs.CostMeter.
     recording>`: every charge is diverted here (the clock stays frozen) and
-    classified using the meter's attribution context:
+    classified by label and the meter's attribution context:
 
-    * charges under a :meth:`~repro.sim.costs.CostMeter.on_link` context
-      with the ``net_transfer`` label become :class:`Transfer` segments;
-    * latency labels (RTT, retry backoff, injected fault delay) become
-      :class:`Sleep` segments;
+    * latency labels (RTT, network and VM transfer time, retry backoff,
+      injected fault delay) become :class:`Sleep` segments;
     * everything else becomes CPU :class:`Charge` on the meter's current
       :meth:`~repro.sim.costs.CostMeter.located` machine (falling back to
       the recorder's ``home``), with adjacent same-machine charges coalesced
@@ -424,25 +354,8 @@ class TraceRecorder:
         self.home = home
         self.segments: list[Segment] = []
 
-    def record(
-        self,
-        label: str,
-        seconds: float,
-        location: str | None,
-        link: tuple[str, str] | None,
-    ) -> None:
+    def record(self, label: str, seconds: float, location: str | None) -> None:
         if label in LATENCY_LABELS:
-            self.segments.append(Sleep(seconds, label))
-            return
-        if link is not None:
-            # Any non-latency charge inside an on_link context is bandwidth
-            # on that directed pipe (protocol payloads, VM pre-copy rounds).
-            self.segments.append(Transfer(seconds, link[0], link[1], label))
-            return
-        if label == TRANSFER_LABEL:
-            # Bandwidth time charged outside any link context (e.g. a disk
-            # image copy): no pipe to contend on, but it is not CPU work
-            # either — it replays as pure latency.
             self.segments.append(Sleep(seconds, label))
             return
         machine = location or self.home

@@ -152,10 +152,12 @@ def pack_records(rows: list[dict[str, Value]]) -> list[bytes]:
 def unpack_records(items: list) -> list[dict[str, Value]]:
     """Inverse of :func:`pack_records`.
 
-    Raises :class:`WireError` when an item is not an encoded sub-message, so
-    callers get the same failure mode for a malformed batch as for a
-    malformed top-level message.
+    Raises :class:`WireError` when ``items`` is not a list or an item is not
+    an encoded sub-message, so callers get the same failure mode for a
+    malformed batch as for a malformed top-level message.
     """
+    if type(items) is not list:
+        raise WireError("batch is not a list")
     rows: list[dict[str, Value]] = []
     for item in items:
         if not isinstance(item, (bytes, bytearray)):
@@ -246,4 +248,19 @@ def decode(data: bytes) -> dict[str, Value]:
         message[key] = value
     if offset != end:
         raise WireError("trailing bytes after message")
+    return message
+
+
+def typed_fields(message: dict[str, Value], /, **types: type) -> dict[str, Value]:
+    """``message``, once each field named in ``types`` is checked to hold
+    exactly that type (a ``bool`` is not an ``int`` here).
+
+    Raises :class:`WireError` for the first field that is missing or holds
+    another type, so a record of the wrong shape fails like one that does
+    not decode.  A caller with optional fields merges their defaults into
+    ``message`` first.
+    """
+    for name, kind in types.items():
+        if type(message.get(name)) is not kind:
+            raise WireError(f"field {name!r} is missing or not {kind.__name__}")
     return message

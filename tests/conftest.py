@@ -55,7 +55,7 @@ class ChargeLog:
     def __init__(self) -> None:
         self.charges: list[tuple[str, float]] = []
 
-    def record(self, label, seconds, location, link) -> None:
+    def record(self, label, seconds, location) -> None:
         self.charges.append((label, seconds))
 
 

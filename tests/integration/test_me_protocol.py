@@ -17,6 +17,7 @@ from repro.core.protocol import (
 )
 from repro.errors import InvalidStateError, MigrationError, ReproError
 from repro.sgx.identity import SigningKey
+from tests.adversary import tap
 
 
 @pytest.fixture
@@ -75,7 +76,7 @@ class TestMessageHandling:
         dc, hosts = world
         replies = []
 
-        def forge_first(src, dst, payload):
+        def forge_first(src, dst, payload, direction):
             try:
                 message = wire.decode(payload)
             except wire.WireError:
@@ -88,13 +89,13 @@ class TestMessageHandling:
                 replies.append(wire.decode(me.ecall("handle_message", forged, src)))
             return payload
 
-        dc.network.add_tap(forge_first)
-        key = SigningKey.generate(dc.rng.child("dev"))
-        app = MigratableApp.deploy(dc, dc.machine("machine-a"), MigratableBenchEnclave, key)
-        enclave = app.start_new()
-        counter_id, _ = enclave.ecall("create_counter")
-        enclave.ecall("increment_counter", counter_id)
-        enclave = app.migrate(dc.machine("machine-b"), migrate_vm=False)
+        with tap(dc.network, forge_first):
+            key = SigningKey.generate(dc.rng.child("dev"))
+            app = MigratableApp.deploy(dc, dc.machine("machine-a"), MigratableBenchEnclave, key)
+            enclave = app.start_new()
+            counter_id, _ = enclave.ecall("create_counter")
+            enclave.ecall("increment_counter", counter_id)
+            enclave = app.migrate(dc.machine("machine-b"), migrate_vm=False)
         assert [reply["status"] for reply in replies] == ["error"]
         assert enclave.ecall("read_counter", counter_id) == 1
 
@@ -236,14 +237,13 @@ class TestStrandedRecord:
         enclave.ecall("increment_counter", counter_id)
 
         # 1. A direct migration_start (no transaction) whose ship is dropped.
-        def drop_to_b(src, dst, payload):
+        def drop_to_b(src, dst, payload, direction):
             return None if src == "machine-a" and dst.startswith("machine-b/") else payload
 
-        dc.network.add_tap(drop_to_b)
-        enclave.ecall("migration_start", "machine-b")
-        with pytest.raises(MigrationError):
-            flush_staged(app.app, "machine-b")
-        dc.network.remove_tap(drop_to_b)
+        with tap(dc.network, drop_to_b):
+            enclave.ecall("migration_start", "machine-b")
+            with pytest.raises(MigrationError):
+                flush_staged(app.app, "machine-b")
         # 2. The host migrates elsewhere, under a transaction of its own.
         app.migrate(dc.machine("machine-c"))
         # 3. Any host triggers a flush to machine-b, unauthenticated.

@@ -16,6 +16,7 @@ from repro.cloud.datacenter import DataCenter
 from repro.core.protocol import MigratableApp, flush_staged, install_all_migration_enclaves
 from repro.errors import MigrationError
 from repro.sgx.identity import SigningKey
+from tests.adversary import tap
 
 
 @pytest.fixture
@@ -41,13 +42,12 @@ class TestEavesdropping:
 
         captured: list[bytes] = []
 
-        def sniffer(src, dst, payload):
+        def sniffer(src, dst, payload, direction):
             captured.append(bytes(payload))
             return payload
 
-        dc.network.add_tap(sniffer)
-        app.migrate(dc.machine("machine-b"), migrate_vm=False)
-        dc.network._taps.clear()
+        with tap(dc.network, sniffer):
+            app.migrate(dc.machine("machine-b"), migrate_vm=False)
 
         wire_bytes = b"".join(captured)
         assert len(wire_bytes) > 1000  # we really did capture the migration
@@ -61,9 +61,8 @@ class TestEavesdropping:
         state_bytes = enclave.trusted.miglib._state.to_bytes()
 
         captured: list[bytes] = []
-        dc.network.add_tap(lambda s, d, p: (captured.append(bytes(p)), p)[1])
-        app.migrate(dc.machine("machine-b"), migrate_vm=False)
-        dc.network._taps.clear()
+        with tap(dc.network, lambda s, d, p, _: (captured.append(bytes(p)), p)[1]):
+            app.migrate(dc.machine("machine-b"), migrate_vm=False)
         assert state_bytes not in b"".join(captured)
 
 
@@ -75,18 +74,17 @@ class TestTampering:
         enclave.ecall("increment_counter", counter_id)
         mrenclave = enclave.identity.mrenclave
 
-        def corrupt_cross_host(src, dst, payload):
+        def corrupt_cross_host(src, dst, payload, direction):
             if src == "machine-a" and dst.startswith("machine-b/"):
                 flipped = bytearray(payload)
                 flipped[len(flipped) // 2] ^= 0xFF
                 return bytes(flipped)
             return payload
 
-        dc.network.add_tap(corrupt_cross_host)
-        enclave.ecall("migration_start", "machine-b")
-        with pytest.raises(MigrationError):
-            flush_staged(app.app, "machine-b")
-        dc.network._taps.clear()
+        with tap(dc.network, corrupt_cross_host):
+            enclave.ecall("migration_start", "machine-b")
+            with pytest.raises(MigrationError):
+                flush_staged(app.app, "machine-b")
 
         # data retained at the source ME; retry succeeds once the path heals
         assert hosts["machine-a"].enclave.ecall("has_pending_outgoing", mrenclave)
@@ -103,16 +101,15 @@ class TestTampering:
         enclave = app.start_new()
         mrenclave = enclave.identity.mrenclave
 
-        def drop_cross_host(src, dst, payload):
+        def drop_cross_host(src, dst, payload, direction):
             if src == "machine-a" and dst.startswith("machine-b/"):
                 return None
             return payload
 
-        dc.network.add_tap(drop_cross_host)
-        enclave.ecall("migration_start", "machine-b")
-        with pytest.raises(MigrationError):
-            flush_staged(app.app, "machine-b")
-        dc.network._taps.clear()
+        with tap(dc.network, drop_cross_host):
+            enclave.ecall("migration_start", "machine-b")
+            with pytest.raises(MigrationError):
+                flush_staged(app.app, "machine-b")
         assert hosts["machine-a"].enclave.ecall("has_pending_outgoing", mrenclave)
 
     def test_replayed_transfer_cannot_duplicate_delivery(self, world):
@@ -126,15 +123,14 @@ class TestTampering:
 
         recorded: list[tuple[str, bytes]] = []
 
-        def recorder(src, dst, payload):
+        def recorder(src, dst, payload, direction):
             if src == "machine-a" and dst == "machine-b/me":
                 recorded.append((dst, bytes(payload)))
             return payload
 
-        dc.network.add_tap(recorder)
-        enclave.ecall("migration_start", "machine-b")
-        flush_staged(app.app, "machine-b")
-        dc.network._taps.clear()
+        with tap(dc.network, recorder):
+            enclave.ecall("migration_start", "machine-b")
+            flush_staged(app.app, "machine-b")
 
         # complete the legitimate delivery
         app.app.terminate()

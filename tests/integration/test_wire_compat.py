@@ -28,6 +28,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sgx.enclave import ecall
 from repro.sgx.identity import SigningKey
+from tests.adversary import tap
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "wire_traces_seed0.json"
 
@@ -58,15 +59,12 @@ def _tapped(dc, operation) -> list[str]:
     """Run ``operation`` with a network tap recording every leg's hash."""
     trace: list[str] = []
 
-    def tap(src, dst, payload):
+    def record(src, dst, payload, direction):
         trace.append(f"{src}->{dst}:{hashlib.sha256(payload).hexdigest()}")
         return payload
 
-    dc.network.add_tap(tap)
-    try:
+    with tap(dc.network, record):
         operation()
-    finally:
-        dc.network.remove_tap(tap)
     return trace
 
 

@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.sgx.enclave import EnclaveBase, ecall
 from repro.sgx.identity import SigningKey
+from tests.adversary import tap
 
 
 class StoreEnclave(EnclaveBase):
@@ -88,17 +89,15 @@ class TestNetwork:
     def test_tap_can_modify(self, datacenter):
         net = datacenter.network
         net.register("machine-a/svc2", lambda payload, src: payload)
-        net.add_tap(lambda src, dst, payload: payload.replace(b"cat", b"dog"))
-        assert net.send("machine-b", "machine-a/svc2", b"a cat") == b"a dog"
+        with tap(net, lambda src, dst, payload, direction: payload.replace(b"cat", b"dog")):
+            assert net.send("machine-b", "machine-a/svc2", b"a cat") == b"a dog"
 
     def test_tap_can_drop(self, datacenter):
         net = datacenter.network
         net.register("machine-a/svc3", lambda payload, src: payload)
-        tap = lambda src, dst, payload: None  # noqa: E731
-        net.add_tap(tap)
-        with pytest.raises(NetworkError):
-            net.send("machine-b", "machine-a/svc3", b"x")
-        net.remove_tap(tap)
+        with tap(net, lambda src, dst, payload, direction: None):
+            with pytest.raises(NetworkError, match="dropped"):
+                net.send("machine-b", "machine-a/svc3", b"x")
         assert net.send("machine-b", "machine-a/svc3", b"x") == b"x"
 
     def test_charges_time(self, datacenter):

@@ -8,6 +8,7 @@ sweep that crosses these faults with the migration protocol lives in
 
 import pytest
 
+from repro import wire
 from repro.cloud.storage import (
     MigrationJournal,
     MigrationRecord,
@@ -318,6 +319,20 @@ class TestMigrationJournal:
         storage.write(journal.path, b"RPR1" + bytes((0, 1, 0, 3)) + b"txn" + lists)
         assert journal.read() is None
         assert storage.journal_corruption_count == 1
+
+    def test_mistyped_field_reads_as_none_and_restarts_generation(self):
+        """A host-written record whose ``gen`` decodes to a string is corrupt
+        like a rotted one: counted, read as absent, and the next write
+        starts the generation over instead of failing on it."""
+        storage = UntrustedStorage("m")
+        journal = MigrationJournal(storage, "app")
+        fields = wire.decode(self.record().to_bytes())
+        fields["gen"] = "x"
+        storage.write(journal.path, wire.encode(fields))
+        assert journal.read() is None
+        assert storage.journal_corruption_count == 1
+        journal.write(self.record(phase=PHASE_SHIPPED))
+        assert journal.read().generation == 1
 
     def test_write_over_corrupted_journal_counts_and_restarts_generation(self):
         # One corruption rule for every durable record: the generation

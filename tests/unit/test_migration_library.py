@@ -17,6 +17,7 @@ from repro.errors import (
     WireError,
 )
 from repro.sgx.identity import SigningKey
+from tests.adversary import tap
 
 
 @pytest.fixture
@@ -37,16 +38,15 @@ class TestMeConnection:
         enclave = app.start_new()
         ephemerals = []
 
-        def tap(src, dst, payload):
+        def sniff(src, dst, payload, direction):
             message = wire.decode(payload)
             if message.get("t") == "la_msg1":
                 ephemerals.append(wire.decode(message["payload"])["g_a"])
             return payload
 
-        dc.network.add_tap(tap)
-        for _ in range(2):
-            enclave.trusted.miglib._connect_me(app.app.machine.address)
-        dc.network.remove_tap(tap)
+        with tap(dc.network, sniff):
+            for _ in range(2):
+                enclave.trusted.miglib._connect_me(app.app.machine.address)
         assert len(ephemerals) == 2
         assert ephemerals[0] != ephemerals[1]
 

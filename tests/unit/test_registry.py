@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import wire
 from repro.cloud.storage import UntrustedStorage
 from repro.errors import (
     CloneDetectedError,
@@ -258,6 +259,32 @@ class TestDurability:
         assert storage.journal_corruption_count == before + 1
         # A fresh claim re-registers; the registry heals forward.
         registry.claim(IDENTITY, A, machine="m-a", epoch=3, kind="restore")
+        assert registry.record_of(IDENTITY).epoch == 3
+
+    @pytest.mark.parametrize(
+        "mistype",
+        [
+            lambda fields: {**fields, "gen": "x"},
+            lambda fields: {**fields, "records": [5]},
+            lambda fields: {**fields, "records": [
+                wire.encode({**wire.decode(fields["records"][0]), "epoch": "2"})
+            ]},
+        ],
+        ids=["str-gen", "int-row", "str-epoch"],
+    )
+    def test_mistyped_field_counts_and_yields_empty_registry(self, mistype):
+        """A blob with a field of another type, at the top or in a record
+        row, is corrupt like a rotted one: the next claim counts it and
+        re-registers."""
+        storage = UntrustedStorage("ctl")
+        registry = SingleInstanceRegistry(storage, make_meter())
+        registry.claim(IDENTITY, A, machine="m-a", epoch=2, kind="new")
+        fields = wire.decode(storage.read(registry.path))
+        storage.write(registry.path, wire.encode(mistype(fields)))
+        storage.sync(registry.path)
+        before = storage.journal_corruption_count
+        registry.claim(IDENTITY, A, machine="m-a", epoch=3, kind="restore")
+        assert storage.journal_corruption_count == before + 1
         assert registry.record_of(IDENTITY).epoch == 3
 
     def test_clear_resets_incident_log(self):

@@ -2,7 +2,7 @@
 
 Pins the contracts the pipelined fleet dispatch rides on: stable FIFO
 tie-breaking in the event queue, FIFO non-preemptive CPU contention,
-fixed-latency links, trace-recorder segment mapping, the meter's
+trace-recorder segment mapping (transfers replay as latency), the meter's
 recording/attribution contexts, and bit-for-bit determinism of full runs.
 """
 
@@ -18,7 +18,6 @@ from repro.sim.scheduler import (
     Scheduler,
     Sleep,
     TraceRecorder,
-    Transfer,
 )
 
 
@@ -113,42 +112,6 @@ class TestCpuContention:
         assert first.finished_at < second.finished_at
 
 
-class TestLinkSharing:
-    def test_two_equal_transfers_overlap_at_full_latency(self):
-        sched = Scheduler()
-        a = sched.spawn("a", iter([Transfer(1.0, "m-0", "m-1")]))
-        b = sched.spawn("b", iter([Transfer(1.0, "m-0", "m-1")]))
-        final = sched.run()
-        # Fixed latency: a shared link slows neither transfer.
-        assert final == 1.0
-        assert a.finished_at == 1.0
-        assert b.finished_at == 1.0
-
-    def test_staggered_join_keeps_each_transfer_latency(self):
-        sched = Scheduler()
-        a = sched.spawn("a", iter([Transfer(2.0, "m-0", "m-1")]))
-        b = sched.spawn("b", iter([Sleep(1.0), Transfer(2.0, "m-0", "m-1")]))
-        sched.run()
-        assert a.finished_at == 2.0
-        assert b.finished_at == 3.0
-        # Busy is the union of the in-flight intervals [0, 2] and [1, 3].
-        link = sched.utilization_report()["links"]["m-0->m-1"]
-        assert link["busy_seconds"] == 3.0
-        assert link["max_concurrent"] == 2
-
-    def test_opposite_directions_are_separate_links(self):
-        sched = Scheduler()
-        sched.spawn("a", iter([Transfer(1.0, "m-0", "m-1")]))
-        sched.spawn("b", iter([Transfer(1.0, "m-1", "m-0")]))
-        assert sched.run() == pytest.approx(1.0)
-
-    def test_disjoint_links_do_not_contend(self):
-        sched = Scheduler()
-        sched.spawn("a", iter([Transfer(1.0, "m-0", "m-1")]))
-        sched.spawn("b", iter([Transfer(1.0, "m-2", "m-3")]))
-        assert sched.run() == pytest.approx(1.0)
-
-
 class TestDeterminism:
     def _world(self):
         sched = Scheduler()
@@ -158,7 +121,7 @@ class TestDeterminism:
                 iter(
                     [
                         Charge(0.25, f"m-{i % 2}"),
-                        Transfer(0.5, f"m-{i % 2}", "m-9"),
+                        Sleep(0.5, "net_transfer"),
                         Sleep(0.1),
                         Charge(0.1, f"m-{i % 2}"),
                     ]
@@ -182,31 +145,36 @@ class TestDeterminism:
 class TestTraceRecorder:
     def test_label_mapping(self):
         rec = TraceRecorder(home="m-0")
-        rec.record("net_rtt", 0.1, None, None)
-        rec.record("net_transfer", 0.2, None, ("m-0", "m-1"))
-        rec.record("ecall", 0.3, "m-1", None)
-        rec.record("retry_backoff", 0.4, None, None)
-        rec.record("fault_delay", 0.5, None, None)
+        rec.record("net_rtt", 0.1, None)
+        rec.record("net_transfer", 0.2, None)
+        rec.record("ecall", 0.3, "m-1")
+        rec.record("retry_backoff", 0.4, None)
+        rec.record("fault_delay", 0.5, None)
         assert rec.segments == [
             Sleep(0.1, "net_rtt"),
-            Transfer(0.2, "m-0", "m-1"),
+            Sleep(0.2, "net_transfer"),
             Charge(0.3, "m-1", "ecall"),
             Sleep(0.4, "retry_backoff"),
             Sleep(0.5, "fault_delay"),
         ]
 
-    def test_transfer_without_link_context_is_a_sleep(self):
-        # net_transfer charged outside on_link (e.g. disk path) has no link
-        # to contend on; it degrades to pure latency, never to a CPU charge.
+    def test_transfer_labels_replay_as_sleeps(self):
+        # Bandwidth time is latency wherever it is charged: a located
+        # transfer never turns into a CPU charge on that machine.
         rec = TraceRecorder(home="m-0")
-        rec.record("net_transfer", 0.2, None, None)
-        assert rec.segments == [Sleep(0.2, "net_transfer")]
+        for label in ("net_transfer", "vm_precopy", "vm_switchover"):
+            rec.record(label, 0.2, "m-1")
+        assert rec.segments == [
+            Sleep(0.2, "net_transfer"),
+            Sleep(0.2, "vm_precopy"),
+            Sleep(0.2, "vm_switchover"),
+        ]
 
     def test_adjacent_same_machine_charges_coalesce(self):
         rec = TraceRecorder(home="m-0")
-        rec.record("ecall", 0.25, "m-1", None)
-        rec.record("seal", 0.5, "m-1", None)
-        rec.record("ecall", 0.125, "m-2", None)
+        rec.record("ecall", 0.25, "m-1")
+        rec.record("seal", 0.5, "m-1")
+        rec.record("ecall", 0.125, "m-2")
         assert rec.segments == [
             Charge(0.75, "m-1", "ecall"),
             Charge(0.125, "m-2", "ecall"),
@@ -214,13 +182,13 @@ class TestTraceRecorder:
 
     def test_unlocated_charges_fall_back_to_home(self):
         rec = TraceRecorder(home="m-7")
-        rec.record("misc", 0.5, None, None)
+        rec.record("misc", 0.5, None)
         assert rec.segments == [Charge(0.5, "m-7", "misc")]
 
     def test_replay_reenacts_the_trace_on_a_scheduler(self):
         rec = TraceRecorder(home="m-0")
-        rec.record("ecall", 0.25, "m-0", None)
-        rec.record("net_rtt", 0.1, None, None)
+        rec.record("ecall", 0.25, "m-0")
+        rec.record("net_rtt", 0.1, None)
         sched = Scheduler()
         sched.spawn("replay", rec.replay(), home=rec.home)
         assert sched.run() == pytest.approx(0.35)
@@ -248,7 +216,7 @@ class TestMeterRecording:
         # Same noisy sample either way — the wire-byte-invariance keystone.
         assert recorder.segments == [Charge(sequential.clock.now, "m", "ecall")]
 
-    def test_located_and_on_link_nest_and_restore(self):
+    def test_located_nests_and_restores(self):
         m = meter()
         rec = TraceRecorder(home="m-0")
         with m.recording(rec):
@@ -256,16 +224,15 @@ class TestMeterRecording:
                 with m.located("m-2"):
                     m.charge_exact("inner", 0.1)
                 m.charge_exact("outer", 0.1)
-            with m.on_link("m-0", "m-1"):
                 m.charge_exact("net_transfer", 0.2)
             m.charge_exact("plain", 0.1)
         assert rec.segments == [
             Charge(0.1, "m-2", "inner"),
             Charge(0.1, "m-1", "outer"),
-            Transfer(0.2, "m-0", "m-1"),
+            Sleep(0.2, "net_transfer"),
             Charge(0.1, "m-0", "plain"),
         ]
-        assert m.location is None and m.link is None
+        assert m.location is None
 
     def test_nested_recording_is_typed(self):
         m = meter()
@@ -276,7 +243,7 @@ class TestMeterRecording:
 
     def test_contexts_are_inert_without_a_recorder(self):
         m = meter()
-        with m.located("m-1"), m.on_link("m-0", "m-1"):
+        with m.located("m-1"):
             m.charge_exact("ecall", 0.5)
         assert m.clock.now == pytest.approx(0.5)
 
@@ -389,34 +356,23 @@ class TestUtilizationReport:
         assert m1["queued_wait_seconds"] == pytest.approx(0.0)
         assert m1["max_queue_depth"] == 1
 
-    def test_link_stats_count_transfers_and_concurrency(self):
-        sched = Scheduler()
-        sched.spawn("a", iter([Transfer(1.0, "m-0", "m-1")]))
-        sched.spawn("b", iter([Transfer(1.0, "m-0", "m-1")]))
-        sched.run()
-        report = sched.utilization_report()
-        link = report["links"]["m-0->m-1"]
-        assert link["transfers"] == 2
-        assert link["max_concurrent"] == 2
-        # Both 1 s transfers are in flight over [0, 1]: the link is busy
-        # the whole makespan, counted once.
-        assert link["busy_seconds"] == pytest.approx(1.0)
-        assert link["busy_fraction"] == pytest.approx(1.0)
-
     def test_summary_is_the_compact_bench_slice(self):
         sched = Scheduler()
-        sched.spawn("a", iter([Charge(1.0, "m-0"), Transfer(1.0, "m-0", "m-1")]))
+        sched.spawn("a", iter([Charge(1.0, "m-0"), Sleep(1.0, "net_transfer")]))
         sched.run()
         summary = sched.utilization_report()["summary"]
-        assert summary["machines"] == 1
-        assert summary["links"] == 1
-        assert summary["makespan"] == pytest.approx(2.0)
-        assert 0.0 < summary["mean_cpu_busy_fraction"] <= 1.0
-        assert 0.0 < summary["mean_link_busy_fraction"] <= 1.0
-        assert summary["max_cpu_queue_depth"] == 1
+        assert summary == {
+            "makespan": pytest.approx(2.0),
+            "machines": 1,
+            "mean_cpu_busy_fraction": pytest.approx(0.5),
+            "max_cpu_queue_depth": 1,
+            # No link is modelled; the benchmark's tracer still reads both.
+            "mean_link_busy_fraction": 0.0,
+            "max_link_concurrency": 0,
+        }
 
     def test_empty_schedule_reports_zeroes(self):
         report = Scheduler().utilization_report()
-        assert report["cpu"] == {} and report["links"] == {}
+        assert report["cpu"] == {}
         assert report["summary"]["mean_cpu_busy_fraction"] == 0.0
         assert report["summary"]["max_link_concurrency"] == 0

@@ -34,11 +34,6 @@ class TestCostMeter:
         for _ in range(100):
             assert meter.charge("op", 1e-9) >= 0.0
 
-    def test_disabled_meter_charges_nothing(self, clock, rng):
-        meter = CostMeter(CostModel(), clock, rng, enabled=False)
-        assert meter.charge("op", 1.0) == 0.0
-        assert clock.now == 0.0
-
     def test_charge_exact(self, clock, rng):
         meter = CostMeter(CostModel(), clock, rng)
         assert meter.charge_exact("op", 0.25) == 0.25
