@@ -6,7 +6,8 @@ Subcommands:
 * ``attacks``   — print the Section III attack matrix
 * ``figures``   — alias for ``python -m repro.bench.figures all``
 * ``tables``    — print Tables I and II + the TCB report (fast)
-* ``analyze``   — alias for ``python -m repro.analysis`` (SEC001-SEC010)
+* ``analyze``   — alias for ``python -m repro.analysis`` (SEC001-SEC004,
+  SEC006-SEC010)
 * ``bench``     — run the migration benchmark; ``--profile`` wraps it in
   cProfile and dumps the top functions by cumulative time
 * ``fleet``     — fleet control plane: ``plan`` prints a seeded drain plan

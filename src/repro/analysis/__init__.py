@@ -13,7 +13,9 @@ them on every run:
   graph, including the ``Enclave.ecall("name", ...)`` dispatch edge;
 * :mod:`repro.analysis.summaries` / :mod:`repro.analysis.dataflow` —
   per-function taint summaries and the interprocedural taint tracker;
-* :mod:`repro.analysis.rules` — the SEC001-SEC010 catalog;
+* :mod:`repro.analysis.rules` — the catalog, SEC001-SEC004 and
+  SEC006-SEC010 (SEC009 is the one lifecycle checker, on call paths of one
+  function or many);
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis`` / ``repro-analyze``.
 
 Suppress a justified finding in place with ``# repro: ignore[SEC00x]`` plus

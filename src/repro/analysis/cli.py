@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-analyze",
         description=(
             "Interprocedural enclave-boundary and secret-flow analyzer for "
-            "the SGX-migration reproduction (rules SEC001-SEC010)"
+            "the SGX-migration reproduction (rules SEC001-SEC004, SEC006-SEC010)"
         ),
     )
     parser.add_argument(

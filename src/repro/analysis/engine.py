@@ -283,33 +283,40 @@ class AnalysisEngine:
             zone=zone_for(display_path),
         )
 
-    def _context_files(self, analyzed: set[Path]) -> list[Path]:
-        roots = self.context_paths
-        if roots is None:
-            roots = [p for p in DEFAULT_CONTEXT_PATHS if Path(p).is_dir()]
-        files = self.collect_files(roots)
-        return [path for path in files if path.resolve() not in analyzed]
-
-    # -------------------------------------------------------------- analysis
-    def analyze_paths(self, paths: Iterable[str | Path]) -> list[Finding]:
+    def _load(
+        self, paths: Iterable[str | Path]
+    ) -> tuple[list[SourceModule], list[SourceModule], list[Finding]]:
+        """The analyzed modules of ``paths``, the context modules, and a
+        ``PARSE`` finding per analyzed file that does not parse (a context
+        file that does not parse or read is skipped)."""
         files = self.collect_files(paths)
         analyzed_resolved = {path.resolve() for path in files}
         modules: list[SourceModule] = []
-        findings: list[Finding] = []
+        parse_findings: list[Finding] = []
         for path in files:
             loaded = self._load_module(path)
             if isinstance(loaded, Finding):
-                findings.append(loaded)
+                parse_findings.append(loaded)
             else:
                 modules.append(loaded)
+        roots = self.context_paths
+        if roots is None:
+            roots = [p for p in DEFAULT_CONTEXT_PATHS if Path(p).is_dir()]
         context: list[SourceModule] = []
-        for path in self._context_files(analyzed_resolved):
+        for path in self.collect_files(roots):
+            if path.resolve() in analyzed_resolved:
+                continue
             try:
                 loaded = self._load_module(path)
             except OSError:
                 continue
             if isinstance(loaded, SourceModule):
                 context.append(loaded)
+        return modules, context, parse_findings
+
+    # -------------------------------------------------------------- analysis
+    def analyze_paths(self, paths: Iterable[str | Path]) -> list[Finding]:
+        modules, context, findings = self._load(paths)
         findings.extend(self._run(modules, context))
         return sorted(findings)
 
@@ -332,21 +339,7 @@ class AnalysisEngine:
         tools that need the call graph itself (no rules are run)."""
         from repro.analysis.callgraph import Project
 
-        files = self.collect_files(paths)
-        analyzed_resolved = {path.resolve() for path in files}
-        modules = [
-            loaded
-            for loaded in (self._load_module(path) for path in files)
-            if isinstance(loaded, SourceModule)
-        ]
-        context = [
-            loaded
-            for loaded in (
-                self._load_module(path)
-                for path in self._context_files(analyzed_resolved)
-            )
-            if isinstance(loaded, SourceModule)
-        ]
+        modules, context, _ = self._load(paths)
         return Project(modules, context=context)
 
     def _run(self, modules: list[SourceModule], context: list[SourceModule]) -> list[Finding]:

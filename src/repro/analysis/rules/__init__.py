@@ -5,7 +5,9 @@ catalog in rule-id order.  Adding a rule = adding a module here and listing
 it below — the engine, CLI and tests pick it up automatically.
 SEC001, SEC003, and SEC008-SEC010 are :class:`~repro.analysis.engine.
 ProjectRule` subclasses running on the whole-program call graph and taint
-summaries; the rest are per-module pattern rules.
+summaries; the rest are per-module pattern rules.  The id SEC005 is
+retired: SEC009 checks both the library lifecycle and the
+increment-before-release order, on call paths of one function or many.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from repro.analysis.rules.sec001_secret_flow import SecretFlowRule
 from repro.analysis.rules.sec002_boundary import EnclaveBoundaryRule
 from repro.analysis.rules.sec003_nonce import NonceHygieneRule
 from repro.analysis.rules.sec004_consttime import ConstantTimeRule
-from repro.analysis.rules.sec005_counter import CounterDisciplineRule
 from repro.analysis.rules.sec006_protocol import ProtocolStateRule
 from repro.analysis.rules.sec007_durability import DurableWriteRule
 from repro.analysis.rules.sec008_taint_return import TaintedReturnRule
-from repro.analysis.rules.sec009_lifecycle import CrossFunctionLifecycleRule
+from repro.analysis.rules.sec009_lifecycle import LifecycleRule
 from repro.analysis.rules.sec010_reachability import ReachabilityAuditRule
 
 ALL_RULE_CLASSES = (
@@ -26,11 +27,10 @@ ALL_RULE_CLASSES = (
     EnclaveBoundaryRule,
     NonceHygieneRule,
     ConstantTimeRule,
-    CounterDisciplineRule,
     ProtocolStateRule,
     DurableWriteRule,
     TaintedReturnRule,
-    CrossFunctionLifecycleRule,
+    LifecycleRule,
     ReachabilityAuditRule,
 )
 
@@ -47,10 +47,9 @@ __all__ = [
     "EnclaveBoundaryRule",
     "NonceHygieneRule",
     "ConstantTimeRule",
-    "CounterDisciplineRule",
     "ProtocolStateRule",
     "DurableWriteRule",
     "TaintedReturnRule",
-    "CrossFunctionLifecycleRule",
+    "LifecycleRule",
     "ReachabilityAuditRule",
 ]

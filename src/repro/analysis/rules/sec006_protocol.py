@@ -1,26 +1,15 @@
-"""SEC006 — Migration Library lifecycles may only follow the legal edges.
+"""SEC006 — Migration Library init calls must name a declared init state.
 
-``core/migration_library.py`` declares the library's protocol: the enclave
-calls ``migration_init`` exactly once per load (``InitState`` selects the
-NEW / RESTORE / MIGRATE entry edge), may then seal and operate counters, and
-after ``migration_start`` the library is **frozen** — only a start retry is
-legal, never another seal or counter operation (Requirement R3: a migrated
-source must be unable to keep operating).  The statically-checked machine::
+``core/migration_library.py`` declares the library's entry edges:
+``migration_init`` takes an ``InitState`` that selects NEW, RESTORE or
+MIGRATE, and RESTORE reloads the sealed Table II buffer of the previous
+run.  The order of the library's calls (init, operations, freeze) is
+SEC009's, on every call path.  This rule checks the declarations:
 
-    UNINIT --migration_init--> READY --migration_start--> FROZEN
-    READY  --seal/counter op-> READY
-    FROZEN --migration_start-> FROZEN        (Section V-D retry)
-
-Flagged, for a ``MigrationLibrary(...)`` instance constructed in the same
-function (cross-function lifecycles are runtime-checked by the library
-itself):
-
-* any operation or ``migration_start`` before ``migration_init``,
-* a second ``migration_init`` on the same instance,
-* seal/counter operations after ``migration_start`` (the frozen state),
-* ``InitState.<member>`` references that are not declared by the enum, and
-  ``migration_init(None, InitState.RESTORE, ...)`` — RESTORE requires the
-  sealed Table II buffer.
+* ``InitState.<member>`` references that are not declared by the enum,
+* ``migration_init(None, InitState.RESTORE, ...)`` at any
+  ``.migration_init(...)`` call — RESTORE requires the sealed Table II
+  buffer.
 
 The legal ``InitState`` members are read from the library itself, so this
 rule can never drift from the source of truth.
@@ -31,28 +20,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Rule, SourceModule, terminal_name
+from repro.analysis.engine import Rule, SourceModule
 from repro.analysis.findings import Finding
-
-_OPS = frozenset(
-    {
-        "seal_migratable_data",
-        "unseal_migratable_data",
-        "create_migratable_counter",
-        "destroy_migratable_counter",
-        "increment_migratable_counter",
-        "read_migratable_counter",
-    }
-)
-
-#: The machine above, as (state, event) -> next state; anything absent is a
-#: violation.  Events are "migration_init", "migration_start", or "op".
-_EDGES = {
-    ("UNINIT", "migration_init"): "READY",
-    ("READY", "op"): "READY",
-    ("READY", "migration_start"): "FROZEN",
-    ("FROZEN", "migration_start"): "FROZEN",
-}
 
 
 def _init_state_members() -> frozenset[str]:
@@ -67,91 +36,52 @@ def _init_state_members() -> frozenset[str]:
 
 class ProtocolStateRule(Rule):
     rule_id = "SEC006"
-    title = "MigrationLibrary lifecycle must follow its declared state machine"
+    title = "MigrationLibrary init calls must name a declared InitState"
     requirement = "R3"
     fix_hint = (
-        "order calls as migration_init -> operations -> migration_start; "
-        "after start the library is frozen and only a start retry is legal"
+        "use a declared InitState member, and pass the sealed Table II "
+        "buffer of the previous run to a RESTORE init"
     )
 
     def __init__(self) -> None:
         self._members = _init_state_members()
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        yield from self._check_init_state_refs(module)
-        for func in ast.walk(module.tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_lifecycle(module, func)
-
-    # ------------------------------------------------- InitState references
-    def _check_init_state_refs(self, module: SourceModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
-            member = None
+            yield from self._check_init_state_ref(module, node)
             if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "InitState"
-                and not node.attr.startswith("__")
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "migration_init"
             ):
-                member = node.attr
-            elif (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "InitState"
-                and isinstance(node.slice, ast.Constant)
-                and isinstance(node.slice.value, str)
-            ):
-                member = node.slice.value
-            if member is not None and member not in self._members:
-                yield module.finding(
-                    self,
-                    node,
-                    f"InitState.{member} is not a declared init state "
-                    f"(legal: {', '.join(sorted(self._members))})",
-                )
-
-    # ------------------------------------------------- lifecycle per function
-    def _check_lifecycle(
-        self, module: SourceModule, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        constructed: set[str] = set()
-        events: list[tuple[int, str, str, ast.Call]] = []  # line, name, event, node
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                if terminal_name(node.value.func) == "MigrationLibrary":
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            constructed.add(target.id)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                receiver = node.func.value
-                if not isinstance(receiver, ast.Name):
-                    continue
-                method = node.func.attr
-                if method in ("migration_init", "migration_start"):
-                    events.append((node.lineno, receiver.id, method, node))
-                elif method in _OPS:
-                    events.append((node.lineno, receiver.id, "op", node))
-        if not constructed:
-            return
-        events.sort(key=lambda item: item[0])
-        state: dict[str, str] = {name: "UNINIT" for name in constructed}
-        for _, name, event, node in events:
-            if name not in state:
-                continue
-            if event == "migration_init":
                 yield from self._check_restore_buffer(module, node)
-            next_state = _EDGES.get((state[name], event))
-            if next_state is None:
-                yield module.finding(
-                    self,
-                    node,
-                    f"illegal transition: {event.replace('op', 'library operation')} "
-                    f"on {name!r} in state {state[name]} (legal edges: "
-                    "UNINIT-init->READY, READY-op->READY, "
-                    "READY-start->FROZEN, FROZEN-start->FROZEN)",
-                )
-                continue  # leave the state unchanged; later calls re-judge it
-            state[name] = next_state
+
+    def _check_init_state_ref(
+        self, module: SourceModule, node: ast.AST
+    ) -> Iterator[Finding]:
+        member = None
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "InitState"
+            and not node.attr.startswith("__")
+        ):
+            member = node.attr
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "InitState"
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)
+        ):
+            member = node.slice.value
+        if member is not None and member not in self._members:
+            yield module.finding(
+                self,
+                node,
+                f"InitState.{member} is not a declared init state "
+                f"(legal: {', '.join(sorted(self._members))})",
+            )
 
     def _check_restore_buffer(
         self, module: SourceModule, call: ast.Call

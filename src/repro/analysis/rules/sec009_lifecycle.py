@@ -1,20 +1,26 @@
-"""SEC009 — the migration lifecycle must hold across function boundaries.
+"""SEC009 — the migration lifecycle must hold on every call path.
 
-SEC006 checks the Migration Library state machine *inside one function*;
-the cloning-attack literature shows real protocol bugs hide exactly one
-call deeper — a helper that calls ``migration_start`` on a library the
-caller never initialized, or a snapshot helper that seals state before the
-caller's counter increment.  This rule abstract-interprets the same machine
-over *inlined call paths*: every analyzed function's lifecycle events are
-collected together with the events of the project functions it calls
-(depth-limited, cycle-guarded), with receivers unified across the call —
-``helper(lib)`` operating on its parameter is understood to operate on the
-caller's ``lib``, and ``app.do_start()`` touching ``self.miglib`` is
-understood to touch ``app.miglib``.  ``Enclave.ecall("migration_start")``
-string dispatch follows the call-graph's dispatch edge into the ``@ecall``
-method.  (The ME-side ``stage_out``/``retry``/DONE commands are driven by
-``migration_start`` / ``confirm_migration`` and are covered through those
-edges; ``flush_staged`` comes from the host and touches no library.)
+The Migration Library has one legal order: the enclave calls
+``migration_init`` once per load, may then seal and operate counters, and
+after ``migration_start`` the library is **frozen**; only a start retry is
+legal, never another seal or counter operation (Requirement R3: a migrated
+source must be unable to keep operating).  Counter freshness has one legal
+order too: the increment comes before sealed state is released (Section
+III).  The cloning-attack literature shows such bugs often hide one call
+deeper: a helper that calls ``migration_start`` on a library the caller
+never initialized, or a snapshot helper that seals state before the
+caller's counter increment.  So this rule abstract-interprets the machine
+over *inlined call paths*, of one function or many: every analyzed
+function's lifecycle events are collected together with the events of the
+project functions it calls (depth-limited, cycle-guarded), with receivers
+unified across the call — ``helper(lib)`` operating on its parameter is
+understood to operate on the caller's ``lib``, and ``app.do_start()``
+touching ``self.miglib`` is understood to touch ``app.miglib``.
+``Enclave.ecall("migration_start")`` string dispatch follows the
+call-graph's dispatch edge into the ``@ecall`` method.  (The ME-side
+``stage_out``/``retry``/DONE commands are driven by ``migration_start`` /
+``confirm_migration`` and are covered through those edges;
+``flush_staged`` comes from the host and touches no library.)
 
 The machine (states per receiver)::
 
@@ -22,19 +28,19 @@ The machine (states per receiver)::
     READY  --op/confirm------> READY
     FROZEN --migration_start-> FROZEN            (Section V-D retry)
 
-Flagged — only for *definitely known* states, and only when the offending
-path spans at least two functions (single-function cases are SEC006's and
-SEC005's, so nothing is reported twice):
+Flagged, only for *definitely known* states:
 
 * an operation or ``migration_start`` on a receiver that is still UNINIT
   (constructed but never initialized on this path),
 * a second ``migration_init``, or any operation after the freeze,
-* sealed state *released* by one function before the counter *increment*
-  that happens later in another (the cross-function Section III rollback
-  window SEC005 cannot see).
+* sealed state *released* before the function's own counter *increment*
+  (the Section III rollback window), once per function, at the increment.
 
 Unknown states stay silent: a receiver that merely arrives as a parameter
-has an unknown history, and the library's own runtime checks guard it.
+has an unknown history, and the library's own runtime checks guard it.  A
+lifecycle call inside a ``try`` body may have raised, so the state it would
+establish is unknown too: a ``migration_init`` retried in the ``except``
+branch is not a second init.
 """
 
 from __future__ import annotations
@@ -111,14 +117,14 @@ def _key_of(expr: ast.AST) -> str | None:
     return None
 
 
-class CrossFunctionLifecycleRule(ProjectRule):
+class LifecycleRule(ProjectRule):
     rule_id = "SEC009"
-    title = "Migration lifecycle order must hold across all call paths"
+    title = "Library lifecycle and increment-before-release must hold on every call path"
     requirement = "R3"
     fix_hint = (
         "drive the library as migration_init -> operations -> "
         "migration_start on every call path, and increment the counter "
-        "before any helper releases sealed state"
+        "before sealed state is released"
     )
 
     def check_project(self, project) -> Iterator[Finding]:
@@ -139,7 +145,6 @@ class CrossFunctionLifecycleRule(ProjectRule):
         if fn.fid in visited:
             return []
         visited = visited | {fn.fid}
-        project = self._project
         events: list[Event] = []
         items: list[tuple[int, int, ast.AST]] = []
         for node in ast.walk(fn.node):
@@ -314,14 +319,11 @@ class CrossFunctionLifecycleRule(ProjectRule):
 
     # ------------------------------------------------------------ simulation
     def _simulate(self, fn, events: list[Event]) -> Iterator[Finding]:
-        project = self._project
         state: dict[str, str] = {}
-        fids_per_key: dict[str, set] = {}
         for event in events:
             if event.key in (None, ""):
                 continue
             key = event.key
-            fids_per_key.setdefault(key, set()).add(event.fid)
             if event.kind == "new":
                 state[key] = "UNINIT"
                 continue
@@ -345,9 +347,6 @@ class CrossFunctionLifecycleRule(ProjectRule):
             next_state = _EDGES.get((current, event.kind))
             if next_state is not None:
                 state[key] = next_state
-                continue
-            # Definite violation; only ours if the path is cross-function.
-            if len(fids_per_key[key]) < 2:
                 continue
             yield self._violation_finding(fn, event, current)
             # Leave the state unchanged; later events are re-judged.
@@ -386,7 +385,7 @@ class CrossFunctionLifecycleRule(ProjectRule):
             severity=self.severity,
             message=(
                 f"illegal {pretty.get(event.kind, event.kind)} on {event.key!r} "
-                f"in state {current} on a cross-function path (legal: "
+                f"in state {current} (legal: "
                 "UNINIT-init->READY, READY-op->READY, READY-start->FROZEN, "
                 "FROZEN-start->FROZEN)"
             ),
@@ -395,10 +394,10 @@ class CrossFunctionLifecycleRule(ProjectRule):
             trace=tuple(trace),
         )
 
-    # ----------------------------------------------- cross-function rollback
+    # --------------------------------------------------- rollback window
     def _check_release_order(self, fn, events: list[Event]) -> Iterator[Finding]:
-        # Only the root's *own* increment is judged — a release buried in a
-        # helper before it is the cross-function window.  Increments inlined
+        # Only the root's *own* increment is judged, against a release in
+        # the root or buried in a helper before it.  Increments inlined
         # from callees are those callees' transactions, judged there.
         releases = [e for e in events if e.kind == "release"]
         increments = [e for e in events if e.kind == "increment" and e.fid == fn.fid]
@@ -409,8 +408,6 @@ class CrossFunctionLifecycleRule(ProjectRule):
         if any(events.index(e) < position for e in increments):
             return  # an increment precedes the first release: discipline held
         late = increments[0]
-        if first_release.fid == late.fid:
-            return  # same function: SEC005's finding, not ours
         project = self._project
         release_fn = project.function_at(first_release.fid)
         line = getattr(late.site_node or late.node, "lineno", 1)
@@ -440,10 +437,10 @@ class CrossFunctionLifecycleRule(ProjectRule):
             rule=self.rule_id,
             severity=self.severity,
             message=(
-                "sealed state is released (via "
-                f"{release_fn.qualname if release_fn else 'helper'}) before "
+                "sealed state is released (in "
+                f"{release_fn.qualname if release_fn else 'a helper'}) before "
                 "this counter increment — a crash between them leaves a "
-                "replayable stale blob (cross-function Section III rollback)"
+                "replayable stale blob (Section III rollback)"
             ),
             hint=self.fix_hint,
             text=fn.module.line_text(line),

@@ -321,12 +321,10 @@ def _require_completed(results) -> None:
             raise RuntimeError(f"fleet migration failed: {result.outcome}")
 
 
-def run_fleet_bench(config: "FleetBenchConfig | None" = None, **kwargs) -> dict:
+def run_fleet_bench(config: FleetBenchConfig) -> dict:
     """Fleet-scale migration throughput (wall clock AND virtual clock).
 
-    Takes one :class:`FleetBenchConfig` (keyword arguments are accepted as a
-    back-compat shorthand and collected into one — the knobs below are the
-    config's fields).
+    Takes one :class:`FleetBenchConfig`; the knobs below are its fields.
 
     Builds an ``n_machines`` data center, deploys ``n_enclaves`` migratable
     apps round-robin across it, then migrates them for ``reps`` rounds
@@ -364,10 +362,6 @@ def run_fleet_bench(config: "FleetBenchConfig | None" = None, **kwargs) -> dict:
     batched path — so the number reported *includes* planner + journal
     overhead, against the same enclave workload.
     """
-    if config is None:
-        config = FleetBenchConfig(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either a FleetBenchConfig or knobs, not both")
     n_enclaves, n_machines = config.n_enclaves, config.n_machines
     reps, seed = config.reps, config.seed
     session_resumption, batch, plan = (

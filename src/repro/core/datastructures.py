@@ -29,6 +29,7 @@ meaningful and stable:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidParameterError
@@ -38,10 +39,17 @@ NUM_COUNTERS = 256
 _UUID_SIZE = 16
 _MSK_SIZE = 16
 
-MIGRATION_DATA_SIZE = NUM_COUNTERS + 4 * NUM_COUNTERS + _MSK_SIZE  # 1296
-LIBRARY_STATE_SIZE = (
-    1 + NUM_COUNTERS + _UUID_SIZE * NUM_COUNTERS + 4 * NUM_COUNTERS + _MSK_SIZE
-)  # 5393
+_EMPTY_UUID = bytes(_UUID_SIZE)
+
+#: Table I, packed once: counters_active, counter_values, msk.
+_TABLE_I = struct.Struct(f">{NUM_COUNTERS}?{NUM_COUNTERS}I{_MSK_SIZE}s")
+#: Table II: frozen, counters_active, the UUIDs as one field, counter
+#: offsets, msk.
+_TABLE_II = struct.Struct(
+    f">?{NUM_COUNTERS}?{_UUID_SIZE * NUM_COUNTERS}s{NUM_COUNTERS}I{_MSK_SIZE}s"
+)
+MIGRATION_DATA_SIZE = _TABLE_I.size  # 1296
+LIBRARY_STATE_SIZE = _TABLE_II.size  # 5393
 
 
 def _check_arrays(active: list[bool], values: list[int]) -> None:
@@ -52,6 +60,17 @@ def _check_arrays(active: list[bool], values: list[int]) -> None:
     for value in values:
         if not 0 <= value <= 0xFFFFFFFF:
             raise InvalidParameterError(f"counter value out of uint32 range: {value}")
+
+
+def _check_packed_widths(active: list[bool], msk: bytes) -> None:
+    """The widths ``pack`` cannot see, for fields resized after
+    construction: it pads or cuts an ``s`` field, and a short
+    ``counters_active`` would shift every later field.  A wrong total item
+    count or an out-of-range value raises ``struct.error`` in ``pack``."""
+    if len(active) != NUM_COUNTERS:
+        raise InvalidParameterError(f"counters_active must have {NUM_COUNTERS} entries")
+    if len(msk) != _MSK_SIZE:
+        raise InvalidParameterError("MSK must be a 128-bit key")
 
 
 @dataclass
@@ -76,12 +95,8 @@ class MigrationData:
         )
 
     def to_bytes(self) -> bytes:
-        parts = [bytes(1 if a else 0 for a in self.counters_active)]
-        parts.extend(value.to_bytes(4, "big") for value in self.counter_values)
-        parts.append(self.msk)
-        blob = b"".join(parts)
-        assert len(blob) == MIGRATION_DATA_SIZE
-        return blob
+        _check_packed_widths(self.counters_active, self.msk)
+        return _TABLE_I.pack(*self.counters_active, *self.counter_values, self.msk)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MigrationData":
@@ -89,13 +104,12 @@ class MigrationData:
             raise InvalidParameterError(
                 f"MigrationData must be {MIGRATION_DATA_SIZE} bytes, got {len(data)}"
             )
-        active = [b != 0 for b in data[:NUM_COUNTERS]]
-        values = []
-        offset = NUM_COUNTERS
-        for _ in range(NUM_COUNTERS):
-            values.append(int.from_bytes(data[offset : offset + 4], "big"))
-            offset += 4
-        return cls(counters_active=active, counter_values=values, msk=data[offset:])
+        fields = _TABLE_I.unpack(data)
+        return cls(
+            counters_active=list(fields[:NUM_COUNTERS]),
+            counter_values=list(fields[NUM_COUNTERS:-1]),
+            msk=fields[-1],
+        )
 
 
 @dataclass
@@ -130,15 +144,15 @@ class LibraryState:
         return [i for i, active in enumerate(self.counters_active) if active]
 
     def to_bytes(self) -> bytes:
-        parts = [bytes([1 if self.frozen else 0])]
-        parts.append(bytes(1 if a else 0 for a in self.counters_active))
-        for uuid in self.counter_uuids:
-            parts.append(uuid.to_bytes() if uuid is not None else b"\x00" * _UUID_SIZE)
-        parts.extend(offset.to_bytes(4, "big") for offset in self.counter_offsets)
-        parts.append(self.msk)
-        blob = b"".join(parts)
-        assert len(blob) == LIBRARY_STATE_SIZE
-        return blob
+        _check_packed_widths(self.counters_active, self.msk)
+        if len(self.counter_uuids) != NUM_COUNTERS:
+            raise InvalidParameterError(f"counter_uuids must have {NUM_COUNTERS} entries")
+        uuids = b"".join(
+            _EMPTY_UUID if uuid is None else uuid.to_bytes() for uuid in self.counter_uuids
+        )
+        return _TABLE_II.pack(
+            self.frozen, *self.counters_active, uuids, *self.counter_offsets, self.msk
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LibraryState":
@@ -146,26 +160,19 @@ class LibraryState:
             raise InvalidParameterError(
                 f"LibraryState must be {LIBRARY_STATE_SIZE} bytes, got {len(data)}"
             )
-        frozen = data[0] != 0
-        offset = 1
-        active = [b != 0 for b in data[offset : offset + NUM_COUNTERS]]
-        offset += NUM_COUNTERS
-        uuids: list[CounterUuid | None] = []
+        fields = _TABLE_II.unpack(data)
+        active = list(fields[1 : 1 + NUM_COUNTERS])
+        packed_uuids = fields[1 + NUM_COUNTERS]
+        uuids: list[CounterUuid | None] = [None] * NUM_COUNTERS
         for index in range(NUM_COUNTERS):
-            raw = data[offset : offset + _UUID_SIZE]
-            offset += _UUID_SIZE
-            if active[index] and raw != b"\x00" * _UUID_SIZE:
-                uuids.append(CounterUuid.from_bytes(raw))
-            else:
-                uuids.append(None)
-        offsets = []
-        for _ in range(NUM_COUNTERS):
-            offsets.append(int.from_bytes(data[offset : offset + 4], "big"))
-            offset += 4
+            if active[index]:
+                raw = packed_uuids[index * _UUID_SIZE : (index + 1) * _UUID_SIZE]
+                if raw != _EMPTY_UUID:
+                    uuids[index] = CounterUuid.from_bytes(raw)
         return cls(
-            frozen=frozen,
+            frozen=fields[0],
             counters_active=active,
             counter_uuids=uuids,
-            counter_offsets=offsets,
-            msk=data[offset:],
+            counter_offsets=list(fields[2 + NUM_COUNTERS : -1]),
+            msk=fields[-1],
         )

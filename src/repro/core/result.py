@@ -28,7 +28,6 @@ class MigrationOutcome(enum.Enum):
     RESUMED = "resumed"  # an interrupted migration was driven to completion
     SHIPPED = "shipped"  # ME-level op: data delivered to the destination ME
     PENDING_RETRY = "pending_retry"  # frozen; data parked at the source ME
-    ABORTED = "aborted"  # fatal failure; no live destination instance
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ argument.
 
 from __future__ import annotations
 
+import json
+
 from repro.analysis.cli import main as cli_main
 
 
@@ -20,23 +22,29 @@ def test_repository_is_clean(tree_findings):
 
 
 def test_cli_exits_nonzero_on_seeded_violation(tmp_path, capsys):
-    """Acceptance check: a seeded violation per rule family trips the gate."""
+    """Acceptance check: a seeded violation per rule family trips the gate,
+    each on its own line."""
     seeded = tmp_path / "src" / "repro" / "cloud" / "seeded.py"
     seeded.parent.mkdir(parents=True)
     seeded.write_text(
-        "def all_six(enclave, aead, state, self_like):\n"
+        "def all_rules(enclave, aead, state, self_like):\n"
         "    print(state.msk)                                  # SEC001\n"
         "    enclave.trusted.balance = 0                       # SEC002\n"
         "    aead.encrypt(b'\\x00' * 12, b'payload')           # SEC003\n"
         "    ok = state.mac == b'expected'                     # SEC004\n"
-        "    blob = self_like.seal_data(b's', b'aad')          # SEC005\n"
-        "    self_like.increment_monotonic_counter(b'uuid')    # SEC005\n"
+        "    mode = InitState.RESUME                           # SEC006\n"
+        "    blob = self_like.seal_data(b's', b'aad')\n"
+        "    self_like.increment_monotonic_counter(b'uuid')    # SEC009\n"
         "    lib = MigrationLibrary(self_like)\n"
-        "    lib.migration_start('dest')                       # SEC006\n"
-        "    return ok, blob\n"
+        "    lib.migration_start('dest')                       # SEC009\n"
+        "    return ok, blob, mode\n"
     )
     code = cli_main(["--format", "json", str(seeded)])
-    out = capsys.readouterr().out
+    report = json.loads(capsys.readouterr().out)
     assert code == 1
-    for rule in ("SEC001", "SEC002", "SEC003", "SEC004", "SEC005", "SEC006"):
-        assert rule in out
+    found = {(f["rule"], f["line"]) for f in report["findings"]}
+    expected = {
+        ("SEC001", 2), ("SEC002", 3), ("SEC003", 4), ("SEC004", 5),
+        ("SEC006", 6), ("SEC009", 8), ("SEC009", 10),
+    }
+    assert expected <= found

@@ -1,7 +1,9 @@
-"""Unit tests for the SEC001-SEC006 static-analysis rules.
+"""Unit tests for the per-module static-analysis rules (SEC001-SEC004,
+SEC006, SEC007) and for SEC009 on paths inside one function.
 
 Each rule gets at least one known-violating and one known-clean fixture,
-plus tests for the pragma suppression and the CLI surface.
+plus tests for the pragma suppression and the CLI surface.  The
+cross-function fixtures are in ``test_analysis_interproc.py``.
 """
 
 from __future__ import annotations
@@ -222,10 +224,13 @@ class TestConstantTime:
         ) == []
 
 
-# --------------------------------------------------------------- SEC005
+# ----------------------------------------------- SEC009 in one function
 class TestCounterDiscipline:
+    """The increment-before-release order inside one function is SEC009's,
+    as on any longer call path."""
+
     def test_seal_before_increment_flags(self):
-        assert "SEC005" in rules_in(
+        assert "SEC009" in rules_in(
             """
             def persist(self):
                 blob = self.miglib.seal_migratable_data(self.state)
@@ -244,7 +249,7 @@ class TestCounterDiscipline:
         ) == []
 
     def test_native_primitives_also_checked(self):
-        assert "SEC005" in rules_in(
+        assert "SEC009" in rules_in(
             """
             def persist(self):
                 blob = self.sdk.seal_data(self.state, b"aad")
@@ -261,9 +266,24 @@ class TestCounterDiscipline:
             """
         ) == []
 
+    def test_two_seals_before_one_increment_flag_once_at_the_increment(self):
+        findings = analyze_source(dedent(
+            """
+            def persist(self):
+                first = self.sdk.seal_data(self.a, b"aad")
+                second = self.sdk.seal_data(self.b, b"aad")
+                self.sdk.increment_monotonic_counter(self._uuid)
+                return first, second
+            """
+        ), "src/repro/mod.py")
+        assert [(f.rule, f.line) for f in findings] == [("SEC009", 5)]
 
-# --------------------------------------------------------------- SEC006
+
+# ---------------------------------------------------- SEC006 and SEC009
 class TestProtocolState:
+    """SEC006 checks the declared init states at every ``migration_init``;
+    the library lifecycle inside one function is SEC009's."""
+
     def test_unknown_init_state_flags(self):
         assert "SEC006" in rules_in(
             """
@@ -282,7 +302,7 @@ class TestProtocolState:
         ) == []
 
     def test_operation_before_init_flags(self):
-        assert "SEC006" in rules_in(
+        assert "SEC009" in rules_in(
             """
             def boot(sdk):
                 lib = MigrationLibrary(sdk)
@@ -291,7 +311,7 @@ class TestProtocolState:
         )
 
     def test_operation_after_start_flags(self):
-        assert "SEC006" in rules_in(
+        assert "SEC009" in rules_in(
             """
             def migrate(sdk):
                 lib = MigrationLibrary(sdk)
@@ -302,7 +322,7 @@ class TestProtocolState:
         )
 
     def test_double_init_flags(self):
-        assert "SEC006" in rules_in(
+        assert "SEC009" in rules_in(
             """
             def boot(sdk):
                 lib = MigrationLibrary(sdk)
@@ -311,12 +331,34 @@ class TestProtocolState:
             """
         )
 
+    def test_init_retried_in_except_is_clean(self):
+        # The first init may have raised, so the retry is not a second init.
+        assert rules_in(
+            """
+            def boot(sdk, report):
+                lib = MigrationLibrary(sdk)
+                try:
+                    lib.migration_init(report, InitState.NEW, "me")
+                except MigrationError:
+                    lib.migration_init(report, InitState.NEW, "me")
+            """
+        ) == []
+
     def test_restore_without_buffer_flags(self):
         assert "SEC006" in rules_in(
             """
             def boot(sdk):
                 lib = MigrationLibrary(sdk)
                 lib.migration_init(None, InitState.RESTORE, "me")
+            """
+        )
+
+    def test_restore_without_buffer_on_any_receiver_flags(self):
+        # Not only on a library constructed in the same function.
+        assert "SEC006" in rules_in(
+            """
+            def boot(enclave):
+                enclave.miglib.migration_init(None, InitState.RESTORE, "me")
             """
         )
 

@@ -1,5 +1,7 @@
 """Table I / Table II structures: exact layouts, round-trips, validation."""
 
+import struct
+
 import pytest
 
 from repro.core.datastructures import (
@@ -57,6 +59,27 @@ class TestMigrationData:
                 counters_active=[False] * 256, counter_values=[0] * 256, msk=b"short"
             )
 
+    def test_bytes_are_the_field_by_field_layout(self):
+        data = MigrationData.empty()
+        data.counters_active[7] = True
+        data.counter_values[7] = 0xFFFFFFFF
+        data.counter_values[200] = 513
+        data.msk = bytes(range(16, 32))
+        expected = bytes(data.counters_active) + b"".join(
+            value.to_bytes(4, "big") for value in data.counter_values
+        ) + data.msk
+        assert data.to_bytes() == expected
+
+    def test_fields_changed_after_construction_raise_not_truncate(self):
+        data = MigrationData.empty()
+        data.counter_values[0] = 2**32
+        with pytest.raises(struct.error):
+            data.to_bytes()
+        data = MigrationData.empty()
+        data.msk = bytes(17)
+        with pytest.raises(InvalidParameterError):
+            data.to_bytes()
+
 
 class TestLibraryState:
     def test_paper_layout_size(self):
@@ -109,3 +132,32 @@ class TestLibraryState:
     def test_uuid_array_validation(self):
         with pytest.raises(InvalidParameterError):
             LibraryState(counter_uuids=[None])
+
+    def test_bytes_are_the_field_by_field_layout(self):
+        uuid = CounterUuid(b"\x00\x00\x01\x02", bytes(range(12)))
+        state = LibraryState(frozen=True, msk=bytes(range(16)))
+        state.counters_active[2] = True
+        state.counter_uuids[2] = uuid
+        state.counter_offsets[2] = 0xFFFFFFFF
+        expected = (
+            b"\x01"
+            + bytes(state.counters_active)
+            + bytes(16 * 2) + uuid.to_bytes() + bytes(16 * 253)
+            + b"".join(offset.to_bytes(4, "big") for offset in state.counter_offsets)
+            + state.msk
+        )
+        assert state.to_bytes() == expected
+
+    def test_fields_changed_after_construction_raise_not_truncate(self):
+        state = LibraryState()
+        state.counter_offsets[9] = -1
+        with pytest.raises(struct.error):
+            state.to_bytes()
+        state = LibraryState()
+        state.counter_uuids.pop()
+        with pytest.raises(InvalidParameterError):
+            state.to_bytes()
+        state = LibraryState()
+        state.counters_active.append(False)
+        with pytest.raises(InvalidParameterError):
+            state.to_bytes()

@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import run_fig3, run_fleet_bench, run_migration_bench
+from repro.bench.harness import (
+    FleetBenchConfig,
+    run_fig3,
+    run_fleet_bench,
+    run_migration_bench,
+)
 from repro.cloud.datacenter import DataCenter
 from repro.sgx.enclave import EnclaveBase, ecall
 from repro.sgx.identity import SigningKey
@@ -49,8 +54,9 @@ class TestSeedDeterminism:
         assert data["enclave_migration"] == golden["enclave_migration"]
 
     def test_fleet_bench_virtual_time_identical_under_seed(self):
-        a = run_fleet_bench(n_enclaves=2, n_machines=2, reps=1, seed=7)
-        b = run_fleet_bench(n_enclaves=2, n_machines=2, reps=1, seed=7)
+        config = FleetBenchConfig(n_enclaves=2, n_machines=2, reps=1, seed=7)
+        a = run_fleet_bench(config)
+        b = run_fleet_bench(config)
         assert (
             a["virtual_seconds_per_migration"] == b["virtual_seconds_per_migration"]
         )
@@ -61,7 +67,9 @@ class TestSeedDeterminism:
         between commits (floats compared exactly)."""
         golden = json.loads((GOLDEN_DIR / "fleet_wave_seed0.json").read_text())
         data = run_fleet_bench(
-            n_enclaves=4, n_machines=2, reps=2, seed=0, batch=True, plan="drain"
+            FleetBenchConfig(
+                n_enclaves=4, n_machines=2, reps=2, seed=0, batch=True, plan="drain"
+            )
         )
         assert data["migrations"] == golden["migrations"]
         assert (
