@@ -1,12 +1,12 @@
 # Developer / CI entry points.  `make ci` is what a PR must pass: tier-1
-# tests, the SEC001-SEC010 interprocedural static-analysis gate (fails on
-# any finding that no `# repro: ignore[...]` pragma suppresses), the chaos
-# sweep (drop/duplicate/crash faults over every migration message; R3/R4 must
-# hold after recovery), the full fleet-kill grid (every planner-kill boundary of
-# the fleet executor, serial and pipelined), the smoke slices of the
-# disk-fault and clone-campaign grids (the full grids run via
-# `make chaos-disk` and `make chaos-clone`), the paper-shape benchmark tests,
-# and the end-to-end benchmark's smoke test.
+# tests, the interprocedural static-analysis gate (rules SEC001-SEC004 and
+# SEC006-SEC010; fails on any finding that no `# repro: ignore[...]` pragma
+# suppresses), the chaos sweep (drop/duplicate/crash faults over every
+# migration message; R3/R4 must hold after recovery), the full fleet-kill
+# grid (every planner-kill boundary of the fleet executor, serial and
+# pipelined), the smoke slices of the disk-fault and clone-campaign grids
+# (the full grids run via `make chaos-disk` and `make chaos-clone`), the
+# paper-shape benchmark tests, and the end-to-end benchmark's smoke test.
 
 PYTHON ?= python
 export PYTHONPATH := src
