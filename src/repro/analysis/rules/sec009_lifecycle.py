@@ -36,11 +36,13 @@ Flagged, only for *definitely known* states:
 * sealed state *released* before the function's own counter *increment*
   (the Section III rollback window), once per function, at the increment.
 
-Unknown states stay silent: a receiver that merely arrives as a parameter
-has an unknown history, and the library's own runtime checks guard it.  A
-lifecycle call inside a ``try`` body may have raised, so the state it would
-establish is unknown too: a ``migration_init`` retried in the ``except``
-branch is not a second init.
+A violation that lies wholly inside one called function is reported there,
+once, and not again at each of its callers.  Unknown states stay silent: a
+receiver that merely arrives as a parameter has an unknown history, and
+the library's own runtime checks guard it.  A lifecycle call inside a
+``try`` body is judged against the state before it, but it may have
+raised, so the state it would establish is unknown: a ``migration_init``
+retried in the ``except`` branch is not a second init.
 """
 
 from __future__ import annotations
@@ -230,12 +232,14 @@ class LifecycleRule(ProjectRule):
                 events.append(
                     Event(kind=kind, key=receiver_key, node=call, fid=fn.fid, maybe=maybe)
                 )
-            if method in _RELEASES:
-                is_api_call = True
-                events.append(Event(kind="release", key="", node=call, fid=fn.fid))
-            if method in _INCREMENTS:
-                is_api_call = True
-                events.append(Event(kind="increment", key="", node=call, fid=fn.fid))
+        # Release and increment events carry no key, so any receiver counts:
+        # a bare ``seal_data(...)``, ``self.libs[i].seal_migratable_data(...)``.
+        if method in _RELEASES:
+            is_api_call = True
+            events.append(Event(kind="release", key="", node=call, fid=fn.fid))
+        if method in _INCREMENTS:
+            is_api_call = True
+            events.append(Event(kind="increment", key="", node=call, fid=fn.fid))
 
         # Inline the callee's events with receivers mapped into our frame.
         # A direct library-API call is atomic — its event above *is* its
@@ -320,36 +324,21 @@ class LifecycleRule(ProjectRule):
     # ------------------------------------------------------------ simulation
     def _simulate(self, fn, events: list[Event]) -> Iterator[Finding]:
         state: dict[str, str] = {}
+        # What each inlined call of this function would see on its own,
+        # from an unknown start: the callee analyzed as a root.
+        per_site: dict[int, dict[str, str]] = {}
         for event in events:
             if event.key in (None, ""):
                 continue
-            key = event.key
-            if event.kind == "new":
-                state[key] = "UNINIT"
-                continue
-            if event.kind == "kill":
-                # Rebinding `enclave` invalidates `enclave.miglib` too.
-                state[key] = "UNKNOWN"
-                prefix = key + "."
-                for other in list(state):
-                    if other.startswith(prefix):
-                        state[other] = "UNKNOWN"
-                continue
-            current = state.get(key, "UNKNOWN")
-            if event.maybe:
-                # Inside a try body the call may have raised; whatever state
-                # it would establish is not definite.
-                state[key] = "UNKNOWN"
-                continue
-            if current == "UNKNOWN":
-                state[key] = _FROM_UNKNOWN.get(event.kind, "UNKNOWN")
-                continue
-            next_state = _EDGES.get((current, event.kind))
-            if next_state is not None:
-                state[key] = next_state
-                continue
-            yield self._violation_finding(fn, event, current)
-            # Leave the state unchanged; later events are re-judged.
+            current = _step(state, event)
+            if event.site_node is not None:
+                alone = per_site.setdefault(id(event.site_node), {})
+                if _step(alone, event) is not None:
+                    # The violation lies inside the callee: reported there
+                    # once, not again at every caller.
+                    continue
+            if current is not None:
+                yield self._violation_finding(fn, event, current)
 
     def _violation_finding(self, fn, event: Event, current: str) -> Finding:
         project = self._project
@@ -450,3 +439,33 @@ class LifecycleRule(ProjectRule):
 
 #: Sentinel for receiver keys that cannot be expressed in the caller frame.
 _DROP = object()
+
+
+def _step(state: dict[str, str], event: Event) -> str | None:
+    """Apply one keyed event to the receiver states; return the state it is
+    illegal in, or None.  An illegal event leaves the state unchanged, so
+    later events are judged against it."""
+    key = event.key
+    if event.kind == "new":
+        state[key] = "UNINIT"
+        return None
+    if event.kind == "kill":
+        # Rebinding `enclave` invalidates `enclave.miglib` too.
+        state[key] = "UNKNOWN"
+        prefix = key + "."
+        for other in list(state):
+            if other.startswith(prefix):
+                state[other] = "UNKNOWN"
+        return None
+    current = state.get(key, "UNKNOWN")
+    illegal = None
+    if current == "UNKNOWN":
+        next_state = _FROM_UNKNOWN.get(event.kind, "UNKNOWN")
+    else:
+        next_state = _EDGES.get((current, event.kind))
+        if next_state is None:
+            illegal, next_state = current, current
+    # Inside a try body the call may have raised: it is judged against the
+    # known state, but the state it would establish is not definite.
+    state[key] = "UNKNOWN" if event.maybe else next_state
+    return illegal

@@ -52,25 +52,28 @@ MIGRATION_DATA_SIZE = _TABLE_I.size  # 1296
 LIBRARY_STATE_SIZE = _TABLE_II.size  # 5393
 
 
-def _check_arrays(active: list[bool], values: list[int]) -> None:
+def _check_widths(
+    active: list[bool], msk: bytes, uuids: list[CounterUuid | None] | None = None
+) -> None:
+    """The widths ``pack`` cannot see: it pads or cuts an ``s`` field (the
+    MSK, the joined UUIDs), and a short ``counters_active`` would shift every
+    later field.  Checked at construction and again before packing, for
+    fields resized after construction; a wrong total item count or an
+    out-of-range value raises ``struct.error`` in ``pack``."""
     if len(active) != NUM_COUNTERS:
         raise InvalidParameterError(f"counters_active must have {NUM_COUNTERS} entries")
+    if uuids is not None and len(uuids) != NUM_COUNTERS:
+        raise InvalidParameterError(f"counter_uuids must have {NUM_COUNTERS} entries")
+    if len(msk) != _MSK_SIZE:
+        raise InvalidParameterError("MSK must be a 128-bit key")
+
+
+def _check_values(values: list[int]) -> None:
     if len(values) != NUM_COUNTERS:
         raise InvalidParameterError(f"counter value array must have {NUM_COUNTERS} entries")
     for value in values:
         if not 0 <= value <= 0xFFFFFFFF:
             raise InvalidParameterError(f"counter value out of uint32 range: {value}")
-
-
-def _check_packed_widths(active: list[bool], msk: bytes) -> None:
-    """The widths ``pack`` cannot see, for fields resized after
-    construction: it pads or cuts an ``s`` field, and a short
-    ``counters_active`` would shift every later field.  A wrong total item
-    count or an out-of-range value raises ``struct.error`` in ``pack``."""
-    if len(active) != NUM_COUNTERS:
-        raise InvalidParameterError(f"counters_active must have {NUM_COUNTERS} entries")
-    if len(msk) != _MSK_SIZE:
-        raise InvalidParameterError("MSK must be a 128-bit key")
 
 
 @dataclass
@@ -82,9 +85,8 @@ class MigrationData:
     msk: bytes
 
     def __post_init__(self) -> None:
-        _check_arrays(self.counters_active, self.counter_values)
-        if len(self.msk) != _MSK_SIZE:
-            raise InvalidParameterError("MSK must be a 128-bit key")
+        _check_widths(self.counters_active, self.msk)
+        _check_values(self.counter_values)
 
     @classmethod
     def empty(cls) -> "MigrationData":
@@ -95,7 +97,7 @@ class MigrationData:
         )
 
     def to_bytes(self) -> bytes:
-        _check_packed_widths(self.counters_active, self.msk)
+        _check_widths(self.counters_active, self.msk)
         return _TABLE_I.pack(*self.counters_active, *self.counter_values, self.msk)
 
     @classmethod
@@ -127,11 +129,8 @@ class LibraryState:
     msk: bytes = b"\x00" * _MSK_SIZE
 
     def __post_init__(self) -> None:
-        _check_arrays(self.counters_active, self.counter_offsets)
-        if len(self.counter_uuids) != NUM_COUNTERS:
-            raise InvalidParameterError(f"counter_uuids must have {NUM_COUNTERS} entries")
-        if len(self.msk) != _MSK_SIZE:
-            raise InvalidParameterError("MSK must be a 128-bit key")
+        _check_widths(self.counters_active, self.msk, self.counter_uuids)
+        _check_values(self.counter_offsets)
 
     def free_slot(self) -> int:
         """Lowest unused internal counter id, or -1 when all 256 are taken."""
@@ -144,9 +143,7 @@ class LibraryState:
         return [i for i, active in enumerate(self.counters_active) if active]
 
     def to_bytes(self) -> bytes:
-        _check_packed_widths(self.counters_active, self.msk)
-        if len(self.counter_uuids) != NUM_COUNTERS:
-            raise InvalidParameterError(f"counter_uuids must have {NUM_COUNTERS} entries")
+        _check_widths(self.counters_active, self.msk, self.counter_uuids)
         uuids = b"".join(
             _EMPTY_UUID if uuid is None else uuid.to_bytes() for uuid in self.counter_uuids
         )

@@ -208,6 +208,53 @@ class TestLifecycleCrossFunction:
             """
         )
 
+    def test_violation_inside_helper_reported_once_not_per_caller(self):
+        findings = findings_in(
+            """
+            class App:
+                def _finish(self):
+                    self.miglib.migration_start("dest")
+                    self.miglib.seal_migratable_data(b"x", b"v")
+
+                def first(self):
+                    self._finish()
+
+                def second(self):
+                    self._finish()
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("SEC009", 5)]
+
+    def test_violation_inside_parameter_helper_reported_once(self):
+        findings = findings_in(
+            """
+            def helper(lib):
+                lib.migration_start("dest")
+                lib.seal_migratable_data(b"x", b"v")
+
+            def build(sdk, report):
+                lib = MigrationLibrary(sdk)
+                lib.migration_init(report)
+                helper(lib)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("SEC009", 4)]
+
+    def test_init_helper_called_twice_flags_at_the_caller(self):
+        # Each call of the helper is legal alone; only the caller sees both.
+        findings = findings_in(
+            """
+            def setup(lib, report):
+                lib.migration_init(report)
+
+            def boot(sdk, report):
+                lib = MigrationLibrary(sdk)
+                setup(lib, report)
+                setup(lib, report)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("SEC009", 8)]
+
 
 # ---------------------------------------------------------- SEC003 rewrite
 class TestNonceCrossFunction:

@@ -278,6 +278,27 @@ class TestCounterDiscipline:
         ), "src/repro/mod.py")
         assert [(f.rule, f.line) for f in findings] == [("SEC009", 5)]
 
+    def test_seal_on_subscript_receiver_before_increment_flags(self):
+        # A release or increment counts on any receiver, not only on a name.
+        assert "SEC009" in rules_in(
+            """
+            def persist(self, index):
+                blob = self.libs[index].seal_migratable_data(self.state)
+                self.libs[index].increment_migratable_counter(self._counter_id)
+                return blob
+            """
+        )
+
+    def test_bare_seal_before_increment_flags(self):
+        assert "SEC009" in rules_in(
+            """
+            def persist(self):
+                blob = seal_data(self.state, b"aad")
+                self.sdk.increment_monotonic_counter(self._uuid)
+                return blob
+            """
+        )
+
 
 # ---------------------------------------------------- SEC006 and SEC009
 class TestProtocolState:
@@ -343,6 +364,33 @@ class TestProtocolState:
                     lib.migration_init(report, InitState.NEW, "me")
             """
         ) == []
+
+    def test_operation_after_start_inside_try_flags(self):
+        # The call may raise, but it is still judged against the known state.
+        assert "SEC009" in rules_in(
+            """
+            def migrate(sdk, report):
+                lib = MigrationLibrary(sdk)
+                lib.migration_init(report, InitState.NEW, "me")
+                lib.migration_start("dest")
+                try:
+                    lib.seal_migratable_data(b"state")
+                except MigrationError:
+                    pass
+            """
+        )
+
+    def test_start_before_init_inside_try_flags(self):
+        assert "SEC009" in rules_in(
+            """
+            def boot(sdk):
+                lib = MigrationLibrary(sdk)
+                try:
+                    lib.migration_start("dest")
+                except MigrationError:
+                    pass
+            """
+        )
 
     def test_restore_without_buffer_flags(self):
         assert "SEC006" in rules_in(
