@@ -278,22 +278,13 @@ class TestCounterDiscipline:
         ), "src/repro/mod.py")
         assert [(f.rule, f.line) for f in findings] == [("SEC009", 5)]
 
-    def test_seal_on_subscript_receiver_before_increment_flags(self):
-        # A release or increment counts on any receiver, not only on a name.
+    @pytest.mark.parametrize("seal", ["self.libs[index].seal_data", "seal_data"])
+    def test_seal_on_any_receiver_before_increment_flags(self, seal):
+        # A release counts on any receiver, not only on a dotted name.
         assert "SEC009" in rules_in(
-            """
+            f"""
             def persist(self, index):
-                blob = self.libs[index].seal_migratable_data(self.state)
-                self.libs[index].increment_migratable_counter(self._counter_id)
-                return blob
-            """
-        )
-
-    def test_bare_seal_before_increment_flags(self):
-        assert "SEC009" in rules_in(
-            """
-            def persist(self):
-                blob = seal_data(self.state, b"aad")
+                blob = {seal}(self.state, b"aad")
                 self.sdk.increment_monotonic_counter(self._uuid)
                 return blob
             """
