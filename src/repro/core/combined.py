@@ -22,7 +22,6 @@ memory image and working migratable counters/sealing.
 from __future__ import annotations
 
 from repro.cloud.machine import PhysicalMachine
-from repro.core.api import MigrationRequest
 from repro.core.baseline import GuFlagMode, GuMigratableEnclave, register_gu_transport
 from repro.core.migration_library import InitState
 from repro.core.protocol import MigratableApp, MigratableEnclave, flush_staged
@@ -81,16 +80,13 @@ class LiveMigratableApp(MigratableApp):
         The destination enclave is running and serving as soon as this
         returns; the source is left frozen (library) and spin-locked (Gu).
         Returns a :class:`MigrationResult` carrying the destination enclave.
+        An app with a migration transaction in progress is refused until
+        :meth:`resume` finishes it.
         """
-        return self._execute(
-            MigrationRequest.live_migrate(self, destination.address)
-        )
-
-    def _execute_live(self, request: MigrationRequest) -> MigrationResult:
-        destination = self.dc.machine(request.target)
         source_enclave = self.enclave
         if source_enclave is None or not source_enclave.alive:
             raise MigrationError("no running enclave to migrate")
+        self._journaled_txn(None)
         source_app = self.app
         source_vm = self.vm
         txn = self._next_txn()

@@ -33,7 +33,7 @@ from repro.cloud.storage import (
     MigrationJournal,
     MigrationRecord,
 )
-from repro.core.api import MigrationRequest, RequestKind
+from repro.core.api import MigrationRequest
 from repro.core.migration_enclave import MigrationEnclave
 from repro.core.migration_library import InitState, MigrationLibrary
 from repro.core.policy import PolicySet, SameProviderPolicy
@@ -583,6 +583,26 @@ class MigratableApp:
         """The migration-in-progress record on the app's *current* machine."""
         return MigrationJournal(self.app.machine.storage, self.app_name)
 
+    def _journaled_txn(self, destination: str | None) -> MigrationRecord | None:
+        """The source-side transaction in progress toward ``destination``,
+        which the next wave continues, or ``None`` when nothing is in
+        progress.
+
+        Any other transaction in progress raises :class:`MigrationError`:
+        :meth:`resume` finishes it first, so a frozen enclave's state never
+        ships under a second transaction.  ``destination=None`` refuses
+        every transaction in progress (flows that cannot continue one).
+        """
+        record = self._journal().read()
+        if record is not None and (
+            record.role != "source" or record.destination != destination
+        ):
+            raise MigrationError(
+                f"{self.app_name} has migration {record.txn_id} to "
+                f"{record.destination} in progress; finish it with resume()"
+            )
+        return record
+
     def migrate(
         self,
         destination: PhysicalMachine,
@@ -596,8 +616,9 @@ class MigratableApp:
 
         A wave of one (:meth:`migrate_group`).  Returns a
         :class:`MigrationResult`; on transient exhaustion the outcome is
-        ``PENDING_RETRY`` and the journal is retained so :meth:`resume` can
-        finish the job later.  Fatal errors raise.
+        ``PENDING_RETRY`` and the journal is retained, so calling
+        ``migrate`` again with the same destination, or :meth:`resume`,
+        finishes the same transaction.  Fatal errors raise.
         """
         (result,) = self._execute(
             MigrationRequest.wave(
@@ -608,32 +629,6 @@ class MigratableApp:
             )
         )
         return result
-
-    # --------------------------------------------- unified execution path
-    @classmethod
-    def _execute(
-        cls, request: MigrationRequest
-    ) -> MigrationResult | list[MigrationResult]:
-        """Interpret one :class:`~repro.core.api.MigrationRequest`.
-
-        Every public entry point — and every programmatic caller such as
-        the fleet executor — funnels through here, so retry, journaling,
-        and result semantics are defined exactly once per request kind.
-        """
-        if request.kind is RequestKind.WAVE:
-            return cls._execute_wave(request)
-        (member,) = request.members
-        if request.kind is RequestKind.RESUME:
-            return member._execute_resume(request)
-        return member._execute_live(request)
-
-    def _execute_live(self, request: MigrationRequest) -> MigrationResult:
-        """Live migration needs the Gu-style memory machinery; only
-        :class:`~repro.core.combined.LiveMigratableApp` provides it."""
-        raise MigrationError(
-            f"{type(self).__name__} cannot serve a live migration request; "
-            "deploy a LiveMigratableApp"
-        )
 
     def _complete_relocation(
         self,
@@ -698,7 +693,11 @@ class MigratableApp:
         1. **Stage** — each enclave journals the transaction and freezes
            into its local ME (``migration_start``); the record is parked,
            not shipped, so a crash anywhere leaves every enclave
-           individually resumable through the retry/resume machinery.
+           individually resumable.  A member whose journal already holds a
+           source-side transaction to this destination (a parked earlier
+           attempt) re-stages under that transaction and reports
+           ``RESUMED``; a transaction to another destination raises
+           :class:`MigrationError` until :meth:`resume` finishes it.
         2. **Flush** — one ``flush_staged`` message per source ME ships all
            staged records over ONE attested session in ONE
            ``transfer_batch`` exchange (:func:`flush_staged`): this is where
@@ -710,8 +709,9 @@ class MigratableApp:
 
         Returns one :class:`MigrationResult` per app, in input order.  Apps
         whose stage, flush or relocation failed transiently report
-        ``PENDING_RETRY`` and are finished later by their own
-        :meth:`resume`; fatal errors raise.
+        ``PENDING_RETRY``; the same wave again, or each app's own
+        :meth:`resume`, finishes them under the same transactions.  Fatal
+        errors raise.
         """
         return cls._execute(
             MigrationRequest.wave(
@@ -723,7 +723,10 @@ class MigratableApp:
         )
 
     @classmethod
-    def _execute_wave(cls, request: MigrationRequest) -> list[MigrationResult]:
+    def _execute(cls, request: MigrationRequest) -> list[MigrationResult]:
+        """Run one wave (:meth:`migrate_group`); every source-side driver —
+        ``migrate``, ``migrate_group``, ``resume`` and the fleet executor —
+        funnels through here."""
         apps = list(request.members)
         if not apps:
             return []
@@ -732,7 +735,9 @@ class MigratableApp:
         retry_policy = request.retry_policy
         results: dict[int, MigrationResult] = {}
         groups: dict[str, list[int]] = {}
+        in_progress: list[MigrationRecord | None] = []
         for index, app in enumerate(apps):
+            in_progress.append(app._journaled_txn(destination.address))
             if app.enclave is None or not app.enclave.alive:
                 raise MigrationError("no running enclave to migrate")
             if app.app.machine is destination:
@@ -747,17 +752,22 @@ class MigratableApp:
             for i in indices:
                 app = apps[i]
                 policy = retry_policy or app.retry_policy
-                txn = app._next_txn()
                 start_cost = CostSnapshot.capture(app.dc)
-                # Persist the migration-in-progress record BEFORE the first
-                # irreversible step (Section VI-C): a crash from here on
-                # leaves enough on disk for resume() to finish or retry.
-                app._journal().write(
-                    MigrationRecord(
-                        txn, "source", PHASE_PREPARE, source_address,
-                        destination.address,
+                if in_progress[i] is not None:
+                    # Continue the journaled transaction: the ME dedupes
+                    # and re-routes by its id (Section V-D retry).
+                    txn = in_progress[i].txn_id
+                else:
+                    txn = app._next_txn()
+                    # Persist the migration-in-progress record BEFORE the
+                    # first irreversible step (Section VI-C): a crash from
+                    # here on leaves enough on disk to finish or retry.
+                    app._journal().write(
+                        MigrationRecord(
+                            txn, "source", PHASE_PREPARE, source_address,
+                            destination.address,
+                        )
                     )
-                )
                 try:
                     _, retries = call_with_retries(
                         lambda app=app, txn=txn: app.enclave.ecall(
@@ -775,6 +785,16 @@ class MigratableApp:
                         error=exc,
                     )
                     continue
+                except CounterNotFoundError:
+                    # The Section VI-B defense tripped: the instance restored
+                    # a stale pre-freeze bundle whose counters were destroyed
+                    # at freeze time.  That state can never operate again —
+                    # drop the instance so the next resume relaunches from
+                    # the (possibly healed) persisted bundle instead of
+                    # wedging.
+                    app.app.terminate()
+                    app.enclave = None
+                    raise
                 staged.append((i, txn, retries, start_cost))
             if not staged:
                 continue
@@ -791,8 +811,8 @@ class MigratableApp:
                 )
             except TransientError as exc:
                 # The whole group stays parked (staged) at the source ME and
-                # every journal is at PREPARE: each app's resume() re-drives
-                # its own transaction individually.
+                # every journal is at PREPARE: the next wave, or each app's
+                # resume(), re-drives its own transaction.
                 for i, txn, retries, start_cost in staged:
                     results[i] = MigrationResult(
                         outcome=MigrationOutcome.PENDING_RETRY,
@@ -816,7 +836,9 @@ class MigratableApp:
                 try:
                     results[i] = app._complete_relocation(
                         destination, migrate_vm, txn, policy, start_cost,
-                        retries, MigrationOutcome.COMPLETED,
+                        retries,
+                        MigrationOutcome.COMPLETED if in_progress[i] is None
+                        else MigrationOutcome.RESUMED,
                     )
                 except TransientError as exc:
                     results[i] = MigrationResult(
@@ -836,27 +858,20 @@ class MigratableApp:
     ) -> MigrationResult:
         """Drive an interrupted migration to completion after a crash.
 
-        Reads the journal on the app's current machine.  ``role=source``
-        records re-freeze/retry from the persisted library state, flush the
-        record to the destination and then complete the relocation;
-        ``role=destination`` records finish the
-        install (fetch if the state never landed, confirm otherwise).
-        Raises :class:`MigrationError` when no migration is in progress.
+        Reads the journal on the app's current machine.  A ``role=source``
+        record relaunches a dead enclave from the persisted library state
+        and re-runs the wave of one under the journaled transaction, which
+        re-freezes or retries, flushes and completes the relocation;
+        ``role=destination`` records finish the install (fetch if the state
+        never landed, confirm otherwise).  Raises :class:`MigrationError`
+        when no migration is in progress, and the transient error when the
+        fault window is still open.
         """
-        return self._execute(
-            MigrationRequest.resume(
-                self, migrate_vm=migrate_vm, retry_policy=retry_policy
-            )
-        )
-
-    def _execute_resume(self, request: MigrationRequest) -> MigrationResult:
-        migrate_vm = request.migrate_vm
-        policy = request.retry_policy or self.retry_policy
+        policy = retry_policy or self.retry_policy
         record = self._journal().read()
         if record is None:
             raise MigrationError("no migration in progress for this application")
         start_cost = CostSnapshot.capture(self.dc)
-        destination = self.dc.machine(record.destination)
 
         if record.role == "source":
             if self.enclave is None or not self.enclave.alive:
@@ -865,41 +880,20 @@ class MigratableApp:
                 except InvalidStateError:
                     # Frozen blob: migration_init loaded the state and then
                     # refused to operate.  The handle is still good for the
-                    # migration_start retry path below.
+                    # wave's migration_start retry path.
                     pass
-            try:
-                _, retries = call_with_retries(
-                    lambda: self.enclave.ecall(
-                        "migration_start", record.destination, record.txn_id
-                    ),
-                    meter=self.dc.meter,
-                    policy=policy,
-                )
-            except CounterNotFoundError:
-                # The Section VI-B defense tripped: the instance restored a
-                # stale pre-freeze bundle whose counters were destroyed at
-                # freeze time.  That state can never operate again — drop
-                # the instance so the next resume relaunches from the
-                # (possibly healed) persisted bundle instead of wedging.
-                self.app.terminate()
-                self.enclave = None
-                raise
-            # The record is parked for the destination again: ship it.
-            call_with_retries(
-                lambda: flush_staged(self.app, record.destination),
-                meter=self.dc.meter,
-                policy=policy,
-            )
-            self._journal().write(
-                MigrationRecord(
-                    record.txn_id, "source", PHASE_SHIPPED,
-                    record.source, record.destination, retries=retries,
+            (result,) = self._execute(
+                MigrationRequest.wave(
+                    [self],
+                    record.destination,
+                    migrate_vm=migrate_vm,
+                    retry_policy=retry_policy,
                 )
             )
-            return self._complete_relocation(
-                destination, migrate_vm, record.txn_id, policy, start_cost,
-                retries, MigrationOutcome.RESUMED,
-            )
+            if result.outcome is MigrationOutcome.PENDING_RETRY:
+                raise result.error
+            result.cost = CostSnapshot.capture(self.dc).delta(start_cost)
+            return result
 
         # role == "destination": the VM already moved here.
         if self.enclave is not None and self.enclave.alive and self.enclave.ecall(

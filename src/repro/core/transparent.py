@@ -61,9 +61,13 @@ class SemiTransparentMigrator:
         The guest applications do nothing: the migrator calls each
         enclave's ``migration_start`` under its own transaction, flushes
         them to the destination in one batch, live-migrates the VM, and
-        brings every enclave back up from its migration data there.
+        brings every enclave back up from its migration data there.  A VM
+        with an app whose migration transaction is in progress is refused
+        before anything freezes; that app's ``resume`` finishes it first.
         """
         apps = self.registered_apps(vm)
+        for mapp in apps:
+            mapp._journaled_txn(None)
         clock = self.dc.clock
         overhead_start = clock.now
 

@@ -411,9 +411,7 @@ class FleetService:
         """Drive one parked member's journal forward; if the fault window is
         still open the member simply stays pending (``fallback``)."""
         try:
-            return app._execute(MigrationRequest.resume(
-                app, retry_policy=self.retry_policy
-            ))
+            return app.resume(retry_policy=self.retry_policy)
         except TransientError:
             return fallback
 
@@ -504,10 +502,8 @@ class FleetService:
                     # Mid-transaction (parked at the source ME, or arrived
                     # but unconfirmed): the member's own journal knows what
                     # to do.
-                    results[move.app_name] = app._execute(
-                        MigrationRequest.resume(
-                            app, retry_policy=self.retry_policy
-                        )
+                    results[move.app_name] = app.resume(
+                        retry_policy=self.retry_policy
                     )
                 elif (
                     app.app.machine.address == move.destination

@@ -9,6 +9,7 @@ import pytest
 
 from repro import wire
 from repro.cloud.storage import PHASE_PREPARE, MigrationJournal
+from repro.core.migration_enclave import MigrationEnclave
 from repro.core.protocol import reinstall_migration_enclave
 from repro.core.result import MigrationOutcome, MigrationResult
 from repro.core.retry import NO_RETRY, RetryPolicy
@@ -19,6 +20,7 @@ from repro.faults.chaos import (
     SOURCE,
     build_world,
     check_invariants,
+    probe_message_sequence,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -35,6 +37,19 @@ def attach(world, plan):
 
 def detach(world):
     world.dc.network.fault_injector = None
+
+
+def machines_with_incoming(world):
+    """Machines whose ME holds a record waiting for the app's build."""
+    mrenclave = world.app.enclave.identity.mrenclave
+    return [
+        name
+        for name, machine in world.dc.machines.items()
+        for enclave in machine.enclaves
+        if enclave.enclave_class is MigrationEnclave
+        and enclave.alive
+        and enclave.ecall("has_incoming", mrenclave)
+    ]
 
 
 class TestSourceCrashResume:
@@ -199,6 +214,54 @@ class TestPendingRetry:
         assert result.retries_used == 1
         assert result.ecall("read_counter", world.counter_id) == 1
         assert check_invariants(world) == []
+
+
+class TestRepeatedMigrate:
+    """A repeated ``migrate()`` is the same driver as ``resume()``: it
+    continues the journaled transaction, so a frozen enclave's state never
+    ships under a second transaction id (which would leave the first record
+    armed at the destination ME, §V-D)."""
+
+    def test_every_dropped_leg_finishes_under_the_parked_transaction(self):
+        legs = probe_message_sequence(2018)
+        assert len(legs) == 24
+        for leg in legs:
+            world = build_world(2018)
+            app, destination = world.app, world.dc.machine(DESTINATION)
+            attach(world, FaultPlan().drop(nth=leg.seq, max_triggers=10_000))
+            parked = app.migrate(destination, migrate_vm=False)
+            detach(world)
+            assert parked.outcome is MigrationOutcome.PENDING_RETRY, leg
+            if app.app.machine.address == SOURCE:
+                again = app.migrate(destination, migrate_vm=False)
+            else:
+                # The VM already moved: only resume() finishes the install.
+                with pytest.raises(MigrationError, match=parked.txn_id):
+                    app.migrate(destination, migrate_vm=False)
+                again = app.resume(migrate_vm=False)
+            assert again.outcome is MigrationOutcome.RESUMED, leg
+            assert again.txn_id == parked.txn_id, leg
+            assert check_invariants(world) == [], leg
+            assert machines_with_incoming(world) == [], leg
+
+    def test_other_destination_refused_until_resume_finishes(self):
+        world = build_world(2018, machines=(SOURCE, DESTINATION, "machine-c"))
+        app, dc = world.app, world.dc
+        attach(world, FaultPlan().drop(msg_type="ra_msg1", max_triggers=10_000))
+        parked = app.migrate(dc.machine(DESTINATION), migrate_vm=False)
+        detach(world)
+        assert parked.outcome is MigrationOutcome.PENDING_RETRY
+
+        with pytest.raises(MigrationError, match=f"{parked.txn_id} to {DESTINATION}"):
+            app.migrate(dc.machine("machine-c"), migrate_vm=False)
+        assert app.enclave.ecall("is_frozen")
+
+        resumed = app.resume(migrate_vm=False)
+        assert resumed.outcome is MigrationOutcome.RESUMED
+        assert resumed.txn_id == parked.txn_id
+        assert app.app.machine.address == DESTINATION
+        assert check_invariants(world) == []
+        assert machines_with_incoming(world) == []
 
 
 class TestResumeApi:

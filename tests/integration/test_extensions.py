@@ -5,9 +5,12 @@ import pytest
 from repro.cloud.datacenter import DataCenter
 from repro.core.combined import FullyMigratableEnclave, LiveMigratableApp
 from repro.core.protocol import MigratableApp, install_all_migration_enclaves
+from repro.core.result import MigrationOutcome
 from repro.core.transparent import SemiTransparentMigrator
 from repro.apps.kvstore import SecureKvStore
 from repro.errors import MigrationError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.sgx.enclave import ecall
 from repro.sgx.identity import SigningKey
 
@@ -186,3 +189,59 @@ class TestSemiTransparentMigration:
         vm = machine_a.create_vm("empty-vm")
         with pytest.raises(MigrationError):
             migrator.migrate_vm(vm, machine_b)
+
+
+class TestParkedTransactionGuard:
+    """``migrate_vm`` and ``live_migrate`` never freeze or ship an enclave
+    whose migration transaction is parked: a second transaction would
+    leave the first record armed at the destination ME."""
+
+    @staticmethod
+    def park(app_class, enclave_class):
+        """Seed 3, one app in ``tenant-vm`` on machine-a whose migration to
+        machine-b parked (every ``ra_msg1`` dropped)."""
+        dc = DataCenter(name="ext", seed=3)
+        machine_a = dc.add_machine("machine-a")
+        machine_b = dc.add_machine("machine-b")
+        hosts = install_all_migration_enclaves(dc)
+        key = SigningKey.generate(dc.rng.child("dev"))
+        app = app_class.deploy(
+            dc, machine_a, enclave_class, key, vm_name="tenant-vm", app_name="kv1"
+        )
+        app.start_new()
+        dc.network.fault_injector = FaultInjector(
+            plan=FaultPlan().drop(msg_type="ra_msg1", max_triggers=10_000),
+            rng=dc.rng.child("faults"),
+            machines=dict(dc.machines),
+            meter=dc.meter,
+        )
+        parked = app.migrate(machine_b, migrate_vm=False)
+        dc.network.fault_injector = None
+        assert parked.outcome is MigrationOutcome.PENDING_RETRY
+        assert parked.txn_id == "kv1-txn-1"
+        return app, machine_b, hosts
+
+    @staticmethod
+    def finish(app, machine_b, hosts):
+        mrenclave = app.enclave.identity.mrenclave
+        resumed = app.resume()
+        assert resumed.outcome is MigrationOutcome.RESUMED
+        assert resumed.txn_id == "kv1-txn-1"
+        assert app.app.machine is machine_b
+        for host in hosts.values():
+            assert not host.enclave.ecall("has_incoming", mrenclave)
+
+    def test_migrate_vm_refuses_a_parked_member(self):
+        app, machine_b, hosts = self.park(MigratableApp, SecureKvStore)
+        migrator = SemiTransparentMigrator(app.dc)
+        migrator.register(app)
+        with pytest.raises(MigrationError, match="kv1-txn-1"):
+            migrator.migrate_vm(app.vm, machine_b)
+        assert app.vm.machine is not machine_b
+        self.finish(app, machine_b, hosts)
+
+    def test_live_migrate_refuses_a_parked_app(self):
+        app, machine_b, hosts = self.park(LiveMigratableApp, LiveStatefulEnclave)
+        with pytest.raises(MigrationError, match="kv1-txn-1"):
+            app.live_migrate(machine_b)
+        self.finish(app, machine_b, hosts)

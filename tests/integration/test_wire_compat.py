@@ -1,12 +1,12 @@
 """Wire-compatibility pins for the four public migration entry points.
 
-The ``MigrationRequest`` redesign (``repro.core.api``) routes ``migrate``,
-``migrate_group``, ``live_migrate``, and ``resume`` through one internal
-``_execute(request)`` path.  These pins prove the redesign is pure plumbing:
-the exact byte sequence each entry point puts on the simulated network is
-identical to the pre-refactor protocol.  The golden file
+``migrate``, ``migrate_group`` and the source side of ``resume`` run one
+wave (``MigratableApp._execute``, see ``repro.core.api``);
+``live_migrate`` runs its own flow.  These pins fix the exact byte sequence
+each entry point puts on the simulated network, so a refactor of the host
+drivers is pure plumbing only if they hold.  The golden file
 (``tests/golden/wire_traces_seed0.json``) stores one ``src->dst:sha256``
-line per network leg, captured from the tree *before* the refactor landed.
+line per network leg.
 
 Caveat for future editors: ``WireProbeEnclave``'s class source below is part
 of its measured identity (MRENCLAVE), which flows into attestation payloads.

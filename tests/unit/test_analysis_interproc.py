@@ -510,8 +510,8 @@ class TestRealTreeCallGraph:
                 fn = project.function_at(callee)
                 assert fn is not None and fn.is_ecall
         # The executor itself must stay free of direct enclave dispatches:
-        # it talks to enclaves only through MigrationRequest (the unified
-        # API path), never by invoking ECALLs of its own.
+        # it talks to enclaves only through the wave request and each
+        # member's resume(), never by invoking ECALLs of its own.
         for site in fleet_sites:
             assert not site.module.display_path.endswith(
                 ("service.py", "preflight.py", "journal.py", "planner.py")
