@@ -108,6 +108,18 @@ class Event:
     maybe: bool = False  # inside a try body: may not have happened
 
 
+@dataclass(frozen=True)
+class _Step:
+    """One call or assignment of a function, in evaluation order: the events
+    it emits itself, and for a call that inlines, the callees to inline."""
+
+    own: tuple[Event, ...]
+    call: ast.Call | None = None
+    callees: tuple[str, ...] = ()  # first resolved callee of each call site
+    dispatch: bool = False
+    maybe: bool = False  # inside a try body
+
+
 def _key_of(expr: ast.AST) -> str | None:
     """A stable receiver key: ``lib`` → ``"lib"``, ``self.miglib`` →
     ``"self.miglib"``, ``app.lib`` → ``"app.lib"``; anything else → None."""
@@ -131,6 +143,7 @@ class LifecycleRule(ProjectRule):
 
     def check_project(self, project) -> Iterator[Finding]:
         self._project = project
+        self._steps_by_fid: dict[str, list[_Step]] = {}
         for fn in project.functions.values():
             if fn.is_context:
                 continue
@@ -148,62 +161,97 @@ class LifecycleRule(ProjectRule):
             return []
         visited = visited | {fn.fid}
         events: list[Event] = []
-        items: list[tuple[int, int, ast.AST]] = []
-        for node in ast.walk(fn.node):
-            if isinstance(node, (ast.Assign, ast.Call)):
-                items.append((node.lineno, getattr(node, "col_offset", 0), node))
-        items.sort(key=lambda item: (item[0], item[1]))
-        try_lines = self._try_body_lines(fn)
+        for step in self._steps(fn):
+            events.extend(step.own)
+            if step.call is None or depth >= _INLINE_DEPTH:
+                continue
+            # Inline the callee's events with receivers mapped into our frame.
+            for fid in step.callees:
+                callee = self._project.function_at(fid)
+                if callee is None or callee.fid in visited:
+                    continue
+                sub = self._events_for(callee, depth + 1, visited)
+                if not sub:
+                    continue
+                mapping = self._frame_mapping(fn, step.call, callee, step.dispatch)
+                for event in sub:
+                    mapped = self._map_key(event.key, mapping, callee)
+                    if mapped is _DROP:
+                        continue
+                    events.append(
+                        Event(
+                            kind=event.kind,
+                            key=mapped,
+                            node=event.node,
+                            fid=event.fid,
+                            # Always re-anchor to *this* frame's call: after
+                            # the last mapping the site is a node in the root
+                            # function's own module, so path and line agree.
+                            site_node=step.call,
+                            site_fid=fn.fid,
+                            maybe=event.maybe or step.maybe,
+                        )
+                    )
+        return events
+
+    def _steps(self, fn) -> list[_Step]:
+        """``fn``'s calls and assignments in evaluation order, walked once
+        per function however many roots inline it."""
+        steps = self._steps_by_fid.get(fn.fid)
+        if steps is not None:
+            return steps
+        nodes = sorted(
+            (n for n in ast.walk(fn.node) if isinstance(n, (ast.Assign, ast.Call))),
+            key=lambda n: (n.lineno, n.col_offset),
+        )
+        # Line ranges of ``try`` bodies: a lifecycle call there *may* have
+        # raised, so the state it would establish is not definite.
+        try_lines = [
+            (n.body[0].lineno, n.body[-1].end_lineno or n.body[-1].lineno)
+            for n in ast.walk(fn.node)
+            if isinstance(n, ast.Try) and n.body
+        ]
+        callees: dict[int, list[str]] = {}
+        for site in self._project.calls_by_caller.get(fn.fid, ()):
+            if site.callees:
+                callees.setdefault(id(site.node), []).append(site.callees[0])
+        steps = []
         seen_calls: set[int] = set()
-        for _, _, node in items:
+
+        def call_step(call: ast.Call) -> None:
+            seen_calls.add(id(call))
+            maybe = any(lo <= call.lineno <= hi for lo, hi in try_lines)
+            steps.append(
+                self._call_step(fn, call, tuple(callees.get(id(call), ())), maybe)
+            )
+
+        for node in nodes:
             if isinstance(node, ast.Assign):
                 # `x = f(x)`: f's events happen *before* the rebinding of x,
                 # so drain the RHS calls first, then emit the kill/new.
                 for inner in ast.walk(node.value):
                     if isinstance(inner, ast.Call) and id(inner) not in seen_calls:
-                        seen_calls.add(id(inner))
-                        events.extend(
-                            self._call_events(fn, inner, depth, visited, try_lines)
-                        )
-                events.extend(self._assign_events(fn, node))
-                continue
-            if id(node) in seen_calls:
-                continue
-            seen_calls.add(id(node))
-            events.extend(self._call_events(fn, node, depth, visited, try_lines))
-        return events
+                        call_step(inner)
+                steps.append(_Step(own=self._assign_events(fn, node)))
+            elif id(node) not in seen_calls:
+                call_step(node)
+        self._steps_by_fid[fn.fid] = steps
+        return steps
 
     @staticmethod
-    def _try_body_lines(fn) -> list[tuple[int, int]]:
-        """Line ranges of ``try`` bodies: a lifecycle call there *may* have
-        raised, so the state it would establish is not definite."""
-        ranges = []
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Try) and node.body:
-                last = node.body[-1]
-                ranges.append((node.body[0].lineno, last.end_lineno or last.lineno))
-        return ranges
-
-    def _assign_events(self, fn, node: ast.Assign) -> list[Event]:
+    def _assign_events(fn, node: ast.Assign) -> tuple[Event, ...]:
         is_construction = (
             isinstance(node.value, ast.Call)
             and terminal_name(node.value.func) == "MigrationLibrary"
         )
-        events = []
-        for target in node.targets:
-            key = _key_of(target)
-            if key is None:
-                continue
-            events.append(
-                Event(kind="new" if is_construction else "kill", key=key, node=node, fid=fn.fid)
-            )
-        return events
+        return tuple(
+            Event(kind="new" if is_construction else "kill", key=key, node=node, fid=fn.fid)
+            for key in map(_key_of, node.targets)
+            if key is not None
+        )
 
-    def _call_events(
-        self, fn, call: ast.Call, depth: int, visited: frozenset, try_lines=()
-    ) -> list[Event]:
-        project = self._project
-        events: list[Event] = []
+    @staticmethod
+    def _call_step(fn, call: ast.Call, callees: tuple[str, ...], maybe: bool) -> _Step:
         method = None
         receiver_key = None
         dispatch = False
@@ -223,66 +271,27 @@ class LifecycleRule(ProjectRule):
         elif isinstance(call.func, ast.Name):
             method = call.func.id
 
-        maybe = any(lo <= call.lineno <= hi for lo, hi in try_lines)
-        is_api_call = False
+        own: list[Event] = []
         if method is not None and receiver_key is not None:
             kind = _event_kind(method)
             if kind is not None:
-                is_api_call = True
-                events.append(
+                own.append(
                     Event(kind=kind, key=receiver_key, node=call, fid=fn.fid, maybe=maybe)
                 )
         # Release and increment events carry no key, so any receiver counts:
         # a bare ``seal_data(...)``, ``self.libs[i].seal_migratable_data(...)``.
         if method in _RELEASES:
-            is_api_call = True
-            events.append(Event(kind="release", key="", node=call, fid=fn.fid))
+            own.append(Event(kind="release", key="", node=call, fid=fn.fid))
         if method in _INCREMENTS:
-            is_api_call = True
-            events.append(Event(kind="increment", key="", node=call, fid=fn.fid))
-
-        # Inline the callee's events with receivers mapped into our frame.
+            own.append(Event(kind="increment", key="", node=call, fid=fn.fid))
         # A direct library-API call is atomic — its event above *is* its
         # model; inlining MigrationLibrary's implementation would re-count
         # the library's internal `_persist` against every caller.  The
         # ECALL dispatch edge still inlines: the event there is on the
         # *enclave* key and the wrapper's `self.miglib.*` is the real op.
-        if is_api_call and not dispatch:
-            return events
-        if depth >= _INLINE_DEPTH:
-            return events
-        sites = [
-            site
-            for site in project.calls_by_caller.get(fn.fid, ())
-            if site.node is call and site.callees
-        ]
-        for site in sites:
-            callee = project.function_at(site.callees[0])
-            if callee is None or callee.fid in visited:
-                continue
-            sub = self._events_for(callee, depth + 1, visited)
-            if not sub:
-                continue
-            mapping = self._frame_mapping(fn, call, callee, dispatch)
-            for event in sub:
-                mapped = self._map_key(event.key, mapping, callee)
-                if mapped is _DROP:
-                    continue
-                events.append(
-                    Event(
-                        kind=event.kind,
-                        key=mapped,
-                        node=event.node,
-                        fid=event.fid,
-                        # Always re-anchor to *this* frame's call: after the
-                        # last mapping the site is a node in the root
-                        # function's own module, so path and line agree.
-                        site_node=call,
-                        site_fid=fn.fid,
-                        maybe=event.maybe or maybe,
-                    )
-                )
-        return events
+        if (own and not dispatch) or not callees:
+            return _Step(own=tuple(own))
+        return _Step(tuple(own), call, callees, dispatch, maybe)
 
     def _frame_mapping(self, fn, call: ast.Call, callee, dispatch: bool) -> dict:
         """callee-frame key prefix → caller-frame key prefix."""
