@@ -860,8 +860,9 @@ class MigratableApp:
 
         Reads the journal on the app's current machine.  A ``role=source``
         record relaunches a dead enclave from the persisted library state
-        and re-runs the wave of one under the journaled transaction, which
-        re-freezes or retries, flushes and completes the relocation;
+        and calls :meth:`migrate` to the journaled destination, which
+        continues the journaled transaction: re-freeze or retry, flush,
+        complete the relocation;
         ``role=destination`` records finish the install (fetch if the state
         never landed, confirm otherwise).  Raises :class:`MigrationError`
         when no migration is in progress, and the transient error when the
@@ -882,13 +883,9 @@ class MigratableApp:
                     # refused to operate.  The handle is still good for the
                     # wave's migration_start retry path.
                     pass
-            (result,) = self._execute(
-                MigrationRequest.wave(
-                    [self],
-                    record.destination,
-                    migrate_vm=migrate_vm,
-                    retry_policy=retry_policy,
-                )
+            result = self.migrate(
+                self.dc.machine(record.destination), migrate_vm,
+                retry_policy=retry_policy,
             )
             if result.outcome is MigrationOutcome.PENDING_RETRY:
                 raise result.error
