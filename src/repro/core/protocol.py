@@ -724,9 +724,9 @@ class MigratableApp:
 
     @classmethod
     def _execute(cls, request: MigrationRequest) -> list[MigrationResult]:
-        """Run one wave (:meth:`migrate_group`); every source-side driver —
-        ``migrate``, ``migrate_group``, ``resume`` and the fleet executor —
-        funnels through here."""
+        """Run one wave (:meth:`migrate_group`).  Every source-side entry
+        point — ``migrate``, ``migrate_group``, ``resume`` and the fleet
+        executor — funnels through here."""
         apps = list(request.members)
         if not apps:
             return []

@@ -217,7 +217,7 @@ class TestPendingRetry:
 
 
 class TestRepeatedMigrate:
-    """A repeated ``migrate()`` is the same driver as ``resume()``: it
+    """A repeated ``migrate()`` does what ``resume()`` does: it
     continues the journaled transaction, so a frozen enclave's state never
     ships under a second transaction id (which would leave the first record
     armed at the destination ME, §V-D)."""

@@ -4,7 +4,7 @@
 wave (``MigratableApp._execute``, see ``repro.core.api``);
 ``live_migrate`` runs its own flow.  These pins fix the exact byte sequence
 each entry point puts on the simulated network, so a refactor of the host
-drivers is pure plumbing only if they hold.  The golden file
+migration code is pure plumbing only if they hold.  The golden file
 (``tests/golden/wire_traces_seed0.json``) stores one ``src->dst:sha256``
 line per network leg.
 
