@@ -13,7 +13,7 @@ so enclaves inside the VM are simply destroyed (Section II-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.cloud.machine import PhysicalMachine
 from repro.cloud.vm import VirtualMachine
@@ -40,6 +40,9 @@ class Hypervisor:
     meter: CostMeter
     precopy_rounds: int = 3
     enclaves_destroyed: int = 0
+    #: Virtual seconds spent in every ``migrate_vm`` so far (an odometer:
+    #: read it before and after to time the migrations in between).
+    migration_seconds: float = field(default=0.0, init=False)
 
     def migrate_vm(
         self, vm: VirtualMachine, destination: PhysicalMachine
@@ -85,11 +88,13 @@ class Hypervisor:
 
         source.release_vm(vm)
         destination.adopt_vm(vm)
+        duration = self.meter.now - start
+        self.migration_seconds += duration
         return MigrationReport(
             vm_name=vm.name,
             source=source.name,
             destination=destination.name,
             rounds=rounds,
             bytes_copied=bytes_copied,
-            duration=self.meter.now - start,
+            duration=duration,
         )

@@ -2,11 +2,11 @@
 
 A :class:`MigrationRequest` names *what* should move — which members, to
 which destination, whether the VM moves, under which retry policy — and
-``MigratableApp._execute(request)`` runs it as one stage / flush / complete
+``MigratableApp._execute(request)`` runs it as one stage / flush / relocate
 wave.  Every source-side entry point goes through that wave: ``migrate``
-is a wave of one, ``migrate_group`` a wave of many, ``resume`` re-runs the
-wave of one under the journaled transaction, and the fleet executor builds
-requests directly.
+and ``live_migrate`` are waves of one, ``migrate_group`` and ``migrate_vm``
+waves of many, ``resume`` re-runs the wave of one under the journaled
+transaction, and the fleet executor builds requests directly.
 
 Design notes:
 

@@ -4,16 +4,18 @@ Section VIII of the paper: "Combining the two approaches would lead to a
 possibility to migrate enclaves without the need to stop and restart them."
 The authors could not integrate Gu et al.'s system (closed source, non-SDK);
 in the simulator both mechanisms exist, so this module performs the
-combination:
+combination as a migration wave of one with its own relocation step:
 
 1. the source enclave ships its **persistent state** (MSK + effective
-   counter values) through the Migration Enclaves — freezing the library
-   and destroying the source counters exactly as in the stop/restart flow;
-2. the destination enclave starts and installs that persistent state
-   (``migration_init(MIGRATE)``);
+   counter values) through the Migration Enclaves under a journaled
+   transaction — freezing the library and destroying the source counters
+   exactly as in the stop/restart flow;
+2. the enclave starts in a fresh destination VM and installs that
+   persistent state (``migration_init(MIGRATE)``);
 3. the source's **data memory** is then re-encrypted and shipped directly
    to the destination enclave Gu-style, so no in-memory state is lost and
-   the application never has to round-trip through sealed snapshots.
+   the application never has to round-trip through sealed snapshots; the
+   source is retired.
 
 The result is a live hand-over: the destination resumes with both the
 memory image and working migratable counters/sealing.
@@ -23,12 +25,10 @@ from __future__ import annotations
 
 from repro.cloud.machine import PhysicalMachine
 from repro.core.baseline import GuFlagMode, GuMigratableEnclave, register_gu_transport
-from repro.core.migration_library import InitState
-from repro.core.protocol import MigratableApp, MigratableEnclave, flush_staged
-from repro.core.migration_library import MigrationLibrary
-from repro.core.result import CostSnapshot, MigrationOutcome, MigrationResult
+from repro.core.migration_library import InitState, MigrationLibrary
+from repro.core.protocol import MigratableApp, MigratableEnclave
+from repro.core.result import MigrationResult
 from repro.core.retry import RetryPolicy
-from repro.errors import MigrationError
 from repro.sgx.enclave import Enclave
 
 
@@ -36,7 +36,8 @@ class FullyMigratableEnclave(MigratableEnclave, GuMigratableEnclave):
     """Base class combining the Migration Library with Gu-style memory
     migration.  Subclasses implement ``get_memory_image`` /
     ``set_memory_image`` for their live data memory and use ``self.miglib``
-    for persistent state, and get live migration via :func:`live_migrate`.
+    for persistent state, and get live migration via
+    :meth:`LiveMigratableApp.live_migrate`.
     """
 
     def __init__(self, sdk):
@@ -53,7 +54,8 @@ FullyMigratableEnclave.MEASURED_LIBRARIES = (
 
 
 class LiveMigratableApp(MigratableApp):
-    """Application wrapper adding the live (no stop/restart) migration flow."""
+    """Application wrapper whose migrations are live (no stop/restart)
+    hand-overs: every wave relocates it through :meth:`_install`."""
 
     def launch(
         self,
@@ -77,45 +79,28 @@ class LiveMigratableApp(MigratableApp):
     def live_migrate(self, destination: PhysicalMachine) -> MigrationResult:
         """Migrate persistent state *and* data memory without a restart.
 
-        The destination enclave is running and serving as soon as this
-        returns; the source is left frozen (library) and spin-locked (Gu).
-        Returns a :class:`MigrationResult` carrying the destination enclave.
-        An app with a migration transaction in progress is refused until
-        :meth:`resume` finishes it.
+        A wave of one (:meth:`migrate`) whose relocation step is the live
+        hand-over: the destination enclave is serving when this returns,
+        and the source app and VM are retired.  ``PENDING_RETRY`` keeps the
+        journal, as ``migrate`` does: calling ``live_migrate`` again, or
+        :meth:`resume`, finishes the same transaction.
         """
-        source_enclave = self.enclave
-        if source_enclave is None or not source_enclave.alive:
-            raise MigrationError("no running enclave to migrate")
-        self._journaled_txn(None)
-        source_app = self.app
-        source_vm = self.vm
-        txn = self._next_txn()
-        start_cost = CostSnapshot.capture(self.dc)
+        return self.migrate(destination)
 
-        # 1. persistent state through the Migration Enclaves
-        source_enclave.ecall("migration_start", destination.address, txn)
-        flush_staged(source_app, destination.address)
+    def _move_vm(self, members: list, destination: PhysicalMachine, migrate_vm: bool):
+        """Nothing moves: :meth:`_install` starts each member in a fresh
+        destination VM and retires its source after the memory hand-over."""
 
-        # 2. bring up the destination instance and install persistent state
-        destination_vm = destination.create_vm(f"{self.vm_name}-live")
-        destination_app = destination_vm.launch_application(self.app_name)
-        self.vm = destination_vm
-        self.app = destination_app
-        destination_enclave = self.launch(InitState.MIGRATE, txn_id=txn)
-
-        # 3. hand the data memory over Gu-style (source -> destination)
-        destination_endpoint = self._gu_endpoint
-        # note: self._gu_endpoint was re-set by launch() to the destination;
-        # the source keeps its own endpoint registration.
-        source_enclave.ecall("gu_start_migration", destination_endpoint)
-
-        # 4. retire the source
+    def _install(self, destination: PhysicalMachine, txn: str, policy: RetryPolicy):
+        """The live relocation step: a fresh destination VM, the MIGRATE
+        install, the Gu-style memory hand-over, and the source retired."""
+        source_app, source_vm, source_enclave = self.app, self.vm, self.enclave
+        self.vm = destination.create_vm(f"{self.vm_name}-live")
+        self.app = self.vm.launch_application(self.app_name)
+        enclave = super()._install(destination, txn, policy)
+        # launch() registered the destination's Gu endpoint; the source
+        # keeps its own registration for the hand-over.
+        source_enclave.ecall("gu_start_migration", self._gu_endpoint)
         source_app.terminate()
         source_vm.machine.release_vm(source_vm)
-        self.enclave = destination_enclave
-        return MigrationResult(
-            outcome=MigrationOutcome.COMPLETED,
-            txn_id=txn,
-            cost=CostSnapshot.capture(self.dc).delta(start_cost),
-            enclave=destination_enclave,
-        )
+        return enclave

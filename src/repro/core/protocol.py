@@ -98,6 +98,17 @@ def flush_staged(app, destination: str) -> dict:
     return reply
 
 
+def _parked(app, txn: str, retries: int, start_cost, error) -> MigrationResult:
+    """A wave member left frozen with its journal kept, for the next wave."""
+    return MigrationResult(
+        outcome=MigrationOutcome.PENDING_RETRY,
+        txn_id=txn,
+        retries_used=retries,
+        cost=CostSnapshot.capture(app.dc).delta(start_cost),
+        error=error,
+    )
+
+
 def expected_me_mrenclave() -> bytes:
     """The measured identity of the deployed Migration Enclave build.
 
@@ -575,23 +586,18 @@ class MigratableApp:
         return self.launch(InitState.MIGRATE)
 
     # ------------------------------------------------------------ migration
-    def _next_txn(self) -> str:
-        self._txn_seq += 1
-        return f"{self.app_name}-txn-{self._txn_seq}"
-
     def _journal(self) -> MigrationJournal:
         """The migration-in-progress record on the app's *current* machine."""
         return MigrationJournal(self.app.machine.storage, self.app_name)
 
-    def _journaled_txn(self, destination: str | None) -> MigrationRecord | None:
+    def _journaled_txn(self, destination: str) -> MigrationRecord | None:
         """The source-side transaction in progress toward ``destination``,
         which the next wave continues, or ``None`` when nothing is in
         progress.
 
         Any other transaction in progress raises :class:`MigrationError`:
         :meth:`resume` finishes it first, so a frozen enclave's state never
-        ships under a second transaction.  ``destination=None`` refuses
-        every transaction in progress (flows that cannot continue one).
+        ships under a second transaction.
         """
         record = self._journal().read()
         if record is not None and (
@@ -630,32 +636,11 @@ class MigratableApp:
         )
         return result
 
-    def _complete_relocation(
-        self,
-        destination: PhysicalMachine,
-        migrate_vm: bool,
-        txn: str,
-        policy: RetryPolicy,
-        start_cost: CostSnapshot,
-        retries: int,
-        outcome: MigrationOutcome,
-    ) -> MigrationResult:
-        """Steps after the state reached the destination ME: move the VM,
-        restart the enclave there, confirm, clean up both journals.
-
-        The destination-side MIGRATE init fetches by ``txn``: several
-        same-MRENCLAVE records may wait at the destination ME.
-        """
-        source_storage = self.app.machine.storage
-        source_address = self.app.machine.address
-        # The destination-side record goes down BEFORE the VM moves: there
-        # is then no instant at which a crash leaves no journal anywhere.
-        MigrationJournal(destination.storage, self.app_name).write(
-            MigrationRecord(
-                txn, "destination", PHASE_ARRIVED, source_address, destination.address
-            )
-        )
-        self.app.terminate()
+    def _move_vm(self, members: list, destination: PhysicalMachine, migrate_vm: bool):
+        """The wave's relocation step, once per VM: stop ``members`` (the
+        apps of this VM the wave migrates) and move the VM."""
+        for member in members:
+            member.app.terminate()
         if migrate_vm:
             self.dc.hypervisor.migrate_vm(self.vm, destination)
         else:
@@ -663,16 +648,11 @@ class MigratableApp:
             # app is recreated on the destination.
             self.vm.machine.release_vm(self.vm)
             destination.adopt_vm(self.vm)
-        enclave = self.launch(InitState.MIGRATE, retry_policy=policy, txn_id=txn)
-        self._journal().clear()
-        MigrationJournal(source_storage, self.app_name).clear()
-        return MigrationResult(
-            outcome=outcome,
-            txn_id=txn,
-            retries_used=retries,
-            cost=CostSnapshot.capture(self.dc).delta(start_cost),
-            enclave=enclave,
-        )
+
+    def _install(self, destination: PhysicalMachine, txn: str, policy: RetryPolicy):
+        """Start on ``destination`` (where the VM now is) from the data its
+        ME holds under ``txn``: several same-MRENCLAVE records may wait."""
+        return self.launch(InitState.MIGRATE, retry_policy=policy, txn_id=txn)
 
     @classmethod
     def migrate_group(
@@ -703,15 +683,18 @@ class MigratableApp:
            ``transfer_batch`` exchange (:func:`flush_staged`): this is where
            the wave amortizes the remote attestation + provider-auth
            handshake.
-        3. **Complete** — each enclave relocates and confirms individually
-           (destination journal, VM move, MIGRATE init, DONE): everything
-           R1-R4 depends on stays per-enclave and per-transaction.
+        3. **Relocate** — each VM moves once (:meth:`_move_vm`), then each
+           member in it starts and confirms on the destination
+           (:meth:`_install`): everything R1-R4 depends on stays
+           per-enclave and per-transaction.  A VM moves only with every app
+           in it that keeps library state (one outside the wave is refused
+           before anything freezes) and once all its members shipped.
 
         Returns one :class:`MigrationResult` per app, in input order.  Apps
         whose stage, flush or relocation failed transiently report
-        ``PENDING_RETRY``; the same wave again, or each app's own
-        :meth:`resume`, finishes them under the same transactions.  Fatal
-        errors raise.
+        ``PENDING_RETRY``; the same wave again finishes them under the same
+        transactions, as does each app's own :meth:`resume` when it is
+        alone in its VM.  Fatal errors raise.
         """
         return cls._execute(
             MigrationRequest.wave(
@@ -725,13 +708,12 @@ class MigratableApp:
     @classmethod
     def _execute(cls, request: MigrationRequest) -> list[MigrationResult]:
         """Run one wave (:meth:`migrate_group`).  Every source-side entry
-        point — ``migrate``, ``migrate_group``, ``resume`` and the fleet
-        executor — funnels through here."""
+        point funnels through here, and no other host code freezes or
+        ships an enclave."""
         apps = list(request.members)
         if not apps:
             return []
         destination = apps[0].dc.machine(request.target)
-        migrate_vm = request.migrate_vm
         retry_policy = request.retry_policy
         results: dict[int, MigrationResult] = {}
         groups: dict[str, list[int]] = {}
@@ -739,11 +721,23 @@ class MigratableApp:
         for index, app in enumerate(apps):
             in_progress.append(app._journaled_txn(destination.address))
             if app.enclave is None or not app.enclave.alive:
-                raise MigrationError("no running enclave to migrate")
+                raise MigrationError(
+                    f"{app.app_name} has no running enclave to migrate"
+                )
             if app.app.machine is destination:
                 raise MigrationError(
                     f"{app.app_name} is already on {destination.address}"
                 )
+            # The VM leaves the source whole: an app in it that the wave
+            # leaves out would lose its library state on the source disk.
+            for other in app.vm.applications:
+                if all(other is not member.app for member in apps) and (
+                    other.has_stored(LIBRARY_STATE_PATH)
+                ):
+                    raise MigrationError(
+                        f"{app.app_name} shares VM {app.vm.name} with "
+                        f"{other.name}, which this wave does not migrate"
+                    )
             groups.setdefault(app.app.machine.address, []).append(index)
 
         for source_address, indices in groups.items():
@@ -758,7 +752,8 @@ class MigratableApp:
                     # and re-routes by its id (Section V-D retry).
                     txn = in_progress[i].txn_id
                 else:
-                    txn = app._next_txn()
+                    app._txn_seq += 1
+                    txn = f"{app.app_name}-txn-{app._txn_seq}"
                     # Persist the migration-in-progress record BEFORE the
                     # first irreversible step (Section VI-C): a crash from
                     # here on leaves enough on disk to finish or retry.
@@ -777,12 +772,8 @@ class MigratableApp:
                         policy=policy,
                     )
                 except TransientError as exc:
-                    results[i] = MigrationResult(
-                        outcome=MigrationOutcome.PENDING_RETRY,
-                        txn_id=txn,
-                        retries_used=policy.max_attempts - 1,
-                        cost=CostSnapshot.capture(app.dc).delta(start_cost),
-                        error=exc,
+                    results[i] = _parked(
+                        app, txn, policy.max_attempts - 1, start_cost, exc
                     )
                     continue
                 except CounterNotFoundError:
@@ -814,39 +805,66 @@ class MigratableApp:
                 # every journal is at PREPARE: the next wave, or each app's
                 # resume(), re-drives its own transaction.
                 for i, txn, retries, start_cost in staged:
-                    results[i] = MigrationResult(
-                        outcome=MigrationOutcome.PENDING_RETRY,
-                        txn_id=txn,
-                        retries_used=retries,
-                        cost=CostSnapshot.capture(apps[i].dc).delta(start_cost),
-                        error=exc,
-                    )
+                    results[i] = _parked(apps[i], txn, retries, start_cost, exc)
                 continue
 
-            # ---- phase 3: per-enclave relocation, confirmation, cleanup
-            for i, txn, retries, start_cost in staged:
-                app = apps[i]
-                policy = retry_policy or app.retry_policy
-                app._journal().write(
-                    MigrationRecord(
-                        txn, "source", PHASE_SHIPPED, source_address,
-                        destination.address, retries=retries,
+            # ---- phase 3: move each VM once, then install its members
+            source_storage = flusher.app.machine.storage
+            vms: dict[str, list[tuple[int, str, int, CostSnapshot]]] = {}
+            for entry in staged:
+                vms.setdefault(apps[entry[0]].vm.name, []).append(entry)
+            for members in vms.values():
+                vm = apps[members[0][0]].vm
+                # A member of this VM whose stage failed already has its
+                # result; the VM cannot leave without it, so the shipped
+                # members stay parked for the next wave too.
+                waiting = [
+                    apps[i].app_name for i in indices
+                    if i in results and apps[i].vm is vm
+                ]
+                if waiting:
+                    error = MigrationPendingError(
+                        f"VM {vm.name} waits for {', '.join(waiting)} to ship"
                     )
-                )
-                try:
-                    results[i] = app._complete_relocation(
-                        destination, migrate_vm, txn, policy, start_cost,
-                        retries,
-                        MigrationOutcome.COMPLETED if in_progress[i] is None
-                        else MigrationOutcome.RESUMED,
+                    for i, txn, retries, start_cost in members:
+                        results[i] = _parked(apps[i], txn, retries, start_cost, error)
+                    continue
+                for i, txn, retries, _ in members:
+                    apps[i]._journal().write(
+                        MigrationRecord(
+                            txn, "source", PHASE_SHIPPED, source_address,
+                            destination.address, retries=retries,
+                        )
                     )
-                except TransientError as exc:
+                    # The destination-side record goes down BEFORE the VM
+                    # moves: there is then no instant at which a crash
+                    # leaves no journal anywhere.
+                    MigrationJournal(destination.storage, apps[i].app_name).write(
+                        MigrationRecord(
+                            txn, "destination", PHASE_ARRIVED, source_address,
+                            destination.address,
+                        )
+                    )
+                vm_apps = [apps[i] for i, *_ in members]
+                vm_apps[0]._move_vm(vm_apps, destination, request.migrate_vm)
+                for i, txn, retries, start_cost in members:
+                    app = apps[i]
+                    policy = retry_policy or app.retry_policy
+                    try:
+                        enclave = app._install(destination, txn, policy)
+                    except TransientError as exc:
+                        results[i] = _parked(app, txn, retries, start_cost, exc)
+                        continue
+                    app._journal().clear()
+                    MigrationJournal(source_storage, app.app_name).clear()
                     results[i] = MigrationResult(
-                        outcome=MigrationOutcome.PENDING_RETRY,
+                        outcome=MigrationOutcome.COMPLETED
+                        if in_progress[i] is None
+                        else MigrationOutcome.RESUMED,
                         txn_id=txn,
                         retries_used=retries,
                         cost=CostSnapshot.capture(app.dc).delta(start_cost),
-                        error=exc,
+                        enclave=enclave,
                     )
         return [results[i] for i in range(len(apps))]
 
@@ -865,8 +883,9 @@ class MigratableApp:
         complete the relocation;
         ``role=destination`` records finish the install (fetch if the state
         never landed, confirm otherwise).  Raises :class:`MigrationError`
-        when no migration is in progress, and the transient error when the
-        fault window is still open.
+        when no migration is in progress or the app shares its VM with
+        another migratable app (the same ``migrate_vm`` again finishes
+        those), and the transient error when the fault window is still open.
         """
         policy = retry_policy or self.retry_policy
         record = self._journal().read()

@@ -9,9 +9,11 @@ applications and OS of the guest VM."
 
 :class:`SemiTransparentMigrator` implements that management-VM component: a
 registry mapping guest VMs to the migratable applications inside them, and
-one ``migrate_vm`` call that notifies every enclave, live-migrates the VM,
-and re-initializes every enclave on the destination — no application-level
-involvement beyond having registered at deploy time.
+one ``migrate_vm`` call that runs them as one migration wave with the VM
+(:meth:`~repro.core.protocol.MigratableApp.migrate_group`): every enclave is
+journaled and notified, the VM moves once, and every enclave re-initializes
+on the destination — no application-level involvement beyond having
+registered at deploy time.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from dataclasses import dataclass, field
 from repro.cloud.datacenter import DataCenter
 from repro.cloud.machine import PhysicalMachine
 from repro.cloud.vm import VirtualMachine
-from repro.core.migration_library import InitState
-from repro.core.protocol import MigratableApp, flush_staged
+from repro.core.protocol import MigratableApp
+from repro.core.result import MigrationOutcome, MigrationResult
 from repro.errors import MigrationError
-from repro.sgx.enclave import Enclave
 
 
 @dataclass
@@ -33,9 +34,14 @@ class TransparentMigrationReport:
 
     vm_name: str
     destination: str
-    enclaves_migrated: int
+    #: One result per registered app, in registration order.
+    results: list[MigrationResult]
     vm_migration_seconds: float
     enclave_overhead_seconds: float
+
+    @property
+    def enclaves_migrated(self) -> int:
+        return len(self.results)
 
 
 @dataclass
@@ -58,52 +64,33 @@ class SemiTransparentMigrator:
     ) -> TransparentMigrationReport:
         """Migrate a guest VM together with every enclave inside it.
 
-        The guest applications do nothing: the migrator calls each
-        enclave's ``migration_start`` under its own transaction, flushes
-        them to the destination in one batch, live-migrates the VM, and
-        brings every enclave back up from its migration data there.  A VM
-        with an app whose migration transaction is in progress is refused
-        before anything freezes; that app's ``resume`` finishes it first.
+        The guest applications do nothing: the registered apps run as one
+        wave with the VM (``migrate_group(..., migrate_vm=True)``).  Each
+        enclave journals its own transaction and freezes, one flush ships
+        them all, the VM live-migrates once, and every enclave comes back up
+        from its migration data there.  Every registered app needs a
+        running enclave, and an app in the VM that keeps library state but
+        is not registered is refused, before anything freezes.
+
+        A transient failure raises and leaves the wave parked; calling
+        ``migrate_vm`` again continues every member's transaction.  One
+        member's ``resume`` cannot finish a VM it shares: the VM leaves only
+        with all of them.
         """
         apps = self.registered_apps(vm)
-        for mapp in apps:
-            mapp._journaled_txn(None)
-        clock = self.dc.clock
-        overhead_start = clock.now
-
-        # Phase 1: notify every migratable enclave (the paper's step 1-3).
-        # Distinct transactions keep enclaves of one build apart at the MEs.
-        active: list[tuple[MigratableApp, str]] = []
-        for mapp in apps:
-            enclave = mapp.enclave
-            if enclave is None or not enclave.alive:
-                continue
-            txn = mapp._next_txn()
-            enclave.ecall("migration_start", destination.address, txn)
-            active.append((mapp, txn))
-        if not active:
-            raise MigrationError(f"no live migratable enclaves in VM {vm.name!r}")
-        flush_staged(active[0][0].app, destination.address)
-        for mapp, _ in active:
-            mapp.app.terminate()
-        enclave_phase1 = clock.now - overhead_start
-
-        # Phase 2: ordinary live VM migration.
-        vm_start = clock.now
-        self.dc.hypervisor.migrate_vm(vm, destination)
-        vm_seconds = clock.now - vm_start
-
-        # Phase 3: restart every enclave from its incoming migration data.
-        restart_start = clock.now
-        migrated: list[Enclave] = []
-        for mapp, txn in active:
-            migrated.append(mapp.launch(InitState.MIGRATE, txn_id=txn))
-        enclave_overhead = enclave_phase1 + (clock.now - restart_start)
-
+        if not apps:
+            raise MigrationError(f"no migratable enclaves registered in VM {vm.name!r}")
+        hypervisor = self.dc.hypervisor
+        start, vm_start = self.dc.clock.now, hypervisor.migration_seconds
+        results = MigratableApp.migrate_group(apps, destination, migrate_vm=True)
+        for result in results:
+            if result.outcome is MigrationOutcome.PENDING_RETRY:
+                raise result.error
+        vm_seconds = hypervisor.migration_seconds - vm_start
         return TransparentMigrationReport(
             vm_name=vm.name,
             destination=destination.name,
-            enclaves_migrated=len(migrated),
+            results=results,
             vm_migration_seconds=vm_seconds,
-            enclave_overhead_seconds=enclave_overhead,
+            enclave_overhead_seconds=self.dc.clock.now - start - vm_seconds,
         )

@@ -2,17 +2,20 @@
 
 import pytest
 
+from repro import wire
 from repro.cloud.datacenter import DataCenter
+from repro.cloud.storage import PHASE_PREPARE, MigrationJournal
 from repro.core.combined import FullyMigratableEnclave, LiveMigratableApp
 from repro.core.protocol import MigratableApp, install_all_migration_enclaves
 from repro.core.result import MigrationOutcome
 from repro.core.transparent import SemiTransparentMigrator
 from repro.apps.kvstore import SecureKvStore
-from repro.errors import MigrationError
+from repro.errors import MigrationError, MigrationPendingError, TransientError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sgx.enclave import ecall
 from repro.sgx.identity import SigningKey
+from tests.adversary import tap
 
 
 class LiveStatefulEnclave(FullyMigratableEnclave):
@@ -191,57 +194,260 @@ class TestSemiTransparentMigration:
             migrator.migrate_vm(vm, machine_b)
 
 
-class TestParkedTransactionGuard:
-    """``migrate_vm`` and ``live_migrate`` never freeze or ship an enclave
-    whose migration transaction is parked: a second transaction would
-    leave the first record armed at the destination ME."""
+def _seed3_world(*machines):
+    """Seed 3 with the MEs installed on ``machines``."""
+    dc = DataCenter(name="ext", seed=3)
+    for name in machines:
+        dc.add_machine(name)
+    hosts = install_all_migration_enclaves(dc)
+    return dc, hosts, SigningKey.generate(dc.rng.child("dev"))
+
+
+def _join_vm(first, app_name, enclave_class, key):
+    """A second migratable app inside ``first``'s VM."""
+    second = MigratableApp(
+        vm_name=first.vm_name, app_name=app_name, enclave_class=enclave_class,
+        signing_key=key, dc=first.dc,
+    )
+    second.vm = first.vm
+    second.app = first.vm.launch_application(app_name)
+    return second
+
+
+def _drop_every_ra_msg1(dc):
+    dc.network.fault_injector = FaultInjector(
+        plan=FaultPlan().drop(msg_type="ra_msg1", max_triggers=10_000),
+        rng=dc.rng.child("faults"),
+        machines=dict(dc.machines),
+        meter=dc.meter,
+    )
+
+
+def _assert_nothing_incoming(hosts, *apps):
+    for app in apps:
+        mrenclave = app.enclave.identity.mrenclave
+        for host in hosts.values():
+            assert not host.enclave.ecall("has_incoming", mrenclave)
+
+
+def _journal(app, machine):
+    return MigrationJournal(machine.storage, app.app_name).read()
+
+
+class TestSharedVm:
+    """A VM moves once, and only with every migratable app inside it."""
 
     @staticmethod
-    def park(app_class, enclave_class):
-        """Seed 3, one app in ``tenant-vm`` on machine-a whose migration to
-        machine-b parked (every ``ra_msg1`` dropped)."""
-        dc = DataCenter(name="ext", seed=3)
-        machine_a = dc.add_machine("machine-a")
-        machine_b = dc.add_machine("machine-b")
-        hosts = install_all_migration_enclaves(dc)
-        key = SigningKey.generate(dc.rng.child("dev"))
-        app = app_class.deploy(
-            dc, machine_a, enclave_class, key, vm_name="tenant-vm", app_name="kv1"
+    def world(second_class=SecureKvStore):
+        """Seed 3: ``kv1`` and ``kv2`` in ``tenant-vm`` on machine-a, both
+        registered for ``migrate_vm``; each has stored its name under
+        ``b"v"``, and ``snapshots`` holds the sealed stores."""
+        dc, hosts, key = _seed3_world("machine-a", "machine-b")
+        kv1 = MigratableApp.deploy(
+            dc, dc.machine("machine-a"), SecureKvStore, key,
+            vm_name="tenant-vm", app_name="kv1",
+        )
+        kv2 = _join_vm(kv1, "kv2", second_class, key)
+        migrator = SemiTransparentMigrator(dc)
+        snapshots = {}
+        for app in (kv1, kv2):
+            enclave = app.start_new()
+            enclave.ecall("kv_init")
+            snapshots[app.app_name] = enclave.ecall("put", app.app_name, b"v")
+            migrator.register(app)
+        return dc, hosts, migrator, kv1, kv2, snapshots
+
+    @staticmethod
+    def assert_left_in_place(dc, kv1, kv2, snapshots):
+        """Nothing froze or moved, and ``kv2`` restarts from its state."""
+        machine_a = dc.machine("machine-a")
+        assert kv1.vm.machine is machine_a
+        assert not kv1.enclave.ecall("is_frozen")
+        assert _journal(kv1, machine_a) is None
+        kv2.restart().ecall("load_snapshot", snapshots["kv2"])
+        assert kv2.enclave.ecall("get", "kv2") == b"v"
+        assert kv2.app.machine is machine_a
+
+    def test_migrate_group_moves_the_vm_once(self, monkeypatch):
+        dc, hosts, _, kv1, kv2, _ = self.world()
+        moved = []
+        move = dc.hypervisor.migrate_vm
+        monkeypatch.setattr(
+            dc.hypervisor, "migrate_vm",
+            lambda vm, destination: moved.append(vm.name) or move(vm, destination),
+        )
+        machine_b = dc.machine("machine-b")
+        results = MigratableApp.migrate_group([kv1, kv2], machine_b, migrate_vm=True)
+        assert [r.outcome for r in results] == [MigrationOutcome.COMPLETED] * 2
+        assert [r.txn_id for r in results] == ["kv1-txn-1", "kv2-txn-1"]
+        assert moved == ["tenant-vm"]
+        assert kv1.vm.machine is machine_b
+        for app in (kv1, kv2):
+            assert app.enclave.ecall("migration_ready")
+            for machine in dc.machines.values():
+                assert _journal(app, machine) is None
+        _assert_nothing_incoming(hosts, kv1, kv2)
+
+    def test_migrate_vm_refuses_a_terminated_member(self):
+        class SecondKvStore(SecureKvStore):
+            pass
+
+        dc, _, migrator, kv1, kv2, snapshots = self.world(SecondKvStore)
+        kv2.app.terminate()
+        with pytest.raises(MigrationError, match="kv2"):
+            migrator.migrate_vm(kv1.vm, dc.machine("machine-b"))
+        self.assert_left_in_place(dc, kv1, kv2, snapshots)
+
+    def test_migrate_refuses_to_leave_a_vm_member_behind(self):
+        class SecondKvStore(SecureKvStore):
+            pass
+
+        dc, _, _, kv1, kv2, snapshots = self.world(SecondKvStore)
+        with pytest.raises(MigrationError, match="kv2"):
+            kv1.migrate(dc.machine("machine-b"))
+        self.assert_left_in_place(dc, kv1, kv2, snapshots)
+
+    def test_vm_waits_for_a_member_that_did_not_ship(self):
+        """A tap drops every local-attestation hello to machine-a's ME
+        after ``kv1``'s: ``kv1`` ships, ``kv2`` cannot stage, so the VM
+        stays and both park; the next ``migrate_vm`` finishes both under
+        their first transactions."""
+        dc, hosts, migrator, kv1, kv2, _ = self.world()
+        machine_a, machine_b = dc.machine("machine-a"), dc.machine("machine-b")
+        hellos = []
+
+        def drop_later_stages(src, dst, payload, direction):
+            if direction == "request" and dst == "machine-a/me" and (
+                wire.decode(payload).get("t") == "la_hello"
+            ):
+                hellos.append(payload)
+                if len(hellos) > 1:
+                    return None
+            return payload
+
+        with tap(dc.network, drop_later_stages):
+            with pytest.raises(MigrationPendingError, match="kv2"):
+                migrator.migrate_vm(kv1.vm, machine_b)
+        assert kv1.vm.machine is machine_a
+        for app in (kv1, kv2):
+            record = _journal(app, machine_a)
+            assert (record.role, record.txn_id) == ("source", f"{app.app_name}-txn-1")
+            assert app.enclave.ecall("is_frozen")
+
+        report = migrator.migrate_vm(kv1.vm, machine_b)
+        assert [r.outcome for r in report.results] == [MigrationOutcome.RESUMED] * 2
+        assert [r.txn_id for r in report.results] == ["kv1-txn-1", "kv2-txn-1"]
+        assert kv1.vm.machine is machine_b
+        _assert_nothing_incoming(hosts, kv1, kv2)
+
+
+class TestJournaledFreeze:
+    """``migrate_vm`` and ``live_migrate`` journal their freezes, so a
+    parked one is continued under the same transaction (R3)."""
+
+    def test_parked_migrate_vm_is_resumed_under_its_transaction(self):
+        dc, hosts, key = _seed3_world("machine-a", "machine-b")
+        machine_a, machine_b = dc.machine("machine-a"), dc.machine("machine-b")
+        app = MigratableApp.deploy(
+            dc, machine_a, SecureKvStore, key, vm_name="tenant-vm", app_name="kv1"
         )
         app.start_new()
-        dc.network.fault_injector = FaultInjector(
-            plan=FaultPlan().drop(msg_type="ra_msg1", max_triggers=10_000),
-            rng=dc.rng.child("faults"),
-            machines=dict(dc.machines),
-            meter=dc.meter,
-        )
-        parked = app.migrate(machine_b, migrate_vm=False)
+        migrator = SemiTransparentMigrator(dc)
+        migrator.register(app)
+        _drop_every_ra_msg1(dc)
+        with pytest.raises(TransientError):
+            migrator.migrate_vm(app.vm, machine_b)
         dc.network.fault_injector = None
-        assert parked.outcome is MigrationOutcome.PENDING_RETRY
-        assert parked.txn_id == "kv1-txn-1"
-        return app, machine_b, hosts
+        record = _journal(app, machine_a)
+        assert (record.txn_id, record.phase) == ("kv1-txn-1", PHASE_PREPARE)
 
-    @staticmethod
-    def finish(app, machine_b, hosts):
-        mrenclave = app.enclave.identity.mrenclave
         resumed = app.resume()
         assert resumed.outcome is MigrationOutcome.RESUMED
         assert resumed.txn_id == "kv1-txn-1"
         assert app.app.machine is machine_b
-        for host in hosts.values():
-            assert not host.enclave.ecall("has_incoming", mrenclave)
+        _assert_nothing_incoming(hosts, app)
+
+    def test_parked_live_migrate_is_continued_by_the_next_call(self):
+        dc, hosts, key = _seed3_world("machine-a", "machine-b")
+        machine_b = dc.machine("machine-b")
+        app = LiveMigratableApp.deploy(
+            dc, dc.machine("machine-a"), LiveStatefulEnclave, key,
+            vm_name="tenant-vm", app_name="kv1",
+        )
+        enclave = app.start_new()
+        enclave.ecall("setup")
+        enclave.ecall("record_session", "alice", "token-1")
+        _drop_every_ra_msg1(dc)
+        parked = app.live_migrate(machine_b)
+        dc.network.fault_injector = None
+        assert parked.outcome is MigrationOutcome.PENDING_RETRY
+        assert parked.txn_id == "kv1-txn-1"
+
+        resumed = app.live_migrate(machine_b)
+        assert resumed.outcome is MigrationOutcome.RESUMED
+        assert resumed.txn_id == "kv1-txn-1"
+        assert resumed.ecall("session_of", "alice") == "token-1"
+        assert resumed.ecall("counter_value") == 1
+        _assert_nothing_incoming(hosts, app)
+
+
+class TestParkedTransactionGuard:
+    """A parked transaction is continued by ``migrate_vm`` or
+    ``live_migrate`` to its destination, and refused toward any other: a
+    second transaction would leave the first record armed at the
+    destination ME."""
+
+    @staticmethod
+    def park(app_class, enclave_class, destination):
+        """Seed 3, one app in ``tenant-vm`` on machine-a whose migration to
+        ``destination`` parked (every ``ra_msg1`` dropped)."""
+        dc, hosts, key = _seed3_world("machine-a", "machine-b", "machine-c")
+        app = app_class.deploy(
+            dc, dc.machine("machine-a"), enclave_class, key,
+            vm_name="tenant-vm", app_name="kv1",
+        )
+        app.start_new()
+        if enclave_class is LiveStatefulEnclave:
+            app.enclave.ecall("setup")
+            app.enclave.ecall("record_session", "alice", "token-1")
+        _drop_every_ra_msg1(dc)
+        parked = app.migrate(dc.machine(destination), migrate_vm=False)
+        dc.network.fault_injector = None
+        assert parked.outcome is MigrationOutcome.PENDING_RETRY
+        assert parked.txn_id == "kv1-txn-1"
+        return app, hosts
+
+    @staticmethod
+    def assert_continued(result, app, hosts, destination):
+        assert result.outcome is MigrationOutcome.RESUMED
+        assert result.txn_id == "kv1-txn-1"
+        assert app.app.machine is app.dc.machine(destination)
+        _assert_nothing_incoming(hosts, app)
+
+    def test_migrate_vm_continues_a_parked_member(self):
+        app, hosts = self.park(MigratableApp, SecureKvStore, "machine-b")
+        migrator = SemiTransparentMigrator(app.dc)
+        migrator.register(app)
+        (result,) = migrator.migrate_vm(app.vm, app.dc.machine("machine-b")).results
+        self.assert_continued(result, app, hosts, "machine-b")
+
+    def test_live_migrate_continues_a_parked_app(self):
+        app, hosts = self.park(LiveMigratableApp, LiveStatefulEnclave, "machine-b")
+        result = app.live_migrate(app.dc.machine("machine-b"))
+        self.assert_continued(result, app, hosts, "machine-b")
+        assert result.ecall("session_of", "alice") == "token-1"
 
     def test_migrate_vm_refuses_a_parked_member(self):
-        app, machine_b, hosts = self.park(MigratableApp, SecureKvStore)
+        app, hosts = self.park(MigratableApp, SecureKvStore, "machine-c")
         migrator = SemiTransparentMigrator(app.dc)
         migrator.register(app)
         with pytest.raises(MigrationError, match="kv1-txn-1"):
-            migrator.migrate_vm(app.vm, machine_b)
-        assert app.vm.machine is not machine_b
-        self.finish(app, machine_b, hosts)
+            migrator.migrate_vm(app.vm, app.dc.machine("machine-b"))
+        assert app.vm.machine is app.dc.machine("machine-a")
+        self.assert_continued(app.resume(), app, hosts, "machine-c")
 
     def test_live_migrate_refuses_a_parked_app(self):
-        app, machine_b, hosts = self.park(LiveMigratableApp, LiveStatefulEnclave)
+        app, hosts = self.park(LiveMigratableApp, LiveStatefulEnclave, "machine-c")
         with pytest.raises(MigrationError, match="kv1-txn-1"):
-            app.live_migrate(machine_b)
-        self.finish(app, machine_b, hosts)
+            app.live_migrate(app.dc.machine("machine-b"))
+        self.assert_continued(app.resume(), app, hosts, "machine-c")

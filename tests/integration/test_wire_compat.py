@@ -1,12 +1,13 @@
-"""Wire-compatibility pins for the four public migration entry points.
+"""Wire-compatibility pins for the five public migration entry points.
 
-``migrate``, ``migrate_group`` and the source side of ``resume`` run one
-wave (``MigratableApp._execute``, see ``repro.core.api``);
-``live_migrate`` runs its own flow.  These pins fix the exact byte sequence
-each entry point puts on the simulated network, so a refactor of the host
-migration code is pure plumbing only if they hold.  The golden file
-(``tests/golden/wire_traces_seed0.json``) stores one ``src->dst:sha256``
-line per network leg.
+``migrate``, ``migrate_group``, ``live_migrate``, ``migrate_vm`` and the
+source side of ``resume`` all run one wave (``MigratableApp._execute``, see
+``repro.core.api``); ``live_migrate`` swaps in the live relocation step and
+``migrate_vm`` moves a VM holding two enclaves once.  These pins fix the
+exact byte sequence each entry point puts on the simulated network, so a
+refactor of the host migration code is pure plumbing only if they hold.
+The golden file (``tests/golden/wire_traces_seed0.json``) stores one
+``src->dst:sha256`` line per network leg.
 
 Caveat for future editors: ``WireProbeEnclave``'s class source below is part
 of its measured identity (MRENCLAVE), which flows into attestation payloads.
@@ -24,6 +25,7 @@ from repro.cloud.datacenter import DataCenter
 from repro.core.combined import FullyMigratableEnclave, LiveMigratableApp
 from repro.core.protocol import MigratableApp, install_all_migration_enclaves
 from repro.core.result import MigrationOutcome
+from repro.core.transparent import SemiTransparentMigrator
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sgx.enclave import ecall
@@ -115,6 +117,33 @@ def live_migrate_trace() -> list[str]:
     return _tapped(dc, lambda: app.live_migrate(machine_b))
 
 
+def _shared_vm_world() -> tuple:
+    """Two same-build enclaves in one VM, both registered for ``migrate_vm``."""
+    dc, machine_a, machine_b, key = _world("wire-vm")
+    migrator = SemiTransparentMigrator(dc)
+    first = MigratableApp.deploy(
+        dc, machine_a, MigratableBenchEnclave, key,
+        vm_name="wire-vm", app_name="wire-app-0",
+    )
+    second = MigratableApp(
+        vm_name="wire-vm", app_name="wire-app-1",
+        enclave_class=MigratableBenchEnclave, signing_key=key, dc=dc,
+    )
+    second.vm = first.vm
+    second.app = first.vm.launch_application("wire-app-1")
+    for app in (first, second):
+        enclave = app.start_new()
+        counter_id, _ = enclave.ecall("create_counter")
+        enclave.ecall("increment_counter", counter_id)
+        migrator.register(app)
+    return dc, migrator, first.vm, machine_b
+
+
+def migrate_vm_trace() -> list[str]:
+    dc, migrator, vm, machine_b = _shared_vm_world()
+    return _tapped(dc, lambda: migrator.migrate_vm(vm, machine_b))
+
+
 def resume_trace() -> list[str]:
     """Park a migration (every message dropped), then pin resume()'s bytes."""
     dc, machine_a, machine_b, key = _world("wire-resume")
@@ -139,6 +168,7 @@ ENTRY_POINTS = {
     "migrate_group": migrate_group_trace,
     "live_migrate": live_migrate_trace,
     "resume": resume_trace,
+    "migrate_vm": migrate_vm_trace,
 }
 
 
@@ -152,6 +182,15 @@ class TestWireCompatibility:
 
     def test_traces_are_seed_deterministic(self):
         assert migrate_trace() == migrate_trace()
+
+    def test_migrate_vm_report_keeps_its_figures(self):
+        """The shared VM moves once: the VM time is one live migration and
+        the enclave overhead is everything else the call spent."""
+        _, migrator, vm, machine_b = _shared_vm_world()
+        report = migrator.migrate_vm(vm, machine_b)
+        assert report.enclaves_migrated == 2
+        assert report.vm_migration_seconds == 1.2822439127718623
+        assert report.enclave_overhead_seconds == 1.6905122847652168
 
 
 def regenerate_golden() -> None:  # pragma: no cover - maintenance helper
