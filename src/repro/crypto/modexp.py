@@ -1,35 +1,45 @@
-"""Modular exponentiation for the simulator's crypto: one native call.
+"""Modular exponentiation for the simulator's crypto: libcrypto, plus one
+table for the Schnorr generator.
 
-Every exponentiation modulo an odd modulus runs OpenSSL ``libcrypto``'s
-Montgomery exponentiation through :mod:`ctypes` — the library this
-interpreter's ``hashlib`` and ``ssl`` already link, loaded by
-:mod:`repro.crypto.native` — and is bit-exact with ``builtins.pow``.
-Measured per shape on a 2-vCPU x86-64 VM (CPython 3.11, libcrypto 3.0,
-40 exponents each, best of 3), with the count per ``paper_migrate``
-migration in brackets:
+Every exponentiation modulo an odd modulus runs on OpenSSL ``libcrypto``
+through :mod:`ctypes` — the library this interpreter's ``hashlib`` and
+``ssl`` already link, loaded by :mod:`repro.crypto.native` — and is
+bit-exact with ``builtins.pow``.  Measured per shape on a 2-vCPU x86-64 VM
+(CPython 3.11, libcrypto 3.0, 40 exponents each, best of 3), with the count
+per ``paper_migrate`` migration in brackets:
 
-=================================================  ==================  =========
-exponentiation                                      replaced            libcrypto
-=================================================  ==================  =========
-DH shared secret, fresh base, 256-bit (4)           5.08 ms, ``pow``    0.51 ms
-DH keygen, g = 2, 256-bit (4)                       0.83 ms, table      0.57 ms
-Schnorr sign, g = 4, 320-bit nonce (6)              1.22 ms, table      0.70 ms
-verification ``g**s``, 575-bit short side (6)       2.82 ms, table      1.19 ms
-verification ``y**e``, 256-bit (6)                  1.18 ms, key table  0.53 ms
-=================================================  ==================  =========
+=================================================  ===================  =========
+exponentiation                                      replaced             libcrypto
+=================================================  ===================  =========
+DH shared secret, fresh base, 256-bit (4)           5.08 ms, ``pow``     0.51 ms
+DH keygen, g = 2, 256-bit (4)                       0.83 ms, table       0.57 ms
+Schnorr sign, g = 4, 320-bit nonce (6)              1.22 ms, table       0.70 ms
+verification ``g**s``, 575-bit short side (6)       2.82 ms, table       1.19 ms
+verification ``y**e``, 256-bit (6)                  1.18 ms, key table   0.53 ms
+``g**s`` from the generator table (6)               0.74 ms, exp. above  0.31 ms
+=================================================  ===================  =========
 
-libcrypto wins every shape, so no windowed table, per-key table cache or
-Shamir loop is kept beside it.  What remains:
+The first five rows replaced pure-Python windowed tables (and built-in
+``pow``) with one Montgomery exponentiation.  The last replaced that
+exponentiation, for the one base every verification raises, with
+precomputed powers held in libcrypto.  Its pair was timed in one process,
+median of six runs, on a later host of the same type (a fresh
+verification product: 1.01 -> 0.60 ms).  What there is:
 
 * :func:`powmod` raises a secret exponent (DH and Schnorr private keys,
   Schnorr nonces) with ``BN_mod_exp_mont_consttime``.
-* The short side.  The Schnorr generator ``g = 4`` has order
+* The generator table.  The Schnorr generator ``g = 4`` has order
   ``q = (p - 1)/2`` in the RFC 3526 group, and a response
   ``s = k - x*e mod q`` (320-bit ``k`` and ``x``, 256-bit ``e``) always has
   ``min(s, q - s) < 2**576``.  Its registered :class:`FixedBaseTable` raises
   ``g`` to ``s`` or a precomputed ``g**-1`` to ``q - s``, whichever exponent
-  is shorter: equal because ``g**q == 1``, which registration checks, and
-  1.2 ms where a 2,047-bit exponent takes 3.5 ms.
+  is shorter: equal because ``g**q == 1``, which registration checks.  At
+  a side's first use it builds that side's powers ``side**(j * 16**i)``
+  (``j`` = 1..15, 144 four-bit windows: 2,160 ``BIGNUM``s in Montgomery
+  form, ~0.7 MB, ~7 ms); a short side is then one
+  ``BN_mod_mul_montgomery`` per nonzero digit, ~135 of them.  In practice
+  only the ``g**-1`` side is built.  A short side past 576 bits (only a
+  forged response has one) takes ``BN_mod_exp_mont``.
 * The product memo: a bounded LRU of :func:`verify_product` results, keyed
   by all five arguments ``(g, s, y, e, modulus)``.  An enclave's SIGSTRUCT
   at every launch and each Migration Enclave's provider credential at every
@@ -45,9 +55,8 @@ Shamir loop is kept beside it.  What remains:
 ``benchmarks/e2e/tracing.py`` wraps ``FixedBaseTable.pow``, :func:`powmod`
 and :func:`mul2_powmod` and reads :func:`public_key_cache_stats`, so these
 four names stay and its ``crypto.modexp`` attribution carries over:
-``FixedBaseTable`` is the registered generator, ``mul2_powmod`` is two
-exponentiations, and the per-key cache statistics read zero because there
-is no per-key cache.
+``mul2_powmod`` is two exponentiations, and the per-key cache statistics
+read zero because there is no per-key cache.
 
 Everything here only changes *wall-clock* cost.  Virtual-time charges are
 made by the cost meter, never by measuring this code, so seeded simulation
@@ -57,6 +66,7 @@ results are unchanged (asserted by ``tests/unit/test_determinism.py``).
 from __future__ import annotations
 
 import ctypes
+import weakref
 from collections import OrderedDict
 
 from repro.crypto.native import libcrypto
@@ -118,6 +128,91 @@ def _pow(base: int, exponent: int, modulus: int, *, secret: bool) -> int:
 
 
 # ------------------------------------------------------------ generators
+#: A generator table covers exponents up to 576 bits, the short side of
+#: every Schnorr response, in 4-bit digits (two per byte): 144 windows of
+#: 15 powers each.
+TABLE_BITS = 576
+_ENTRIES = 15
+_WINDOWS = TABLE_BITS // 4
+
+
+def _free_bignums(lib, bignums: list[int]) -> None:
+    for bn in bignums:
+        lib.BN_clear_free(bn)
+
+
+def _build_powers(lib, base: int, modulus: int) -> list[int]:
+    """``BIGNUM``s holding ``base ** (j * 16**i)`` in Montgomery form, for
+    window ``i < 144`` and digit ``1 <= j <= 15`` at index ``15*i + j - 1``."""
+    width = (modulus.bit_length() + 7) // 8
+    ctx = lib.BN_CTX_new()
+    powers: list[int] = []
+    try:
+        if not ctx:
+            raise CryptoError("libcrypto could not allocate a BN_CTX")
+        _, mont = _montgomery(lib, modulus, ctx)
+        first = lib.BN_bin2bn(base.to_bytes(width, "big"), width, None)
+        if not first:
+            raise CryptoError("libcrypto could not allocate a BIGNUM")
+        powers.append(first)
+        if lib.BN_to_montgomery(first, first, mont, ctx) != 1:
+            raise CryptoError("libcrypto could not enter Montgomery form")
+        for index in range(1, _WINDOWS * _ENTRIES):
+            power = lib.BN_new()
+            if not power:
+                raise CryptoError("libcrypto could not allocate a BIGNUM")
+            powers.append(power)
+            window, digit = divmod(index, _ENTRIES)
+            # Digit j of a window is digit j - 1 times digit 1; digit 1 of
+            # the next window is digit 15 times digit 1 (base ** 16**i).
+            step = powers[index - _ENTRIES if digit == 0 else window * _ENTRIES]
+            if lib.BN_mod_mul_montgomery(power, powers[index - 1], step, mont, ctx) != 1:
+                raise CryptoError("libcrypto Montgomery product failed")
+        return powers
+    except BaseException:
+        _free_bignums(lib, powers)
+        raise
+    finally:
+        lib.BN_CTX_free(ctx)
+
+
+def _table_pow(lib, powers: list[int], exponent: int, modulus: int) -> int:
+    """``base ** exponent % modulus`` for ``exponent < 2**576``: one
+    Montgomery product per nonzero 4-bit digit, from ``base``'s powers."""
+    picks = []
+    offset = -1  # digit j of window i is powers[15*i + j - 1]
+    for byte in exponent.to_bytes(TABLE_BITS // 8, "little"):
+        if byte & 15:
+            picks.append(powers[offset + (byte & 15)])
+        if byte >> 4:
+            picks.append(powers[offset + _ENTRIES + (byte >> 4)])
+        offset += 2 * _ENTRIES
+    if not picks:
+        return 1
+    width = (modulus.bit_length() + 7) // 8
+    ctx = lib.BN_CTX_new()
+    r = lib.BN_new()
+    try:
+        if not (ctx and r):
+            raise CryptoError("libcrypto could not allocate a BIGNUM")
+        _, mont = _montgomery(lib, modulus, ctx)
+        if not lib.BN_copy(r, picks[0]):
+            raise CryptoError("libcrypto could not copy a BIGNUM")
+        multiply = lib.BN_mod_mul_montgomery
+        for power in picks[1:]:
+            if multiply(r, r, power, mont, ctx) != 1:
+                raise CryptoError("libcrypto Montgomery product failed")
+        if lib.BN_from_montgomery(r, r, mont, ctx) != 1:
+            raise CryptoError("libcrypto could not leave Montgomery form")
+        out = ctypes.create_string_buffer(width)
+        if lib.BN_bn2binpad(r, out, width) != width:
+            raise CryptoError("libcrypto result does not fit the modulus width")
+        return int.from_bytes(out.raw, "big")
+    finally:
+        lib.BN_clear_free(r)
+        lib.BN_CTX_free(ctx)
+
+
 class FixedBaseTable:
     """A registered generator ``base`` of order ``order`` modulo ``modulus``.
 
@@ -125,11 +220,16 @@ class FixedBaseTable:
     any non-negative exponent.  It reduces the exponent mod ``order`` and,
     when ``order - e`` is the shorter of the two, raises the precomputed
     ``inverse = base**-1`` to ``order - e`` instead, which is equal because
-    ``base ** order == 1`` (checked here).  Exponents are public: the call
-    is not constant-time.
+    ``base ** order == 1`` (checked here).  A short side below
+    ``2**TABLE_BITS`` is one libcrypto Montgomery product per nonzero 4-bit
+    digit, over that side's powers ``base ** (j * 16**i)``, built at its
+    first such use (2,160 ``BIGNUM``s, ~0.7 MB) and freed with the
+    instance; a longer one, an even modulus or a host without libcrypto
+    takes :func:`_pow`.  Exponents are public: the call is not
+    constant-time.
     """
 
-    __slots__ = ("base", "modulus", "order", "inverse")
+    __slots__ = ("base", "modulus", "order", "inverse", "_powers", "__weakref__")
 
     def __init__(self, base: int, modulus: int, *, order: int):
         if modulus <= 1:
@@ -140,16 +240,31 @@ class FixedBaseTable:
         self.modulus = modulus
         self.order = order
         self.inverse = pow(self.base, -1, modulus)
+        # side -> (the libcrypto that built its powers, the powers)
+        self._powers: dict[int, tuple[object, list[int]]] = {}
+        weakref.finalize(self, _free_tables, self._powers)
 
     def pow(self, exponent: int) -> int:
         """``base ** exponent % modulus`` by the shorter side."""
         if exponent < 0:
             raise CryptoError("negative exponent")
-        order = self.order
+        order, modulus = self.order, self.modulus
         exponent %= order
+        side = self.base
         if order - exponent < exponent:
-            return _pow(self.inverse, order - exponent, self.modulus, secret=False)
-        return _pow(self.base, exponent, self.modulus, secret=False)
+            side, exponent = self.inverse, order - exponent
+        lib = libcrypto()
+        if lib is None or exponent >> TABLE_BITS or not modulus & 1:
+            return _pow(side, exponent, modulus, secret=False)
+        built = self._powers.get(side)
+        if built is None:
+            built = self._powers[side] = (lib, _build_powers(lib, side, modulus))
+        return _table_pow(lib, built[1], exponent, modulus)
+
+
+def _free_tables(tables: dict) -> None:
+    for lib, powers in tables.values():
+        _free_bignums(lib, powers)
 
 
 _GENERATORS: dict[tuple[int, int], FixedBaseTable] = {}

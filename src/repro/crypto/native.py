@@ -1,7 +1,7 @@
 """OpenSSL ``libcrypto`` through :mod:`ctypes`: the one loader.
 
 :mod:`repro.crypto.gcm` (AES-GCM), :mod:`repro.crypto.cmac` (AES-CBC for
-CMAC) and :mod:`repro.crypto.modexp` (Montgomery exponentiation) call the
+CMAC) and :mod:`repro.crypto.modexp` (Montgomery arithmetic) call the
 libcrypto this interpreter's ``hashlib`` already links, so there is no
 dependency, flag or environment variable.  :func:`libcrypto` loads it once,
 at first use, with every function in :data:`SIGNATURES` declared, or
@@ -31,12 +31,16 @@ SIGNATURES = {
     "BN_CTX_new": (_PTR, []),
     "BN_CTX_free": (None, [_PTR]),
     "BN_new": (_PTR, []),
+    "BN_copy": (_PTR, [_PTR, _PTR]),
     "BN_bin2bn": (_PTR, [_BUF, _INT, _PTR]),
     "BN_bn2binpad": (_INT, [_PTR, _BUF, _INT]),
     "BN_clear_free": (None, [_PTR]),
     "BN_MONT_CTX_new": (_PTR, []),
     "BN_MONT_CTX_set": (_INT, [_PTR, _PTR, _PTR]),
     "BN_MONT_CTX_free": (None, [_PTR]),
+    "BN_to_montgomery": (_INT, [_PTR] * 4),  # (r, a, mont, ctx)
+    "BN_from_montgomery": (_INT, [_PTR] * 4),
+    "BN_mod_mul_montgomery": (_INT, [_PTR] * 5),  # (r, a, b, mont, ctx)
     "BN_mod_exp_mont": _EXP,
     "BN_mod_exp_mont_consttime": _EXP,
     "EVP_CIPHER_CTX_new": (_PTR, []),

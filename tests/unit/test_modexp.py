@@ -2,7 +2,8 @@
 
 Every path in :mod:`repro.crypto.modexp` must be bit-exact with
 ``builtins.pow``: the native libcrypto call (``powmod``), the registered
-generator's short side (``FixedBaseTable``), the two-exponentiation product
+generator's short side (``FixedBaseTable``: its table of Montgomery-form
+powers up to 576 bits, the native call past them), the two-exponentiation product
 and the verification-product memo, over the RFC 3526 2048-bit group the
 simulator uses (Schnorr generator g=4, DH generator g=2) and other odd
 moduli, plus the built-in ``pow`` fallback for inputs the native call does
@@ -10,14 +11,16 @@ not take and for a host without libcrypto.
 """
 
 import ctypes.util
+import gc
 import random
 import sys
 
 import pytest
 
-from repro.crypto import modexp, native
+from repro.crypto import modexp, native, schnorr
 from repro.crypto.dh import MODP_2048_G, MODP_2048_P, MODP_2048_Q
 from repro.errors import CryptoError
+from repro.sim.rng import DeterministicRng
 
 _P = MODP_2048_P
 _Q = MODP_2048_Q
@@ -34,6 +37,12 @@ EDGE_EXPONENTS = (
     # random full-length exponent.
     1 << 575,
     _Q - (1 << 575),
+    # The longest short sides the 576-bit generator table takes, and the
+    # shortest that go past it.
+    (1 << 576) - 1,
+    1 << 576,
+    _Q - ((1 << 576) - 1),
+    _Q - (1 << 576),
     random.Random(2046).getrandbits(2046),
     # Around the switch itself (q/2), and at or above the order.
     _Q // 2 - 1,
@@ -75,6 +84,43 @@ class TestFixedBaseTable:
         for _ in range(10):
             exponent = rng.getrandbits(2046)
             assert table.pow(exponent) == pow(4, exponent, _P)
+
+    def test_short_sides_take_the_table_and_longer_ones_the_native_call(self, monkeypatch):
+        table = modexp.FixedBaseTable(4, _P, order=_Q)
+        native_calls = []
+        native_pow = modexp._pow
+
+        def spy(base, exponent, modulus, *, secret):
+            native_calls.append(exponent)
+            return native_pow(base, exponent, modulus, secret=secret)
+
+        monkeypatch.setattr(modexp, "_pow", spy)
+        for exponent in (1, (1 << 576) - 1, _Q - 1, _Q - ((1 << 576) - 1)):
+            assert table.pow(exponent) == pow(4, exponent, _P)
+        assert native_calls == []
+        for exponent in (1 << 576, _Q - (1 << 576)):
+            assert table.pow(exponent) == pow(4, exponent, _P)
+        assert native_calls == [1 << 576, 1 << 576]
+
+    def test_each_side_is_built_once_and_freed_with_the_table(self, monkeypatch):
+        built, freed = [], []
+        build, free = modexp._build_powers, modexp._free_bignums
+        monkeypatch.setattr(
+            modexp, "_build_powers",
+            lambda lib, base, modulus: built.append(base) or build(lib, base, modulus),
+        )
+        monkeypatch.setattr(
+            modexp, "_free_bignums",
+            lambda lib, bignums: freed.append(len(bignums)) or free(lib, bignums),
+        )
+        table = modexp.FixedBaseTable(4, _P, order=_Q)
+        for exponent in (5, 6, _Q - 5, _Q - 6):
+            assert table.pow(exponent) == pow(4, exponent, _P)
+        assert built == [4, table.inverse]
+        assert freed == []
+        del table
+        gc.collect()
+        assert freed == [2160, 2160]  # 144 windows x 15 powers, per side
 
 
 _RNG = random.Random(3526)
@@ -174,6 +220,47 @@ class TestShamir:
         s, e = (1 << 2000) + 12345, (1 << 255) + 7
         expected = pow(4, s, _P) * pow(public, e, _P) % _P
         assert modexp.verify_product(4, s, public, e, _P) == expected
+
+@pytest.fixture(params=["libcrypto", "reference"])
+def backend(request):
+    """Each test runs on libcrypto and on the from-scratch fallback."""
+    if request.param == "reference":
+        request.getfixturevalue("reference_backend")
+    modexp.clear_product_memo()
+    yield request.param
+    modexp.clear_product_memo()
+
+
+class TestSchnorrVerify:
+    """``schnorr.verify`` through the generator table and past it."""
+
+    def test_valid_signature_verifies(self, backend):
+        keypair = schnorr.generate_keypair(DeterministicRng(31, "valid"))
+        signature = schnorr.sign(keypair.private, b"message")
+        s = signature.response
+        assert min(s, _Q - s).bit_length() <= modexp.TABLE_BITS
+        assert schnorr.verify(keypair.public, b"message", signature)
+
+    def test_forged_full_length_response_is_rejected(self, backend, monkeypatch):
+        keypair = schnorr.generate_keypair(DeterministicRng(31, "forged"))
+        signature = schnorr.sign(keypair.private, b"message")
+        forged = schnorr.SchnorrSignature(
+            challenge=signature.challenge,
+            response=(signature.response + (1 << 2000)) % _Q,
+        )
+        s = forged.response
+        assert min(s, _Q - s).bit_length() > modexp.TABLE_BITS
+        exponents = []
+        native_pow = modexp._pow
+
+        def spy(base, exponent, modulus, *, secret):
+            exponents.append(exponent)
+            return native_pow(base, exponent, modulus, secret=secret)
+
+        monkeypatch.setattr(modexp, "_pow", spy)
+        assert not schnorr.verify(keypair.public, b"message", forged)
+        assert min(s, _Q - s) in exponents
+
 
 def test_public_key_cache_stats_read_zero():
     """The benchmark tracer reads these keys; there is no per-key cache."""
