@@ -55,7 +55,10 @@ FullyMigratableEnclave.MEASURED_LIBRARIES = (
 
 class LiveMigratableApp(MigratableApp):
     """Application wrapper whose migrations are live (no stop/restart)
-    hand-overs: every wave relocates it through :meth:`_install`."""
+    hand-overs: every wave relocates it through :meth:`_install`, which
+    retires the source VM, so no other member of the wave may share it."""
+
+    relocates_alone = True
 
     def launch(
         self,

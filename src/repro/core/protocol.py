@@ -445,6 +445,10 @@ class MigratableApp:
     registry: object = None
     clone_guard: bool = False
     _txn_seq: int = 0
+    #: Set by a subclass whose relocation step (:meth:`_install`) retires
+    #: the whole source VM: the wave then refuses to move it with another
+    #: member of that VM.
+    relocates_alone = False
 
     @classmethod
     def deploy(
@@ -675,7 +679,8 @@ class MigratableApp:
            not shipped, so a crash anywhere leaves every enclave
            individually resumable.  A member whose journal already holds a
            source-side transaction to this destination (a parked earlier
-           attempt) re-stages under that transaction and reports
+           attempt) re-stages under that transaction, relaunched from its
+           frozen library state first if its enclave died, and reports
            ``RESUMED``; a transaction to another destination raises
            :class:`MigrationError` until :meth:`resume` finishes it.
         2. **Flush** — one ``flush_staged`` message per source ME ships all
@@ -688,7 +693,9 @@ class MigratableApp:
            (:meth:`_install`): everything R1-R4 depends on stays
            per-enclave and per-transaction.  A VM moves only with every app
            in it that keeps library state (one outside the wave is refused
-           before anything freezes) and once all its members shipped.
+           before anything freezes) and once all its members shipped.  An
+           app whose relocation retires its VM (``relocates_alone``) is
+           refused beside another member of that VM.
 
         Returns one :class:`MigrationResult` per app, in input order.  Apps
         whose stage, flush or relocation failed transiently report
@@ -720,7 +727,9 @@ class MigratableApp:
         in_progress: list[MigrationRecord | None] = []
         for index, app in enumerate(apps):
             in_progress.append(app._journaled_txn(destination.address))
-            if app.enclave is None or not app.enclave.alive:
+            if in_progress[index] is None and (
+                app.enclave is None or not app.enclave.alive
+            ):
                 raise MigrationError(
                     f"{app.app_name} has no running enclave to migrate"
                 )
@@ -738,7 +747,29 @@ class MigratableApp:
                         f"{app.app_name} shares VM {app.vm.name} with "
                         f"{other.name}, which this wave does not migrate"
                     )
+            if app.relocates_alone:
+                sharing = [m.app_name for m in apps if m is not app and m.vm is app.vm]
+                if sharing:
+                    raise MigrationError(
+                        f"{app.app_name} and {', '.join(sharing)} share VM "
+                        f"{app.vm.name}, which {app.app_name}'s relocation "
+                        "retires: migrate them in separate VMs"
+                    )
             groups.setdefault(app.app.machine.address, []).append(index)
+
+        # Every member passed: one whose journaled transaction outlived its
+        # enclave comes back from its persisted (frozen) library state, and
+        # phase 1 re-drives that transaction through the new handle.
+        for app, record in zip(apps, in_progress):
+            if record is not None and (app.enclave is None or not app.enclave.alive):
+                try:
+                    app.launch(
+                        InitState.RESTORE, retry_policy=retry_policy or app.retry_policy
+                    )
+                except InvalidStateError:
+                    # Frozen blob: migration_init loaded the state and then
+                    # refused to operate; the handle serves migration_start.
+                    pass
 
         for source_address, indices in groups.items():
             # ---- phase 1: stage every member at the source ME
@@ -877,10 +908,10 @@ class MigratableApp:
         """Drive an interrupted migration to completion after a crash.
 
         Reads the journal on the app's current machine.  A ``role=source``
-        record relaunches a dead enclave from the persisted library state
-        and calls :meth:`migrate` to the journaled destination, which
-        continues the journaled transaction: re-freeze or retry, flush,
-        complete the relocation;
+        record calls :meth:`migrate` to the journaled destination, which
+        continues the journaled transaction: relaunch a dead enclave from
+        the persisted library state, re-freeze or retry, flush, complete
+        the relocation;
         ``role=destination`` records finish the install (fetch if the state
         never landed, confirm otherwise).  Raises :class:`MigrationError`
         when no migration is in progress or the app shares its VM with
@@ -894,14 +925,6 @@ class MigratableApp:
         start_cost = CostSnapshot.capture(self.dc)
 
         if record.role == "source":
-            if self.enclave is None or not self.enclave.alive:
-                try:
-                    self.launch(InitState.RESTORE, retry_policy=policy)
-                except InvalidStateError:
-                    # Frozen blob: migration_init loaded the state and then
-                    # refused to operate.  The handle is still good for the
-                    # wave's migration_start retry path.
-                    pass
             result = self.migrate(
                 self.dc.machine(record.destination), migrate_vm,
                 retry_policy=retry_policy,

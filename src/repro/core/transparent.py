@@ -69,8 +69,10 @@ class SemiTransparentMigrator:
         enclave journals its own transaction and freezes, one flush ships
         them all, the VM live-migrates once, and every enclave comes back up
         from its migration data there.  Every registered app needs a
-        running enclave, and an app in the VM that keeps library state but
-        is not registered is refused, before anything freezes.
+        running enclave or a parked transaction to ``destination`` (a dead
+        one is relaunched from its frozen state), and an app in the VM that
+        keeps library state but is not registered is refused, before
+        anything freezes.
 
         A transient failure raises and leaves the wave parked; calling
         ``migrate_vm`` again continues every member's transaction.  One

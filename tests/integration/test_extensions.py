@@ -9,8 +9,10 @@ from repro.core.combined import FullyMigratableEnclave, LiveMigratableApp
 from repro.core.protocol import MigratableApp, install_all_migration_enclaves
 from repro.core.result import MigrationOutcome
 from repro.core.transparent import SemiTransparentMigrator
+from repro.apps.counter_app import MigratableBenchEnclave
 from repro.apps.kvstore import SecureKvStore
 from repro.errors import MigrationError, MigrationPendingError, TransientError
+from repro.faults.chaos import World, check_invariants
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sgx.enclave import ecall
@@ -204,8 +206,8 @@ def _seed3_world(*machines):
 
 
 def _join_vm(first, app_name, enclave_class, key):
-    """A second migratable app inside ``first``'s VM."""
-    second = MigratableApp(
+    """A second migratable app, of ``first``'s class, inside ``first``'s VM."""
+    second = type(first)(
         vm_name=first.vm_name, app_name=app_name, enclave_class=enclave_class,
         signing_key=key, dc=first.dc,
     )
@@ -339,6 +341,65 @@ class TestSharedVm:
         assert [r.txn_id for r in report.results] == ["kv1-txn-1", "kv2-txn-1"]
         assert kv1.vm.machine is machine_b
         _assert_nothing_incoming(hosts, kv1, kv2)
+
+    def test_migrate_vm_relaunches_a_member_that_died_parked(self):
+        """Both members park (every ``ra_msg1`` dropped), then ``kv1``'s
+        process crashes: the next ``migrate_vm`` relaunches it from its
+        frozen library state and finishes both transactions."""
+        dc, hosts, key = _seed3_world("machine-a", "machine-b")
+        machine_b = dc.machine("machine-b")
+        kv1 = MigratableApp.deploy(
+            dc, dc.machine("machine-a"), MigratableBenchEnclave, key,
+            vm_name="tenant-vm", app_name="kv1",
+        )
+        kv2 = _join_vm(kv1, "kv2", MigratableBenchEnclave, key)
+        migrator = SemiTransparentMigrator(dc)
+        world = World(
+            dc=dc, apps=[kv1, kv2], counter_ids=[], counter_targets=[2, 2],
+            me_signer=key, dev_key=key,
+        )
+        for index, app in enumerate(world.apps):
+            enclave = app.start_new()
+            # One extra counter in kv2 gives each app its own tracked id.
+            for _ in range(index):
+                enclave.ecall("create_counter")
+            counter_id, _ = enclave.ecall("create_counter")
+            enclave.ecall("increment_counter", counter_id)
+            enclave.ecall("increment_counter", counter_id)
+            world.counter_ids.append(counter_id)
+            migrator.register(app)
+        _drop_every_ra_msg1(dc)
+        with pytest.raises(TransientError):
+            migrator.migrate_vm(kv1.vm, machine_b)
+        dc.network.fault_injector = None
+        kv1.app.crash()
+
+        report = migrator.migrate_vm(kv1.vm, machine_b)
+        assert [r.outcome for r in report.results] == [MigrationOutcome.RESUMED] * 2
+        assert [r.txn_id for r in report.results] == ["kv1-txn-1", "kv2-txn-1"]
+        assert kv1.vm.machine is machine_b
+        _assert_nothing_incoming(hosts, kv1, kv2)
+        assert check_invariants(world) == []
+
+    def test_live_wave_refuses_two_members_of_one_vm(self):
+        """A live hand-over retires the source VM, so a wave may not take
+        two live apps out of one VM: refused before anything freezes."""
+        dc, _, key = _seed3_world("machine-a", "machine-b")
+        machine_a = dc.machine("machine-a")
+        kv1 = LiveMigratableApp.deploy(
+            dc, machine_a, LiveStatefulEnclave, key,
+            vm_name="tenant-vm", app_name="kv1",
+        )
+        kv2 = _join_vm(kv1, "kv2", LiveStatefulEnclave, key)
+        for app in (kv1, kv2):
+            app.start_new().ecall("setup")
+        with pytest.raises(MigrationError, match="kv1 and kv2"):
+            LiveMigratableApp.migrate_group([kv1, kv2], dc.machine("machine-b"))
+        for app in (kv1, kv2):
+            assert not app.enclave.ecall("is_frozen")
+            assert app.app.machine is machine_a
+            for machine in dc.machines.values():
+                assert _journal(app, machine) is None
 
 
 class TestJournaledFreeze:
