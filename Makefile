@@ -35,7 +35,8 @@ bench-scale-smoke:
 	$(PYTHON) benchmarks/bench_fleet.py --smoke --scale-only --output /tmp/BENCH_scale_smoke.json
 
 # The paper-shape assertions of benchmarks/bench_*.py (Fig. 3 and 4, Tables I
-# and II, migration, proxy, ablation), with pytest-benchmark's timing off.
+# and II, migration, proxy, ablation) and the bit-exactness of each modular
+# exponentiation shape (bench_modexp.py), with pytest-benchmark's timing off.
 bench-shapes:
 	$(PYTHON) -m pytest -q benchmarks --ignore=benchmarks/e2e --benchmark-disable
 

@@ -1,30 +1,33 @@
-"""Modular exponentiation for the simulator's crypto: libcrypto, plus one
-table for the Schnorr generator.
+"""Modular exponentiation for the simulator's crypto: libcrypto, plus
+fixed-base tables for the Schnorr generator and recurring verification
+keys.
 
 Every exponentiation modulo an odd modulus runs on OpenSSL ``libcrypto``
 through :mod:`ctypes` — the library this interpreter's ``hashlib`` and
 ``ssl`` already link, loaded by :mod:`repro.crypto.native` — and is
-bit-exact with ``builtins.pow``.  Measured per shape on a 2-vCPU x86-64 VM
-(CPython 3.11, libcrypto 3.0, 40 exponents each, best of 3), with the count
-per ``paper_migrate`` migration in brackets:
+bit-exact with ``builtins.pow``.  Per shape, one test each in
+``benchmarks/bench_modexp.py`` (40 seeded inputs in turn, 200 rounds;
+median of four runs' medians on a 2-vCPU x86-64 VM, CPython 3.11,
+libcrypto 3.0), with the count per ``paper_migrate`` migration in
+brackets:
 
-=================================================  ===================  =========
-exponentiation                                      replaced             libcrypto
-=================================================  ===================  =========
-DH shared secret, fresh base, 256-bit (4)           5.08 ms, ``pow``     0.51 ms
-DH keygen, g = 2, 256-bit (4)                       0.83 ms, table       0.57 ms
-Schnorr sign, g = 4, 320-bit nonce (6)              1.22 ms, table       0.70 ms
-verification ``g**s``, 575-bit short side (6)       2.82 ms, table       1.19 ms
-verification ``y**e``, 256-bit (6)                  1.18 ms, key table   0.53 ms
-``g**s`` from the generator table (6)               0.74 ms, exp. above  0.31 ms
-=================================================  ===================  =========
+===============================================  ================================  =======
+shape                                            ``bench_modexp.py`` test          median
+===============================================  ================================  =======
+DH keygen, g = 2, 256-bit (4)                    ``test_dh_keygen``                0.32 ms
+DH shared secret, fresh base, 256-bit (4)        ``test_dh_shared_secret``         0.32 ms
+Schnorr sign, g = 4, 320-bit nonce (6)           ``test_schnorr_sign_nonce``       0.37 ms
+``g**s`` from the generator table                ``test_generator_table``          0.24 ms
+``y**e``, 256-bit, one exponentiation            ``test_key_power_native``         0.29 ms
+``y**e`` from a key table                        ``test_key_power_from_key_table`` 0.12 ms
+``g**s * y**e`` as one chain (6)                 ``test_fused_product``            0.36 ms
+===============================================  ================================  =======
 
-The first five rows replaced pure-Python windowed tables (and built-in
-``pow``) with one Montgomery exponentiation.  The last replaced that
-exponentiation, for the one base every verification raises, with
-precomputed powers held in libcrypto.  Its pair was timed in one process,
-median of six runs, on a later host of the same type (a fresh
-verification product: 1.01 -> 0.60 ms).  What there is:
+The first three are one Montgomery exponentiation each (they replaced
+pure-Python windowed tables and built-in ``pow``).  A verification
+product is ``g**s`` from the generator table times ``y**e``: by one
+exponentiation (0.24 + 0.29 ms) for a key's first 15 fresh products,
+and as one chain over both tables after that.  What there is:
 
 * :func:`powmod` raises a secret exponent (DH and Schnorr private keys,
   Schnorr nonces) with ``BN_mod_exp_mont_consttime``.
@@ -40,6 +43,24 @@ verification product: 1.01 -> 0.60 ms).  What there is:
   ``BN_mod_mul_montgomery`` per nonzero digit, ~135 of them.  In practice
   only the ``g**-1`` side is built.  A short side past 576 bits (only a
   forged response has one) takes ``BN_mod_exp_mont``.
+* The key tables.  A challenge ``e`` is a SHA-256 digest reduced mod
+  ``q``, so ``e < 2**256``, and a migration checks its 6 fresh signatures
+  under 4 long-lived keys (the EPID group key and the IAS report key
+  twice each, each Migration Enclave's key once).  A key gets a table of
+  64 four-bit windows (960 ``BIGNUM``s, ~0.3 MB, ~2.2 ms), built by the
+  generator's code, at its 16th fresh product, when its exponentiations
+  have cost about what the table costs.  A key used fewer times never
+  gets one: a CA key checks each ME's credential once, while a world is
+  set up, so only a world of 16 machines or more builds its table.
+  :func:`mul2_powmod` then picks the generator's powers for the short
+  side and the key's for ``e`` and multiplies them as one chain: one
+  ``BN_CTX``, one ``BN_copy``, ~200 ``BN_mod_mul_montgomery``, one
+  ``BN_from_montgomery``.  The tables sit in an LRU of 16, and an evicted
+  table's ``BIGNUM``s are freed; :func:`public_key_cache_stats` counts
+  it and :func:`clear_key_tables` empties it.  A key's first 15 fresh
+  products, an ``e`` of 2**256 or more, a short side past 576 bits, an
+  even modulus and a host without libcrypto take the two
+  exponentiations.
 * The product memo: a bounded LRU of :func:`verify_product` results, keyed
   by all five arguments ``(g, s, y, e, modulus)``.  An enclave's SIGSTRUCT
   at every launch and each Migration Enclave's provider credential at every
@@ -54,9 +75,9 @@ verification product: 1.01 -> 0.60 ms).  What there is:
 
 ``benchmarks/e2e/tracing.py`` wraps ``FixedBaseTable.pow``, :func:`powmod`
 and :func:`mul2_powmod` and reads :func:`public_key_cache_stats`, so these
-four names stay and its ``crypto.modexp`` attribution carries over:
-``mul2_powmod`` is two exponentiations, and the per-key cache statistics
-read zero because there is no per-key cache.
+four names stay and its ``crypto.modexp`` attribution carries over: its
+``crypto.modexp.tables_built`` counts the key tables built and
+``crypto.modexp_pk_cache.*`` the products they served.
 
 Everything here only changes *wall-clock* cost.  Virtual-time charges are
 made by the cost meter, never by measuring this code, so seeded simulation
@@ -127,7 +148,7 @@ def _pow(base: int, exponent: int, modulus: int, *, secret: bool) -> int:
         lib.BN_CTX_free(ctx)
 
 
-# ------------------------------------------------------------ generators
+# ------------------------------------------------------------ tables
 #: A generator table covers exponents up to 576 bits, the short side of
 #: every Schnorr response, in 4-bit digits (two per byte): 144 windows of
 #: 15 powers each.
@@ -141,9 +162,10 @@ def _free_bignums(lib, bignums: list[int]) -> None:
         lib.BN_clear_free(bn)
 
 
-def _build_powers(lib, base: int, modulus: int) -> list[int]:
+def _build_powers(lib, base: int, modulus: int, windows: int) -> list[int]:
     """``BIGNUM``s holding ``base ** (j * 16**i)`` in Montgomery form, for
-    window ``i < 144`` and digit ``1 <= j <= 15`` at index ``15*i + j - 1``."""
+    window ``i < windows`` and digit ``1 <= j <= 15`` at index
+    ``15*i + j - 1``."""
     width = (modulus.bit_length() + 7) // 8
     ctx = lib.BN_CTX_new()
     powers: list[int] = []
@@ -157,7 +179,7 @@ def _build_powers(lib, base: int, modulus: int) -> list[int]:
         powers.append(first)
         if lib.BN_to_montgomery(first, first, mont, ctx) != 1:
             raise CryptoError("libcrypto could not enter Montgomery form")
-        for index in range(1, _WINDOWS * _ENTRIES):
+        for index in range(1, windows * _ENTRIES):
             power = lib.BN_new()
             if not power:
                 raise CryptoError("libcrypto could not allocate a BIGNUM")
@@ -176,17 +198,24 @@ def _build_powers(lib, base: int, modulus: int) -> list[int]:
         lib.BN_CTX_free(ctx)
 
 
-def _table_pow(lib, powers: list[int], exponent: int, modulus: int) -> int:
-    """``base ** exponent % modulus`` for ``exponent < 2**576``: one
-    Montgomery product per nonzero 4-bit digit, from ``base``'s powers."""
+def _picks(powers: list[int], exponent: int, windows: int) -> list[int]:
+    """The powers whose product is ``base ** exponent``, for
+    ``exponent < 16**windows``: one per nonzero 4-bit digit."""
     picks = []
     offset = -1  # digit j of window i is powers[15*i + j - 1]
-    for byte in exponent.to_bytes(TABLE_BITS // 8, "little"):
+    for byte in exponent.to_bytes(windows // 2, "little"):
         if byte & 15:
             picks.append(powers[offset + (byte & 15)])
         if byte >> 4:
             picks.append(powers[offset + _ENTRIES + (byte >> 4)])
         offset += 2 * _ENTRIES
+    return picks
+
+
+def _chain(lib, picks: list[int], modulus: int) -> int:
+    """The product of the Montgomery-form ``picks`` modulo ``modulus``: one
+    ``BN_mod_mul_montgomery`` per pick after the first, then one
+    ``BN_from_montgomery``."""
     if not picks:
         return 1
     width = (modulus.bit_length() + 7) // 8
@@ -225,8 +254,9 @@ class FixedBaseTable:
     digit, over that side's powers ``base ** (j * 16**i)``, built at its
     first such use (2,160 ``BIGNUM``s, ~0.7 MB) and freed with the
     instance; a longer one, an even modulus or a host without libcrypto
-    takes :func:`_pow`.  Exponents are public: the call is not
-    constant-time.
+    takes :func:`_pow`.  :func:`mul2_powmod` reads the same powers through
+    :meth:`short_side` and :meth:`powers`.  Exponents are public: the call
+    is not constant-time.
     """
 
     __slots__ = ("base", "modulus", "order", "inverse", "_powers", "__weakref__")
@@ -248,18 +278,28 @@ class FixedBaseTable:
         """``base ** exponent % modulus`` by the shorter side."""
         if exponent < 0:
             raise CryptoError("negative exponent")
-        order, modulus = self.order, self.modulus
-        exponent %= order
-        side = self.base
-        if order - exponent < exponent:
-            side, exponent = self.inverse, order - exponent
+        side, exponent = self.short_side(exponent)
+        modulus = self.modulus
         lib = libcrypto()
         if lib is None or exponent >> TABLE_BITS or not modulus & 1:
             return _pow(side, exponent, modulus, secret=False)
+        return _chain(lib, _picks(self.powers(lib, side), exponent, _WINDOWS), modulus)
+
+    def short_side(self, exponent: int) -> tuple[int, int]:
+        """``(side, short)`` with ``side ** short == base ** exponent``:
+        ``base`` or ``inverse``, whichever takes the shorter exponent."""
+        order = self.order
+        exponent %= order
+        if order - exponent < exponent:
+            return self.inverse, order - exponent
+        return self.base, exponent
+
+    def powers(self, lib, side: int) -> list[int]:
+        """``side``'s Montgomery-form powers, built at their first use."""
         built = self._powers.get(side)
         if built is None:
-            built = self._powers[side] = (lib, _build_powers(lib, side, modulus))
-        return _table_pow(lib, built[1], exponent, modulus)
+            built = self._powers[side] = (lib, _build_powers(lib, side, self.modulus, _WINDOWS))
+        return built[1]
 
 
 def _free_tables(tables: dict) -> None:
@@ -280,30 +320,6 @@ def register_fixed_base(base: int, modulus: int, *, order: int) -> FixedBaseTabl
     return table
 
 
-def powmod(base: int, exponent: int, modulus: int) -> int:
-    """``pow(base, exponent, modulus)`` for a secret exponent (a private key
-    or a nonce): constant-time, and never memoized."""
-    return _pow(base, exponent, modulus, secret=True)
-
-
-def _public_pow(base: int, exponent: int, modulus: int) -> int:
-    table = _GENERATORS.get((base % modulus, modulus))
-    if table is not None:
-        return table.pow(exponent)
-    return _pow(base, exponent, modulus, secret=False)
-
-
-def mul2_powmod(b1: int, e1: int, b2: int, e2: int, modulus: int) -> int:
-    """``b1**e1 * b2**e2 % modulus`` for public exponents: two
-    exponentiations, a registered generator's by its shorter side."""
-    if modulus <= 1:
-        raise CryptoError("modulus must be > 1")
-    if e1 < 0 or e2 < 0:
-        raise CryptoError("negative exponent")
-    return _public_pow(b1, e1, modulus) * _public_pow(b2, e2, modulus) % modulus
-
-
-# -------------------------------------------------------------- products
 class _Lru:
     """Bounded least-recently-used map with hit and miss counters."""
 
@@ -327,7 +343,10 @@ class _Lru:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            self._evict(self._entries.popitem(last=False)[1])
+
+    def _evict(self, value) -> None:
+        """Release an entry that the capacity pushed out."""
 
     def stats(self) -> dict[str, int]:
         return {
@@ -343,16 +362,123 @@ class _Lru:
         self.misses = 0
 
 
+#: A key table covers a challenge ``e``, a SHA-256 digest reduced mod q, so
+#: below 2**256: 64 windows of 15 powers (960 ``BIGNUM``s).
+KEY_TABLE_BITS = 256
+_KEY_WINDOWS = KEY_TABLE_BITS // 4
+#: A verification key gets its table at this fresh product (a memo miss).
+KEY_TABLE_USES = 16
+#: Maximum number of key tables held at once.
+KEY_TABLE_CAPACITY = 16
+#: Maximum number of keys whose fresh products are counted before a table.
+KEY_USES_CAPACITY = 256
+
+
+class _KeyTables(_Lru):
+    """The tables of recurring verification keys: an LRU of
+    ``(key, modulus) -> (the libcrypto that built them, the powers)``.
+
+    :meth:`powers` counts a key's fresh products and answers ``None`` (a
+    first use) until the ``KEY_TABLE_USES``-th, which builds the table.
+    ``hits`` counts the products a built table served and ``misses`` the
+    tables built.  An evicted table's ``BIGNUM``s are freed, and its key
+    counts from zero again; the counts themselves are bounded, oldest key
+    forgotten first.
+    """
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self._uses: OrderedDict = OrderedDict()
+        self.first_uses = 0
+
+    def powers(self, lib, key: int, modulus: int) -> list[int] | None:
+        """``key``'s Montgomery-form powers, or ``None`` before its table."""
+        entry = (key, modulus)
+        table = self._entries.get(entry)
+        if table is not None:
+            self.hits += 1
+            self._entries.move_to_end(entry)
+            return table[1]
+        uses = self._uses.pop(entry, 0) + 1
+        if uses < KEY_TABLE_USES:
+            self.first_uses += 1
+            self._uses[entry] = uses
+            if len(self._uses) > KEY_USES_CAPACITY:
+                self._uses.popitem(last=False)
+            return None
+        self.misses += 1
+        powers = _build_powers(lib, key, modulus, _KEY_WINDOWS)
+        self.store(entry, (lib, powers))
+        return powers
+
+    def _evict(self, value) -> None:
+        _free_bignums(*value)
+
+    def stats(self) -> dict[str, int]:
+        return {**super().stats(), "first_uses": self.first_uses}
+
+    def clear(self) -> None:
+        for value in self._entries.values():
+            self._evict(value)
+        super().clear()
+        self._uses.clear()
+        self.first_uses = 0
+
+
+_KEY_TABLES = _KeyTables(KEY_TABLE_CAPACITY)
+
+
+def powmod(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)`` for a secret exponent (a private key
+    or a nonce): constant-time, and never memoized."""
+    return _pow(base, exponent, modulus, secret=True)
+
+
+def _public_pow(base: int, exponent: int, modulus: int) -> int:
+    table = _GENERATORS.get((base % modulus, modulus))
+    if table is not None:
+        return table.pow(exponent)
+    return _pow(base, exponent, modulus, secret=False)
+
+
+def mul2_powmod(b1: int, e1: int, b2: int, e2: int, modulus: int) -> int:
+    """``b1**e1 * b2**e2 % modulus`` for public exponents.
+
+    With ``b1`` a registered generator whose short side of ``e1`` fits its
+    table, ``e2 < 2**KEY_TABLE_BITS``, an odd modulus and libcrypto, the
+    product counts as a use of the key ``b2``; once ``b2`` has its table it
+    is one Montgomery chain over the generator's and the key's powers.
+    Otherwise two exponentiations, a registered generator's by its shorter
+    side.
+    """
+    if modulus <= 1:
+        raise CryptoError("modulus must be > 1")
+    if e1 < 0 or e2 < 0:
+        raise CryptoError("negative exponent")
+    generator = _GENERATORS.get((b1 % modulus, modulus))
+    lib = libcrypto()
+    if generator is not None and lib is not None and modulus & 1 and not e2 >> KEY_TABLE_BITS:
+        side, short = generator.short_side(e1)
+        if not short >> TABLE_BITS:
+            key_powers = _KEY_TABLES.powers(lib, b2 % modulus, modulus)
+            if key_powers is not None:
+                picks = _picks(generator.powers(lib, side), short, _WINDOWS)
+                return _chain(lib, picks + _picks(key_powers, e2, _KEY_WINDOWS), modulus)
+    return _public_pow(b1, e1, modulus) * _public_pow(b2, e2, modulus) % modulus
+
+
+# -------------------------------------------------------------- products
 # (g, s, y, e, modulus) -> g**s * y**e % modulus: public values only (a
 # generator, a signature and a verification key; see the module docstring).
 _PRODUCTS = _Lru(PRODUCT_MEMO_CAPACITY)
 
 
 def public_key_cache_stats() -> dict[str, int]:
-    """Zero counts under the keys of the per-public-key table cache that
-    native exponentiation replaced.  Its only reader is the frozen benchmark
-    tracer (``benchmarks/e2e/tracing.py``)."""
-    return {"hits": 0, "misses": 0, "size": 0, "capacity": 0, "first_uses": 0}
+    """Counters of the key-table LRU: ``hits`` (products a key table
+    served), ``misses`` (tables built), ``first_uses`` (products of a key
+    that had no table), ``size`` and ``capacity``.  The benchmark tracer
+    (``benchmarks/e2e/tracing.py``) reads them."""
+    return _KEY_TABLES.stats()
 
 
 def product_memo_stats() -> dict[str, int]:
@@ -363,6 +489,11 @@ def product_memo_stats() -> dict[str, int]:
 def clear_product_memo() -> None:
     """Empty the verification-product memo and zero its counters."""
     _PRODUCTS.clear()
+
+
+def clear_key_tables() -> None:
+    """Free every key table, forget every key's uses and zero the counters."""
+    _KEY_TABLES.clear()
 
 
 def verify_product(g: int, s: int, y: int, e: int, modulus: int) -> int:

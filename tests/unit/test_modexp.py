@@ -3,11 +3,12 @@
 Every path in :mod:`repro.crypto.modexp` must be bit-exact with
 ``builtins.pow``: the native libcrypto call (``powmod``), the registered
 generator's short side (``FixedBaseTable``: its table of Montgomery-form
-powers up to 576 bits, the native call past them), the two-exponentiation product
-and the verification-product memo, over the RFC 3526 2048-bit group the
-simulator uses (Schnorr generator g=4, DH generator g=2) and other odd
-moduli, plus the built-in ``pow`` fallback for inputs the native call does
-not take and for a host without libcrypto.
+powers up to 576 bits, the native call past them), the two-exponentiation
+product, a recurring key's table fused with the generator's into one
+Montgomery chain, and the verification-product memo, over the RFC 3526
+2048-bit group the simulator uses (Schnorr generator g=4, DH generator
+g=2) and other odd moduli, plus the built-in ``pow`` fallback for inputs
+the native call does not take and for a host without libcrypto.
 """
 
 import ctypes.util
@@ -16,6 +17,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import modexp, native, schnorr
 from repro.crypto.dh import MODP_2048_G, MODP_2048_P, MODP_2048_Q
@@ -107,7 +110,9 @@ class TestFixedBaseTable:
         build, free = modexp._build_powers, modexp._free_bignums
         monkeypatch.setattr(
             modexp, "_build_powers",
-            lambda lib, base, modulus: built.append(base) or build(lib, base, modulus),
+            lambda lib, base, modulus, windows: (
+                built.append(base) or build(lib, base, modulus, windows)
+            ),
         )
         monkeypatch.setattr(
             modexp, "_free_bignums",
@@ -262,11 +267,29 @@ class TestSchnorrVerify:
         assert min(s, _Q - s) in exponents
 
 
-def test_public_key_cache_stats_read_zero():
-    """The benchmark tracer reads these keys; there is no per-key cache."""
-    modexp.verify_product(4, 5, pow(4, 31337, _P), 6, _P)
-    stats = modexp.public_key_cache_stats()
-    assert stats == dict.fromkeys(("hits", "misses", "size", "capacity", "first_uses"), 0)
+def test_public_key_cache_stats_count_the_key_tables():
+    """The benchmark tracer reads these keys: products before a key's table
+    (``first_uses``), tables built (``misses``) and products a table served
+    (``hits``)."""
+    modexp.clear_key_tables()
+    modexp.clear_product_memo()
+    try:
+        y = pow(4, 31337, _P)
+        for e in range(modexp.KEY_TABLE_USES + 2):
+            assert modexp.verify_product(4, 5, y, e, _P) == _product(4, 5, y, e, _P)
+        assert modexp.public_key_cache_stats() == {
+            "hits": 2,
+            "misses": 1,
+            "size": 1,
+            "capacity": modexp.KEY_TABLE_CAPACITY,
+            "first_uses": modexp.KEY_TABLE_USES - 1,
+        }
+        # A memo hit is not a fresh product: no key-table counter moves.
+        modexp.verify_product(4, 5, y, 0, _P)
+        assert modexp.public_key_cache_stats()["hits"] == 2
+    finally:
+        modexp.clear_key_tables()
+        modexp.clear_product_memo()
 
 
 def _product(g, s, y, e, modulus):
@@ -324,3 +347,172 @@ class TestProductMemo:
         }
         assert modexp.verify_product(*_ARGS) == _product(*_ARGS)
         assert modexp.product_memo_stats()["misses"] == 1
+
+
+# A response's short side on the generator table, on each of its sides.
+_SHORT_S = (1 << 574) + 3
+_KEY_RNG = random.Random(256)
+
+
+def _fresh_key() -> int:
+    return pow(4, _KEY_RNG.getrandbits(320), _P)
+
+
+def _admit(y: int) -> None:
+    """Make ``y``'s fresh products up to and including the one that builds
+    its table."""
+    for _ in range(modexp.KEY_TABLE_USES):
+        assert modexp.mul2_powmod(4, _SHORT_S, y, 1, _P) == _product(4, _SHORT_S, y, 1, _P)
+
+
+class TestKeyTables:
+    """A recurring verification key's table, fused with the generator's."""
+
+    @pytest.fixture(autouse=True)
+    def empty_tables(self):
+        modexp.clear_key_tables()
+        yield
+        modexp.clear_key_tables()
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Record every ``_build_powers`` (base, windows, powers) and every
+        ``_free_bignums`` length."""
+        built, freed = [], []
+        build, free = modexp._build_powers, modexp._free_bignums
+
+        def spy_build(lib, base, modulus, windows):
+            powers = build(lib, base, modulus, windows)
+            built.append((base, windows, len(powers)))
+            return powers
+
+        monkeypatch.setattr(modexp, "_build_powers", spy_build)
+        monkeypatch.setattr(
+            modexp, "_free_bignums",
+            lambda lib, bignums: freed.append(len(bignums)) or free(lib, bignums),
+        )
+        return built, freed
+
+    @pytest.mark.parametrize("y", [1, 2, _P - 1, _P + 5, _fresh_key()],
+                             ids=["1", "2", "p-1", "p+5", "random"])
+    def test_table_products_match_pow(self, y, monkeypatch):
+        _admit(y)
+        native_calls = []
+        native_pow = modexp._pow
+
+        def spy(base, exponent, modulus, *, secret):
+            native_calls.append(exponent)
+            return native_pow(base, exponent, modulus, secret=secret)
+
+        monkeypatch.setattr(modexp, "_pow", spy)
+        hits = modexp.public_key_cache_stats()["hits"]
+        for e in (0, 1, 1 << 255, (1 << 256) - 1):
+            for s in (_SHORT_S, _Q - _SHORT_S):
+                assert modexp.mul2_powmod(4, s, y, e, _P) == _product(4, s, y, e, _P)
+        assert native_calls == []
+        assert modexp.public_key_cache_stats()["hits"] == hits + 8
+        # A challenge past the key table takes the native exponentiation.
+        assert modexp.mul2_powmod(4, _SHORT_S, y, 1 << 256, _P) == _product(
+            4, _SHORT_S, y, 1 << 256, _P
+        )
+        assert native_calls == [1 << 256]
+        assert modexp.public_key_cache_stats()["hits"] == hits + 8
+
+    def test_sixteenth_fresh_product_builds_the_table(self, spies):
+        built, _ = spies
+        y = _fresh_key()
+        for use in range(1, modexp.KEY_TABLE_USES):
+            assert modexp.mul2_powmod(4, _SHORT_S, y, use, _P) == _product(4, _SHORT_S, y, use, _P)
+        stats = modexp.public_key_cache_stats()
+        assert (stats["first_uses"], stats["misses"], stats["size"]) == (15, 0, 0)
+        assert built == []
+        assert modexp.mul2_powmod(4, _SHORT_S, y, 16, _P) == _product(4, _SHORT_S, y, 16, _P)
+        # The generator's side was built long before; the key's table now.
+        assert built == [(y, 64, 960)]  # 64 windows x 15 powers
+        stats = modexp.public_key_cache_stats()
+        assert (stats["first_uses"], stats["misses"], stats["hits"], stats["size"]) == (
+            15, 1, 0, 1,
+        )
+        modexp.mul2_powmod(4, _SHORT_S, y, 17, _P)
+        assert modexp.public_key_cache_stats()["hits"] == 1
+        assert len(built) == 1
+
+    def test_products_the_tables_cannot_take_do_not_count(self):
+        y = _fresh_key()
+        long_s = _Q // 2  # a forged response: short side past 576 bits
+        for _ in range(modexp.KEY_TABLE_USES):
+            modexp.mul2_powmod(4, long_s, y, 1, _P)
+            modexp.mul2_powmod(4, _SHORT_S, y, 1 << 256, _P)
+            modexp.mul2_powmod(3, _SHORT_S, y, 1, _P)  # no registered generator
+        assert modexp.public_key_cache_stats() == {
+            "hits": 0, "misses": 0, "size": 0,
+            "capacity": modexp.KEY_TABLE_CAPACITY, "first_uses": 0,
+        }
+
+    def test_lru_evicts_and_frees_and_clear_frees_all(self, spies):
+        built, freed = spies
+        keys = [_fresh_key() for _ in range(modexp.KEY_TABLE_CAPACITY + 1)]
+        for y in keys[:-1]:
+            _admit(y)
+        assert modexp.public_key_cache_stats()["size"] == modexp.KEY_TABLE_CAPACITY
+        assert freed == []
+        # Touch the oldest table, so the second oldest is the least recent.
+        modexp.mul2_powmod(4, _SHORT_S, keys[0], 2, _P)
+        _admit(keys[-1])
+        assert freed == [960]
+        assert modexp.public_key_cache_stats()["size"] == modexp.KEY_TABLE_CAPACITY
+        hits = modexp.public_key_cache_stats()["hits"]
+        modexp.mul2_powmod(4, _SHORT_S, keys[0], 3, _P)
+        assert modexp.public_key_cache_stats()["hits"] == hits + 1
+        # The evicted key counts from zero again.
+        first_uses = modexp.public_key_cache_stats()["first_uses"]
+        assert modexp.mul2_powmod(4, _SHORT_S, keys[1], 3, _P) == _product(
+            4, _SHORT_S, keys[1], 3, _P
+        )
+        assert modexp.public_key_cache_stats()["first_uses"] == first_uses + 1
+        modexp.clear_key_tables()
+        assert freed == [960] * (1 + modexp.KEY_TABLE_CAPACITY)
+        assert modexp.public_key_cache_stats() == {
+            "hits": 0, "misses": 0, "size": 0,
+            "capacity": modexp.KEY_TABLE_CAPACITY, "first_uses": 0,
+        }
+        assert len(built) == modexp.KEY_TABLE_CAPACITY + 1
+
+    def test_use_counts_forget_the_oldest_key(self, monkeypatch):
+        monkeypatch.setattr(modexp, "KEY_USES_CAPACITY", 2)
+        keys = [_fresh_key() for _ in range(3)]
+        for y in keys:
+            modexp.mul2_powmod(4, _SHORT_S, y, 1, _P)
+        # keys[0]'s first product was forgotten, so 15 more do not build
+        # its table; a 16th does.
+        for _ in range(modexp.KEY_TABLE_USES - 1):
+            modexp.mul2_powmod(4, _SHORT_S, keys[0], 1, _P)
+        assert modexp.public_key_cache_stats()["misses"] == 0
+        modexp.mul2_powmod(4, _SHORT_S, keys[0], 1, _P)
+        assert modexp.public_key_cache_stats()["misses"] == 1
+
+    def test_reference_backend_products_match_pow(self, reference_backend):
+        y = _fresh_key()
+        for e in range(modexp.KEY_TABLE_USES + 4):
+            for s in (_SHORT_S, _Q - _SHORT_S):
+                assert modexp.mul2_powmod(4, s, y, e, _P) == _product(4, s, y, e, _P)
+        assert modexp.public_key_cache_stats()["misses"] == 0
+
+    def test_products_match_pow_past_admission(self):
+        keys = [_fresh_key() for _ in range(3)]
+
+        @given(
+            index=st.integers(0, len(keys) - 1),
+            short=st.integers(0, (1 << modexp.TABLE_BITS) - 1),
+            inverse_side=st.booleans(),
+            e=st.integers(0, (1 << modexp.KEY_TABLE_BITS) - 1),
+        )
+        @settings(max_examples=100, deadline=None, database=None)
+        def product_matches_pow(index, short, inverse_side, e):
+            y, s = keys[index], _Q - short if inverse_side else short
+            assert modexp.mul2_powmod(4, s, y, e, _P) == _product(4, s, y, e, _P)
+
+        product_matches_pow()
+        # 100 products over 3 keys: at least one key passed its 16th.
+        stats = modexp.public_key_cache_stats()
+        assert stats["misses"] >= 1 and stats["hits"] >= 1
