@@ -125,10 +125,15 @@ class FleetPlanJournal:
         return f"{self.owner}/{FLEET_PLAN_PATH}"
 
     def write(self, record: FleetPlanRecord) -> None:
-        current = self.read()
-        record = replace(
-            record, generation=(current.generation if current else 0) + 1
-        )
+        """Persist ``record`` one generation past the journaled record it
+        was derived from, whose ``generation`` it carries.  A record never
+        journaled (generation 0, such as a fresh plan) goes one past
+        whatever the path holds, which costs a read."""
+        generation = record.generation
+        if not generation:
+            current = self.read()
+            generation = current.generation if current else 0
+        record = replace(record, generation=generation + 1)
         self.storage.write_atomic(self.path, record.to_bytes())
 
     def write_plan(self, plan: MigrationPlan) -> None:

@@ -35,6 +35,7 @@ from repro.fleet.demo import build_demo_fleet, counter_values
 from repro.fleet.journal import (
     FleetPlanIndex,
     FleetPlanJournal,
+    FleetPlanRecord,
     group_key,
 )
 from repro.fleet.service import _PlanRun
@@ -375,6 +376,32 @@ class TestGroupGranularResume:
         record = journal.read()
         # The cursor advanced and the group list was pruned with it.
         assert record.next_wave == 1 and record.done_groups == ()
+        journal.clear()
+
+    def test_each_mark_reads_the_plan_once(self, monkeypatch):
+        demo = build_demo_fleet(seed=0, n_enclaves=8)
+        journal = demo.service.journal()
+        storage = journal.storage
+        reads = []
+        read_record = storage.read_record
+
+        def counted(path, parse):
+            reads.append(path)
+            return read_record(path, parse)
+
+        monkeypatch.setattr(storage, "read_record", counted)
+        steps = [
+            lambda: journal.write_plan(demo.service.plan_drain("fleet-0")),
+            lambda: journal.mark_wave_started(0),
+            lambda: journal.mark_group_done(0, "fleet-1"),
+            lambda: journal.mark_wave_done(0),
+        ]
+        for generation, step in enumerate(steps, start=1):
+            reads.clear()
+            step()
+            assert reads == [journal.path]
+            # One generation per write (read back outside the count).
+            assert read_record(journal.path, FleetPlanRecord.from_bytes).generation == generation
         journal.clear()
 
     def test_v1_records_decode_with_no_done_groups(self):
