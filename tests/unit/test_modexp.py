@@ -377,7 +377,11 @@ class TestKeyTables:
     @pytest.fixture
     def spies(self, monkeypatch):
         """Record every ``_build_powers`` (base, windows, powers) and every
-        ``_free_bignums`` length."""
+        ``_free_bignums`` length.  Both sides of the generator's table are
+        built first, so only key tables are recorded."""
+        generator = modexp.register_fixed_base(4, _P, order=_Q)
+        generator.pow(_SHORT_S)
+        generator.pow(_Q - _SHORT_S)
         built, freed = [], []
         build, free = modexp._build_powers, modexp._free_bignums
 
